@@ -23,6 +23,7 @@ from .hermitian import (
     DimensionMismatch,
     HermitianMatrix,
     OperatorStack,
+    gram,
     symmetric_dot,
 )
 
@@ -77,11 +78,6 @@ def _as_blocks(m) -> np.ndarray:
     return m.blocks if isinstance(m, OperatorStack) else np.asarray(m, dtype=complex)
 
 
-def _gram(blocks: np.ndarray) -> np.ndarray:
-    """sum_k b_k^* b_k (Hermitian PSD)."""
-    return np.einsum("kji,kjl->il", np.conj(blocks), blocks)
-
-
 def kinetic(rho, m, eps_pd: float = EPS_PD) -> ExtendedValue:
     """F(rho, m), extended-real valued.
 
@@ -100,18 +96,18 @@ def kinetic(rho, m, eps_pd: float = EPS_PD) -> ExtendedValue:
     evals, vecs = np.linalg.eigh(r)
     if evals[0] < -eps_pd:
         return ExtendedValue.infinity()
-    gram = _gram(blocks)
+    gr = gram(blocks)
     if evals[0] > eps_pd:
         w = vecs @ np.diag(1.0 / evals) @ vecs.conj().T
-        return ExtendedValue.of(0.5 * float(np.trace(gram @ w).real))
+        return ExtendedValue.of(0.5 * float(np.trace(gr @ w).real))
     zero = evals <= eps_pd
     p_ker = vecs[:, zero] @ vecs[:, zero].conj().T
     leak = float(np.linalg.norm(np.einsum("kij,jl->kil", blocks, p_ker)))
     if leak > 1e-9 * float(np.linalg.norm(blocks)):
         return ExtendedValue.infinity()
-    inv = np.where(zero, 0.0, np.divide(1.0, evals, where=~zero))
+    inv = np.divide(1.0, evals, out=np.zeros_like(evals), where=~zero)
     pinv = vecs @ np.diag(inv) @ vecs.conj().T
-    return ExtendedValue.of(0.5 * float(np.trace(gram @ pinv).real))
+    return ExtendedValue.of(0.5 * float(np.trace(gr @ pinv).real))
 
 
 def legendre_feasible(p: DualPoint, tol: float = 1e-10) -> bool:
@@ -120,7 +116,7 @@ def legendre_feasible(p: DualPoint, tol: float = 1e-10) -> bool:
     blocks = _as_blocks(p.b)
     if blocks.shape[1:] != a.shape:
         raise DimensionMismatch("dual point a/b dimensions differ")
-    top = float(np.linalg.eigvalsh(a + 0.5 * _gram(blocks))[-1])
+    top = float(np.linalg.eigvalsh(a + 0.5 * gram(blocks))[-1])
     return top <= tol
 
 

@@ -8,7 +8,9 @@ whose quadratic form is <X; T_rho X> = Q_rho(grad X) with
 Q_rho(v) = tr(rho v^* v).  Restricted to ker(grad)^perp the map is
 positive definite whenever rho is, which yields:
 
-* solve_potential — the unique X in ker(grad)^perp with T_rho X = f,
+* solve_potential — the unique X in ker(grad)^perp with T_rho X = f;
+  solve_potentials does the same for a stack of K weights in one batched
+  assembly and Cholesky factorization,
 * poincare_constant — the smallest restricted eigenvalue (the sharp
   constant c in Q_rho(grad(X - proj X)) >= c |X - proj X|^2),
 * best_gradient_fit — the closest gradient field to a given skew stack
@@ -24,7 +26,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .hermitian import (
     EPS_PD,
@@ -32,6 +33,7 @@ from .hermitian import (
     DimensionMismatch,
     HermitianMatrix,
     OperatorStack,
+    gram,
     hermitian_basis,
     inner_product,
     unvec_h,
@@ -39,6 +41,10 @@ from .hermitian import (
     vec_h,
 )
 from .lindblad import LindbladSet, divergence, gradient
+
+
+# residual bound of every potential solve: |T x - f| <= RESIDUAL_RTOL * max(|f|, 1)
+RESIDUAL_RTOL = 1e-9
 
 
 class WeightError(ValueError):
@@ -68,19 +74,91 @@ def quadratic_form(rho, v) -> float:
     blocks = v.blocks if isinstance(v, OperatorStack) else np.asarray(v, dtype=complex)
     if blocks.shape[1] != r.shape[0]:
         raise DimensionMismatch("weight and stack dimensions differ")
-    gram = np.einsum("kji,kjl->il", np.conj(blocks), blocks)
-    return float(np.trace(r @ gram).real)
+    return float(np.trace(r @ gram(blocks)).real)
 
 
-def _anticommutator_rep(rho: np.ndarray) -> np.ndarray:
-    """Real symmetric matrix of v |-> (v rho + rho v)/2 on skew coordinates."""
-    n = rho.shape[0]
+def _weighted_stack(l: LindbladSet, rhos: np.ndarray) -> np.ndarray:
+    """T(rho_k) for a (K, n, n) stack of weights: (K, n^2, n^2), real symmetric.
+
+    T = sum_j G_j^T R G_j with G_j the rows of grad_matrix for operator j
+    (skew coordinates by Hermitian coordinates) and R(rho)_{ab} =
+    Re tr(B_a B_b rho), the matrix of v |-> (v rho + rho v)/2 on skew
+    coordinates.
+    """
+    n, n2, big_k = l.n, l.n * l.n, rhos.shape[0]
     basis = hermitian_basis(n)
-    skew = 1j * basis
-    anti = 0.5 * (np.einsum("bij,jl->bil", skew, rho)
-                  + np.einsum("ij,bjl->bil", rho, skew))
-    rep = (-1j * np.einsum("aij,bij->ab", np.conj(basis), anti)).real
-    return 0.5 * (rep + rep.T)
+    # rows (k, b) of b_rho hold (B_b rho_k)^T flattened, so the product with
+    # the flattened basis sums tr(B_a B_b rho_k); (n^3, n) @ rhos forms every
+    # B_b rho_k in K calls instead of K n^2
+    b_rho = np.swapaxes((basis.reshape(-1, n) @ rhos).reshape(-1, n, n), -1, -2)
+    r = (b_rho.reshape(-1, n2) @ basis.reshape(n2, n2).T).real.reshape(big_k, n2, n2)
+    r = 0.5 * (r + np.swapaxes(r, -1, -2))
+    g = l.grad_matrix.reshape(l.count, n2, n2)
+    t = (np.swapaxes(g, -1, -2) @ (r[:, None] @ g)).sum(axis=1)
+    return 0.5 * (t + np.swapaxes(t, -1, -2))
+
+
+def _restrict(l: LindbladSet, t: np.ndarray) -> np.ndarray:
+    """C^T T C on ker(grad)^perp for a stack of weighted matrices, symmetrized."""
+    c = l.complement_vecs
+    tc = c.T @ t @ c
+    return 0.5 * (tc + np.swapaxes(tc, -1, -2))
+
+
+def _check_weights(rhos: np.ndarray) -> None:
+    lo = float(np.linalg.eigvalsh(rhos)[:, 0].min())
+    if lo <= EPS_PD:
+        raise SingularWeight(
+            f"weight min eigenvalue {lo:.3e} <= {EPS_PD:.1e}; the restricted "
+            "system is not safely invertible"
+        )
+
+
+def _solve_stack(l: LindbladSet, t: np.ndarray, tc: np.ndarray, fv: np.ndarray,
+                 rtol: float) -> np.ndarray:
+    """Coordinates x_k in ker(grad)^perp with T_k x_k = f_k: (K, n^2).
+
+    t is the (K, n^2, n^2) stack of weighted matrices and tc its restriction.
+    The batched Cholesky factorization of all K restricted systems is the
+    positive-definite gate; one batched LU solve then gives the potentials.
+    Every gate of solve_potential is evaluated over the whole stack.
+    """
+    fnorm = np.linalg.norm(fv, axis=-1)
+    kpart = np.linalg.norm(fv @ l.kernel_vecs, axis=-1)
+    # the relative gate alone would reject float-noise-sized right-hand
+    # sides whose "kernel component" is pure rounding error
+    bad = (kpart > 1e-10 * fnorm) & (kpart > 1e-14)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise InfeasibleRHS(
+            f"right-hand side has kernel component {kpart[k]:.3e} (|f| = {fnorm[k]:.3e}); "
+            "solvability requires f orthogonal to ker(grad)"
+        )
+    c = l.complement_vecs
+    if c.shape[1] == 0:
+        return np.zeros_like(fv)
+    # numpy has no batched triangular solve, so the factor only gates
+    np.linalg.cholesky(tc)
+    xv = np.linalg.solve(tc, (fv @ c)[..., None])[..., 0] @ c.T
+    residual = np.linalg.norm((t @ xv[..., None])[..., 0] - fv, axis=-1)
+    over = residual > rtol * np.maximum(fnorm, 1.0)
+    if over.any():
+        raise RuntimeError(
+            f"potential solve residual {residual[np.argmax(over)]:.3e} exceeds "
+            "tolerance; the weighted operator is badly conditioned"
+        )
+    return xv
+
+
+def solve_potentials(l: LindbladSet, rhos: np.ndarray, fs: np.ndarray) -> np.ndarray:
+    """solve_potential for K raw (n, n) weights and right-hand sides at once.
+
+    rhos and fs are (K, n, n) Hermitian stacks; returns the (K, n, n)
+    potentials.  Raises as solve_potential does if any system fails a gate.
+    """
+    _check_weights(rhos)
+    t = _weighted_stack(l, rhos)
+    return unvec_h(_solve_stack(l, t, _restrict(l, t), vec_h(fs), RESIDUAL_RTOL), l.n)
 
 
 class WeightedOperator:
@@ -96,19 +174,11 @@ class WeightedOperator:
         self.rho = _weight(rho)
         if self.rho.shape != (lindblad.n, lindblad.n):
             raise DimensionMismatch("weight dimension does not match operator set")
-        g = lindblad.grad_matrix.reshape(lindblad.count, lindblad.n ** 2, lindblad.n ** 2)
-        r = _anticommutator_rep(self.rho)
-        # T = sum_k G_k^T R G_k: rows of each G_k are skew coordinates (index a),
-        # columns are Hermitian coordinates (indices b, d)
-        t = np.einsum("kab,ac,kcd->bd", g, r, g)
-        self.matrix_rep = 0.5 * (t + t.T)
-        c = lindblad.complement_vecs
-        if c.shape[1] == 0:
+        self.matrix_rep = _weighted_stack(lindblad, self.rho[None])[0]
+        self._restricted = _restrict(lindblad, self.matrix_rep)
+        if self._restricted.shape[0] == 0:
             self.restricted_min_eig = 0.0
-            self._restricted = np.zeros((0, 0))
         else:
-            self._restricted = c.T @ self.matrix_rep @ c
-            self._restricted = 0.5 * (self._restricted + self._restricted.T)
             self.restricted_min_eig = float(np.linalg.eigvalsh(self._restricted)[0])
 
     def apply(self, x) -> HermitianMatrix:
@@ -133,43 +203,19 @@ def apply_weighted(l: LindbladSet, rho, x) -> HermitianMatrix:
     return divergence(l, OperatorStack(mixed, flavor="skew"))
 
 
-def solve_potential(w: WeightedOperator, f, rtol: float = 1e-9) -> HermitianMatrix:
+def solve_potential(w: WeightedOperator, f, rtol: float = RESIDUAL_RTOL) -> HermitianMatrix:
     """The unique X in ker(grad)^perp with T_rho X = f (rho strictly positive).
 
     Raises InfeasibleRHS if f has a kernel component beyond 1e-10 |f|,
     SingularWeight if rho is not safely positive definite.  The returned
     X satisfies |T X - f| <= rtol * max(|f|, 1) and the stability bound
-    |f| >= restricted_min_eig * |X|.
+    |f| >= restricted_min_eig * |X|.  This is the K = 1 case of
+    solve_potentials, on the operator's already assembled matrix.
     """
-    lo = float(np.linalg.eigvalsh(w.rho)[0])
-    if lo <= EPS_PD:
-        raise SingularWeight(
-            f"weight min eigenvalue {lo:.3e} <= {EPS_PD:.1e}; the restricted "
-            "system is not safely invertible"
-        )
-    l = w.lindblad
+    _check_weights(w.rho[None])
     fv = vec_h(f.mat if hasattr(f, "mat") else np.asarray(f, dtype=complex))
-    fnorm = float(np.linalg.norm(fv))
-    kpart = float(np.linalg.norm(l.kernel_vecs.T @ fv))
-    # the relative gate alone would reject float-noise-sized right-hand
-    # sides whose "kernel component" is pure rounding error
-    if kpart > 1e-10 * fnorm and kpart > 1e-14:
-        raise InfeasibleRHS(
-            f"right-hand side has kernel component {kpart:.3e} (|f| = {fnorm:.3e}); "
-            "solvability requires f orthogonal to ker(grad)"
-        )
-    c = l.complement_vecs
-    if c.shape[1] == 0:
-        return HermitianMatrix(np.zeros((l.n, l.n)))
-    sol = cho_solve(cho_factor(w._restricted), c.T @ fv)
-    xv = c @ sol
-    residual = float(np.linalg.norm(w.matrix_rep @ xv - fv))
-    if residual > rtol * max(fnorm, 1.0):
-        raise RuntimeError(
-            f"potential solve residual {residual:.3e} exceeds tolerance; "
-            "the weighted operator is badly conditioned"
-        )
-    return HermitianMatrix(unvec_h(xv, l.n))
+    xv = _solve_stack(w.lindblad, w.matrix_rep[None], w._restricted[None], fv[None], rtol)[0]
+    return HermitianMatrix(unvec_h(xv, w.lindblad.n))
 
 
 def poincare_constant(l: LindbladSet, rho) -> float:
@@ -236,8 +282,7 @@ def momentum_min_check(l: LindbladSet, rho, f) -> MomentumCheck:
     m = OperatorStack(np.einsum("kij,jl->kil", v.blocks, r), flavor="general")
     rinv = np.linalg.inv(r)
     rinv = 0.5 * (rinv + rinv.conj().T)
-    gram = np.einsum("kji,kjl->il", np.conj(m.blocks), m.blocks)
-    primal = 0.5 * float(np.trace(gram @ rinv).real)
+    primal = 0.5 * float(np.trace(gram(m.blocks) @ rinv).real)
     fmat = f.mat if hasattr(f, "mat") else np.asarray(f, dtype=complex)
     dual = float(inner_product(HermitianMatrix(fmat), x)) - 0.5 * quadratic_form(r, v)
     return MomentumCheck(primal_min=primal, dual_max=dual, optimal_m=m, potential=x)

@@ -17,6 +17,19 @@ With that reconstruction the per-interval action is <f_k; X_k> with
 f_k = (rho_{k+1} - rho_k)/dt, which is what the optimizer and its
 analytic gradient use.
 
+Every evaluation works on raw (K, n, n) stacks: the K interval systems
+T_{mid_k} X_k = f_k are assembled, factored and solved in one batched
+call (elliptic.solve_potentials), and commutators, Gram matrices and the
+positivity test of nodes and midpoints are batched likewise.  Validated
+wrapper types are built only for the returned path and result.
+
+The descent is L-BFGS with backtracking.  A step is accepted on the
+Armijo test, or, when the cost changed by at most FLAT_RTOL |E| so that
+Armijo reads only rounding noise, on the approximate-Wolfe bounds of
+Hager & Zhang (SIAM J. Optim. 2005) for its directional derivative.
+Without the second rule a cost flat to its last digits admits only
+steps too short to change anything, and the solve crawls to max_iter.
+
 A converged (or best-effort) path is accompanied by a dual certificate:
 node potentials lambda_k satisfying the discrete Hamilton-Jacobi
 inequality  (lambda_{k+1}-lambda_k)/dt + (1/2)(grad lb_k)^*(grad lb_k) <= 0
@@ -32,16 +45,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .action import kinetic
-from .elliptic import WeightedOperator, solve_potential
+from .elliptic import solve_potentials
 from .hermitian import (
+    EPS_PD,
     DensityMatrix,
     HermitianMatrix,
     OperatorStack,
+    gram,
     inner_product,
     unvec_h,
     vec_h,
 )
-from .lindblad import LindbladSet, divergence, gradient
+from .lindblad import LindbladSet, divergence, grad_blocks
 
 
 class InfeasibleEndpoints(ValueError):
@@ -107,10 +122,6 @@ def _mat(x) -> np.ndarray:
     return x.mat if hasattr(x, "mat") else np.asarray(x, dtype=complex)
 
 
-def _gram(blocks: np.ndarray) -> np.ndarray:
-    return np.einsum("kji,kjl->il", np.conj(blocks), blocks)
-
-
 def continuity_residual(l: LindbladSet, path: DiscretePath) -> float:
     """Max over intervals of |rho_{k+1} - rho_k - (dt/2) div(m_k - m_k*)|."""
     dt = 1.0 / path.K
@@ -124,19 +135,37 @@ def continuity_residual(l: LindbladSet, path: DiscretePath) -> float:
     return worst
 
 
-def _interval_solve(l: LindbladSet, rho_a: np.ndarray, rho_b: np.ndarray, dt: float):
-    """Potential, momentum and action data for one interval.
+def _intervals(l: LindbladSet, nodes: np.ndarray, dt: float):
+    """Potentials, gradients, momenta and action terms of every interval at once.
 
-    Returns (X matrix, momentum blocks, grad-X blocks, action term
-    <f; X> with f = (rho_b - rho_a)/dt).
+    nodes is the (K+1, n, n) stack rho_0..rho_K.  Returns (X (K, n, n),
+    grad-X blocks (K, N, n, n), momenta (K, N, n, n), action terms (K,)
+    <f_k; X_k> with f_k = (rho_{k+1} - rho_k)/dt).
     """
-    mid = 0.5 * (rho_a + rho_b)
-    f = (rho_b - rho_a) / dt
-    x = solve_potential(WeightedOperator(l, mid), HermitianMatrix(f))
-    v = gradient(l, x).blocks
-    m = np.einsum("kij,jl->kil", v, mid)
-    action = float(np.trace(f.conj().T @ x.mat).real)
-    return x.mat, m, v, action
+    mids = 0.5 * (nodes[:-1] + nodes[1:])
+    fs = (nodes[1:] - nodes[:-1]) / dt
+    xs = solve_potentials(l, mids, fs)
+    vs = grad_blocks(l, xs)
+    ms = vs @ mids[:, None]
+    actions = np.sum(np.conj(fs) * xs, axis=(1, 2)).real
+    return xs, vs, ms, actions
+
+
+def _linear_nodes(r0: np.ndarray, r1: np.ndarray, big_k: int) -> np.ndarray:
+    """Nodes (1 - t_j) rho_0 + t_j rho_1, j = 0..K, endpoints exact: (K+1, n, n)."""
+    t = (np.arange(1, big_k) * (1.0 / big_k))[:, None, None]
+    return np.concatenate([r0[None], (1 - t) * r0 + t * r1, r1[None]])
+
+
+def _discrete_path(r0, r1, nodes, xs, ms, eps_pd) -> DiscretePath:
+    """Wrap raw node, potential and momentum stacks into a validated DiscretePath."""
+    big_k = xs.shape[0]
+    interior = [DensityMatrix(nd, eps_pd=eps_pd) for nd in nodes[1:-1]]
+    return DiscretePath(
+        K=big_k, grid=np.linspace(0.0, 1.0, big_k + 1),
+        densities=[r0] + interior + [r1],
+        momenta=[OperatorStack(m, flavor="general") for m in ms],
+        potentials=[HermitianMatrix(x) for x in xs])
 
 
 def _endpoint_guard(l: LindbladSet, rho0, rho1):
@@ -161,19 +190,9 @@ def initial_path(l: LindbladSet, rho0, rho1, big_k: int) -> DiscretePath:
     the discrete continuity equation.
     """
     r0, r1 = _endpoint_guard(l, rho0, rho1)
-    dt = 1.0 / big_k
-    nodes = [r0]
-    for j in range(1, big_k):
-        t = j * dt
-        nodes.append(DensityMatrix((1 - t) * r0.mat + t * r1.mat))
-    nodes.append(r1)
-    momenta, potentials = [], []
-    for k in range(big_k):
-        x, m, _, _ = _interval_solve(l, nodes[k].mat, nodes[k + 1].mat, dt)
-        potentials.append(HermitianMatrix(x))
-        momenta.append(OperatorStack(m, flavor="general"))
-    return DiscretePath(K=big_k, grid=np.linspace(0.0, 1.0, big_k + 1),
-                        densities=nodes, momenta=momenta, potentials=potentials)
+    nodes = _linear_nodes(r0.mat, r1.mat, big_k)
+    xs, _, ms, _ = _intervals(l, nodes, 1.0 / big_k)
+    return _discrete_path(r0, r1, nodes, xs, ms, EPS_PD)
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +202,10 @@ def initial_path(l: LindbladSet, rho0, rho1, big_k: int) -> DiscretePath:
 class _Reduced:
     """E(y) = sum_k <rho_{k+1} - rho_k; X_k> over interior-node moves y.
 
-    Interior node j sits at base_j + unvec(C y_j) with C an orthonormal
+    Interior node j sits at line_j + unvec(C y_j) with C an orthonormal
     basis of ker(grad)^perp, so unit trace and endpoint reachability are
-    automatic for every candidate.
+    automatic for every candidate.  Nodes are a (K+1, n, n) stack and all
+    K interval systems are solved in one batched call.
     """
 
     def __init__(self, l, r0, r1, big_k, floor):
@@ -195,44 +215,25 @@ class _Reduced:
         self.floor = floor
         self.c = l.complement_vecs
         self.d = self.c.shape[1]
-        self.ends = (r0.mat, r1.mat)
-        self.base = [((1 - j * self.dt) * r0.mat + j * self.dt * r1.mat)
-                     for j in range(1, big_k)]
+        self.line = _linear_nodes(r0.mat, r1.mat, big_k)
 
-    def nodes(self, y: np.ndarray) -> list:
-        out = [self.ends[0]]
-        for j in range(self.big_k - 1):
-            move = unvec_h(self.c @ y[j * self.d:(j + 1) * self.d], self.l.n)
-            out.append(self.base[j] + move)
-        out.append(self.ends[1])
+    def nodes(self, y: np.ndarray) -> np.ndarray:
+        out = self.line.copy()
+        out[1:-1] += unvec_h(y.reshape(-1, self.d) @ self.c.T, self.l.n)
         return out
 
     def feasible(self, y: np.ndarray) -> bool:
         nodes = self.nodes(y)
-        for j in range(1, self.big_k):
-            if float(np.linalg.eigvalsh(nodes[j])[0]) <= self.floor:
-                return False
-        for k in range(self.big_k):
-            mid = 0.5 * (nodes[k] + nodes[k + 1])
-            if float(np.linalg.eigvalsh(mid)[0]) <= self.floor:
-                return False
-        return True
+        mids = 0.5 * (nodes[:-1] + nodes[1:])
+        lows = np.linalg.eigvalsh(np.concatenate([nodes[1:-1], mids]))[:, 0]
+        return bool(np.all(lows > self.floor))
 
     def value_grad(self, y: np.ndarray):
-        nodes = self.nodes(y)
-        xs, grams, ms = [], [], []
-        total = 0.0
-        for k in range(self.big_k):
-            x, m, v, action = _interval_solve(self.l, nodes[k], nodes[k + 1], self.dt)
-            xs.append(x)
-            ms.append(m)
-            grams.append(_gram(v))
-            total += self.dt * action
-        g = np.zeros(y.size)
-        for j in range(1, self.big_k):
-            gj = 2.0 * (xs[j - 1] - xs[j]) \
-                - 0.5 * self.dt * (grams[j - 1] + grams[j])
-            g[(j - 1) * self.d: j * self.d] = self.c.T @ vec_h(gj)
+        xs, vs, ms, actions = _intervals(self.l, self.nodes(y), self.dt)
+        total = float(np.sum(self.dt * actions))
+        grams = gram(vs)
+        gj = 2.0 * (xs[:-1] - xs[1:]) - 0.5 * self.dt * (grams[:-1] + grams[1:])
+        g = (vec_h(gj) @ self.c).ravel()
         return total, g, xs, ms
 
 
@@ -285,14 +286,40 @@ def _constant_result(l: LindbladSet, r0, cfg: SolverConfig,
     )
 
 
+#: a cost change below this share of |E| is rounding noise, not a decrease
+FLAT_RTOL = 1e-12
+#: approximate-Wolfe constants (delta, sigma) of Hager & Zhang, SIAM J. Optim. 2005
+HZ_DELTA, HZ_SIGMA = 0.1, 0.9
+
+
+def _accept_step(cost, slope, step, c_cost, c_slope) -> bool:
+    """Armijo decrease, or on a cost flat to rounding the approximate-Wolfe test.
+
+    Near the optimum the cost can stop changing in its last digits while
+    the gradient is still above tolerance; Armijo then passes only for
+    steps so short that they change nothing.  A step whose cost change is
+    within FLAT_RTOL |E| is accepted instead when its directional derivative
+    c_slope = grad E(cand) . d satisfies
+    sigma * slope <= c_slope <= (2 delta - 1) * slope.
+    """
+    if c_cost <= cost + 1e-4 * step * slope:
+        return True
+    return (abs(c_cost - cost) <= FLAT_RTOL * abs(cost)
+            and HZ_SIGMA * slope <= c_slope <= (2 * HZ_DELTA - 1) * slope)
+
+
+def _trace_drift(nodes: np.ndarray) -> float:
+    return float(np.max(np.abs(np.trace(nodes, axis1=-2, axis2=-1).real - 1.0)))
+
+
 def optimize_geodesic(l: LindbladSet, rho0, rho1, config: SolverConfig | None = None,
                       record_iterates: bool = False) -> GeodesicResult:
     """Minimize the discrete action over interior nodes; return path + certificate.
 
-    Quasi-Newton (L-BFGS) descent with Armijo backtracking; steps that
-    would push any node or interval midpoint below the eigenvalue floor
-    are shortened, and a persistent failure to move is reported as a
-    boundary hit with the best iterate returned.
+    Quasi-Newton (L-BFGS) descent with backtracking under _accept_step;
+    steps that would push any node or interval midpoint below the
+    eigenvalue floor are shortened, and a persistent failure to move is
+    reported as a boundary hit with the best iterate returned.
     """
     cfg = config or SolverConfig()
     r0, r1 = _endpoint_guard(l, rho0, rho1)
@@ -307,8 +334,9 @@ def optimize_geodesic(l: LindbladSet, rho0, rho1, config: SolverConfig | None = 
     y = np.zeros((cfg.K - 1) * reduced.d)
     cost, grad, xs, ms = reduced.value_grad(y)
     gnorm = float(np.linalg.norm(grad))
-    trace_drift = max(abs(float(np.trace(nd).real) - 1.0) for nd in reduced.nodes(y))
-    iterates = [reduced.nodes(y)] if record_iterates else None
+    nodes = reduced.nodes(y)
+    trace_drift = _trace_drift(nodes)
+    iterates = [nodes] if record_iterates else None
 
     s_hist, y_hist = [], []
     iterations = 0
@@ -323,7 +351,7 @@ def optimize_geodesic(l: LindbladSet, rho0, rho1, config: SolverConfig | None = 
             cand = y + step * d
             if reduced.feasible(cand):
                 c_cost, c_grad, c_xs, c_ms = reduced.value_grad(cand)
-                if c_cost <= cost + 1e-4 * step * slope:
+                if _accept_step(cost, slope, step, c_cost, float(c_grad @ d)):
                     accepted = True
                     break
             step *= 0.5
@@ -340,22 +368,13 @@ def optimize_geodesic(l: LindbladSet, rho0, rho1, config: SolverConfig | None = 
         y, cost, grad, xs, ms = cand, c_cost, c_grad, c_xs, c_ms
         gnorm = float(np.linalg.norm(grad))
         iterations += 1
-        trace_drift = max(trace_drift,
-                          max(abs(float(np.trace(nd).real) - 1.0)
-                              for nd in reduced.nodes(y)))
+        nodes = reduced.nodes(y)
+        trace_drift = max(trace_drift, _trace_drift(nodes))
         if record_iterates:
-            iterates.append(reduced.nodes(y))
+            iterates.append(nodes)
         converged = gnorm <= cfg.grad_tol * (1.0 + abs(cost))
 
-    nodes = reduced.nodes(y)
-    densities = [r0] + [DensityMatrix(nd, eps_pd=1e-8) for nd in nodes[1:-1]] + [r1]
-    path = DiscretePath(
-        K=cfg.K,
-        grid=np.linspace(0.0, 1.0, cfg.K + 1),
-        densities=densities,
-        momenta=[OperatorStack(m, flavor="general") for m in ms],
-        potentials=[HermitianMatrix(x) for x in xs],
-    )
+    path = _discrete_path(r0, r1, nodes, xs, ms, 1e-8)
     primal = cost
     dual_path, dual_value = dual_certificate(l, path)
     hams = []
@@ -379,15 +398,27 @@ def optimize_geodesic(l: LindbladSet, rho0, rho1, config: SolverConfig | None = 
     )
 
 
+def _hj_tops(l: LindbladSet, lam: np.ndarray, dt: float) -> np.ndarray:
+    """Largest eigenvalue of each interval's HJ residual for a (K+1, n, n) node stack.
+
+    The residual on interval k is (lam_{k+1} - lam_k)/dt + (1/2) Gram(grad lb_k)
+    with lb_k the midpoint of the two nodes.
+    """
+    mids = 0.5 * (lam[:-1] + lam[1:])
+    res = (lam[1:] - lam[:-1]) / dt + 0.5 * gram(grad_blocks(l, mids))
+    return np.linalg.eigvalsh(res)[:, -1]
+
+
 def dual_certificate(l: LindbladSet, path: DiscretePath):
     """Hamilton-Jacobi-feasible node potentials and their certified value.
 
     Seeds node values from the interval potentials (midpoint averaging,
-    linear extrapolation at the ends), then sweeps the intervals in
-    order, shifting each right node by a multiple of the identity so the
-    interval's largest HJ-residual eigenvalue lands exactly at zero.
-    Identity shifts leave every gradient untouched, so the sweep cannot
-    break earlier intervals.
+    linear extrapolation at the ends), then shifts each right node by a
+    multiple of the identity so the interval's largest HJ-residual
+    eigenvalue lands exactly at zero.  Identity shifts leave every gradient
+    untouched, so shifting node k+1 moves the residual of interval k+1 by
+    the same multiple of the identity: the shifts are the running sum of
+    the unshifted top eigenvalues, all computed in one batched call.
 
     Returns (DualPath, dual_value).  Scale convention: the raw endpoint
     pairing <lam_K; rho_K> - <lam_0; rho_0> bounds the action measured in
@@ -398,20 +429,15 @@ def dual_certificate(l: LindbladSet, path: DiscretePath):
         raise ValueError("dual_certificate needs a path with interval potentials")
     big_k = path.K
     dt = 1.0 / big_k
-    xs = [p.mat for p in path.potentials]
+    xs = np.array([p.mat for p in path.potentials])
     if big_k == 1:
-        lam = [xs[0].copy(), xs[0].copy()]
+        lam = np.stack([xs[0], xs[0]])
     else:
-        lam = [0.5 * (3.0 * xs[0] - xs[1])]
-        lam += [0.5 * (xs[k - 1] + xs[k]) for k in range(1, big_k)]
-        lam.append(0.5 * (3.0 * xs[-1] - xs[-2]))
-    ident = np.eye(l.n)
-    for k in range(big_k):
-        mid = 0.5 * (lam[k] + lam[k + 1])
-        gr = _gram(gradient(l, HermitianMatrix(mid)).blocks)
-        res = (lam[k + 1] - lam[k]) / dt + 0.5 * gr
-        shift = float(np.linalg.eigvalsh(res)[-1])
-        lam[k + 1] = lam[k + 1] - dt * shift * ident
+        lam = np.concatenate([0.5 * (3.0 * xs[:1] - xs[1:2]),
+                              0.5 * (xs[:-1] + xs[1:]),
+                              0.5 * (3.0 * xs[-1:] - xs[-2:-1])])
+    shifts = np.cumsum(_hj_tops(l, lam, dt))
+    lam[1:] -= (dt * shifts)[:, None, None] * np.eye(l.n)
     bracket = float(np.trace(lam[-1] @ _mat(path.densities[-1])).real) \
         - float(np.trace(lam[0] @ _mat(path.densities[0])).real)
     dual = DualPath(K=big_k, nodes=[HermitianMatrix(m) for m in lam])
@@ -420,14 +446,8 @@ def dual_certificate(l: LindbladSet, path: DiscretePath):
 
 def hj_residuals(l: LindbladSet, dual: DualPath) -> list:
     """Largest eigenvalue of the HJ residual on each interval (feasible: <= 0)."""
-    dt = 1.0 / dual.K
-    out = []
-    for k in range(dual.K):
-        mid = 0.5 * (dual.nodes[k].mat + dual.nodes[k + 1].mat)
-        gr = _gram(gradient(l, HermitianMatrix(mid)).blocks)
-        res = (dual.nodes[k + 1].mat - dual.nodes[k].mat) / dt + 0.5 * gr
-        out.append(float(np.linalg.eigvalsh(res)[-1]))
-    return out
+    lam = np.array([node.mat for node in dual.nodes])
+    return [float(v) for v in _hj_tops(l, lam, 1.0 / dual.K)]
 
 
 def dual_pairing_value(path: DiscretePath, dual: DualPath) -> float:

@@ -264,6 +264,12 @@ def symmetric_dot(m, b) -> float:
     return float(np.sum(np.conj(a) * c).real)
 
 
+def gram(blocks) -> np.ndarray:
+    """sum_k b_k^* b_k over the stack axis: (..., N, n, n) -> (..., n, n), Hermitian PSD."""
+    b = _entries(blocks)
+    return (np.conj(np.swapaxes(b, -1, -2)) @ b).sum(axis=-3)
+
+
 def adjoint_stack(m: OperatorStack) -> OperatorStack:
     """Blockwise conjugate transpose m -> m_*; an involution."""
     b = _entries(m)
@@ -308,15 +314,18 @@ def hermitian_basis(n: int) -> np.ndarray:
 
 
 def vec_h(h) -> np.ndarray:
-    """Real coordinates of a Hermitian matrix in the fixed basis."""
+    """Real coordinates of a Hermitian matrix in the fixed basis.
+
+    A stack of shape (..., n, n) maps to coordinates of shape (..., n^2).
+    """
     a = _entries(h)
-    n = a.shape[0]
-    return np.einsum("aij,ij->a", np.conj(hermitian_basis(n)), a).real
+    n = a.shape[-1]
+    return np.einsum("aij,...ij->...a", np.conj(hermitian_basis(n)), a).real
 
 
 def unvec_h(x: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of vec_h (returns a raw complex ndarray)."""
-    return np.einsum("a,aij->ij", np.asarray(x, dtype=float), hermitian_basis(n))
+    """Inverse of vec_h (returns a raw complex ndarray); (..., n^2) -> (..., n, n)."""
+    return np.einsum("...a,aij->...ij", np.asarray(x, dtype=float), hermitian_basis(n))
 
 
 def vec_s(s) -> np.ndarray:

@@ -121,11 +121,15 @@ def _square(l: LindbladSet, x) -> np.ndarray:
     return a
 
 
+def grad_blocks(l: LindbladSet, xs: np.ndarray) -> np.ndarray:
+    """Raw commutators L_k X - X L_k for a stack: (..., n, n) -> (..., N, n, n)."""
+    a = np.expand_dims(xs, -3)
+    return l.ops @ a - a @ l.ops
+
+
 def gradient(l: LindbladSet, x) -> OperatorStack:
     """grad(X): block k is the commutator L_k X - X L_k (skew-Hermitian)."""
-    a = _square(l, x)
-    blocks = np.einsum("kij,jl->kil", l.ops, a) - np.einsum("ij,kjl->kil", a, l.ops)
-    return OperatorStack(blocks, flavor="skew")
+    return OperatorStack(grad_blocks(l, _square(l, x)), flavor="skew")
 
 
 def divergence(l: LindbladSet, y) -> HermitianMatrix:

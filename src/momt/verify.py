@@ -27,6 +27,7 @@ from .hermitian import (
     DensityMatrix,
     HermitianMatrix,
     OperatorStack,
+    gram,
     hermitian_basis,
     inner_product,
     unvec_h,
@@ -197,13 +198,13 @@ def suite_duality(l: LindbladSet, rho0: DensityMatrix, rho1: DensityMatrix,
     total = 120
     for i in range(total):
         b = _rand_general_stack(rng, big_n, n)
-        gram = np.einsum("kji,kjl->il", np.conj(b.blocks), b.blocks)
+        gr = gram(b.blocks)
         shift = [-1e-3, 0.0, 1e-3][i % 3] * np.eye(n)
-        a = HermitianMatrix(-0.5 * gram + shift)
+        a = HermitianMatrix(-0.5 * gr + shift)
         p = DualPoint(a=a, b=b)
         claimed = legendre_feasible(p)
         # independent route: attempted Cholesky of the negated residual
-        resid = a.mat + 0.5 * gram
+        resid = a.mat + 0.5 * gr
         try:
             np.linalg.cholesky(-(resid - 1e-10 * np.eye(n)) + 1e-13 * np.eye(n))
             indep = True
@@ -221,8 +222,8 @@ def suite_duality(l: LindbladSet, rho0: DensityMatrix, rho1: DensityMatrix,
         rho = _rand_density(rng, n)
         m = _rand_general_stack(rng, big_n, n)
         b = _rand_general_stack(rng, big_n, n)
-        gram = np.einsum("kji,kjl->il", np.conj(b.blocks), b.blocks)
-        a = HermitianMatrix(-0.5 * gram - 0.1 * np.eye(n))
+        gr = gram(b.blocks)
+        a = HermitianMatrix(-0.5 * gr - 0.1 * np.eye(n))
         err = max(err, -fenchel_gap(rho, m, DualPoint(a=a, b=b)))
     checks.append(_check("Fenchel-Young inequality for the kinetic pair", err, 1e-10))
 
@@ -233,8 +234,8 @@ def suite_duality(l: LindbladSet, rho0: DensityMatrix, rho1: DensityMatrix,
         v = gradient(l, x)
         m = OperatorStack(np.einsum("kij,jl->kil", v.blocks, rho.mat),
                           flavor="general")
-        gram = np.einsum("kji,kjl->il", np.conj(v.blocks), v.blocks)
-        p = DualPoint(a=HermitianMatrix(-0.5 * gram), b=v)
+        gr = gram(v.blocks)
+        p = DualPoint(a=HermitianMatrix(-0.5 * gr), b=v)
         f_val = kinetic(rho, m).value
         err = max(err, abs(fenchel_gap(rho, m, p)) / max(1.0, f_val))
     checks.append(_check("subdifferential pair attains Fenchel equality", err, 1e-9))
