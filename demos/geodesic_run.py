@@ -98,7 +98,7 @@ for _ in range(2):
 a = DensityMatrix(base + moves[0], strict=True)
 b = DensityMatrix(base + moves[1], strict=True)
 
-res3 = optimize_geodesic(l3, a, b, SolverConfig(K=8, max_iter=2000))
+res3 = optimize_geodesic(l3, a, b, SolverConfig(K=8))
 print()
 print("three-level pair, K=8:")
 print(f"  distance {res3.distance:.10f} after {res3.iterations} iterations, "

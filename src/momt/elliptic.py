@@ -10,7 +10,8 @@ positive definite whenever rho is, which yields:
 
 * solve_potential — the unique X in ker(grad)^perp with T_rho X = f;
   solve_potentials does the same for a stack of K weights in one batched
-  assembly and Cholesky factorization,
+  assembly and Cholesky factorization, and also returns the restricted
+  systems it factored,
 * poincare_constant — the smallest restricted eigenvalue (the sharp
   constant c in Q_rho(grad(X - proj X)) >= c |X - proj X|^2),
 * best_gradient_fit — the closest gradient field to a given skew stack
@@ -150,15 +151,18 @@ def _solve_stack(l: LindbladSet, t: np.ndarray, tc: np.ndarray, fv: np.ndarray,
     return xv
 
 
-def solve_potentials(l: LindbladSet, rhos: np.ndarray, fs: np.ndarray) -> np.ndarray:
+def solve_potentials(l: LindbladSet, rhos: np.ndarray, fs: np.ndarray):
     """solve_potential for K raw (n, n) weights and right-hand sides at once.
 
-    rhos and fs are (K, n, n) Hermitian stacks; returns the (K, n, n)
-    potentials.  Raises as solve_potential does if any system fails a gate.
+    rhos and fs are (K, n, n) Hermitian stacks.  Returns the (K, n, n)
+    potentials and the (K, d, d) restricted systems C^T T(rho_k) C that
+    were solved (C = complement_vecs).  Raises as solve_potential does if
+    any system fails a gate.
     """
     _check_weights(rhos)
     t = _weighted_stack(l, rhos)
-    return unvec_h(_solve_stack(l, t, _restrict(l, t), vec_h(fs), RESIDUAL_RTOL), l.n)
+    tc = _restrict(l, t)
+    return unvec_h(_solve_stack(l, t, tc, vec_h(fs), RESIDUAL_RTOL), l.n), tc
 
 
 class WeightedOperator:

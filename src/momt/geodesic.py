@@ -23,12 +23,22 @@ call (elliptic.solve_potentials), and commutators, Gram matrices and the
 positivity test of nodes and midpoints are batched likewise.  Validated
 wrapper types are built only for the returned path and result.
 
-The descent is L-BFGS with backtracking.  A step is accepted on the
-Armijo test, or, when the cost changed by at most FLAT_RTOL |E| so that
-Armijo reads only rounding noise, on the approximate-Wolfe bounds of
-Hager & Zhang (SIAM J. Optim. 2005) for its directional derivative.
-Without the second rule a cost flat to its last digits admits only
-steps too short to change anything, and the solve crawls to max_iter.
+The reduced cost E(y) is convex: in restricted coordinates each interval
+term is a matrix-fractional function (1/dt) D^T A(mu)^{-1} D of the node
+difference D and the midpoint mu, with A(mu) = C^T T(mu) C linear in mu.
+Each term couples two adjacent nodes, so the Hessian is block tridiagonal
+with d x d blocks (d = dim ker(grad)^perp).  The descent takes damped
+Newton steps: the direction -H^{-1} g comes from the analytic Hessian
+(_Reduced.hessian, which reuses the factored interval systems A_k) and a
+block Thomas solve in O(K d^3) (_block_tridiag_solve), with -g as the
+fallback when that solve finds H not positive definite.  Backtracking
+keeps every node and midpoint above the eigenvalue floor.  A step is
+accepted on the Armijo test, or, when the cost changed by at most
+FLAT_RTOL |E| so that Armijo reads only rounding noise, on the
+approximate-Wolfe bounds of Hager & Zhang (SIAM J. Optim. 2005) for its
+directional derivative.  The second rule guards against a cost flat to
+its last digits, where Armijo admits only steps too short to change
+anything.
 
 A converged (or best-effort) path is accompanied by a dual certificate:
 node potentials lambda_k satisfying the discrete Hamilton-Jacobi
@@ -41,6 +51,7 @@ not a heuristic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -140,15 +151,16 @@ def _intervals(l: LindbladSet, nodes: np.ndarray, dt: float):
 
     nodes is the (K+1, n, n) stack rho_0..rho_K.  Returns (X (K, n, n),
     grad-X blocks (K, N, n, n), momenta (K, N, n, n), action terms (K,)
-    <f_k; X_k> with f_k = (rho_{k+1} - rho_k)/dt).
+    <f_k; X_k> with f_k = (rho_{k+1} - rho_k)/dt, restricted systems
+    A_k = C^T T(mid_k) C (K, d, d)).
     """
     mids = 0.5 * (nodes[:-1] + nodes[1:])
     fs = (nodes[1:] - nodes[:-1]) / dt
-    xs = solve_potentials(l, mids, fs)
+    xs, tcs = solve_potentials(l, mids, fs)
     vs = grad_blocks(l, xs)
     ms = vs @ mids[:, None]
     actions = np.sum(np.conj(fs) * xs, axis=(1, 2)).real
-    return xs, vs, ms, actions
+    return xs, vs, ms, actions, tcs
 
 
 def _linear_nodes(r0: np.ndarray, r1: np.ndarray, big_k: int) -> np.ndarray:
@@ -191,7 +203,7 @@ def initial_path(l: LindbladSet, rho0, rho1, big_k: int) -> DiscretePath:
     """
     r0, r1 = _endpoint_guard(l, rho0, rho1)
     nodes = _linear_nodes(r0.mat, r1.mat, big_k)
-    xs, _, ms, _ = _intervals(l, nodes, 1.0 / big_k)
+    xs, _, ms, _, _ = _intervals(l, nodes, 1.0 / big_k)
     return _discrete_path(r0, r1, nodes, xs, ms, EPS_PD)
 
 
@@ -217,6 +229,19 @@ class _Reduced:
         self.d = self.c.shape[1]
         self.line = _linear_nodes(r0.mat, r1.mat, big_k)
 
+    @cached_property
+    def _move_factors(self):
+        """Per-solve constants of the coupling M in hessian, for the moves h_a = unvec(C e_a).
+
+        Row (a, i) of the first, (d n, N n), is row i of (grad_j h_a)^* for
+        j = 1..N side by side.  Column b of the second, (n^2, d), is h_b^T
+        flattened, so that S.ravel() @ column b = tr(h_b S).
+        """
+        n, d = self.l.n, self.d
+        moves = unvec_h(self.c.T, n)
+        adj = np.conj(grad_blocks(self.l, moves)).transpose(0, 3, 1, 2)
+        return adj.reshape(d * n, -1), np.conj(moves).reshape(d, n * n).T
+
     def nodes(self, y: np.ndarray) -> np.ndarray:
         out = self.line.copy()
         out[1:-1] += unvec_h(y.reshape(-1, self.d) @ self.c.T, self.l.n)
@@ -229,40 +254,69 @@ class _Reduced:
         return bool(np.all(lows > self.floor))
 
     def value_grad(self, y: np.ndarray):
-        xs, vs, ms, actions = _intervals(self.l, self.nodes(y), self.dt)
+        """(E, grad E, X_k stack, momenta stack, restricted systems A_k) at y."""
+        xs, vs, ms, actions, tcs = _intervals(self.l, self.nodes(y), self.dt)
         total = float(np.sum(self.dt * actions))
         grams = gram(vs)
         gj = 2.0 * (xs[:-1] - xs[1:]) - 0.5 * self.dt * (grams[:-1] + grams[1:])
         g = (vec_h(gj) @ self.c).ravel()
-        return total, g, xs, ms
+        return total, g, xs, ms, tcs
+
+    def hessian(self, xs: np.ndarray, tcs: np.ndarray):
+        """Diagonal (K-1, d, d) and upper off-diagonal (K-2, d, d) Hessian blocks.
+
+        xs and tcs are the potentials and restricted systems A_k that
+        value_grad returned at the point.  In restricted coordinates the
+        interval term is (1/dt) D^T A(mu)^{-1} D with D the node difference
+        and A linear in the midpoint mu; its Hessian in (D, mu) is
+        (2/dt) J^T A^{-1} J with J = [I, -M] and M_k = dt C^T L_{X_k} C,
+        where L_X : mu |-> T(mu) X = div((grad X mu + mu grad X)/2).
+        With P_k = I - M_k/2 and Q_k = I + M_k/2 node j gets the diagonal
+        block (2/dt)(P_{j-1}^T A_{j-1}^{-1} P_{j-1} + Q_j^T A_j^{-1} Q_j) and
+        the block (j, j+1) is -(2/dt) Q_j^T A_j^{-1} P_j.  Each interval
+        adds a PSD term, so H is PSD.
+        """
+        n, d, big_k = self.l.n, self.d, xs.shape[0]
+        # M_k[a, b] = dt <h_a; T(h_b) X_k> = dt Re tr(h_b S_ak) with
+        # S_ak = sum_j (grad_j h_a)^* grad_j X_k, since <Z; T(mu) X> is
+        # Re tr(mu sum_j (grad_j Z)^* grad_j X)
+        adj, cols = self._move_factors
+        s = adj @ grad_blocks(self.l, xs).reshape(big_k, -1, n)
+        m = self.dt * (s.reshape(big_k, d, n * n) @ cols).real
+        eye = np.eye(d)
+        p, q = eye - 0.5 * m, eye + 0.5 * m
+        ainv = np.linalg.solve(tcs, np.concatenate([p, q], axis=-1))
+        ainv_p, ainv_q = ainv[..., :d], ainv[..., d:]
+        pt, qt = np.swapaxes(p, -1, -2), np.swapaxes(q, -1, -2)
+        diag = (2.0 / self.dt) * (pt[:-1] @ ainv_p[:-1] + qt[1:] @ ainv_q[1:])
+        off = -(2.0 / self.dt) * (qt[1:-1] @ ainv_p[1:-1])
+        return diag, off
 
 
-def _finite_difference_grad(reduced: _Reduced, y: np.ndarray, h: float = 1e-6):
-    """Central finite differences over the reduced coordinates (cross-check path)."""
-    g = np.zeros(y.size)
-    for i in range(y.size):
-        e = np.zeros(y.size)
-        e[i] = h
-        fp = reduced.value_grad(y + e)[0]
-        fm = reduced.value_grad(y - e)[0]
-        g[i] = (fp - fm) / (2 * h)
-    return g
+def _block_tridiag_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """x with H x = rhs for a symmetric positive-definite block-tridiagonal H.
 
-
-def _two_loop(g, s_hist, y_hist):
-    q = g.copy()
-    alphas = []
-    for s, y in zip(reversed(s_hist), reversed(y_hist)):
-        a = (s @ q) / (y @ s)
-        alphas.append(a)
-        q -= a * y
-    if y_hist:
-        s, y = s_hist[-1], y_hist[-1]
-        q *= (s @ y) / (y @ y)
-    for (s, y), a in zip(zip(s_hist, y_hist), reversed(alphas)):
-        b = (y @ q) / (y @ s)
-        q += (a - b) * s
-    return q
+    diag holds the (m, d, d) diagonal blocks, off the (m - 1, d, d) blocks
+    H[j, j+1] (H[j+1, j] is their transpose), rhs is (m, d).  Block Thomas
+    elimination on the Schur complements S_0 = D_0,
+    S_{j+1} = D_{j+1} - B_j^T S_j^{-1} B_j, in O(m d^3).  A Cholesky
+    factorization of each S_j is the positive-definite gate: it raises
+    np.linalg.LinAlgError when H is not positive definite.
+    """
+    gains, parts = [], []  # S_j^{-1} B_j and S_j^{-1} r_j
+    s, r = diag[0], rhs[0]
+    for j in range(rhs.shape[0] - 1):
+        np.linalg.cholesky(s)
+        z = np.linalg.solve(s, np.column_stack([off[j], r]))
+        gains.append(z[:, :-1])
+        parts.append(z[:, -1])
+        s = diag[j + 1] - off[j].T @ gains[-1]
+        r = rhs[j + 1] - off[j].T @ parts[-1]
+    np.linalg.cholesky(s)
+    x = [np.linalg.solve(s, r)]
+    for gain, part in zip(reversed(gains), reversed(parts)):
+        x.append(part - gain @ x[-1])
+    return np.array(x[::-1])
 
 
 def _constant_result(l: LindbladSet, r0, cfg: SolverConfig,
@@ -316,10 +370,13 @@ def optimize_geodesic(l: LindbladSet, rho0, rho1, config: SolverConfig | None = 
                       record_iterates: bool = False) -> GeodesicResult:
     """Minimize the discrete action over interior nodes; return path + certificate.
 
-    Quasi-Newton (L-BFGS) descent with backtracking under _accept_step;
-    steps that would push any node or interval midpoint below the
-    eigenvalue floor are shortened, and a persistent failure to move is
-    reported as a boundary hit with the best iterate returned.
+    Damped Newton descent: each iteration solves H d = -g with the block
+    tridiagonal reduced Hessian (see _Reduced.hessian), falling back to
+    d = -g if the block solve finds H not positive definite or d is not a
+    descent direction, then backtracks from the full step under
+    _accept_step.  Steps that would push any node or interval midpoint
+    below the eigenvalue floor are shortened, and a persistent failure to
+    move is reported as a boundary hit with the best iterate returned.
     """
     cfg = config or SolverConfig()
     r0, r1 = _endpoint_guard(l, rho0, rho1)
@@ -332,17 +389,20 @@ def optimize_geodesic(l: LindbladSet, rho0, rho1, config: SolverConfig | None = 
 
     reduced = _Reduced(l, r0, r1, cfg.K, cfg.eps_pd)
     y = np.zeros((cfg.K - 1) * reduced.d)
-    cost, grad, xs, ms = reduced.value_grad(y)
+    cost, grad, xs, ms, tcs = reduced.value_grad(y)
     gnorm = float(np.linalg.norm(grad))
     nodes = reduced.nodes(y)
     trace_drift = _trace_drift(nodes)
     iterates = [nodes] if record_iterates else None
 
-    s_hist, y_hist = [], []
     iterations = 0
     converged = gnorm <= cfg.grad_tol * (1.0 + abs(cost))
     while not converged and iterations < cfg.max_iter and y.size:
-        d = -_two_loop(grad, s_hist, y_hist) if s_hist else -grad
+        try:
+            d = -_block_tridiag_solve(*reduced.hessian(xs, tcs),
+                                      grad.reshape(-1, reduced.d)).ravel()
+        except np.linalg.LinAlgError:
+            d = -grad
         slope = float(d @ grad)
         if slope >= 0:
             d, slope = -grad, -gnorm * gnorm
@@ -350,7 +410,7 @@ def optimize_geodesic(l: LindbladSet, rho0, rho1, config: SolverConfig | None = 
         for _ in range(60):
             cand = y + step * d
             if reduced.feasible(cand):
-                c_cost, c_grad, c_xs, c_ms = reduced.value_grad(cand)
+                c_cost, c_grad, c_xs, c_ms, c_tcs = reduced.value_grad(cand)
                 if _accept_step(cost, slope, step, c_cost, float(c_grad @ d)):
                     accepted = True
                     break
@@ -358,14 +418,7 @@ def optimize_geodesic(l: LindbladSet, rho0, rho1, config: SolverConfig | None = 
         if not accepted:
             warnings_list.append("boundary-hit")
             break
-        s_vec, y_vec = cand - y, c_grad - grad
-        if float(s_vec @ y_vec) > 1e-12 * np.linalg.norm(s_vec) * np.linalg.norm(y_vec):
-            s_hist.append(s_vec)
-            y_hist.append(y_vec)
-            if len(s_hist) > 10:
-                s_hist.pop(0)
-                y_hist.pop(0)
-        y, cost, grad, xs, ms = cand, c_cost, c_grad, c_xs, c_ms
+        y, cost, grad, xs, ms, tcs = cand, c_cost, c_grad, c_xs, c_ms, c_tcs
         gnorm = float(np.linalg.norm(grad))
         iterations += 1
         nodes = reduced.nodes(y)
