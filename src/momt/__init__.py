@@ -35,13 +35,11 @@ from .elliptic import (
     SingularWeight,
     WeightedOperator,
     WeightError,
-    apply_weighted,
     assemble_weighted,
     best_gradient_fit,
     momentum_divergence_matrix,
     momentum_min_check,
     poincare_constant,
-    poincare_constant_over,
     quadratic_form,
     solve_potential,
 )
@@ -55,7 +53,6 @@ from .geodesic import (
     continuity_residual,
     distance,
     dual_certificate,
-    dual_pairing_value,
     feasibility_gap,
     hamiltonian_profile,
     hj_residuals,
@@ -73,10 +70,7 @@ from .hermitian import (
     NotPositive,
     NotUnitTrace,
     OperatorStack,
-    SkewHermitianMatrix,
     SymmetryError,
-    TangentDirection,
-    adjoint_stack,
     hermitian_basis,
     inner_product,
     matrix_from_literal,
@@ -85,7 +79,6 @@ from .hermitian import (
     unvec_h,
     unvec_s,
     unvec_stack,
-    validate_density,
     vec_h,
     vec_s,
     vec_stack,
@@ -98,7 +91,6 @@ from .io import (
     dump_canonical,
     export_geodesic,
     geodesic_trace,
-    load_geodesic,
     load_problem,
     parse_problem,
     reconstruct_path,

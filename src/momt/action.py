@@ -23,6 +23,7 @@ from .hermitian import (
     DimensionMismatch,
     HermitianMatrix,
     OperatorStack,
+    _entries,
     gram,
     symmetric_dot,
 )
@@ -70,12 +71,8 @@ class DualPoint:
 
 
 def _as_matrix(x) -> np.ndarray:
-    a = x.mat if hasattr(x, "mat") else np.asarray(x, dtype=complex)
+    a = _entries(x)
     return 0.5 * (a + a.conj().T)
-
-
-def _as_blocks(m) -> np.ndarray:
-    return m.blocks if isinstance(m, OperatorStack) else np.asarray(m, dtype=complex)
 
 
 def kinetic(rho, m, eps_pd: float = EPS_PD) -> ExtendedValue:
@@ -88,7 +85,7 @@ def kinetic(rho, m, eps_pd: float = EPS_PD) -> ExtendedValue:
       value (1/2) tr(m^* m rho^+).
     """
     r = _as_matrix(rho)
-    blocks = _as_blocks(m)
+    blocks = _entries(m)
     if blocks.ndim != 3 or blocks.shape[1:] != r.shape:
         raise DimensionMismatch(
             f"momentum stack shape {blocks.shape} incompatible with rho {r.shape}"
@@ -113,7 +110,7 @@ def kinetic(rho, m, eps_pd: float = EPS_PD) -> ExtendedValue:
 def legendre_feasible(p: DualPoint, tol: float = 1e-10) -> bool:
     """True iff the largest eigenvalue of a + (1/2) sum_k b_k^* b_k is <= tol."""
     a = _as_matrix(p.a)
-    blocks = _as_blocks(p.b)
+    blocks = _entries(p.b)
     if blocks.shape[1:] != a.shape:
         raise DimensionMismatch("dual point a/b dimensions differ")
     top = float(np.linalg.eigvalsh(a + 0.5 * gram(blocks))[-1])
@@ -146,7 +143,7 @@ def trace_lower_bound(rho, m) -> bool:
     kin = kinetic(rho, m)
     if not kin.finite:
         return True
-    bound = float(np.linalg.norm(_as_blocks(m))) ** 2 / (2.0 * tr)
+    bound = float(np.linalg.norm(_entries(m))) ** 2 / (2.0 * tr)
     return kin.value >= bound - 1e-10
 
 

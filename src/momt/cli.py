@@ -24,7 +24,7 @@ import numpy as np
 
 from .elliptic import poincare_constant
 from .geodesic import InfeasibleEndpoints, optimize_geodesic
-from .hermitian import DensityMatrix
+from .hermitian import DensityMatrix, NotPositive
 from .io import (
     ParseError,
     ProblemSpec,
@@ -210,7 +210,8 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
         return _HANDLERS[args.command](args)
-    except ParseError as exc:
+    except (ParseError, NotPositive) as exc:
+        # NotPositive: a boundary endpoint parses, but a solve needs rho > 0
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except InfeasibleEndpoints as exc:

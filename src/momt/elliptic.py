@@ -30,10 +30,10 @@ import numpy as np
 
 from .hermitian import (
     EPS_PD,
-    DensityMatrix,
     DimensionMismatch,
     HermitianMatrix,
     OperatorStack,
+    _entries,
     gram,
     hermitian_basis,
     inner_product,
@@ -61,7 +61,7 @@ class InfeasibleRHS(ValueError):
 
 
 def _weight(rho) -> np.ndarray:
-    r = rho.mat if hasattr(rho, "mat") else np.asarray(rho, dtype=complex)
+    r = _entries(rho)
     r = 0.5 * (r + r.conj().T)
     lo = float(np.linalg.eigvalsh(r)[0])
     if lo < -EPS_PD:
@@ -72,7 +72,7 @@ def _weight(rho) -> np.ndarray:
 def quadratic_form(rho, v) -> float:
     """Q_rho(v) = tr(rho v^* v), summing the block Gram matrix; >= 0."""
     r = _weight(rho)
-    blocks = v.blocks if isinstance(v, OperatorStack) else np.asarray(v, dtype=complex)
+    blocks = _entries(v)
     if blocks.shape[1] != r.shape[0]:
         raise DimensionMismatch("weight and stack dimensions differ")
     return float(np.trace(r @ gram(blocks)).real)
@@ -186,8 +186,7 @@ class WeightedOperator:
             self.restricted_min_eig = float(np.linalg.eigvalsh(self._restricted)[0])
 
     def apply(self, x) -> HermitianMatrix:
-        a = x.mat if hasattr(x, "mat") else np.asarray(x, dtype=complex)
-        return HermitianMatrix(unvec_h(self.matrix_rep @ vec_h(a), self.lindblad.n))
+        return HermitianMatrix(unvec_h(self.matrix_rep @ vec_h(x), self.lindblad.n))
 
     def __repr__(self):
         return (f"WeightedOperator(n={self.lindblad.n}, "
@@ -197,14 +196,6 @@ class WeightedOperator:
 def assemble_weighted(l: LindbladSet, rho) -> WeightedOperator:
     """Build T_rho (matrix representation + restricted smallest eigenvalue)."""
     return WeightedOperator(l, rho)
-
-
-def apply_weighted(l: LindbladSet, rho, x) -> HermitianMatrix:
-    """T_rho X evaluated blockwise, bypassing matrix_rep (independent route)."""
-    r = _weight(rho)
-    v = gradient(l, x).blocks
-    mixed = 0.5 * (np.einsum("kij,jl->kil", v, r) + np.einsum("ij,kjl->kil", r, v))
-    return divergence(l, OperatorStack(mixed, flavor="skew"))
 
 
 def solve_potential(w: WeightedOperator, f, rtol: float = RESIDUAL_RTOL) -> HermitianMatrix:
@@ -217,7 +208,7 @@ def solve_potential(w: WeightedOperator, f, rtol: float = RESIDUAL_RTOL) -> Herm
     solve_potentials, on the operator's already assembled matrix.
     """
     _check_weights(w.rho[None])
-    fv = vec_h(f.mat if hasattr(f, "mat") else np.asarray(f, dtype=complex))
+    fv = vec_h(f)
     xv = _solve_stack(w.lindblad, w.matrix_rep[None], w._restricted[None], fv[None], rtol)[0]
     return HermitianMatrix(unvec_h(xv, w.lindblad.n))
 
@@ -229,7 +220,7 @@ def poincare_constant(l: LindbladSet, rho) -> float:
     singular weight (or a gradient with full kernel) the constant
     degenerates; 0 is returned with a warning instead of an error.
     """
-    r = _weight(rho.mat if isinstance(rho, DensityMatrix) else rho)
+    r = _weight(rho)
     lo = float(np.linalg.eigvalsh(r)[0])
     if lo <= EPS_PD or l.complement_vecs.shape[1] == 0:
         warnings.warn(
@@ -242,21 +233,13 @@ def poincare_constant(l: LindbladSet, rho) -> float:
     return WeightedOperator(l, r).restricted_min_eig
 
 
-def poincare_constant_over(l: LindbladSet, densities) -> float:
-    """Minimum of poincare_constant over a user-supplied sample of weights."""
-    vals = [poincare_constant(l, rho) for rho in densities]
-    if not vals:
-        raise ValueError("need at least one sample density")
-    return min(vals)
-
-
 def best_gradient_fit(l: LindbladSet, rho, v) -> HermitianMatrix:
     """The X in ker(grad)^perp minimizing Q_rho(v - grad X) over potentials.
 
     Characterized by stationarity: (v - grad X) rho + rho (v - grad X)
     must be divergence-free, i.e. T_rho X = div((v rho + rho v)/2).
     """
-    r = _weight(rho.mat if isinstance(rho, DensityMatrix) else rho)
+    r = _weight(rho)
     stack = v if isinstance(v, OperatorStack) else OperatorStack(v, flavor="skew")
     mixed = 0.5 * (np.einsum("kij,jl->kil", stack.blocks, r)
                    + np.einsum("ij,kjl->kil", r, stack.blocks))
@@ -279,7 +262,7 @@ def momentum_min_check(l: LindbladSet, rho, f) -> MomentumCheck:
     m = grad(X) rho, dual_max = <f; X> - (1/2) Q_rho(grad X) at Y = X;
     the two agree (strong duality of a linearly-constrained quadratic).
     """
-    r = _weight(rho.mat if isinstance(rho, DensityMatrix) else rho)
+    r = _weight(rho)
     w = WeightedOperator(l, r)
     x = solve_potential(w, f)
     v = gradient(l, x)
@@ -287,8 +270,7 @@ def momentum_min_check(l: LindbladSet, rho, f) -> MomentumCheck:
     rinv = np.linalg.inv(r)
     rinv = 0.5 * (rinv + rinv.conj().T)
     primal = 0.5 * float(np.trace(gram(m.blocks) @ rinv).real)
-    fmat = f.mat if hasattr(f, "mat") else np.asarray(f, dtype=complex)
-    dual = float(inner_product(HermitianMatrix(fmat), x)) - 0.5 * quadratic_form(r, v)
+    dual = float(inner_product(HermitianMatrix(f), x)) - 0.5 * quadratic_form(r, v)
     return MomentumCheck(primal_min=primal, dual_max=dual, optimal_m=m, potential=x)
 
 
@@ -315,7 +297,7 @@ def momentum_divergence_matrix(l: LindbladSet) -> np.ndarray:
 __all__ = [
     "WeightError", "SingularWeight", "InfeasibleRHS",
     "WeightedOperator", "MomentumCheck",
-    "quadratic_form", "assemble_weighted", "apply_weighted", "solve_potential",
-    "poincare_constant", "poincare_constant_over", "best_gradient_fit",
+    "quadratic_form", "assemble_weighted", "solve_potential",
+    "poincare_constant", "best_gradient_fit",
     "momentum_min_check", "momentum_divergence_matrix",
 ]

@@ -62,8 +62,8 @@ from .hermitian import (
     DensityMatrix,
     HermitianMatrix,
     OperatorStack,
+    _entries,
     gram,
-    inner_product,
     unvec_h,
     vec_h,
 )
@@ -125,12 +125,8 @@ class HamiltonianProfile:
 
 def feasibility_gap(l: LindbladSet, rho0, rho1) -> float:
     """Norm of the kernel component of rho1 - rho0 (zero iff connectable)."""
-    d = _mat(rho1) - _mat(rho0)
+    d = _entries(rho1) - _entries(rho0)
     return float(np.linalg.norm(l.kernel_vecs.T @ vec_h(d)))
-
-
-def _mat(x) -> np.ndarray:
-    return x.mat if hasattr(x, "mat") else np.asarray(x, dtype=complex)
 
 
 def continuity_residual(l: LindbladSet, path: DiscretePath) -> float:
@@ -141,7 +137,7 @@ def continuity_residual(l: LindbladSet, path: DiscretePath) -> float:
         m = path.momenta[k].blocks
         y = m - np.conj(np.transpose(m, (0, 2, 1)))
         rhs = 0.5 * dt * divergence(l, OperatorStack(y, flavor="skew")).mat
-        diff = _mat(path.densities[k + 1]) - _mat(path.densities[k]) - rhs
+        diff = _entries(path.densities[k + 1]) - _entries(path.densities[k]) - rhs
         worst = max(worst, float(np.linalg.norm(diff)))
     return worst
 
@@ -181,8 +177,8 @@ def _discrete_path(r0, r1, nodes, xs, ms, eps_pd) -> DiscretePath:
 
 
 def _endpoint_guard(l: LindbladSet, rho0, rho1):
-    r0 = DensityMatrix(_mat(rho0), strict=True)
-    r1 = DensityMatrix(_mat(rho1), strict=True)
+    r0 = DensityMatrix(rho0, strict=True)
+    r1 = DensityMatrix(rho1, strict=True)
     gap = feasibility_gap(l, r0, r1)
     if gap > 1e-10:
         raise InfeasibleEndpoints(
@@ -491,8 +487,8 @@ def dual_certificate(l: LindbladSet, path: DiscretePath):
                               0.5 * (3.0 * xs[-1:] - xs[-2:-1])])
     shifts = np.cumsum(_hj_tops(l, lam, dt))
     lam[1:] -= (dt * shifts)[:, None, None] * np.eye(l.n)
-    bracket = float(np.trace(lam[-1] @ _mat(path.densities[-1])).real) \
-        - float(np.trace(lam[0] @ _mat(path.densities[0])).real)
+    bracket = float(np.trace(lam[-1] @ _entries(path.densities[-1])).real) \
+        - float(np.trace(lam[0] @ _entries(path.densities[0])).real)
     dual = DualPath(K=big_k, nodes=[HermitianMatrix(m) for m in lam])
     return dual, 2.0 * bracket
 
@@ -501,13 +497,6 @@ def hj_residuals(l: LindbladSet, dual: DualPath) -> list:
     """Largest eigenvalue of the HJ residual on each interval (feasible: <= 0)."""
     lam = np.array([node.mat for node in dual.nodes])
     return [float(v) for v in _hj_tops(l, lam, 1.0 / dual.K)]
-
-
-def dual_pairing_value(path: DiscretePath, dual: DualPath) -> float:
-    """2 (<lam_K; rho_K> - <lam_0; rho_0>) for any path/certificate pair."""
-    bracket = float(inner_product(dual.nodes[-1], path.densities[-1].base)) \
-        - float(inner_product(dual.nodes[0], path.densities[0].base))
-    return 2.0 * bracket
 
 
 def hamiltonian_profile(result: GeodesicResult) -> HamiltonianProfile:

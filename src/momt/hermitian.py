@@ -1,5 +1,5 @@
-"""Complex matrix foundation: Hermitian/skew-Hermitian types, stacks,
-inner products, and density-matrix validation.
+"""Complex matrix foundation: Hermitian and density-matrix types, operator
+stacks, inner products, and the real vectorization.
 
 Conventions fixed here for the whole library:
 
@@ -39,7 +39,7 @@ class FlavorError(ValueError):
 
 
 class SymmetryError(ValueError):
-    """Input is too far from (skew-)Hermitian to symmetrize away."""
+    """Input is too far from Hermitian to symmetrize away."""
 
 
 class NotUnitTrace(ValueError):
@@ -54,9 +54,9 @@ def _entries(x) -> np.ndarray:
     """Raw complex ndarray behind any of the wrapper types."""
     if isinstance(x, OperatorStack):
         return x.blocks
-    if isinstance(x, (HermitianMatrix, SkewHermitianMatrix)):
+    if isinstance(x, HermitianMatrix):
         return x.mat
-    if isinstance(x, (DensityMatrix, TangentDirection)):
+    if isinstance(x, DensityMatrix):
         return x.base.mat
     return np.asarray(x, dtype=complex)
 
@@ -103,31 +103,6 @@ class HermitianMatrix:
         return f"HermitianMatrix(n={self.n})"
 
 
-class SkewHermitianMatrix:
-    """An n x n complex matrix with A = -A^*."""
-
-    def __init__(self, entries, tol: float = SYM_TOL):
-        a = np.array(_entries(entries), dtype=complex)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-        defect = 0.5 * float(np.linalg.norm(a + a.conj().T))
-        if defect > tol * max(1.0, float(np.linalg.norm(a))):
-            raise SymmetryError(
-                f"matrix is not skew-Hermitian: defect {defect:.3e} "
-                f"exceeds tolerance {tol:.1e}"
-            )
-        a = 0.5 * (a - a.conj().T)
-        a.setflags(write=False)
-        self.mat = a
-        self.n = a.shape[0]
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.mat))
-
-    def __repr__(self):
-        return f"SkewHermitianMatrix(n={self.n})"
-
-
 class DensityMatrix:
     """A Hermitian matrix with unit trace and admissible spectrum.
 
@@ -165,23 +140,6 @@ class DensityMatrix:
 
     def __repr__(self):
         return f"DensityMatrix(n={self.n})"
-
-
-class TangentDirection:
-    """A traceless Hermitian matrix (a direction inside the unit-trace slice)."""
-
-    def __init__(self, entries, trace_tol: float = TRACE_TOL):
-        base = entries if isinstance(entries, HermitianMatrix) else HermitianMatrix(entries)
-        if abs(base.trace()) > trace_tol:
-            raise NotUnitTrace(f"tangent directions are traceless, got trace {base.trace()!r}")
-        self.base = base
-
-    @property
-    def mat(self) -> np.ndarray:
-        return self.base.mat
-
-    def __repr__(self):
-        return f"TangentDirection(n={self.base.n})"
 
 
 _FLAVORS = ("general", "hermitian", "skew")
@@ -251,7 +209,7 @@ def inner_product(x, y):
 
 
 def _is_hermitian_typed(x) -> bool:
-    if isinstance(x, (HermitianMatrix, DensityMatrix, TangentDirection)):
+    if isinstance(x, (HermitianMatrix, DensityMatrix)):
         return True
     return isinstance(x, OperatorStack) and x.flavor == "hermitian"
 
@@ -268,20 +226,6 @@ def gram(blocks) -> np.ndarray:
     """sum_k b_k^* b_k over the stack axis: (..., N, n, n) -> (..., n, n), Hermitian PSD."""
     b = _entries(blocks)
     return (np.conj(np.swapaxes(b, -1, -2)) @ b).sum(axis=-3)
-
-
-def adjoint_stack(m: OperatorStack) -> OperatorStack:
-    """Blockwise conjugate transpose m -> m_*; an involution."""
-    b = _entries(m)
-    if b.ndim != 3:
-        raise DimensionMismatch(f"expected a stack, got shape {b.shape}")
-    flavor = m.flavor if isinstance(m, OperatorStack) else "general"
-    return OperatorStack(np.conj(np.transpose(b, (0, 2, 1))), flavor=flavor)
-
-
-def validate_density(a, strict: bool = False, eps_pd: float = EPS_PD) -> DensityMatrix:
-    """Accept ``a`` as a density matrix or raise NotUnitTrace / NotPositive."""
-    return DensityMatrix(a, strict=strict, eps_pd=eps_pd)
 
 
 # ---------------------------------------------------------------------------
@@ -329,11 +273,14 @@ def unvec_h(x: np.ndarray, n: int) -> np.ndarray:
 
 
 def vec_s(s) -> np.ndarray:
-    """Real coordinates of a skew-Hermitian matrix in the basis {i B_a}."""
+    """Real coordinates of a skew-Hermitian matrix in the basis {i B_a}.
+
+    A stack of shape (..., n, n) maps to coordinates of shape (..., n^2).
+    """
     a = _entries(s)
-    n = a.shape[0]
+    n = a.shape[-1]
     # <i B_a; S> = -i tr(B_a S), real for skew S
-    return (-1j * np.einsum("aij,ij->a", np.conj(hermitian_basis(n)), a)).real
+    return (-1j * np.einsum("aij,...ij->...a", np.conj(hermitian_basis(n)), a)).real
 
 
 def unvec_s(x: np.ndarray, n: int) -> np.ndarray:

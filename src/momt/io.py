@@ -75,9 +75,26 @@ class ProblemSpec:
     seed: int
 
 
-_CONFIG_KEYS = {"K": int, "max_iter": int, "grad_tol": float,
-                "eps_pd": float, "seed": int}
 _TOP_KEYS = {"lindblad", "rho0", "rho1", "config"}
+
+
+def _int_at(val, path: str) -> int:
+    """An integral JSON number (8 or 8.0); a fraction or a non-number is an error."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)) \
+            or not float(val).is_integer():
+        raise ParseError(path, f"expected an integer, got {val!r}")
+    return int(val)
+
+
+def _float_at(val, path: str) -> float:
+    try:
+        return float(val)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(path, "expected float") from exc
+
+
+_CONFIG_KEYS = {"K": _int_at, "max_iter": _int_at, "grad_tol": _float_at,
+                "eps_pd": _float_at, "seed": _int_at}
 
 
 def _literal_at(obj, path: str) -> np.ndarray:
@@ -87,9 +104,12 @@ def _literal_at(obj, path: str) -> np.ndarray:
         if key not in obj:
             raise ParseError(path, f"matrix literal is missing {key!r}")
     try:
-        return matrix_from_literal(obj)
+        mat = matrix_from_literal(obj)
     except (DimensionMismatch, TypeError, ValueError) as exc:
         raise ParseError(path, str(exc)) from exc
+    if not np.isfinite(mat).all():
+        raise ParseError(path, "matrix entries must be finite")
+    return mat
 
 
 def parse_problem(text: str) -> ProblemSpec:
@@ -110,6 +130,8 @@ def parse_problem(text: str) -> ProblemSpec:
     lind = doc["lindblad"]
     if not isinstance(lind, dict) or "operators" not in lind:
         raise ParseError("$.lindblad", 'expected {"n": int, "operators": [...]}')
+    if not isinstance(lind["operators"], list):
+        raise ParseError("$.lindblad.operators", "expected a list of matrix literals")
     ops = []
     for i, lit in enumerate(lind["operators"]):
         mat = _literal_at(lit, f"$.lindblad.operators[{i}]")
@@ -120,7 +142,7 @@ def parse_problem(text: str) -> ProblemSpec:
                              f"SymmetryError: {exc}") from exc
     if not ops:
         raise ParseError("$.lindblad.operators", "need at least one operator")
-    n = int(lind.get("n", ops[0].n))
+    n = _int_at(lind["n"], "$.lindblad.n") if "n" in lind else ops[0].n
     if any(op.n != n for op in ops):
         raise ParseError("$.lindblad", f"operators do not all have dimension {n}")
     lset = LindbladSet(ops)
@@ -144,10 +166,7 @@ def parse_problem(text: str) -> ProblemSpec:
     for key, val in cfg_doc.items():
         if key not in _CONFIG_KEYS:
             raise ParseError(f"$.config.{key}", "unknown config key")
-        try:
-            cast = _CONFIG_KEYS[key](val)
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"$.config.{key}", f"expected {_CONFIG_KEYS[key].__name__}") from exc
+        cast = _CONFIG_KEYS[key](val, f"$.config.{key}")
         if key == "seed":
             seed = cast
         else:
@@ -250,11 +269,6 @@ def export_geodesic(result: GeodesicResult, path: str) -> None:
     """Write the canonical trace file for a result."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dump_canonical(geodesic_trace(result)))
-
-
-def load_geodesic(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def reconstruct_path(trace: dict) -> DiscretePath:

@@ -26,11 +26,11 @@ from .hermitian import (
     FlavorError,
     HermitianMatrix,
     OperatorStack,
+    _entries,
     hermitian_basis,
-    matrix_from_literal,
-    matrix_to_literal,
     unvec_h,
     vec_h,
+    vec_s,
 )
 
 #: relative singular-value threshold for the kernel rank decision
@@ -74,14 +74,10 @@ class LindbladSet:
         self._build_kernel()
 
     def _build_grad_matrix(self):
-        n, big_n = self.n, self.count
-        basis = hermitian_basis(n)
-        # commutators C[k, b] = [L_k, B_b]
-        comm = (np.einsum("kij,bjl->kbil", self.ops, basis)
-                - np.einsum("bij,kjl->kbil", basis, self.ops))
-        # skew coordinates: <i B_a; C> = -i tr(B_a C)
-        g = (-1j * np.einsum("aij,kbij->kab", np.conj(basis), comm)).real
-        self.grad_matrix = g.reshape(big_n * n * n, n * n)
+        n = self.n
+        # column b holds the skew coordinates of grad(B_b), block by block
+        g = vec_s(grad_blocks(self, hermitian_basis(n)))
+        self.grad_matrix = g.reshape(n * n, -1).T.copy()
         self.grad_matrix.setflags(write=False)
 
     def _build_kernel(self):
@@ -115,7 +111,7 @@ class LindbladSet:
 
 
 def _square(l: LindbladSet, x) -> np.ndarray:
-    a = np.asarray(x, dtype=complex) if not hasattr(x, "mat") else x.mat
+    a = _entries(x)
     if a.shape != (l.n, l.n):
         raise DimensionMismatch(f"expected shape {(l.n, l.n)}, got {a.shape}")
     return a
@@ -207,12 +203,3 @@ def heat_flow(l: LindbladSet, rho0: DensityMatrix, t_final: float, steps: int,
                 f"increase steps (currently {steps})"
             )
     return DensityMatrix(rho, eps_pd=1e-8)
-
-
-def to_json(l: LindbladSet) -> dict:
-    """{"n": int, "operators": [matrix literals]}"""
-    return {"n": l.n, "operators": [matrix_to_literal(op.mat) for op in l.operators]}
-
-
-def from_json(d: dict) -> LindbladSet:
-    return LindbladSet([matrix_from_literal(lit) for lit in d["operators"]])

@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
-from .action import DualPoint, fenchel_gap, kinetic, legendre_feasible, trace_lower_bound
-from .elliptic import momentum_min_check, quadratic_form
+from .action import (DualPoint, fenchel_gap, kinetic, legendre_feasible, path_cost,
+                     trace_lower_bound)
+from .elliptic import momentum_min_check
 from .geodesic import (
     InfeasibleEndpoints,
     SolverConfig,
@@ -49,17 +49,17 @@ class Check:
         return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
-def _rand_herm(rng, n: int) -> np.ndarray:
+def rand_herm(rng, n: int) -> np.ndarray:
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return 0.5 * (g + g.conj().T)
 
 
-def _rand_skew_stack(rng, count: int, n: int) -> OperatorStack:
-    blocks = np.array([1j * _rand_herm(rng, n) for _ in range(count)])
+def rand_skew_stack(rng, count: int, n: int) -> OperatorStack:
+    blocks = np.array([1j * rand_herm(rng, n) for _ in range(count)])
     return OperatorStack(blocks, flavor="skew")
 
 
-def _rand_general_stack(rng, count: int, n: int) -> OperatorStack:
+def rand_general_stack(rng, count: int, n: int) -> OperatorStack:
     blocks = (rng.standard_normal((count, n, n))
               + 1j * rng.standard_normal((count, n, n)))
     return OperatorStack(blocks, flavor="general")
@@ -96,8 +96,8 @@ def suite_calculus(l: LindbladSet, rng, cases: int = 50) -> list[Check]:
 
     err = 0.0
     for _ in range(cases):
-        x = _rand_herm(rng, n)
-        y = _rand_skew_stack(rng, big_n, n)
+        x = rand_herm(rng, n)
+        y = rand_skew_stack(rng, big_n, n)
         lhs = inner_product(gradient(l, x), y)
         rhs = inner_product(HermitianMatrix(x), divergence(l, y))
         scale = max(1.0, abs(lhs))
@@ -106,7 +106,7 @@ def suite_calculus(l: LindbladSet, rng, cases: int = 50) -> list[Check]:
 
     err = 0.0
     for _ in range(max(20, cases // 2)):
-        x, y = _rand_herm(rng, n), _rand_herm(rng, n)
+        x, y = rand_herm(rng, n), rand_herm(rng, n)
         lhs = gradient(l, x @ y + y @ x).blocks
         gx, gy = gradient(l, x).blocks, gradient(l, y).blocks
         rhs = (np.einsum("kij,jl->kil", gx, y) + np.einsum("ij,kjl->kil", x, gy)
@@ -117,7 +117,7 @@ def suite_calculus(l: LindbladSet, rng, cases: int = 50) -> list[Check]:
 
     err = 0.0
     for _ in range(cases):
-        x = _rand_herm(rng, n)
+        x = rand_herm(rng, n)
         closed = laplacian(l, x).mat
         composed = -divergence(l, gradient(l, x)).mat
         scale = max(1.0, float(np.linalg.norm(closed)))
@@ -126,13 +126,13 @@ def suite_calculus(l: LindbladSet, rng, cases: int = 50) -> list[Check]:
 
     err = 0.0
     for _ in range(cases):
-        y = _rand_skew_stack(rng, big_n, n)
+        y = rand_skew_stack(rng, big_n, n)
         err = max(err, abs(divergence(l, y).trace()))
     checks.append(_check("divergence output is traceless", err, 1e-12))
 
     err = 0.0
     for _ in range(cases):
-        x = _rand_herm(rng, n)
+        x = rand_herm(rng, n)
         via_matrix = l.grad_matrix @ vec_h(x)
         blockwise = np.concatenate([vec_s(b) for b in gradient(l, x).blocks])
         err = max(err, float(np.linalg.norm(via_matrix - blockwise)))
@@ -148,7 +148,7 @@ def suite_calculus(l: LindbladSet, rng, cases: int = 50) -> list[Check]:
 
     err = 0.0
     for _ in range(cases):
-        x = _rand_herm(rng, n)
+        x = rand_herm(rng, n)
         p = project_kernel(l, x).mat
         pyth = abs(np.linalg.norm(x - p) ** 2 + np.linalg.norm(p) ** 2
                    - np.linalg.norm(x) ** 2)
@@ -157,7 +157,7 @@ def suite_calculus(l: LindbladSet, rng, cases: int = 50) -> list[Check]:
 
     err = 0.0
     for _ in range(cases):
-        p = _rand_skew_stack(rng, big_n, n)
+        p = rand_skew_stack(rng, big_n, n)
         err = max(err, project_kernel(l, divergence(l, p).mat).norm())
     checks.append(_check("divergence range orthogonal to the kernel", err, 1e-10))
 
@@ -185,8 +185,8 @@ def suite_duality(l: LindbladSet, rho0: DensityMatrix, rho1: DensityMatrix,
     err = 0.0
     for _ in range(100):
         ra, rb = _rand_density(rng, n), _rand_density(rng, n)
-        ma = _rand_general_stack(rng, big_n, n)
-        mb = _rand_general_stack(rng, big_n, n)
+        ma = rand_general_stack(rng, big_n, n)
+        mb = rand_general_stack(rng, big_n, n)
         fa = kinetic(ra, ma).value
         fb = kinetic(rb, mb).value
         mid = kinetic(0.5 * (ra.mat + rb.mat),
@@ -197,7 +197,7 @@ def suite_duality(l: LindbladSet, rho0: DensityMatrix, rho1: DensityMatrix,
     agree = 0
     total = 120
     for i in range(total):
-        b = _rand_general_stack(rng, big_n, n)
+        b = rand_general_stack(rng, big_n, n)
         gr = gram(b.blocks)
         shift = [-1e-3, 0.0, 1e-3][i % 3] * np.eye(n)
         a = HermitianMatrix(-0.5 * gr + shift)
@@ -220,8 +220,8 @@ def suite_duality(l: LindbladSet, rho0: DensityMatrix, rho1: DensityMatrix,
     err = 0.0
     for _ in range(100):
         rho = _rand_density(rng, n)
-        m = _rand_general_stack(rng, big_n, n)
-        b = _rand_general_stack(rng, big_n, n)
+        m = rand_general_stack(rng, big_n, n)
+        b = rand_general_stack(rng, big_n, n)
         gr = gram(b.blocks)
         a = HermitianMatrix(-0.5 * gr - 0.1 * np.eye(n))
         err = max(err, -fenchel_gap(rho, m, DualPoint(a=a, b=b)))
@@ -230,7 +230,7 @@ def suite_duality(l: LindbladSet, rho0: DensityMatrix, rho1: DensityMatrix,
     err = 0.0
     for _ in range(20):
         rho = _rand_density(rng, n)
-        x = _rand_herm(rng, n)
+        x = rand_herm(rng, n)
         v = gradient(l, x)
         m = OperatorStack(np.einsum("kij,jl->kil", v.blocks, rho.mat),
                           flavor="general")
@@ -243,7 +243,7 @@ def suite_duality(l: LindbladSet, rho0: DensityMatrix, rho1: DensityMatrix,
     err = 0.0
     for _ in range(100):
         rho = _rand_density(rng, n)
-        m = _rand_general_stack(rng, big_n, n)
+        m = rand_general_stack(rng, big_n, n)
         if not trace_lower_bound(rho, m):
             err = max(err, 1.0)
     checks.append(_check("kinetic value dominates momentum-norm lower bound", err, 0.0,
@@ -258,11 +258,7 @@ def suite_duality(l: LindbladSet, rho0: DensityMatrix, rho1: DensityMatrix,
                              extra=f"; certified rel_gap {rel:.3e}"))
         start = initial_path(l, rho0, rho1, cfg.K)
         _, dv = dual_certificate(l, start)
-        dt = 1.0 / cfg.K
-        primal0 = 0.0
-        for k in range(cfg.K):
-            mid = 0.5 * (start.densities[k].mat + start.densities[k + 1].mat)
-            primal0 += 2.0 * dt * kinetic(mid, start.momenta[k]).value
+        primal0 = 2.0 * path_cost(start).value
         checks.append(_check("certificate never exceeds the action (initial path)",
                              max(0.0, dv - primal0), 1e-9))
     except InfeasibleEndpoints as exc:
@@ -279,7 +275,10 @@ def suite_duality(l: LindbladSet, rho0: DensityMatrix, rho1: DensityMatrix,
 # ---------------------------------------------------------------------------
 
 def _generator_matrix(l: LindbladSet) -> np.ndarray:
-    """Real matrix of rho -> laplacian(rho)/2 in the fixed vectorization."""
+    """Real matrix of rho -> laplacian(rho)/2 in the fixed vectorization.
+
+    It equals -(1/2) G^T G (G = grad_matrix), so it is symmetric.
+    """
     n = l.n
     basis = hermitian_basis(n)
     cols = [vec_h(0.5 * laplacian(l, b).mat) for b in basis]
@@ -320,9 +319,10 @@ def suite_conservation(l: LindbladSet, rho0: DensityMatrix, rho1: DensityMatrix,
                          mono, 1e-12,
                          extra=f"; errors {['%.2e' % e for e in errs]}"))
 
-    gen = _generator_matrix(l)
+    # exp(t gen) of the symmetric generator from one eigendecomposition
+    lam, vecs = np.linalg.eigh(_generator_matrix(l))
     t_final = 0.7
-    exact = unvec_h(expm(t_final * gen) @ vec_h(rho0.mat), l.n)
+    exact = unvec_h(vecs @ (np.exp(t_final * lam) * (vecs.T @ vec_h(rho0.mat))), l.n)
     approx = heat_flow(l, rho0, t_final, 2000).mat
     err = float(np.linalg.norm(exact - approx))
     checks.append(_check("midpoint integrator matches exact exponential", err, 1e-4))

@@ -4,18 +4,14 @@ import pathlib
 import numpy as np
 import pytest
 
-from momt import DensityMatrix, LindbladSet, OperatorStack
+from momt import DensityMatrix, LindbladSet
+from momt.verify import rand_general_stack, rand_herm, rand_skew_stack  # noqa: F401
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
-
-def rand_herm(rng, n):
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return 0.5 * (g + g.conj().T)
 
 
 def rand_unitary(rng, n):
@@ -29,17 +25,6 @@ def rand_density(rng, n, min_eig=0.05):
     u = rand_unitary(rng, n)
     lam = min_eig + rng.dirichlet(np.ones(n)) * (1.0 - n * min_eig)
     return DensityMatrix(u @ np.diag(lam) @ u.conj().T, strict=True)
-
-
-def rand_skew_stack(rng, count, n):
-    return OperatorStack(np.array([1j * rand_herm(rng, n) for _ in range(count)]),
-                         flavor="skew")
-
-
-def rand_general_stack(rng, count, n):
-    blocks = (rng.standard_normal((count, n, n))
-              + 1j * rng.standard_normal((count, n, n)))
-    return OperatorStack(blocks, flavor="general")
 
 
 def rand_lindblad(rng, count, n):

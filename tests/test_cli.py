@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from conftest import FIXTURES, SX, SZ
 
 PAULI = str(FIXTURES / "pauli_problem.json")
 INFEASIBLE = str(FIXTURES / "infeasible_problem.json")
+SRC = str(FIXTURES.parents[1] / "src")
 
 
 def test_distance_converged_exit_zero(capsys):
@@ -39,13 +43,32 @@ def test_distance_missing_file_exit_one(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def _set_nan_entry(doc):
+    doc["lindblad"]["operators"][0]["re"][0][0] = float("nan")
+
+
+SINGULAR_RHO = matrix_to_literal(np.diag([1.0, 0.0]))
+
+# (edit of the Pauli problem, start of the error line it must produce)
+MALFORMED = [
+    (lambda d: d.update(lindblad=3), "error: $.lindblad:"),
+    (lambda d: d["lindblad"].update(n="x"), "error: $.lindblad.n:"),
+    (lambda d: d["lindblad"].update(operators=5), "error: $.lindblad.operators:"),
+    (_set_nan_entry, "error: $.lindblad.operators[0]:"),
+    (lambda d: d.update(config={"K": 2.7}), "error: $.config.K:"),
+    # parses (boundary states are admissible), but a solve needs rho0 > 0
+    (lambda d: d.update(rho0=SINGULAR_RHO), "error: strict density requires"),
+]
+
+
 def test_distance_parse_error_exit_one(tmp_path, capsys):
-    doc = json.loads(open(PAULI).read())
-    doc["lindblad"] = 3
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
-    assert main(["distance", str(bad)]) == 1
-    assert "$.lindblad" in capsys.readouterr().err
+    for i, (edit, expected) in enumerate(MALFORMED):
+        doc = json.loads(open(PAULI).read())
+        edit(doc)
+        bad = tmp_path / f"bad{i}.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["distance", str(bad)]) == 1, expected
+        assert capsys.readouterr().err.startswith(expected)
 
 
 def test_usage_error_does_not_collide_with_infeasible(capsys):
@@ -165,3 +188,16 @@ def test_run_suites_rejects_unknown_name():
     spec = load_problem(PAULI)
     with pytest.raises(ValueError, match="unknown suite"):
         run_suites(spec, "nonsense")
+
+
+def test_runtime_imports_no_scipy():
+    # scipy is a test-only dependency: import and every verify suite run without it
+    code = ("import sys, momt; "
+            f"momt.run_suites(momt.load_problem({PAULI!r}), 'all'); "
+            "print('scipy' in sys.modules)")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -10,7 +10,6 @@ from momt import (
     OperatorStack,
     SingularWeight,
     WeightError,
-    apply_weighted,
     assemble_weighted,
     best_gradient_fit,
     gradient,
@@ -19,7 +18,6 @@ from momt import (
     momentum_divergence_matrix,
     momentum_min_check,
     poincare_constant,
-    poincare_constant_over,
     project_kernel,
     quadratic_form,
     solve_potential,
@@ -34,6 +32,7 @@ from conftest import (
     rand_lindblad,
     rand_skew_stack,
 )
+from oracles.weighted_oracle import apply_weighted
 
 
 def feasible_rhs(rng, l):
@@ -169,16 +168,6 @@ def test_poincare_inequality_sampled(pauli):
         lhs = quadratic_form(rho, gradient(pauli, resid))
         worst = min(worst, lhs - c * np.linalg.norm(resid) ** 2)
     assert worst >= -1e-10
-
-
-def test_poincare_constant_over_takes_min(pauli):
-    rng = np.random.default_rng(9)
-    rhos = [rand_density(rng, 2) for _ in range(4)]
-    c = poincare_constant_over(pauli, rhos)
-    np.testing.assert_allclose(c, min(poincare_constant(pauli, r) for r in rhos),
-                               rtol=1e-12)
-    with pytest.raises(ValueError):
-        poincare_constant_over(pauli, [])
 
 
 def test_momentum_min_check_strong_duality(pauli):

@@ -9,10 +9,7 @@ from momt import (
     NotPositive,
     NotUnitTrace,
     OperatorStack,
-    SkewHermitianMatrix,
     SymmetryError,
-    TangentDirection,
-    adjoint_stack,
     hermitian_basis,
     inner_product,
     matrix_from_literal,
@@ -21,7 +18,6 @@ from momt import (
     unvec_h,
     unvec_s,
     unvec_stack,
-    validate_density,
     vec_h,
     vec_s,
     vec_stack,
@@ -47,12 +43,6 @@ def test_hermitian_mat_is_read_only():
         h.mat[0, 0] = 5.0
 
 
-def test_skew_hermitian_flavor():
-    SkewHermitianMatrix(1j * SZ)
-    with pytest.raises(SymmetryError):
-        SkewHermitianMatrix(SZ)
-
-
 def test_density_trace_gate():
     with pytest.raises(NotUnitTrace):
         DensityMatrix(np.diag([0.5, 0.4]))
@@ -66,18 +56,6 @@ def test_density_positivity_gate():
     DensityMatrix(boundary)
     with pytest.raises(NotPositive):
         DensityMatrix(boundary, strict=True)
-
-
-def test_validate_density_helper():
-    d = validate_density(np.eye(2) / 2, strict=True)
-    assert isinstance(d, DensityMatrix)
-    assert d.min_eig() > 0
-
-
-def test_tangent_direction_requires_zero_trace():
-    TangentDirection(SZ)
-    with pytest.raises(ValueError):
-        TangentDirection(np.eye(2))
 
 
 def test_stack_flavor_enforcement():
@@ -120,14 +98,6 @@ def test_symmetric_dot_matches_real_part():
     b = rand_general_stack(rng, 3, 2)
     np.testing.assert_allclose(symmetric_dot(m, b),
                                inner_product(m, b).real, atol=1e-13)
-
-
-def test_adjoint_stack_blockwise():
-    rng = np.random.default_rng(7)
-    m = rand_general_stack(rng, 2, 3)
-    star = adjoint_stack(m)
-    for k in range(2):
-        np.testing.assert_array_equal(star.blocks[k], m.blocks[k].conj().T)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

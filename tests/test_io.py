@@ -12,7 +12,6 @@ from momt import (
     export_geodesic,
     geodesic_trace,
     kinetic,
-    load_geodesic,
     load_problem,
     matrix_to_literal,
     optimize_geodesic,
@@ -133,7 +132,7 @@ def test_geodesic_trace_round_trip(tmp_path, solved):
     spec, result = solved
     out = tmp_path / "trace.json"
     export_geodesic(result, str(out))
-    trace = load_geodesic(str(out))
+    trace = json.loads(out.read_text())
     assert trace["K"] == 32 and len(trace["nodes"]) == 33
     # re-export is bit-for-bit identical
     out2 = tmp_path / "trace2.json"

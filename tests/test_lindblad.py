@@ -19,7 +19,6 @@ from momt import (
     project_kernel,
     vec_h,
 )
-from momt.lindblad import from_json, to_json
 from conftest import SX, SY, SZ, rand_density, rand_herm, rand_lindblad, rand_skew_stack
 
 
@@ -162,10 +161,3 @@ def test_heat_flow_unstable_step_raises(pauli):
     rho = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
     with pytest.raises(StabilityError, match="steps"):
         heat_flow(pauli, rho, 5.0, 2)
-
-
-def test_json_round_trip(pauli):
-    doc = to_json(pauli)
-    back = from_json(doc)
-    assert back.n == pauli.n and back.count == pauli.count
-    np.testing.assert_allclose(back.ops, pauli.ops, atol=0)
