@@ -48,13 +48,13 @@ prof = hamiltonian_profile(res)
 print(f"speed profile: mean {prof.mean:.10f}, relative std {prof.rel_std:.2e}")
 
 resid = hj_residuals(pauli, res.dual_path)
-print(f"certificate residuals: max {max(float(np.max(r)) for r in resid):.3e}"
+print(f"certificate residuals: max {max(resid):.3e}"
       " (feasible <= 0 up to tolerance)")
 
 print()
 print("eigenvalues along the path (they cross at the midpoint):")
 for idx in range(0, 33, 8):
-    ev = np.linalg.eigvalsh(res.path.densities[idx].mat)
+    ev = np.linalg.eigvalsh(res.path.densities[idx])
     print(f"  t={idx / 32:5.3f}  spectrum = {np.round(ev, 6)}")
 
 # --- the same computation through a problem file ---------------------------

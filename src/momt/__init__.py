@@ -36,7 +36,6 @@ from .elliptic import (
     WeightedOperator,
     WeightError,
     assemble_weighted,
-    best_gradient_fit,
     momentum_divergence_matrix,
     momentum_min_check,
     poincare_constant,
@@ -45,13 +44,11 @@ from .elliptic import (
 )
 from .geodesic import (
     DiscretePath,
-    DualPath,
     GeodesicResult,
     HamiltonianProfile,
     InfeasibleEndpoints,
     SolverConfig,
     continuity_residual,
-    distance,
     dual_certificate,
     feasibility_gap,
     hamiltonian_profile,
@@ -77,7 +74,6 @@ from .hermitian import (
     matrix_to_literal,
     symmetric_dot,
     unvec_h,
-    unvec_s,
     unvec_stack,
     vec_h,
     vec_s,
@@ -93,7 +89,6 @@ from .io import (
     geodesic_trace,
     load_problem,
     parse_problem,
-    reconstruct_path,
 )
 from .lindblad import (
     LindbladSet,
@@ -101,7 +96,6 @@ from .lindblad import (
     divergence,
     gradient,
     heat_flow,
-    kernel_basis,
     laplacian,
     project_kernel,
 )

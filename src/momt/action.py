@@ -150,13 +150,14 @@ def trace_lower_bound(rho, m) -> bool:
 def path_cost(path) -> ExtendedValue:
     """sum_k dt * F(midpoint_k, m_k) along a discrete path.
 
+    Reads the path's (K+1, n, n) density and (K, N, n, n) momentum stacks.
     Tagged infinite as soon as one interval is infinite.  Callers that
     know the path is feasible read ``.value``.
     """
     dt = 1.0 / path.K
     total = 0.0
     for k in range(path.K):
-        mid = 0.5 * (path.densities[k].mat + path.densities[k + 1].mat)
+        mid = 0.5 * (path.densities[k] + path.densities[k + 1])
         kin = kinetic(mid, path.momenta[k])
         if not kin.finite:
             return ExtendedValue.infinity()

@@ -14,8 +14,6 @@ positive definite whenever rho is, which yields:
   systems it factored,
 * poincare_constant — the smallest restricted eigenvalue (the sharp
   constant c in Q_rho(grad(X - proj X)) >= c |X - proj X|^2),
-* best_gradient_fit — the closest gradient field to a given skew stack
-  in the Q_rho seminorm,
 * momentum_min_check — the primal/dual pair certifying that m = grad(X) rho
   minimizes the kinetic cost among all momenta with a prescribed
   divergence picture.
@@ -233,20 +231,6 @@ def poincare_constant(l: LindbladSet, rho) -> float:
     return WeightedOperator(l, r).restricted_min_eig
 
 
-def best_gradient_fit(l: LindbladSet, rho, v) -> HermitianMatrix:
-    """The X in ker(grad)^perp minimizing Q_rho(v - grad X) over potentials.
-
-    Characterized by stationarity: (v - grad X) rho + rho (v - grad X)
-    must be divergence-free, i.e. T_rho X = div((v rho + rho v)/2).
-    """
-    r = _weight(rho)
-    stack = v if isinstance(v, OperatorStack) else OperatorStack(v, flavor="skew")
-    mixed = 0.5 * (np.einsum("kij,jl->kil", stack.blocks, r)
-                   + np.einsum("ij,kjl->kil", r, stack.blocks))
-    f = divergence(l, OperatorStack(mixed, flavor="skew"))
-    return solve_potential(WeightedOperator(l, r), f)
-
-
 @dataclass
 class MomentumCheck:
     primal_min: float
@@ -298,6 +282,6 @@ __all__ = [
     "WeightError", "SingularWeight", "InfeasibleRHS",
     "WeightedOperator", "MomentumCheck",
     "quadratic_form", "assemble_weighted", "solve_potential",
-    "poincare_constant", "best_gradient_fit",
+    "poincare_constant",
     "momentum_min_check", "momentum_divergence_matrix",
 ]

@@ -20,8 +20,7 @@ analytic gradient use.
 Every evaluation works on raw (K, n, n) stacks: the K interval systems
 T_{mid_k} X_k = f_k are assembled, factored and solved in one batched
 call (elliptic.solve_potentials), and commutators, Gram matrices and the
-positivity test of nodes and midpoints are batched likewise.  Validated
-wrapper types are built only for the returned path and result.
+positivity test of nodes and midpoints are batched likewise.
 
 The reduced cost E(y) is convex: in restricted coordinates each interval
 term is a matrix-fractional function (1/dt) D^T A(mu)^{-1} D of the node
@@ -57,16 +56,7 @@ import numpy as np
 
 from .action import kinetic
 from .elliptic import solve_potentials
-from .hermitian import (
-    EPS_PD,
-    DensityMatrix,
-    HermitianMatrix,
-    OperatorStack,
-    _entries,
-    gram,
-    unvec_h,
-    vec_h,
-)
+from .hermitian import DensityMatrix, _entries, gram, unvec_h, vec_h
 from .lindblad import LindbladSet, divergence, grad_blocks
 
 
@@ -86,15 +76,9 @@ class SolverConfig:
 class DiscretePath:
     K: int
     grid: np.ndarray
-    densities: list          # K+1 DensityMatrix
-    momenta: list            # K OperatorStack (general)
-    potentials: list | None  # K HermitianMatrix when feasible-by-construction
-
-
-@dataclass
-class DualPath:
-    K: int
-    nodes: list               # K+1 HermitianMatrix
+    densities: np.ndarray    # (K+1, n, n) nodes rho_0..rho_K
+    momenta: np.ndarray      # (K, N, n, n) interval momenta m_k
+    potentials: np.ndarray   # (K, n, n) interval potentials X_k
 
 
 @dataclass
@@ -102,7 +86,7 @@ class GeodesicResult:
     path: DiscretePath
     distance: float
     primal_cost: float
-    dual_path: DualPath
+    dual_path: np.ndarray     # (K+1, n, n) HJ-feasible node potentials lambda_k
     dual_value: float
     gap: float
     hamiltonian: list
@@ -119,7 +103,6 @@ class HamiltonianProfile:
     values: list
     mean: float
     rel_std: float
-    speed_check: list          # [i, j, relative error] per sub-window
     speed_ok: bool
 
 
@@ -134,10 +117,10 @@ def continuity_residual(l: LindbladSet, path: DiscretePath) -> float:
     dt = 1.0 / path.K
     worst = 0.0
     for k in range(path.K):
-        m = path.momenta[k].blocks
+        m = path.momenta[k]
         y = m - np.conj(np.transpose(m, (0, 2, 1)))
-        rhs = 0.5 * dt * divergence(l, OperatorStack(y, flavor="skew")).mat
-        diff = _entries(path.densities[k + 1]) - _entries(path.densities[k]) - rhs
+        rhs = 0.5 * dt * divergence(l, y).mat
+        diff = path.densities[k + 1] - path.densities[k] - rhs
         worst = max(worst, float(np.linalg.norm(diff)))
     return worst
 
@@ -165,15 +148,10 @@ def _linear_nodes(r0: np.ndarray, r1: np.ndarray, big_k: int) -> np.ndarray:
     return np.concatenate([r0[None], (1 - t) * r0 + t * r1, r1[None]])
 
 
-def _discrete_path(r0, r1, nodes, xs, ms, eps_pd) -> DiscretePath:
-    """Wrap raw node, potential and momentum stacks into a validated DiscretePath."""
+def _discrete_path(nodes, ms, xs) -> DiscretePath:
     big_k = xs.shape[0]
-    interior = [DensityMatrix(nd, eps_pd=eps_pd) for nd in nodes[1:-1]]
-    return DiscretePath(
-        K=big_k, grid=np.linspace(0.0, 1.0, big_k + 1),
-        densities=[r0] + interior + [r1],
-        momenta=[OperatorStack(m, flavor="general") for m in ms],
-        potentials=[HermitianMatrix(x) for x in xs])
+    return DiscretePath(K=big_k, grid=np.linspace(0.0, 1.0, big_k + 1),
+                        densities=nodes, momenta=ms, potentials=xs)
 
 
 def _endpoint_guard(l: LindbladSet, rho0, rho1):
@@ -200,7 +178,7 @@ def initial_path(l: LindbladSet, rho0, rho1, big_k: int) -> DiscretePath:
     r0, r1 = _endpoint_guard(l, rho0, rho1)
     nodes = _linear_nodes(r0.mat, r1.mat, big_k)
     xs, _, ms, _, _ = _intervals(l, nodes, 1.0 / big_k)
-    return _discrete_path(r0, r1, nodes, xs, ms, EPS_PD)
+    return _discrete_path(nodes, ms, xs)
 
 
 # ---------------------------------------------------------------------------
@@ -318,14 +296,9 @@ def _block_tridiag_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> 
 def _constant_result(l: LindbladSet, r0, cfg: SolverConfig,
                      warnings_list: list) -> GeodesicResult:
     """Coincident endpoints: the constant path, distance exactly zero."""
-    zeros_m = np.zeros((l.count, l.n, l.n), dtype=complex)
-    path = DiscretePath(
-        K=cfg.K,
-        grid=np.linspace(0.0, 1.0, cfg.K + 1),
-        densities=[r0] * (cfg.K + 1),
-        momenta=[OperatorStack(zeros_m, flavor="general")] * cfg.K,
-        potentials=[HermitianMatrix(np.zeros((l.n, l.n)))] * cfg.K,
-    )
+    path = _discrete_path(np.repeat(r0.mat[None], cfg.K + 1, axis=0),
+                          np.zeros((cfg.K, l.count, l.n, l.n), dtype=complex),
+                          np.zeros((cfg.K, l.n, l.n), dtype=complex))
     dual_path, dual_value = dual_certificate(l, path)
     return GeodesicResult(
         path=path, distance=0.0, primal_cost=0.0,
@@ -423,13 +396,13 @@ def optimize_geodesic(l: LindbladSet, rho0, rho1, config: SolverConfig | None = 
             iterates.append(nodes)
         converged = gnorm <= cfg.grad_tol * (1.0 + abs(cost))
 
-    path = _discrete_path(r0, r1, nodes, xs, ms, 1e-8)
+    path = _discrete_path(nodes, ms, xs)
     primal = cost
     dual_path, dual_value = dual_certificate(l, path)
     hams = []
     for k in range(cfg.K):
         mid = 0.5 * (nodes[k] + nodes[k + 1])
-        hams.append(kinetic(mid, path.momenta[k]).value)
+        hams.append(kinetic(mid, ms[k]).value)
     return GeodesicResult(
         path=path,
         distance=float(np.sqrt(max(primal, 0.0))),
@@ -469,16 +442,15 @@ def dual_certificate(l: LindbladSet, path: DiscretePath):
     the same multiple of the identity: the shifts are the running sum of
     the unshifted top eigenvalues, all computed in one batched call.
 
-    Returns (DualPath, dual_value).  Scale convention: the raw endpoint
-    pairing <lam_K; rho_K> - <lam_0; rho_0> bounds the action measured in
-    F units; the returned dual_value is twice that, placing it on the
-    same squared-distance scale as primal_cost.
+    Returns (lam, dual_value) with lam the (K+1, n, n) node stack.  Scale
+    convention: the raw endpoint pairing <lam_K; rho_K> - <lam_0; rho_0>
+    bounds the action measured in F units; the returned dual_value is
+    twice that, placing it on the same squared-distance scale as
+    primal_cost.
     """
-    if path.potentials is None:
-        raise ValueError("dual_certificate needs a path with interval potentials")
     big_k = path.K
     dt = 1.0 / big_k
-    xs = np.array([p.mat for p in path.potentials])
+    xs = path.potentials
     if big_k == 1:
         lam = np.stack([xs[0], xs[0]])
     else:
@@ -487,16 +459,17 @@ def dual_certificate(l: LindbladSet, path: DiscretePath):
                               0.5 * (3.0 * xs[-1:] - xs[-2:-1])])
     shifts = np.cumsum(_hj_tops(l, lam, dt))
     lam[1:] -= (dt * shifts)[:, None, None] * np.eye(l.n)
-    bracket = float(np.trace(lam[-1] @ _entries(path.densities[-1])).real) \
-        - float(np.trace(lam[0] @ _entries(path.densities[0])).real)
-    dual = DualPath(K=big_k, nodes=[HermitianMatrix(m) for m in lam])
-    return dual, 2.0 * bracket
+    bracket = float(np.trace(lam[-1] @ path.densities[-1]).real) \
+        - float(np.trace(lam[0] @ path.densities[0]).real)
+    return lam, 2.0 * bracket
 
 
-def hj_residuals(l: LindbladSet, dual: DualPath) -> list:
-    """Largest eigenvalue of the HJ residual on each interval (feasible: <= 0)."""
-    lam = np.array([node.mat for node in dual.nodes])
-    return [float(v) for v in _hj_tops(l, lam, 1.0 / dual.K)]
+def hj_residuals(l: LindbladSet, lam: np.ndarray) -> list:
+    """Largest eigenvalue of the HJ residual on each interval (feasible: <= 0).
+
+    lam is a (K+1, n, n) node stack, such as the one dual_certificate returns.
+    """
+    return [float(v) for v in _hj_tops(l, lam, 1.0 / (lam.shape[0] - 1))]
 
 
 def hamiltonian_profile(result: GeodesicResult) -> HamiltonianProfile:
@@ -505,7 +478,8 @@ def hamiltonian_profile(result: GeodesicResult) -> HamiltonianProfile:
     For every sub-window [t_i, t_j] the action restricted to the window
     and reparametrized to unit time is (t_j - t_i) * sum(dt * 2 F_k over
     the window); on an exact geodesic it equals ((t_j - t_i) * distance)^2.
-    speed_check lists the relative deviations.
+    speed_ok says every window's relative deviation is within
+    max(10 rel_std, 1e-9).
     """
     vals = list(result.hamiltonian)
     big_k = result.path.K
@@ -514,23 +488,13 @@ def hamiltonian_profile(result: GeodesicResult) -> HamiltonianProfile:
     rel_std = float(np.std(vals) / mean) if mean > 1e-15 else 0.0
     total = result.primal_cost
     cum = np.concatenate([[0.0], np.cumsum([2.0 * dt * v for v in vals])])
-    windows = []
-    worst_ok = True
-    tol = max(10.0 * rel_std, 1e-9)
-    for i in range(big_k + 1):
-        for j in range(i + 1, big_k + 1):
-            width = (j - i) * dt
-            sub_sq = width * (cum[j] - cum[i])
-            target = width ** 2 * total
-            err = abs(sub_sq - target) / max(abs(target), 1e-15) \
-                if total > 1e-15 else 0.0
-            windows.append([i, j, err])
-            if err > tol:
-                worst_ok = False
+    speed_ok = True
+    if total > 1e-15:
+        i, j = np.triu_indices(big_k + 1, 1)
+        width = (j - i) * dt
+        sub_sq = width * (cum[j] - cum[i])
+        target = width ** 2 * total
+        err = np.abs(sub_sq - target) / np.maximum(np.abs(target), 1e-15)
+        speed_ok = not np.any(err > max(10.0 * rel_std, 1e-9))
     return HamiltonianProfile(values=vals, mean=mean, rel_std=rel_std,
-                              speed_check=windows, speed_ok=worst_ok)
-
-
-def distance(l: LindbladSet, rho0, rho1, config: SolverConfig | None = None) -> float:
-    """Convenience wrapper: the certified transport distance (sqrt of the action)."""
-    return optimize_geodesic(l, rho0, rho1, config).distance
+                              speed_ok=speed_ok)

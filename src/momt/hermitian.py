@@ -283,10 +283,6 @@ def vec_s(s) -> np.ndarray:
     return (-1j * np.einsum("aij,...ij->...a", np.conj(hermitian_basis(n)), a)).real
 
 
-def unvec_s(x: np.ndarray, n: int) -> np.ndarray:
-    return 1j * unvec_h(x, n)
-
-
 def vec_stack(m) -> np.ndarray:
     """Real coordinates of a general stack: all real parts, then all imaginary."""
     b = _entries(m)

@@ -26,19 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .geodesic import (
-    DiscretePath,
-    GeodesicResult,
-    SolverConfig,
-    hamiltonian_profile,
-)
+from .geodesic import GeodesicResult, SolverConfig, hamiltonian_profile
 from .hermitian import (
+    EPS_PD,
     DensityMatrix,
     DimensionMismatch,
     HermitianMatrix,
     NotPositive,
     NotUnitTrace,
-    OperatorStack,
     SymmetryError,
     matrix_from_literal,
     matrix_to_literal,
@@ -95,6 +90,16 @@ def _float_at(val, path: str) -> float:
 
 _CONFIG_KEYS = {"K": _int_at, "max_iter": _int_at, "grad_tol": _float_at,
                 "eps_pd": _float_at, "seed": _int_at}
+
+# Admissible solver settings.  An eps_pd below EPS_PD would let the line
+# search pass midpoints that the potential solve rejects as singular.
+_CONFIG_RANGES = {
+    "K": (lambda v: v >= 1, "need at least one interval"),
+    "max_iter": (lambda v: v >= 0, "must be >= 0"),
+    "grad_tol": (lambda v: np.isfinite(v) and v > 0, "must be finite and > 0"),
+    "eps_pd": (lambda v: np.isfinite(v) and v >= EPS_PD,
+               f"must be finite and >= {EPS_PD:g}"),
+}
 
 
 def _literal_at(obj, path: str) -> np.ndarray:
@@ -172,8 +177,9 @@ def parse_problem(text: str) -> ProblemSpec:
         else:
             kwargs[key] = cast
     config = SolverConfig(**kwargs)
-    if config.K < 1:
-        raise ParseError("$.config.K", "need at least one interval")
+    for key, (admissible, message) in _CONFIG_RANGES.items():
+        if not admissible(getattr(config, key)):
+            raise ParseError(f"$.config.{key}", message)
     return ProblemSpec(lindblad=lset, rho0=rhos["rho0"], rho1=rhos["rho1"],
                        config=config, seed=seed)
 
@@ -203,13 +209,11 @@ def build_report(result: GeodesicResult, spec: ProblemSpec) -> dict:
     """Full run report; every number is recomputable from the embedded trace."""
     prof = hamiltonian_profile(result)
     rel_gap = result.gap / result.primal_cost if result.primal_cost > 1e-15 else 0.0
-    trace_nodes = []
-    for t, rho in zip(result.path.grid, result.path.densities):
-        trace_nodes.append({
-            "t": float(t),
-            "eigenvalues": [float(v) for v in np.linalg.eigvalsh(rho.mat)],
-            "matrix": matrix_to_literal(rho.mat),
-        })
+    path = result.path
+    trace_nodes = [{"t": float(t), "eigenvalues": evals.tolist(),
+                    "matrix": matrix_to_literal(rho)}
+                   for t, evals, rho in zip(path.grid, np.linalg.eigvalsh(path.densities),
+                                            path.densities)]
     return {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
@@ -248,14 +252,12 @@ def geodesic_trace(result: GeodesicResult) -> dict:
         "schema_version": SCHEMA_VERSION,
         "K": path.K,
         "grid": [float(t) for t in path.grid],
-        "nodes": [matrix_to_literal(rho.mat) for rho in path.densities],
-        "eigenvalue_curves": [
-            [float(v) for v in np.linalg.eigvalsh(rho.mat)] for rho in path.densities
-        ],
-        "momenta": [[matrix_to_literal(block) for block in stack.blocks]
+        "nodes": [matrix_to_literal(rho) for rho in path.densities],
+        "eigenvalue_curves": np.linalg.eigvalsh(path.densities).tolist(),
+        "momenta": [[matrix_to_literal(block) for block in stack]
                     for stack in path.momenta],
-        "potentials": [matrix_to_literal(p.mat) for p in (path.potentials or [])],
-        "dual_nodes": [matrix_to_literal(m.mat) for m in result.dual_path.nodes],
+        "potentials": [matrix_to_literal(p) for p in path.potentials],
+        "dual_nodes": [matrix_to_literal(m) for m in result.dual_path],
         "hamiltonian": [float(v) for v in result.hamiltonian],
         "distance": result.distance,
         "primal_cost": result.primal_cost,
@@ -269,16 +271,3 @@ def export_geodesic(result: GeodesicResult, path: str) -> None:
     """Write the canonical trace file for a result."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dump_canonical(geodesic_trace(result)))
-
-
-def reconstruct_path(trace: dict) -> DiscretePath:
-    """Rebuild a DiscretePath from a trace document (for regression checks)."""
-    nodes = [DensityMatrix(matrix_from_literal(lit), eps_pd=1e-8)
-             for lit in trace["nodes"]]
-    momenta = [OperatorStack(np.array([matrix_from_literal(b) for b in blocks]),
-                             flavor="general")
-               for blocks in trace["momenta"]]
-    pots = [HermitianMatrix(matrix_from_literal(lit))
-            for lit in trace.get("potentials", [])] or None
-    return DiscretePath(K=int(trace["K"]), grid=np.asarray(trace["grid"]),
-                        densities=nodes, momenta=momenta, potentials=pots)

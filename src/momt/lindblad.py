@@ -151,11 +151,6 @@ def laplacian(l: LindbladSet, x) -> HermitianMatrix:
     return HermitianMatrix(out)
 
 
-def kernel_basis(l: LindbladSet) -> list[HermitianMatrix]:
-    """Orthonormal Hermitian basis of ker(grad); I/sqrt(n) is element 0."""
-    return list(l.kernel_basis)
-
-
 def project_kernel(l: LindbladSet, x) -> HermitianMatrix:
     """Orthogonal projection of X onto ker(grad)."""
     a = _square(l, x)

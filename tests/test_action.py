@@ -167,14 +167,13 @@ def test_path_cost_finite_and_infinite(pauli, swap_endpoints):
     val = path_cost(path)
     assert val.finite and val.value > 0
     # corrupt one interval with a momentum that hits a singular midpoint
-    sing0 = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
-    sing1 = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
-    bad_m = np.zeros((3, 2, 2), dtype=complex)
-    bad_m[0, 0, 1] = 1.0
+    sing = np.diag([1.0, 0.0]).astype(complex)
+    bad_m = np.zeros((1, 3, 2, 2), dtype=complex)
+    bad_m[0, 0, 0, 1] = 1.0
 
     class TinyPath:
         K = 1
-        densities = [sing0, sing1]
-        momenta = [OperatorStack(bad_m, flavor="general")]
+        densities = np.array([sing, sing])
+        momenta = bad_m
 
     assert not path_cost(TinyPath()).finite

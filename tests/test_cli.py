@@ -15,6 +15,7 @@ from conftest import FIXTURES, SX, SZ
 PAULI = str(FIXTURES / "pauli_problem.json")
 INFEASIBLE = str(FIXTURES / "infeasible_problem.json")
 SRC = str(FIXTURES.parents[1] / "src")
+DEMOS = sorted((FIXTURES.parents[1] / "demos").glob("*.py"))
 
 
 def test_distance_converged_exit_zero(capsys):
@@ -56,6 +57,12 @@ MALFORMED = [
     (lambda d: d["lindblad"].update(operators=5), "error: $.lindblad.operators:"),
     (_set_nan_entry, "error: $.lindblad.operators[0]:"),
     (lambda d: d.update(config={"K": 2.7}), "error: $.config.K:"),
+    (lambda d: d.update(config={"grad_tol": float("nan")}), "error: $.config.grad_tol:"),
+    (lambda d: d.update(config={"grad_tol": -1.0}), "error: $.config.grad_tol:"),
+    (lambda d: d.update(config={"max_iter": -1}), "error: $.config.max_iter:"),
+    (lambda d: d.update(config={"eps_pd": -1.0}), "error: $.config.eps_pd:"),
+    (lambda d: d.update(config={"eps_pd": float("inf")}), "error: $.config.eps_pd:"),
+    (lambda d: d.update(config={"eps_pd": 1e-12}), "error: $.config.eps_pd:"),
     # parses (boundary states are admissible), but a solve needs rho0 > 0
     (lambda d: d.update(rho0=SINGULAR_RHO), "error: strict density requires"),
 ]
@@ -201,3 +208,12 @@ def test_runtime_imports_no_scipy():
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(demo)], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -11,7 +11,6 @@ from momt import (
     SingularWeight,
     WeightError,
     assemble_weighted,
-    best_gradient_fit,
     gradient,
     inner_product,
     kinetic,
@@ -211,32 +210,6 @@ def test_momentum_divergence_matrix_consistency(pauli):
     lhs = momentum_divergence_matrix(pauli) @ vec_stack(m)
     rhs = vec_h(0.5 * divergence(pauli, OperatorStack(y, flavor="skew")).mat)
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
-
-def test_best_gradient_fit_recovers_exact_gradients(pauli):
-    rng = np.random.default_rng(13)
-    rho = rand_density(rng, 2)
-    x = rand_herm(rng, 2)
-    x_perp = x - project_kernel(pauli, x).mat
-    fit = best_gradient_fit(pauli, rho, gradient(pauli, x))
-    np.testing.assert_allclose(fit.mat, x_perp, atol=1e-9)
-
-
-def test_best_gradient_fit_first_order_optimality(pauli):
-    rng = np.random.default_rng(14)
-    rho = rand_density(rng, 2)
-    v = rand_skew_stack(rng, 3, 2)
-    fit = best_gradient_fit(pauli, rho, v)
-
-    def objective(xmat):
-        d = OperatorStack(v.blocks - gradient(pauli, xmat).blocks, flavor="skew")
-        return quadratic_form(rho, d)
-
-    base = objective(fit.mat)
-    for _ in range(10):
-        probe = rand_herm(rng, 2)
-        for eps in (1e-4, -1e-4):
-            assert objective(fit.mat + eps * probe) >= base - 1e-9
 
 
 def test_inner_product_against_quadratic_route(pauli):

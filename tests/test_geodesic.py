@@ -7,11 +7,9 @@ from momt import (
     HermitianMatrix,
     InfeasibleEndpoints,
     LindbladSet,
-    OperatorStack,
     SolverConfig,
     WeightedOperator,
     continuity_residual,
-    distance,
     dual_certificate,
     feasibility_gap,
     gradient,
@@ -94,7 +92,7 @@ def loop_value_grad(red, y):
 def loop_dual_certificate(l, path):
     """Reference sweep: shift each right node by its interval's top HJ eigenvalue in turn."""
     dt = 1.0 / path.K
-    xs = [p.mat for p in path.potentials]
+    xs = list(path.potentials)
     lam = [0.5 * (3.0 * xs[0] - xs[1])]
     lam += [0.5 * (xs[k - 1] + xs[k]) for k in range(1, path.K)]
     lam.append(0.5 * (3.0 * xs[-1] - xs[-2]))
@@ -102,8 +100,8 @@ def loop_dual_certificate(l, path):
         mid = 0.5 * (lam[k] + lam[k + 1])
         res = (lam[k + 1] - lam[k]) / dt + 0.5 * loop_gram(gradient(l, mid).blocks)
         lam[k + 1] = lam[k + 1] - dt * float(np.linalg.eigvalsh(res)[-1]) * np.eye(l.n)
-    bracket = float(np.trace(lam[-1] @ path.densities[-1].mat).real) \
-        - float(np.trace(lam[0] @ path.densities[0].mat).real)
+    bracket = float(np.trace(lam[-1] @ path.densities[-1]).real) \
+        - float(np.trace(lam[0] @ path.densities[0]).real)
     return lam, 2.0 * bracket
 
 
@@ -124,9 +122,9 @@ def test_initial_path_structure(pauli, swap_endpoints):
     assert path.K == 8 and len(path.densities) == 9 and len(path.momenta) == 8
     np.testing.assert_allclose(path.grid, np.linspace(0, 1, 9), atol=1e-15)
     for k, rho in enumerate(path.densities):
-        np.testing.assert_allclose(np.trace(rho.mat).real, 1.0, atol=1e-14)
+        np.testing.assert_allclose(np.trace(rho).real, 1.0, atol=1e-14)
         expect = (1 - k / 8) * r0.mat + (k / 8) * r1.mat
-        np.testing.assert_allclose(rho.mat, expect, atol=1e-13)
+        np.testing.assert_allclose(rho, expect, atol=1e-13)
     assert continuity_residual(pauli, path) < 1e-12
 
 
@@ -197,17 +195,12 @@ def test_batched_sweep_matches_interval_loop(three_level_pair):
         np.testing.assert_allclose(np.array(got), np.array(ref),
                                    atol=1e-12 * np.abs(np.array(ref)).max())
 
-    nodes = red.nodes(y)
-    path = DiscretePath(
-        K=red.big_k, grid=np.linspace(0, 1, red.big_k + 1),
-        densities=[DensityMatrix(m, eps_pd=1e-8) for m in nodes],
-        momenta=[OperatorStack(m, flavor="general") for m in ms],
-        potentials=[HermitianMatrix(x) for x in xs])
-    dual, value = dual_certificate(l, path)
+    path = DiscretePath(K=red.big_k, grid=np.linspace(0, 1, red.big_k + 1),
+                        densities=red.nodes(y), momenta=ms, potentials=xs)
+    lam, value = dual_certificate(l, path)
     ref_lam, ref_value = loop_dual_certificate(l, path)
     np.testing.assert_allclose(value, ref_value, rtol=1e-12)
-    np.testing.assert_allclose(np.array([node.mat for node in dual.nodes]),
-                               np.array(ref_lam), atol=1e-12 * np.abs(ref_lam).max())
+    np.testing.assert_allclose(lam, np.array(ref_lam), atol=1e-12 * np.abs(ref_lam).max())
 
 
 def test_solver_on_swap_instance(pauli, swap_endpoints, frozen_fixture):
@@ -276,11 +269,8 @@ def rebuild_path(l, nodes, big_k):
     """DiscretePath for arbitrary node matrices, intervals re-solved."""
     dt = 1.0 / big_k
     xs, _, ms, actions = loop_intervals(l, nodes, dt)
-    path = DiscretePath(
-        K=big_k, grid=np.linspace(0, 1, big_k + 1),
-        densities=[DensityMatrix(m, eps_pd=1e-8) for m in nodes],
-        momenta=[OperatorStack(m, flavor="general") for m in ms],
-        potentials=[HermitianMatrix(x) for x in xs])
+    path = DiscretePath(K=big_k, grid=np.linspace(0, 1, big_k + 1),
+                        densities=nodes, momenta=np.array(ms), potentials=np.array(xs))
     return path, sum(dt * a for a in actions)
 
 
@@ -303,8 +293,8 @@ def test_dual_certificate_is_hj_feasible(pauli, swap_endpoints):
     for resid in hj_residuals(pauli, res.dual_path):
         assert resid <= 1e-9
     # the certified value is twice the endpoint pairing of the dual path
-    lam, dens = res.dual_path.nodes, res.path.densities
-    pairing = inner_product(lam[-1], dens[-1]) - inner_product(lam[0], dens[0])
+    lam, dens = res.dual_path, res.path.densities
+    pairing = (inner_product(lam[-1], dens[-1]) - inner_product(lam[0], dens[0])).real
     np.testing.assert_allclose(2.0 * pairing, res.dual_value, rtol=1e-12)
 
 
@@ -316,12 +306,26 @@ def test_hamiltonian_profile_constant_speed(pauli, swap_endpoints):
     assert prof.speed_ok
     # profile values are the interval kinetic terms
     for k, val in enumerate(prof.values):
-        mid = 0.5 * (res.path.densities[k].mat + res.path.densities[k + 1].mat)
+        mid = 0.5 * (res.path.densities[k] + res.path.densities[k + 1])
         np.testing.assert_allclose(val, kinetic(mid, res.path.momenta[k]).value,
                                    rtol=1e-10)
     # and the action equals 2 * dt * sum of values
     np.testing.assert_allclose(res.primal_cost,
                                2.0 * np.mean(prof.values), rtol=1e-12)
+
+
+def test_result_is_raw_stacks(three_level_pair):
+    # a solved pair and coincident endpoints (the constant-path route)
+    l, r0, r1 = three_level_pair
+    big_k, n = 8, l.n
+    for end in (r1, r0):
+        res = optimize_geodesic(l, r0, end, SolverConfig(K=big_k))
+        path = res.path
+        for stack, shape in [(path.densities, (big_k + 1, n, n)),
+                             (path.momenta, (big_k, l.count, n, n)),
+                             (path.potentials, (big_k, n, n)),
+                             (res.dual_path, (big_k + 1, n, n))]:
+            assert isinstance(stack, np.ndarray) and stack.shape == shape
 
 
 def test_identical_endpoints_zero(pauli):
@@ -336,8 +340,8 @@ def test_symmetry_of_distance(pauli):
     rng = np.random.default_rng(3)
     r0, r1 = rand_density(rng, 2), rand_density(rng, 2)
     cfg = SolverConfig(K=8)
-    d01 = distance(pauli, r0, r1, cfg)
-    d10 = distance(pauli, r1, r0, cfg)
+    d01 = optimize_geodesic(pauli, r0, r1, cfg).distance
+    d10 = optimize_geodesic(pauli, r1, r0, cfg).distance
     np.testing.assert_allclose(d01, d10, rtol=1e-3)
 
 
@@ -364,10 +368,3 @@ def test_kernel_dim_warning(sz_only):
     assert feasibility_gap(sz_only, r0, r1) < 1e-14
     res = optimize_geodesic(sz_only, r0, r1, SolverConfig(K=4))
     assert "kernel-dim" in res.warnings
-
-
-def test_distance_wrapper(pauli, swap_endpoints):
-    r0, r1 = swap_endpoints
-    d = distance(pauli, r0, r1, SolverConfig(K=8))
-    res = optimize_geodesic(pauli, r0, r1, SolverConfig(K=8))
-    np.testing.assert_allclose(d, res.distance, rtol=1e-12)

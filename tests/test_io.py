@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from momt import (
+    DiscretePath,
     ParseError,
     SCHEMA_VERSION,
     build_report,
@@ -13,10 +14,10 @@ from momt import (
     geodesic_trace,
     kinetic,
     load_problem,
+    matrix_from_literal,
     matrix_to_literal,
     optimize_geodesic,
     parse_problem,
-    reconstruct_path,
 )
 from conftest import FIXTURES, SX, SZ
 
@@ -125,7 +126,7 @@ def test_report_numbers_recomputable_from_trace(solved):
     # the embedded node trace carries the full state: eigenvalues match
     for entry, rho in zip(report["trace"]["nodes"], result.path.densities):
         np.testing.assert_allclose(entry["eigenvalues"],
-                                   np.linalg.eigvalsh(rho.mat), atol=1e-12)
+                                   np.linalg.eigvalsh(rho), atol=1e-12)
 
 
 def test_geodesic_trace_round_trip(tmp_path, solved):
@@ -140,11 +141,16 @@ def test_geodesic_trace_round_trip(tmp_path, solved):
         fh.write(dump_canonical(trace))
     assert out.read_bytes() == out2.read_bytes()
 
-    path = reconstruct_path(trace)
+    path = DiscretePath(
+        K=trace["K"], grid=np.asarray(trace["grid"]),
+        densities=np.array([matrix_from_literal(lit) for lit in trace["nodes"]]),
+        momenta=np.array([[matrix_from_literal(lit) for lit in blocks]
+                          for blocks in trace["momenta"]]),
+        potentials=np.array([matrix_from_literal(lit) for lit in trace["potentials"]]))
     assert continuity_residual(spec.lindblad, path) < 1e-9
     # hamiltonian values in the file match a fresh kinetic evaluation
     for k, v in enumerate(trace["hamiltonian"]):
-        mid = 0.5 * (path.densities[k].mat + path.densities[k + 1].mat)
+        mid = 0.5 * (path.densities[k] + path.densities[k + 1])
         np.testing.assert_allclose(v, kinetic(mid, path.momenta[k]).value,
                                    rtol=1e-10)
 

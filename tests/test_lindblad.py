@@ -14,7 +14,6 @@ from momt import (
     gradient,
     heat_flow,
     inner_product,
-    kernel_basis,
     laplacian,
     project_kernel,
     vec_h,
@@ -97,11 +96,6 @@ def test_kernel_identity_is_first_element(pauli, sz_only):
     for l in (pauli, sz_only):
         np.testing.assert_allclose(l.kernel_basis[0].mat,
                                    np.eye(l.n) / np.sqrt(l.n), atol=1e-12)
-
-
-def test_kernel_basis_function_matches_attribute(pauli):
-    for a, b in zip(kernel_basis(pauli), pauli.kernel_basis):
-        np.testing.assert_array_equal(a.mat, b.mat)
 
 
 def test_sz_kernel_is_diagonal_span(sz_only):
