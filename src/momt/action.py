@@ -25,6 +25,7 @@ from .hermitian import (
     OperatorStack,
     _entries,
     gram,
+    hermitian_part,
     symmetric_dot,
 )
 
@@ -70,13 +71,8 @@ class DualPoint:
     b: OperatorStack
 
 
-def _as_matrix(x) -> np.ndarray:
-    a = _entries(x)
-    return 0.5 * (a + a.conj().T)
-
-
 def kinetic(rho, m, eps_pd: float = EPS_PD) -> ExtendedValue:
-    """F(rho, m), extended-real valued.
+    """F(rho, m), extended-real valued: kinetic_values on a stack of one.
 
     * rho positive definite (all eigenvalues > eps_pd): (1/2) tr(m^* m rho^{-1}).
     * rho with an eigenvalue below -eps_pd: infinite.
@@ -84,32 +80,43 @@ def kinetic(rho, m, eps_pd: float = EPS_PD) -> ExtendedValue:
       finite iff every block of m kills ker(rho) within 1e-9 |m|, with
       value (1/2) tr(m^* m rho^+).
     """
-    r = _as_matrix(rho)
+    r = _entries(rho)
     blocks = _entries(m)
     if blocks.ndim != 3 or blocks.shape[1:] != r.shape:
         raise DimensionMismatch(
             f"momentum stack shape {blocks.shape} incompatible with rho {r.shape}"
         )
+    value = kinetic_values(r[None], blocks[None], eps_pd)[0]
+    return ExtendedValue.infinity() if value is None else ExtendedValue.of(value)
+
+
+def kinetic_values(rhos: np.ndarray, ms: np.ndarray, eps_pd: float = EPS_PD) -> list:
+    """F(rho_k, m_k) by kinetic's rules for (K, n, n) and (K, N, n, n) stacks.
+
+    K floats, None where infinite.  One batched eigh, w_k = V diag(1/lambda) V^*
+    (1/lambda read as 0 on eigenvalues <= eps_pd: rho^+) and (1/2) tr(Gram(m_k) w_k)
+    keep the arithmetic of one matrix at a time; only the rho_k that are not
+    positive definite are then tested, one by one, for infinity.
+    """
+    r = hermitian_part(rhos)
     evals, vecs = np.linalg.eigh(r)
-    if evals[0] < -eps_pd:
-        return ExtendedValue.infinity()
-    gr = gram(blocks)
-    if evals[0] > eps_pd:
-        w = vecs @ np.diag(1.0 / evals) @ vecs.conj().T
-        return ExtendedValue.of(0.5 * float(np.trace(gr @ w).real))
     zero = evals <= eps_pd
-    p_ker = vecs[:, zero] @ vecs[:, zero].conj().T
-    leak = float(np.linalg.norm(np.einsum("kij,jl->kil", blocks, p_ker)))
-    if leak > 1e-9 * float(np.linalg.norm(blocks)):
-        return ExtendedValue.infinity()
     inv = np.divide(1.0, evals, out=np.zeros_like(evals), where=~zero)
-    pinv = vecs @ np.diag(inv) @ vecs.conj().T
-    return ExtendedValue.of(0.5 * float(np.trace(gr @ pinv).real))
+    w = (vecs * inv[:, None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))
+    # summing a contiguous copy of the diagonal keeps np.trace's order
+    traces = np.ascontiguousarray(np.diagonal(gram(ms) @ w, axis1=-2, axis2=-1)).sum(-1)
+    out = (0.5 * traces.real).tolist()
+    for k in np.flatnonzero(zero[:, 0]):
+        ker = vecs[k][:, zero[k]]
+        leak = float(np.linalg.norm(np.einsum("kij,jl->kil", ms[k], ker @ ker.conj().T)))
+        if evals[k, 0] < -eps_pd or leak > 1e-9 * float(np.linalg.norm(ms[k])):
+            out[k] = None
+    return out
 
 
 def legendre_feasible(p: DualPoint, tol: float = 1e-10) -> bool:
     """True iff the largest eigenvalue of a + (1/2) sum_k b_k^* b_k is <= tol."""
-    a = _as_matrix(p.a)
+    a = hermitian_part(_entries(p.a))
     blocks = _entries(p.b)
     if blocks.shape[1:] != a.shape:
         raise DimensionMismatch("dual point a/b dimensions differ")
@@ -129,14 +136,14 @@ def fenchel_gap(rho, m, p: DualPoint) -> float:
     kin = kinetic(rho, m)
     if not kin.finite:
         raise ValueError("fenchel_gap needs a finite kinetic value")
-    r = _as_matrix(rho)
-    pairing = float(np.trace(_as_matrix(p.a) @ r).real) + symmetric_dot(p.b, m)
+    r = hermitian_part(_entries(rho))
+    pairing = float(np.trace(hermitian_part(_entries(p.a)) @ r).real) + symmetric_dot(p.b, m)
     return kin.value - pairing
 
 
 def trace_lower_bound(rho, m) -> bool:
     """Check F(rho, m) >= |m|^2 / (2 tr rho) (vacuous when F is infinite)."""
-    r = _as_matrix(rho)
+    r = hermitian_part(_entries(rho))
     tr = float(np.trace(r).real)
     if tr <= 0:
         raise ValueError("rho must have positive trace")
@@ -150,16 +157,14 @@ def trace_lower_bound(rho, m) -> bool:
 def path_cost(path) -> ExtendedValue:
     """sum_k dt * F(midpoint_k, m_k) along a discrete path.
 
-    Reads the path's (K+1, n, n) density and (K, N, n, n) momentum stacks.
-    Tagged infinite as soon as one interval is infinite.  Callers that
-    know the path is feasible read ``.value``.
+    Reads the path's (K+1, n, n) density and (K, N, n, n) momentum stacks,
+    all intervals in one kinetic_values call.  Tagged infinite as soon as
+    one interval is infinite.  Callers that know the path is feasible read
+    ``.value``.
     """
     dt = 1.0 / path.K
-    total = 0.0
-    for k in range(path.K):
-        mid = 0.5 * (path.densities[k] + path.densities[k + 1])
-        kin = kinetic(mid, path.momenta[k])
-        if not kin.finite:
-            return ExtendedValue.infinity()
-        total += dt * kin.value
-    return ExtendedValue.of(total)
+    mids = 0.5 * (path.densities[:-1] + path.densities[1:])
+    values = kinetic_values(mids, path.momenta)
+    if None in values:
+        return ExtendedValue.infinity()
+    return ExtendedValue.of(sum(dt * v for v in values))

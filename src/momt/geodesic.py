@@ -17,10 +17,10 @@ With that reconstruction the per-interval action is <f_k; X_k> with
 f_k = (rho_{k+1} - rho_k)/dt, which is what the optimizer and its
 analytic gradient use.
 
-Every evaluation works on raw (K, n, n) stacks: the K interval systems
-T_{mid_k} X_k = f_k are assembled, factored and solved in one batched
-call (elliptic.solve_potentials), and commutators, Gram matrices and the
-positivity test of nodes and midpoints are batched likewise.
+Everything runs on raw (K, n, n) stacks in batched calls: the K interval
+systems (elliptic.solve_potentials), commutators, Gram matrices, positivity
+tests, the continuity residual and the result's kinetic values
+F(mid_k, m_k) (action.kinetic_values).
 
 The reduced cost E(y) is convex: in restricted coordinates each interval
 term is a matrix-fractional function (1/dt) D^T A(mu)^{-1} D of the node
@@ -29,15 +29,14 @@ Each term couples two adjacent nodes, so the Hessian is block tridiagonal
 with d x d blocks (d = dim ker(grad)^perp).  The descent takes damped
 Newton steps: the direction -H^{-1} g comes from the analytic Hessian
 (_Reduced.hessian, which reuses the factored interval systems A_k) and a
-block Thomas solve in O(K d^3) (_block_tridiag_solve), with -g as the
-fallback when that solve finds H not positive definite.  Backtracking
-keeps every node and midpoint above the eigenvalue floor.  A step is
-accepted on the Armijo test, or, when the cost changed by at most
-FLAT_RTOL |E| so that Armijo reads only rounding noise, on the
+block Thomas solve in O(K d^3) gated by one batched Cholesky of its
+Schur complements (_block_tridiag_solve), with -g as the fallback when H
+is not positive definite or the direction is not a finite descent
+direction.  Backtracking keeps every node and midpoint above the floor.
+A step is accepted on the Armijo test, or, when the cost changed by at
+most FLAT_RTOL |E| so that Armijo reads only rounding noise, on the
 approximate-Wolfe bounds of Hager & Zhang (SIAM J. Optim. 2005) for its
-directional derivative.  The second rule guards against a cost flat to
-its last digits, where Armijo admits only steps too short to change
-anything.
+directional derivative.
 
 A converged (or best-effort) path is accompanied by a dual certificate:
 node potentials lambda_k satisfying the discrete Hamilton-Jacobi
@@ -54,10 +53,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .action import kinetic
+from .action import kinetic_values
 from .elliptic import solve_potentials
-from .hermitian import DensityMatrix, _entries, gram, unvec_h, vec_h
-from .lindblad import LindbladSet, divergence, grad_blocks
+from .hermitian import DensityMatrix, _entries, gram, hermitian_part, unvec_h, vec_h
+from .lindblad import LindbladSet, div_blocks, grad_blocks
 
 
 class InfeasibleEndpoints(ValueError):
@@ -114,15 +113,10 @@ def feasibility_gap(l: LindbladSet, rho0, rho1) -> float:
 
 def continuity_residual(l: LindbladSet, path: DiscretePath) -> float:
     """Max over intervals of |rho_{k+1} - rho_k - (dt/2) div(m_k - m_k*)|."""
-    dt = 1.0 / path.K
-    worst = 0.0
-    for k in range(path.K):
-        m = path.momenta[k]
-        y = m - np.conj(np.transpose(m, (0, 2, 1)))
-        rhs = 0.5 * dt * divergence(l, y).mat
-        diff = path.densities[k + 1] - path.densities[k] - rhs
-        worst = max(worst, float(np.linalg.norm(diff)))
-    return worst
+    ms, dt = path.momenta, 1.0 / path.K
+    div = div_blocks(l, ms - np.conj(np.swapaxes(ms, -1, -2)))
+    diff = path.densities[1:] - path.densities[:-1] - 0.5 * dt * hermitian_part(div)
+    return float(np.max(np.linalg.norm(diff, axis=(-2, -1))))
 
 
 def _intervals(l: LindbladSet, nodes: np.ndarray, dt: float):
@@ -273,21 +267,21 @@ def _block_tridiag_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> 
     diag holds the (m, d, d) diagonal blocks, off the (m - 1, d, d) blocks
     H[j, j+1] (H[j+1, j] is their transpose), rhs is (m, d).  Block Thomas
     elimination on the Schur complements S_0 = D_0,
-    S_{j+1} = D_{j+1} - B_j^T S_j^{-1} B_j, in O(m d^3).  A Cholesky
-    factorization of each S_j is the positive-definite gate: it raises
-    np.linalg.LinAlgError when H is not positive definite.
+    S_{j+1} = D_{j+1} - B_j^T S_j^{-1} B_j, in O(m d^3).  H is positive
+    definite iff every S_j is, so one batched Cholesky of the stacked S_j
+    after the sweep is the gate: it raises np.linalg.LinAlgError when H is
+    not positive definite (so does the sweep on an exactly singular S_j).
     """
-    gains, parts = [], []  # S_j^{-1} B_j and S_j^{-1} r_j
-    s, r = diag[0], rhs[0]
+    gains, parts, schurs = [], [], [diag[0]]  # S_j^{-1} B_j, S_j^{-1} r_j, S_j
+    r = rhs[0]
     for j in range(rhs.shape[0] - 1):
-        np.linalg.cholesky(s)
-        z = np.linalg.solve(s, np.column_stack([off[j], r]))
+        z = np.linalg.solve(schurs[-1], np.column_stack([off[j], r]))
         gains.append(z[:, :-1])
         parts.append(z[:, -1])
-        s = diag[j + 1] - off[j].T @ gains[-1]
+        schurs.append(diag[j + 1] - off[j].T @ gains[-1])
         r = rhs[j + 1] - off[j].T @ parts[-1]
-    np.linalg.cholesky(s)
-    x = [np.linalg.solve(s, r)]
+    np.linalg.cholesky(np.stack(schurs))
+    x = [np.linalg.solve(schurs[-1], r)]
     for gain, part in zip(reversed(gains), reversed(parts)):
         x.append(part - gain @ x[-1])
     return np.array(x[::-1])
@@ -342,10 +336,12 @@ def optimize_geodesic(l: LindbladSet, rho0, rho1, config: SolverConfig | None = 
     Damped Newton descent: each iteration solves H d = -g with the block
     tridiagonal reduced Hessian (see _Reduced.hessian), falling back to
     d = -g if the block solve finds H not positive definite or d is not a
-    descent direction, then backtracks from the full step under
-    _accept_step.  Steps that would push any node or interval midpoint
-    below the eigenvalue floor are shortened, and a persistent failure to
-    move is reported as a boundary hit with the best iterate returned.
+    finite descent direction (d.g not in (-inf, 0), as for a NaN d), then
+    backtracks from the full step under _accept_step.  Steps that would
+    push any node or interval midpoint below the eigenvalue floor are
+    shortened, and a persistent failure to move is reported as a boundary
+    hit with the best iterate returned.  The Hamiltonian values
+    F(mid_k, m_k) of the returned path come from one kinetic_values call.
     """
     cfg = config or SolverConfig()
     r0, r1 = _endpoint_guard(l, rho0, rho1)
@@ -373,7 +369,7 @@ def optimize_geodesic(l: LindbladSet, rho0, rho1, config: SolverConfig | None = 
         except np.linalg.LinAlgError:
             d = -grad
         slope = float(d @ grad)
-        if slope >= 0:
+        if not -np.inf < slope < 0:  # also catches a NaN or infinite direction
             d, slope = -grad, -gnorm * gnorm
         step, accepted = 1.0, False
         for _ in range(60):
@@ -397,25 +393,13 @@ def optimize_geodesic(l: LindbladSet, rho0, rho1, config: SolverConfig | None = 
         converged = gnorm <= cfg.grad_tol * (1.0 + abs(cost))
 
     path = _discrete_path(nodes, ms, xs)
-    primal = cost
     dual_path, dual_value = dual_certificate(l, path)
-    hams = []
-    for k in range(cfg.K):
-        mid = 0.5 * (nodes[k] + nodes[k + 1])
-        hams.append(kinetic(mid, ms[k]).value)
     return GeodesicResult(
-        path=path,
-        distance=float(np.sqrt(max(primal, 0.0))),
-        primal_cost=primal,
-        dual_path=dual_path,
-        dual_value=dual_value,
-        gap=primal - dual_value,
-        hamiltonian=hams,
-        iterations=iterations,
-        converged=bool(converged or (cfg.K == 1)),
-        grad_norm=gnorm,
-        trace_drift=trace_drift,
-        warnings=warnings_list,
+        path=path, distance=float(np.sqrt(max(cost, 0.0))), primal_cost=cost,
+        dual_path=dual_path, dual_value=dual_value, gap=cost - dual_value,
+        hamiltonian=kinetic_values(0.5 * (nodes[:-1] + nodes[1:]), ms),
+        iterations=iterations, converged=bool(converged or (cfg.K == 1)),
+        grad_norm=gnorm, trace_drift=trace_drift, warnings=warnings_list,
         iterate_nodes=iterates,
     )
 

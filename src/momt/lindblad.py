@@ -28,6 +28,7 @@ from .hermitian import (
     OperatorStack,
     _entries,
     hermitian_basis,
+    hermitian_part,
     unvec_h,
     vec_h,
     vec_s,
@@ -69,7 +70,6 @@ class LindbladSet:
         self.ops = ops
         self.n = n
         self.count = len(mats)
-        self.operators = mats
         self._build_grad_matrix()
         self._build_kernel()
 
@@ -138,9 +138,13 @@ def divergence(l: LindbladSet, y) -> HermitianMatrix:
             f"stack shape {(stack.count, stack.dim)} does not match operator set "
             f"{(l.count, l.n)}"
         )
-    out = np.einsum("kij,kjl->il", l.ops, stack.blocks) \
-        - np.einsum("kij,kjl->il", stack.blocks, l.ops)
-    return HermitianMatrix(out)
+    return HermitianMatrix(div_blocks(l, stack.blocks))
+
+
+def div_blocks(l: LindbladSet, ys: np.ndarray) -> np.ndarray:
+    """Raw sum_k (L_k Y_k - Y_k L_k) for a stack: (..., N, n, n) -> (..., n, n)."""
+    return np.einsum("kij,...kjl->...il", l.ops, ys) \
+        - np.einsum("...kij,kjl->...il", ys, l.ops)
 
 
 def laplacian(l: LindbladSet, x) -> HermitianMatrix:
@@ -190,7 +194,7 @@ def heat_flow(l: LindbladSet, rho0: DensityMatrix, t_final: float, steps: int,
         k1 = rhs(rho)
         k2 = rhs(rho + 0.5 * dt * k1)
         rho = rho + dt * k2
-        rho = 0.5 * (rho + rho.conj().T)
+        rho = hermitian_part(rho)
         lo = float(np.linalg.eigvalsh(rho)[0])
         if lo < -1e-8:
             raise StabilityError(

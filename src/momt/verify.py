@@ -28,7 +28,7 @@ from .hermitian import (
     HermitianMatrix,
     OperatorStack,
     gram,
-    hermitian_basis,
+    hermitian_part,
     inner_product,
     unvec_h,
     vec_h,
@@ -51,7 +51,7 @@ class Check:
 
 def rand_herm(rng, n: int) -> np.ndarray:
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return 0.5 * (g + g.conj().T)
+    return hermitian_part(g)
 
 
 def rand_skew_stack(rng, count: int, n: int) -> OperatorStack:
@@ -275,14 +275,8 @@ def suite_duality(l: LindbladSet, rho0: DensityMatrix, rho1: DensityMatrix,
 # ---------------------------------------------------------------------------
 
 def _generator_matrix(l: LindbladSet) -> np.ndarray:
-    """Real matrix of rho -> laplacian(rho)/2 in the fixed vectorization.
-
-    It equals -(1/2) G^T G (G = grad_matrix), so it is symmetric.
-    """
-    n = l.n
-    basis = hermitian_basis(n)
-    cols = [vec_h(0.5 * laplacian(l, b).mat) for b in basis]
-    return np.array(cols).T
+    """Matrix of rho -> laplacian(rho)/2 = -div(grad rho)/2: -(1/2) G^T G, G = grad_matrix."""
+    return -0.5 * (l.grad_matrix.T @ l.grad_matrix)
 
 
 def suite_conservation(l: LindbladSet, rho0: DensityMatrix, rho1: DensityMatrix,

@@ -14,14 +14,44 @@ from momt import (
     initial_path,
     kinetic,
     legendre_feasible,
+    optimize_geodesic,
     path_cost,
     trace_lower_bound,
 )
+from momt.action import kinetic_values
 from conftest import rand_density, rand_general_stack, rand_herm
 
 
 def gram(blocks):
     return np.einsum("kji,kjl->il", np.conj(blocks), blocks)
+
+
+def loop_kinetic(rho, m, eps_pd=1e-10):
+    """Reference F(rho, m) for one matrix: None where infinite, else the value.
+
+    One eigendecomposition per call: w = V diag(1/lambda) V^* on a positive
+    definite rho, the pseudo-inverse on a singular PSD rho whose kernel
+    every block of m kills, infinite otherwise.
+    """
+    r = 0.5 * (rho + rho.conj().T)
+    evals, vecs = np.linalg.eigh(r)
+    if evals[0] < -eps_pd:
+        return None
+    zero = evals <= eps_pd
+    p_ker = vecs[:, zero] @ vecs[:, zero].conj().T
+    if np.linalg.norm(np.einsum("kij,jl->kil", m, p_ker)) > 1e-9 * np.linalg.norm(m):
+        return None
+    inv = np.divide(1.0, evals, out=np.zeros_like(evals), where=~zero)
+    w = vecs @ np.diag(inv) @ vecs.conj().T
+    return 0.5 * float(np.trace(gram(m) @ w).real)
+
+
+def nodes_with_midpoints(mids):
+    """Nodes rho_0..rho_K whose interval midpoints are the given matrices."""
+    nodes = [mids[0]]
+    for mid in mids:
+        nodes.append(2.0 * mid - nodes[-1])
+    return np.array(nodes)
 
 
 def test_extended_value_tags():
@@ -177,3 +207,52 @@ def test_path_cost_finite_and_infinite(pauli, swap_endpoints):
         momenta = bad_m
 
     assert not path_cost(TinyPath()).finite
+
+
+def test_kinetic_values_match_scalar_loop(three_level_pair, pauli, swap_endpoints):
+    for l, (r0, r1) in [(three_level_pair[0], three_level_pair[1:]), (pauli, swap_endpoints)]:
+        res = optimize_geodesic(l, r0, r1)
+        nodes, ms = res.path.densities, res.path.momenta
+        mids = 0.5 * (nodes[:-1] + nodes[1:])
+        ref = [loop_kinetic(mid, m) for mid, m in zip(mids, ms)]
+        np.testing.assert_allclose(kinetic_values(mids, ms), ref, rtol=1e-14)
+        np.testing.assert_allclose(res.hamiltonian, ref, rtol=1e-14)
+        np.testing.assert_allclose([kinetic(mid, m).value for mid, m in zip(mids, ms)],
+                                   ref, rtol=1e-14)
+
+
+def test_path_cost_mixed_midpoints():
+    rng = np.random.default_rng(7)
+    q = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+    pd = rand_density(rng, 3).mat
+    singular = q @ np.diag([0.0, 0.4, 0.6]) @ q.conj().T
+    negative = q @ np.diag([-1e-3, 0.4, 0.601]) @ q.conj().T
+    ms = rand_general_stack(rng, 2, 3).blocks
+    fits = ms @ (singular @ np.linalg.pinv(singular))  # blocks that kill ker(singular)
+
+    class TinyPath:
+        def __init__(self, mids, momenta):
+            self.K = len(mids)
+            self.densities = nodes_with_midpoints(mids)
+            self.momenta = np.array(momenta)
+
+    path = TinyPath([pd, singular, pd], [ms, fits, 2.0 * ms])
+    mids = 0.5 * (path.densities[:-1] + path.densities[1:])
+    values = kinetic_values(mids, path.momenta)
+    ref = [loop_kinetic(mid, m) for mid, m in zip(mids, path.momenta)]
+    assert None not in ref
+    np.testing.assert_allclose(values, ref, rtol=1e-14)
+    val = path_cost(path)
+    assert val.finite
+    np.testing.assert_allclose(val.value, sum(v / 3 for v in ref), rtol=1e-14)
+
+    # a momentum that leaks into ker(singular), or a midpoint that is not PSD
+    for bad in (TinyPath([pd, singular, pd], [ms, ms, ms]),
+                TinyPath([pd, negative, singular], [ms, ms, fits])):
+        mids = 0.5 * (bad.densities[:-1] + bad.densities[1:])
+        values = kinetic_values(mids, bad.momenta)
+        assert values[1] is None
+        assert values[0] is not None and values[2] is not None
+        np.testing.assert_allclose(values[0], loop_kinetic(mids[0], bad.momenta[0]),
+                                   rtol=1e-14)
+        assert not path_cost(bad).finite

@@ -10,6 +10,7 @@ from momt import (
     SolverConfig,
     WeightedOperator,
     continuity_residual,
+    divergence,
     dual_certificate,
     feasibility_gap,
     gradient,
@@ -105,6 +106,18 @@ def loop_dual_certificate(l, path):
     return lam, 2.0 * bracket
 
 
+def loop_continuity_residual(l, path):
+    """Reference continuity residual: one divergence per interval."""
+    dt = 1.0 / path.K
+    worst = 0.0
+    for k in range(path.K):
+        m = path.momenta[k]
+        rhs = 0.5 * dt * divergence(l, m - np.conj(np.transpose(m, (0, 2, 1)))).mat
+        diff = path.densities[k + 1] - path.densities[k] - rhs
+        worst = max(worst, float(np.linalg.norm(diff)))
+    return worst
+
+
 def primal_action(path):
     # 2 * sum_k dt F(midpoint, m_k): the squared-distance scale
     return 2.0 * path_cost(path).value
@@ -178,6 +191,47 @@ def test_block_tridiag_solve_matches_dense(m):
                                rtol=1e-12, atol=1e-14)
     with pytest.raises(np.linalg.LinAlgError):
         _block_tridiag_solve(-diag, -off, rhs)
+
+
+def test_block_tridiag_solve_gates_later_schur_complement():
+    # D_0 is positive definite, S_1 = D_1 - B_0^T D_0^{-1} B_0 is not; the
+    # batched Cholesky after the sweep must still reject H
+    diag = np.array([[[2.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]])
+    off = np.array([[[2.0, 0.0], [0.0, 0.5]]])
+    assert np.linalg.eigvalsh(diag[0])[0] > 0
+    assert np.linalg.eigvalsh(diag[1] - off[0].T @ np.linalg.solve(diag[0], off[0]))[0] < 0
+    assert np.linalg.eigvalsh(dense_block_tridiag(diag, off))[0] < 0
+    with pytest.raises(np.linalg.LinAlgError):
+        _block_tridiag_solve(diag, off, np.ones((2, 2)))
+
+
+def test_nan_newton_direction_falls_back_to_gradient(three_level_pair, monkeypatch):
+    l, r0, r1 = three_level_pair
+    ref = optimize_geodesic(l, r0, r1, SolverConfig(K=8))
+    hessian, calls = _Reduced.hessian, []
+
+    def nan_first(self, xs, tcs):
+        diag, off = hessian(self, xs, tcs)
+        calls.append(1)
+        if len(calls) == 1:  # NaN blocks pass the batched Cholesky unnoticed
+            return np.full_like(diag, np.nan), np.full_like(off, np.nan)
+        return diag, off
+
+    monkeypatch.setattr(_Reduced, "hessian", nan_first)
+    res = optimize_geodesic(l, r0, r1, SolverConfig(K=8))
+    assert len(calls) > 1
+    assert res.converged and "boundary-hit" not in res.warnings
+    np.testing.assert_allclose(res.distance, ref.distance, rtol=1e-9)
+
+
+def test_continuity_residual_matches_interval_loop(three_level_pair, pauli, swap_endpoints):
+    l, r0, r1 = three_level_pair
+    paths = [(l, optimize_geodesic(l, r0, r1, SolverConfig(K=8)).path),
+             (l, initial_path(l, r0, r1, 5)),
+             (pauli, optimize_geodesic(pauli, *swap_endpoints, SolverConfig(K=8)).path)]
+    for lset, path in paths:
+        assert abs(continuity_residual(lset, path) - loop_continuity_residual(lset, path)) \
+            <= 1e-15
 
 
 def test_batched_sweep_matches_interval_loop(three_level_pair):

@@ -12,12 +12,14 @@ from momt import (
     StabilityError,
     divergence,
     gradient,
+    hermitian_basis,
     heat_flow,
     inner_product,
     laplacian,
     project_kernel,
     vec_h,
 )
+from momt.verify import _generator_matrix
 from conftest import SX, SY, SZ, rand_density, rand_herm, rand_lindblad, rand_skew_stack
 
 
@@ -149,6 +151,13 @@ def test_heat_flow_matches_matrix_exponential(pauli):
     exact = np.linalg.multi_dot([expm(0.7 * gen), vec_h(rho.mat)])
     approx = heat_flow(pauli, rho, 0.7, 4000)
     np.testing.assert_allclose(vec_h(approx.mat), exact, atol=1e-6)
+
+
+def test_generator_matrix_matches_laplacian_columns(pauli, sz_only):
+    rng = np.random.default_rng(9)
+    for l in (pauli, sz_only, rand_lindblad(rng, 2, 3), rand_lindblad(rng, 3, 4)):
+        cols = [vec_h(0.5 * laplacian(l, b).mat) for b in hermitian_basis(l.n)]
+        np.testing.assert_allclose(_generator_matrix(l), np.array(cols).T, rtol=0, atol=1e-12)
 
 
 def test_heat_flow_unstable_step_raises(pauli):
