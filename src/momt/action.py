@@ -25,7 +25,6 @@ from .hermitian import (
     OperatorStack,
     _entries,
     gram,
-    hermitian_part,
     symmetric_dot,
 )
 
@@ -71,6 +70,11 @@ class DualPoint:
     b: OperatorStack
 
 
+def _as_matrix(x) -> np.ndarray:
+    a = _entries(x)
+    return 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
+
+
 def kinetic(rho, m, eps_pd: float = EPS_PD) -> ExtendedValue:
     """F(rho, m), extended-real valued: kinetic_values on a stack of one.
 
@@ -98,7 +102,7 @@ def kinetic_values(rhos: np.ndarray, ms: np.ndarray, eps_pd: float = EPS_PD) -> 
     keep the arithmetic of one matrix at a time; only the rho_k that are not
     positive definite are then tested, one by one, for infinity.
     """
-    r = hermitian_part(rhos)
+    r = _as_matrix(rhos)
     evals, vecs = np.linalg.eigh(r)
     zero = evals <= eps_pd
     inv = np.divide(1.0, evals, out=np.zeros_like(evals), where=~zero)
@@ -116,7 +120,7 @@ def kinetic_values(rhos: np.ndarray, ms: np.ndarray, eps_pd: float = EPS_PD) -> 
 
 def legendre_feasible(p: DualPoint, tol: float = 1e-10) -> bool:
     """True iff the largest eigenvalue of a + (1/2) sum_k b_k^* b_k is <= tol."""
-    a = hermitian_part(_entries(p.a))
+    a = _as_matrix(p.a)
     blocks = _entries(p.b)
     if blocks.shape[1:] != a.shape:
         raise DimensionMismatch("dual point a/b dimensions differ")
@@ -136,14 +140,14 @@ def fenchel_gap(rho, m, p: DualPoint) -> float:
     kin = kinetic(rho, m)
     if not kin.finite:
         raise ValueError("fenchel_gap needs a finite kinetic value")
-    r = hermitian_part(_entries(rho))
-    pairing = float(np.trace(hermitian_part(_entries(p.a)) @ r).real) + symmetric_dot(p.b, m)
+    r = _as_matrix(rho)
+    pairing = float(np.trace(_as_matrix(p.a) @ r).real) + symmetric_dot(p.b, m)
     return kin.value - pairing
 
 
 def trace_lower_bound(rho, m) -> bool:
     """Check F(rho, m) >= |m|^2 / (2 tr rho) (vacuous when F is infinite)."""
-    r = hermitian_part(_entries(rho))
+    r = _as_matrix(rho)
     tr = float(np.trace(r).real)
     if tr <= 0:
         raise ValueError("rho must have positive trace")

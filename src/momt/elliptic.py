@@ -34,12 +34,12 @@ from .hermitian import (
     _entries,
     gram,
     hermitian_basis,
-    hermitian_part,
     inner_product,
     unvec_h,
+    unvec_stack,
     vec_h,
 )
-from .lindblad import LindbladSet, div_blocks, gradient
+from .lindblad import LindbladSet, divergence, gradient
 
 
 # residual bound of every potential solve: |T x - f| <= RESIDUAL_RTOL * max(|f|, 1)
@@ -59,7 +59,8 @@ class InfeasibleRHS(ValueError):
 
 
 def _weight(rho) -> np.ndarray:
-    r = hermitian_part(_entries(rho))
+    r = _entries(rho)
+    r = 0.5 * (r + r.conj().T)
     lo = float(np.linalg.eigvalsh(r)[0])
     if lo < -EPS_PD:
         raise WeightError(f"weight has negative eigenvalue {lo:.3e}")
@@ -90,15 +91,17 @@ def _weighted_stack(l: LindbladSet, rhos: np.ndarray) -> np.ndarray:
     # B_b rho_k in K calls instead of K n^2
     b_rho = np.swapaxes((basis.reshape(-1, n) @ rhos).reshape(-1, n, n), -1, -2)
     r = (b_rho.reshape(-1, n2) @ basis.reshape(n2, n2).T).real.reshape(big_k, n2, n2)
-    r = hermitian_part(r)
+    r = 0.5 * (r + np.swapaxes(r, -1, -2))
     g = l.grad_matrix.reshape(l.count, n2, n2)
     t = (np.swapaxes(g, -1, -2) @ (r[:, None] @ g)).sum(axis=1)
-    return hermitian_part(t)
+    return 0.5 * (t + np.swapaxes(t, -1, -2))
 
 
 def _restrict(l: LindbladSet, t: np.ndarray) -> np.ndarray:
     """C^T T C on ker(grad)^perp for a stack of weighted matrices, symmetrized."""
-    return hermitian_part(l.complement_vecs.T @ t @ l.complement_vecs)
+    c = l.complement_vecs
+    tc = c.T @ t @ c
+    return 0.5 * (tc + np.swapaxes(tc, -1, -2))
 
 
 def _check_weights(rhos: np.ndarray) -> None:
@@ -248,7 +251,8 @@ def momentum_min_check(l: LindbladSet, rho, f) -> MomentumCheck:
     x = solve_potential(w, f)
     v = gradient(l, x)
     m = OperatorStack(np.einsum("kij,jl->kil", v.blocks, r), flavor="general")
-    rinv = hermitian_part(np.linalg.inv(r))
+    rinv = np.linalg.inv(r)
+    rinv = 0.5 * (rinv + rinv.conj().T)
     primal = 0.5 * float(np.trace(gram(m.blocks) @ rinv).real)
     dual = float(inner_product(HermitianMatrix(f), x)) - 0.5 * quadratic_form(r, v)
     return MomentumCheck(primal_min=primal, dual_max=dual, optimal_m=m, potential=x)
@@ -262,11 +266,16 @@ def momentum_divergence_matrix(l: LindbladSet) -> np.ndarray:
     the null space of this matrix is exactly the set of directions that
     leave the continuity picture unchanged.
     """
-    dof = 2 * l.count * l.n * l.n
-    unit = np.eye(dof)
-    ms = (unit[:, :dof // 2] + 1j * unit[:, dof // 2:]).reshape(dof, l.count, l.n, l.n)
-    div = div_blocks(l, ms - np.conj(np.swapaxes(ms, -1, -2)))
-    return vec_h(0.5 * hermitian_part(div)).T
+    big_n, n = l.count, l.n
+    dof = 2 * big_n * n * n
+    cols = np.zeros((n * n, dof))
+    for p in range(dof):
+        x = np.zeros(dof)
+        x[p] = 1.0
+        m = unvec_stack(x, big_n, n)
+        y = m - np.conj(np.transpose(m, (0, 2, 1)))
+        cols[:, p] = vec_h(0.5 * divergence(l, OperatorStack(y, flavor="skew")).mat)
+    return cols
 
 
 __all__ = [

@@ -36,7 +36,9 @@ direction.  Backtracking keeps every node and midpoint above the floor.
 A step is accepted on the Armijo test, or, when the cost changed by at
 most FLAT_RTOL |E| so that Armijo reads only rounding noise, on the
 approximate-Wolfe bounds of Hager & Zhang (SIAM J. Optim. 2005) for its
-directional derivative.
+directional derivative.  The second rule guards against a cost flat to
+its last digits, where Armijo admits only steps too short to change
+anything.
 
 A converged (or best-effort) path is accompanied by a dual certificate:
 node potentials lambda_k satisfying the discrete Hamilton-Jacobi
@@ -55,7 +57,7 @@ import numpy as np
 
 from .action import kinetic_values
 from .elliptic import solve_potentials
-from .hermitian import DensityMatrix, _entries, gram, hermitian_part, unvec_h, vec_h
+from .hermitian import DensityMatrix, _entries, gram, unvec_h, vec_h
 from .lindblad import LindbladSet, div_blocks, grad_blocks
 
 
@@ -115,7 +117,8 @@ def continuity_residual(l: LindbladSet, path: DiscretePath) -> float:
     """Max over intervals of |rho_{k+1} - rho_k - (dt/2) div(m_k - m_k*)|."""
     ms, dt = path.momenta, 1.0 / path.K
     div = div_blocks(l, ms - np.conj(np.swapaxes(ms, -1, -2)))
-    diff = path.densities[1:] - path.densities[:-1] - 0.5 * dt * hermitian_part(div)
+    div = 0.5 * (div + np.conj(np.swapaxes(div, -1, -2)))  # as divergence() returns it
+    diff = path.densities[1:] - path.densities[:-1] - 0.5 * dt * div
     return float(np.max(np.linalg.norm(diff, axis=(-2, -1))))
 
 
@@ -395,11 +398,18 @@ def optimize_geodesic(l: LindbladSet, rho0, rho1, config: SolverConfig | None = 
     path = _discrete_path(nodes, ms, xs)
     dual_path, dual_value = dual_certificate(l, path)
     return GeodesicResult(
-        path=path, distance=float(np.sqrt(max(cost, 0.0))), primal_cost=cost,
-        dual_path=dual_path, dual_value=dual_value, gap=cost - dual_value,
+        path=path,
+        distance=float(np.sqrt(max(cost, 0.0))),
+        primal_cost=cost,
+        dual_path=dual_path,
+        dual_value=dual_value,
+        gap=cost - dual_value,
         hamiltonian=kinetic_values(0.5 * (nodes[:-1] + nodes[1:]), ms),
-        iterations=iterations, converged=bool(converged or (cfg.K == 1)),
-        grad_norm=gnorm, trace_drift=trace_drift, warnings=warnings_list,
+        iterations=iterations,
+        converged=bool(converged or (cfg.K == 1)),
+        grad_norm=gnorm,
+        trace_drift=trace_drift,
+        warnings=warnings_list,
         iterate_nodes=iterates,
     )
 

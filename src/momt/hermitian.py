@@ -61,9 +61,8 @@ def _entries(x) -> np.ndarray:
     return np.asarray(x, dtype=complex)
 
 
-def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """(A + A^*)/2 over the last two axes of a raw matrix or stack."""
-    return 0.5 * (a + np.swapaxes(a, -1, -2).conj())
+def _herm_defect(a: np.ndarray) -> float:
+    return 0.5 * float(np.linalg.norm(a - a.conj().T))
 
 
 class HermitianMatrix:
@@ -77,13 +76,13 @@ class HermitianMatrix:
         a = np.array(_entries(entries), dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-        defect = 0.5 * float(np.linalg.norm(a - a.conj().T))
+        defect = _herm_defect(a)
         if defect > tol * max(1.0, float(np.linalg.norm(a))):
             raise SymmetryError(
                 f"matrix is not Hermitian: symmetry defect {defect:.3e} "
                 f"exceeds tolerance {tol:.1e}"
             )
-        a = hermitian_part(a)
+        a = 0.5 * (a + a.conj().T)
         a.setflags(write=False)
         self.mat = a
         self.n = a.shape[0]
@@ -93,6 +92,9 @@ class HermitianMatrix:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.mat))
+
+    def eigvals(self) -> np.ndarray:
+        return np.linalg.eigvalsh(self.mat)
 
     def min_eig(self) -> float:
         return float(np.linalg.eigvalsh(self.mat)[0])
@@ -158,14 +160,16 @@ class OperatorStack:
             raise DimensionMismatch(f"expected shape (N, n, n), got {b.shape}")
         if flavor not in _FLAVORS:
             raise FlavorError(f"unknown flavor {flavor!r}; expected one of {_FLAVORS}")
-        if flavor != "general":
-            hermitian = flavor == "hermitian"
+        if flavor == "hermitian":
             adj = np.conj(np.transpose(b, (0, 2, 1)))
-            adj = adj if hermitian else -adj  # what each block should equal
             if 0.5 * np.linalg.norm(b - adj) > tol * max(1.0, np.linalg.norm(b)):
-                kind = "Hermitian" if hermitian else "skew-Hermitian"
-                raise FlavorError(f"blocks are not {kind} within tolerance")
+                raise FlavorError("blocks are not Hermitian within tolerance")
             b = 0.5 * (b + adj)
+        elif flavor == "skew":
+            adj = np.conj(np.transpose(b, (0, 2, 1)))
+            if 0.5 * np.linalg.norm(b + adj) > tol * max(1.0, np.linalg.norm(b)):
+                raise FlavorError("blocks are not skew-Hermitian within tolerance")
+            b = 0.5 * (b - adj)
         b.setflags(write=False)
         self.blocks = b
         self.flavor = flavor
@@ -235,49 +239,22 @@ def hermitian_basis(n: int) -> np.ndarray:
     Order: diagonal units E_ii, then for each i<j the pair
     (E_ij + E_ji)/sqrt(2), i(E_ij - E_ji)/sqrt(2).
     """
-    r = 1.0 / np.sqrt(2.0)
-    i, j = np.triu_indices(n, 1)
-    sym = n + 2 * np.arange(i.size)
     basis = np.zeros((n * n, n, n), dtype=complex)
-    basis[np.arange(n), np.arange(n), np.arange(n)] = 1.0
-    basis[sym, i, j] = basis[sym, j, i] = r
-    basis[sym + 1, i, j], basis[sym + 1, j, i] = 1j * r, -1j * r
+    p = 0
+    for i in range(n):
+        basis[p, i, i] = 1.0
+        p += 1
+    r = 1.0 / np.sqrt(2.0)
+    for i in range(n):
+        for j in range(i + 1, n):
+            basis[p, i, j] = r
+            basis[p, j, i] = r
+            p += 1
+            basis[p, i, j] = 1j * r
+            basis[p, j, i] = -1j * r
+            p += 1
     basis.setflags(write=False)
     return basis
-
-
-@lru_cache(maxsize=None)
-def _basis_terms(n: int):
-    """Sparse (index, weight) tables of vec_h, vec_s, unvec_h on the (re, im) floats.
-
-    Coordinate p of vec_h is the two nonzero terms of Re <B_p; A>: Re a_ii (and a
-    zero), r Re a_ij + r Re a_ji, r Im a_ij - r Im a_ji (i < j, r = 1/sqrt(2));
-    vec_s likewise reads Im <B_p; S>.
-    """
-    b = hermitian_basis(n).reshape(n * n, n * n)
-    re_part = np.stack([b.real, b.imag], axis=-1).reshape(n * n, -1)
-    im_part = np.stack([-b.imag, b.real], axis=-1).reshape(n * n, -1)
-
-    def sparse(coef, width):
-        idx = np.argsort(coef == 0, axis=-1, kind="stable")[:, :width]
-        return idx.ravel(), np.take_along_axis(coef, idx, axis=-1).ravel()
-
-    return sparse(re_part, 2), sparse(im_part, 2), sparse(re_part.T, 1)
-
-
-def _pair(x, table: int) -> np.ndarray:
-    """vec_h (table 0) or vec_s (table 1) of a (..., n, n) stack.
-
-    The two terms give exactly the full contraction with the basis, whose
-    other terms are zero; += 0.0 reads -0.0 as 0.0, as that contraction does.
-    """
-    a = np.ascontiguousarray(_entries(x), dtype=complex)
-    idx, w = _basis_terms(a.shape[-1])[table]
-    v = a.view(float).reshape(a.shape[:-2] + (2 * a.shape[-1] ** 2,))
-    terms = np.take(v, idx, axis=-1) * w
-    out = terms[..., 0::2] + terms[..., 1::2]
-    out += 0.0
-    return out
 
 
 def vec_h(h) -> np.ndarray:
@@ -285,24 +262,25 @@ def vec_h(h) -> np.ndarray:
 
     A stack of shape (..., n, n) maps to coordinates of shape (..., n^2).
     """
-    return _pair(h, 0)
+    a = _entries(h)
+    n = a.shape[-1]
+    return np.einsum("aij,...ij->...a", np.conj(hermitian_basis(n)), a).real
 
 
 def unvec_h(x: np.ndarray, n: int) -> np.ndarray:
     """Inverse of vec_h (returns a raw complex ndarray); (..., n^2) -> (..., n, n)."""
-    x = np.asarray(x, dtype=float)
-    idx, w = _basis_terms(n)[2]
-    out = np.take(x, idx, axis=-1) * w + 0.0  # -0.0 -> 0.0, as in vec_h
-    return out.view(complex).reshape(x.shape[:-1] + (n, n))
+    return np.einsum("...a,aij->...ij", np.asarray(x, dtype=float), hermitian_basis(n))
 
 
 def vec_s(s) -> np.ndarray:
     """Real coordinates of a skew-Hermitian matrix in the basis {i B_a}.
 
-    A stack of shape (..., n, n) maps to coordinates of shape (..., n^2);
-    <i B_a; S> = -i tr(B_a S) is real for skew S.
+    A stack of shape (..., n, n) maps to coordinates of shape (..., n^2).
     """
-    return _pair(s, 1)
+    a = _entries(s)
+    n = a.shape[-1]
+    # <i B_a; S> = -i tr(B_a S), real for skew S
+    return (-1j * np.einsum("aij,...ij->...a", np.conj(hermitian_basis(n)), a)).real
 
 
 def vec_stack(m) -> np.ndarray:

@@ -28,7 +28,6 @@ from .hermitian import (
     OperatorStack,
     _entries,
     hermitian_basis,
-    hermitian_part,
     unvec_h,
     vec_h,
     vec_s,
@@ -70,6 +69,7 @@ class LindbladSet:
         self.ops = ops
         self.n = n
         self.count = len(mats)
+        self.operators = mats
         self._build_grad_matrix()
         self._build_kernel()
 
@@ -194,7 +194,7 @@ def heat_flow(l: LindbladSet, rho0: DensityMatrix, t_final: float, steps: int,
         k1 = rhs(rho)
         k2 = rhs(rho + 0.5 * dt * k1)
         rho = rho + dt * k2
-        rho = hermitian_part(rho)
+        rho = 0.5 * (rho + rho.conj().T)
         lo = float(np.linalg.eigvalsh(rho)[0])
         if lo < -1e-8:
             raise StabilityError(

@@ -28,7 +28,6 @@ from .hermitian import (
     HermitianMatrix,
     OperatorStack,
     gram,
-    hermitian_part,
     inner_product,
     unvec_h,
     vec_h,
@@ -51,7 +50,7 @@ class Check:
 
 def rand_herm(rng, n: int) -> np.ndarray:
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return hermitian_part(g)
+    return 0.5 * (g + g.conj().T)
 
 
 def rand_skew_stack(rng, count: int, n: int) -> OperatorStack:

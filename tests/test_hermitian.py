@@ -125,24 +125,6 @@ def test_vec_s_round_trip():
     np.testing.assert_allclose(1j * unvec_h(vec_s(s), 3), s, atol=1e-13)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 6, 10])
-def test_vectorization_matches_basis_contraction(n):
-    # the index arithmetic must reproduce the contraction with the n^2
-    # basis exactly, on stacks and on entries that are exactly (+-)0
-    rng = np.random.default_rng(20 + n)
-    basis = hermitian_basis(n)
-    for shape in [(), (4,), (2, 3)]:
-        signs = rng.choice([0.0, -0.0, 1.0, -1.0], size=shape + (2, n, n))
-        a = (signs[..., 0, :, :] + 1j * signs[..., 1, :, :]) * rng.standard_normal(shape + (n, n))
-        for mat in (a, a + np.conj(np.swapaxes(a, -1, -2)), np.swapaxes(a, -1, -2)):
-            pair = np.einsum("aij,...ij->...a", np.conj(basis), mat)
-            np.testing.assert_array_equal(vec_h(mat), pair.real)
-            np.testing.assert_array_equal(vec_s(mat), (-1j * pair).real)
-        x = rng.choice([0.0, -0.0, 1.0], size=shape + (n * n,)) \
-            * rng.standard_normal(shape + (n * n,))
-        np.testing.assert_array_equal(unvec_h(x, n), np.einsum("...a,aij->...ij", x, basis))
-
-
 def test_vec_stack_round_trip():
     rng = np.random.default_rng(12)
     m = rand_general_stack(rng, 3, 2)
