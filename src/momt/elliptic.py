@@ -9,9 +9,9 @@ Q_rho(v) = tr(rho v^* v).  Restricted to ker(grad)^perp the map is
 positive definite whenever rho is, which yields:
 
 * solve_potential — the unique X in ker(grad)^perp with T_rho X = f;
-  solve_potentials does the same for a stack of K weights in one batched
-  assembly and Cholesky factorization, and also returns the restricted
-  systems it factored,
+  solve_potentials does the same for K weights, from one contraction of
+  the operator set's cached weight tensor and one batched Cholesky, and
+  returns ker(grad)^perp coordinates and the restricted systems it solved,
 * poincare_constant — the smallest restricted eigenvalue (the sharp
   constant c in Q_rho(grad(X - proj X)) >= c |X - proj X|^2),
 * momentum_min_check — the primal/dual pair certifying that m = grad(X) rho
@@ -113,14 +113,16 @@ def _check_weights(rhos: np.ndarray) -> None:
         )
 
 
-def _solve_stack(l: LindbladSet, t: np.ndarray, tc: np.ndarray, fv: np.ndarray,
+def _solve_stack(l: LindbladSet, tc: np.ndarray, fv: np.ndarray,
                  rtol: float) -> np.ndarray:
-    """Coordinates x_k in ker(grad)^perp with T_k x_k = f_k: (K, n^2).
+    """Coordinates x_k of the potentials C x_k with A_k x_k = C^T f_k: (K, d).
 
-    t is the (K, n^2, n^2) stack of weighted matrices and tc its restriction.
-    The batched Cholesky factorization of all K restricted systems is the
-    positive-definite gate; one batched LU solve then gives the potentials.
-    Every gate of solve_potential is evaluated over the whole stack.
+    tc is the (K, d, d) stack of restricted systems A_k = C^T T_k C.  The
+    batched Cholesky factorization of all K is the positive-definite gate;
+    one batched LU solve then gives the potentials.  Every gate of
+    solve_potential is evaluated over the whole stack.  T_k maps into
+    ker(grad)^perp, so |T_k C x_k - f_k| is read in restricted form as
+    sqrt(|A_k x_k - C^T f_k|^2 + |K^T f_k|^2), K = kernel_vecs.
     """
     fnorm = np.linalg.norm(fv, axis=-1)
     kpart = np.linalg.norm(fv @ l.kernel_vecs, axis=-1)
@@ -133,34 +135,34 @@ def _solve_stack(l: LindbladSet, t: np.ndarray, tc: np.ndarray, fv: np.ndarray,
             f"right-hand side has kernel component {kpart[k]:.3e} (|f| = {fnorm[k]:.3e}); "
             "solvability requires f orthogonal to ker(grad)"
         )
-    c = l.complement_vecs
-    if c.shape[1] == 0:
-        return np.zeros_like(fv)
     # numpy has no batched triangular solve, so the factor only gates
     np.linalg.cholesky(tc)
-    xv = np.linalg.solve(tc, (fv @ c)[..., None])[..., 0] @ c.T
-    residual = np.linalg.norm((t @ xv[..., None])[..., 0] - fv, axis=-1)
+    fc = fv @ l.complement_vecs
+    xc = np.linalg.solve(tc, fc[..., None])[..., 0]
+    residual = np.hypot(np.linalg.norm((tc @ xc[..., None])[..., 0] - fc, axis=-1), kpart)
     over = residual > rtol * np.maximum(fnorm, 1.0)
     if over.any():
         raise RuntimeError(
             f"potential solve residual {residual[np.argmax(over)]:.3e} exceeds "
             "tolerance; the weighted operator is badly conditioned"
         )
-    return xv
+    return xc
 
 
 def solve_potentials(l: LindbladSet, rhos: np.ndarray, fs: np.ndarray):
     """solve_potential for K raw (n, n) weights and right-hand sides at once.
 
-    rhos and fs are (K, n, n) Hermitian stacks.  Returns the (K, n, n)
-    potentials and the (K, d, d) restricted systems C^T T(rho_k) C that
-    were solved (C = complement_vecs).  Raises as solve_potential does if
-    any system fails a gate.
+    rhos and fs are (K, n, n) Hermitian stacks.  T is linear in its weight,
+    so the systems A_k = C^T T(rho_k) C (C = complement_vecs) are one GEMM,
+    vec_h(rho_k) @ l.weight_tensor, with no n^2 x n^2 matrix formed.
+    Returns the (K, d) coordinates x_k of the potentials X_k = unvec_h(C x_k)
+    and the (K, d, d) systems A_k.  Raises as solve_potential does if any
+    system fails a gate.
     """
     _check_weights(rhos)
-    t = _weighted_stack(l, rhos)
-    tc = _restrict(l, t)
-    return unvec_h(_solve_stack(l, t, tc, vec_h(fs), RESIDUAL_RTOL), l.n), tc
+    n2, d = l.n * l.n, l.complement_vecs.shape[1]
+    tc = (vec_h(rhos) @ l.weight_tensor.reshape(n2, d * d)).reshape(len(rhos), d, d)
+    return _solve_stack(l, tc, vec_h(fs), RESIDUAL_RTOL), tc
 
 
 class WeightedOperator:
@@ -206,9 +208,9 @@ def solve_potential(w: WeightedOperator, f, rtol: float = RESIDUAL_RTOL) -> Herm
     solve_potentials, on the operator's already assembled matrix.
     """
     _check_weights(w.rho[None])
-    fv = vec_h(f)
-    xv = _solve_stack(w.lindblad, w.matrix_rep[None], w._restricted[None], fv[None], rtol)[0]
-    return HermitianMatrix(unvec_h(xv, w.lindblad.n))
+    l = w.lindblad
+    xc = _solve_stack(l, w._restricted[None], vec_h(f)[None], rtol)
+    return HermitianMatrix(unvec_h((xc @ l.complement_vecs.T)[0], l.n))
 
 
 def poincare_constant(l: LindbladSet, rho) -> float:

@@ -17,10 +17,11 @@ With that reconstruction the per-interval action is <f_k; X_k> with
 f_k = (rho_{k+1} - rho_k)/dt, which is what the optimizer and its
 analytic gradient use.
 
-Everything runs on raw (K, n, n) stacks in batched calls: the K interval
-systems (elliptic.solve_potentials), commutators, Gram matrices, positivity
-tests, the continuity residual and the result's kinetic values
-F(mid_k, m_k) (action.kinetic_values).
+The descent works on coordinates x_k = C^T vec_h(X_k), C = complement_vecs.
+The K interval systems (elliptic.solve_potentials), the gradient and the
+Hessian coupling are batched contractions of the operator set's cached
+weight_tensor and complement_tensor, so no trial forms grad(X_k), a Gram
+matrix or a momentum; X_k and m_k are rebuilt once, for the returned path.
 
 The reduced cost E(y) is convex: in restricted coordinates each interval
 term is a matrix-fractional function (1/dt) D^T A(mu)^{-1} D of the node
@@ -51,7 +52,6 @@ not a heuristic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -123,20 +123,9 @@ def continuity_residual(l: LindbladSet, path: DiscretePath) -> float:
 
 
 def _intervals(l: LindbladSet, nodes: np.ndarray, dt: float):
-    """Potentials, gradients, momenta and action terms of every interval at once.
-
-    nodes is the (K+1, n, n) stack rho_0..rho_K.  Returns (X (K, n, n),
-    grad-X blocks (K, N, n, n), momenta (K, N, n, n), action terms (K,)
-    <f_k; X_k> with f_k = (rho_{k+1} - rho_k)/dt, restricted systems
-    A_k = C^T T(mid_k) C (K, d, d)).
-    """
-    mids = 0.5 * (nodes[:-1] + nodes[1:])
+    """f_k = (rho_{k+1} - rho_k)/dt and solve_potentials at the midpoints of rho_0..rho_K."""
     fs = (nodes[1:] - nodes[:-1]) / dt
-    xs, tcs = solve_potentials(l, mids, fs)
-    vs = grad_blocks(l, xs)
-    ms = vs @ mids[:, None]
-    actions = np.sum(np.conj(fs) * xs, axis=(1, 2)).real
-    return xs, vs, ms, actions, tcs
+    return (fs, *solve_potentials(l, 0.5 * (nodes[:-1] + nodes[1:]), fs))
 
 
 def _linear_nodes(r0: np.ndarray, r1: np.ndarray, big_k: int) -> np.ndarray:
@@ -145,10 +134,12 @@ def _linear_nodes(r0: np.ndarray, r1: np.ndarray, big_k: int) -> np.ndarray:
     return np.concatenate([r0[None], (1 - t) * r0 + t * r1, r1[None]])
 
 
-def _discrete_path(nodes, ms, xs) -> DiscretePath:
-    big_k = xs.shape[0]
-    return DiscretePath(K=big_k, grid=np.linspace(0.0, 1.0, big_k + 1),
-                        densities=nodes, momenta=ms, potentials=xs)
+def _discrete_path(l: LindbladSet, nodes: np.ndarray, xs: np.ndarray) -> DiscretePath:
+    """The path through nodes with X_k = unvec_h(C x_k) and m_k = grad(X_k) mid_k."""
+    pots = unvec_h(xs @ l.complement_vecs.T, l.n)
+    ms = grad_blocks(l, pots) @ (0.5 * (nodes[:-1] + nodes[1:]))[:, None]
+    return DiscretePath(K=len(xs), grid=np.linspace(0.0, 1.0, len(xs) + 1),
+                        densities=nodes, momenta=ms, potentials=pots)
 
 
 def _endpoint_guard(l: LindbladSet, rho0, rho1):
@@ -174,8 +165,7 @@ def initial_path(l: LindbladSet, rho0, rho1, big_k: int) -> DiscretePath:
     """
     r0, r1 = _endpoint_guard(l, rho0, rho1)
     nodes = _linear_nodes(r0.mat, r1.mat, big_k)
-    xs, _, ms, _, _ = _intervals(l, nodes, 1.0 / big_k)
-    return _discrete_path(nodes, ms, xs)
+    return _discrete_path(l, nodes, _intervals(l, nodes, 1.0 / big_k)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +178,7 @@ class _Reduced:
     Interior node j sits at line_j + unvec(C y_j) with C an orthonormal
     basis of ker(grad)^perp, so unit trace and endpoint reachability are
     automatic for every candidate.  Nodes are a (K+1, n, n) stack and all
-    K interval systems are solved in one batched call.
+    K interval systems are solved in one batched call, for x_k = C^T vec_h(X_k).
     """
 
     def __init__(self, l, r0, r1, big_k, floor):
@@ -199,19 +189,6 @@ class _Reduced:
         self.c = l.complement_vecs
         self.d = self.c.shape[1]
         self.line = _linear_nodes(r0.mat, r1.mat, big_k)
-
-    @cached_property
-    def _move_factors(self):
-        """Per-solve constants of the coupling M in hessian, for the moves h_a = unvec(C e_a).
-
-        Row (a, i) of the first, (d n, N n), is row i of (grad_j h_a)^* for
-        j = 1..N side by side.  Column b of the second, (n^2, d), is h_b^T
-        flattened, so that S.ravel() @ column b = tr(h_b S).
-        """
-        n, d = self.l.n, self.d
-        moves = unvec_h(self.c.T, n)
-        adj = np.conj(grad_blocks(self.l, moves)).transpose(0, 3, 1, 2)
-        return adj.reshape(d * n, -1), np.conj(moves).reshape(d, n * n).T
 
     def nodes(self, y: np.ndarray) -> np.ndarray:
         out = self.line.copy()
@@ -225,37 +202,41 @@ class _Reduced:
         return bool(np.all(lows > self.floor))
 
     def value_grad(self, y: np.ndarray):
-        """(E, grad E, X_k stack, momenta stack, restricted systems A_k) at y."""
-        xs, vs, ms, actions, tcs = _intervals(self.l, self.nodes(y), self.dt)
-        total = float(np.sum(self.dt * actions))
-        grams = gram(vs)
-        gj = 2.0 * (xs[:-1] - xs[1:]) - 0.5 * self.dt * (grams[:-1] + grams[1:])
-        g = (vec_h(gj) @ self.c).ravel()
-        return total, g, xs, ms, tcs
+        """(E, grad E, potential coordinates x_k, couplings U_k, systems A_k) at y.
 
-    def hessian(self, xs: np.ndarray, tcs: np.ndarray):
+        With h_a = unvec_h(C e_a) and V[a, e, f] = <h_e; T(h_a) h_f>
+        (l.complement_tensor), U_k = V x_k over f has U_k[a, e] =
+        <h_e; T(h_a) X_k>.  As <Z; T(mu) X> = Re tr(mu sum_j (grad_j Z)^* grad_j X),
+        (U_k x_k)_a = <h_a; Gram(grad X_k)>, so C^T vec_h of the node gradient
+        2(X_{j-1} - X_j) - (dt/2)(Gram(grad X_{j-1}) + Gram(grad X_j)) is
+        g_j = 2(x_{j-1} - x_j) - (dt/2)(U_{j-1} x_{j-1} + U_j x_j).
+        """
+        fs, xs, tcs = _intervals(self.l, self.nodes(y), self.dt)
+        actions = np.sum((vec_h(fs) @ self.c) * xs, axis=-1)  # <f_k; X_k>
+        total = float(np.sum(self.dt * actions))
+        d = self.d
+        us = (xs @ self.l.complement_tensor.reshape(d * d, d).T).reshape(len(xs), d, d)
+        ux = (us @ xs[..., None])[..., 0]
+        g = 2.0 * (xs[:-1] - xs[1:]) - 0.5 * self.dt * (ux[:-1] + ux[1:])
+        return total, g.ravel(), xs, us, tcs
+
+    def hessian(self, us: np.ndarray, tcs: np.ndarray):
         """Diagonal (K-1, d, d) and upper off-diagonal (K-2, d, d) Hessian blocks.
 
-        xs and tcs are the potentials and restricted systems A_k that
+        us and tcs are the couplings U_k and restricted systems A_k that
         value_grad returned at the point.  In restricted coordinates the
         interval term is (1/dt) D^T A(mu)^{-1} D with D the node difference
         and A linear in the midpoint mu; its Hessian in (D, mu) is
         (2/dt) J^T A^{-1} J with J = [I, -M] and M_k = dt C^T L_{X_k} C,
-        where L_X : mu |-> T(mu) X = div((grad X mu + mu grad X)/2).
+        where L_X : mu |-> T(mu) X = div((grad X mu + mu grad X)/2).  So
+        M_k[a, b] = dt <h_a; T(h_b) X_k> = dt U_k[b, a], i.e. M_k = dt U_k^T.
         With P_k = I - M_k/2 and Q_k = I + M_k/2 node j gets the diagonal
         block (2/dt)(P_{j-1}^T A_{j-1}^{-1} P_{j-1} + Q_j^T A_j^{-1} Q_j) and
         the block (j, j+1) is -(2/dt) Q_j^T A_j^{-1} P_j.  Each interval
         adds a PSD term, so H is PSD.
         """
-        n, d, big_k = self.l.n, self.d, xs.shape[0]
-        # M_k[a, b] = dt <h_a; T(h_b) X_k> = dt Re tr(h_b S_ak) with
-        # S_ak = sum_j (grad_j h_a)^* grad_j X_k, since <Z; T(mu) X> is
-        # Re tr(mu sum_j (grad_j Z)^* grad_j X)
-        adj, cols = self._move_factors
-        s = adj @ grad_blocks(self.l, xs).reshape(big_k, -1, n)
-        m = self.dt * (s.reshape(big_k, d, n * n) @ cols).real
-        eye = np.eye(d)
-        p, q = eye - 0.5 * m, eye + 0.5 * m
+        d, m = self.d, self.dt * np.swapaxes(us, -1, -2)
+        p, q = np.eye(d) - 0.5 * m, np.eye(d) + 0.5 * m
         ainv = np.linalg.solve(tcs, np.concatenate([p, q], axis=-1))
         ainv_p, ainv_q = ainv[..., :d], ainv[..., d:]
         pt, qt = np.swapaxes(p, -1, -2), np.swapaxes(q, -1, -2)
@@ -293,9 +274,10 @@ def _block_tridiag_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> 
 def _constant_result(l: LindbladSet, r0, cfg: SolverConfig,
                      warnings_list: list) -> GeodesicResult:
     """Coincident endpoints: the constant path, distance exactly zero."""
-    path = _discrete_path(np.repeat(r0.mat[None], cfg.K + 1, axis=0),
-                          np.zeros((cfg.K, l.count, l.n, l.n), dtype=complex),
-                          np.zeros((cfg.K, l.n, l.n), dtype=complex))
+    path = DiscretePath(K=cfg.K, grid=np.linspace(0.0, 1.0, cfg.K + 1),
+                        densities=np.repeat(r0.mat[None], cfg.K + 1, axis=0),
+                        momenta=np.zeros((cfg.K, l.count, l.n, l.n), dtype=complex),
+                        potentials=np.zeros((cfg.K, l.n, l.n), dtype=complex))
     dual_path, dual_value = dual_certificate(l, path)
     return GeodesicResult(
         path=path, distance=0.0, primal_cost=0.0,
@@ -357,7 +339,7 @@ def optimize_geodesic(l: LindbladSet, rho0, rho1, config: SolverConfig | None = 
 
     reduced = _Reduced(l, r0, r1, cfg.K, cfg.eps_pd)
     y = np.zeros((cfg.K - 1) * reduced.d)
-    cost, grad, xs, ms, tcs = reduced.value_grad(y)
+    cost, grad, xs, us, tcs = reduced.value_grad(y)
     gnorm = float(np.linalg.norm(grad))
     nodes = reduced.nodes(y)
     trace_drift = _trace_drift(nodes)
@@ -367,7 +349,7 @@ def optimize_geodesic(l: LindbladSet, rho0, rho1, config: SolverConfig | None = 
     converged = gnorm <= cfg.grad_tol * (1.0 + abs(cost))
     while not converged and iterations < cfg.max_iter and y.size:
         try:
-            d = -_block_tridiag_solve(*reduced.hessian(xs, tcs),
+            d = -_block_tridiag_solve(*reduced.hessian(us, tcs),
                                       grad.reshape(-1, reduced.d)).ravel()
         except np.linalg.LinAlgError:
             d = -grad
@@ -378,7 +360,7 @@ def optimize_geodesic(l: LindbladSet, rho0, rho1, config: SolverConfig | None = 
         for _ in range(60):
             cand = y + step * d
             if reduced.feasible(cand):
-                c_cost, c_grad, c_xs, c_ms, c_tcs = reduced.value_grad(cand)
+                c_cost, c_grad, c_xs, c_us, c_tcs = reduced.value_grad(cand)
                 if _accept_step(cost, slope, step, c_cost, float(c_grad @ d)):
                     accepted = True
                     break
@@ -386,7 +368,7 @@ def optimize_geodesic(l: LindbladSet, rho0, rho1, config: SolverConfig | None = 
         if not accepted:
             warnings_list.append("boundary-hit")
             break
-        y, cost, grad, xs, ms, tcs = cand, c_cost, c_grad, c_xs, c_ms, c_tcs
+        y, cost, grad, xs, us, tcs = cand, c_cost, c_grad, c_xs, c_us, c_tcs
         gnorm = float(np.linalg.norm(grad))
         iterations += 1
         nodes = reduced.nodes(y)
@@ -395,7 +377,7 @@ def optimize_geodesic(l: LindbladSet, rho0, rho1, config: SolverConfig | None = 
             iterates.append(nodes)
         converged = gnorm <= cfg.grad_tol * (1.0 + abs(cost))
 
-    path = _discrete_path(nodes, ms, xs)
+    path = _discrete_path(l, nodes, xs)
     dual_path, dual_value = dual_certificate(l, path)
     return GeodesicResult(
         path=path,
@@ -404,7 +386,7 @@ def optimize_geodesic(l: LindbladSet, rho0, rho1, config: SolverConfig | None = 
         dual_path=dual_path,
         dual_value=dual_value,
         gap=cost - dual_value,
-        hamiltonian=kinetic_values(0.5 * (nodes[:-1] + nodes[1:]), ms),
+        hamiltonian=kinetic_values(0.5 * (nodes[:-1] + nodes[1:]), path.momenta),
         iterations=iterations,
         converged=bool(converged or (cfg.K == 1)),
         grad_norm=gnorm,

@@ -18,6 +18,8 @@ kernel and all downstream superoperators are assembled.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .hermitian import (
@@ -55,6 +57,13 @@ class LindbladSet:
     kernel_vecs : real ndarray (n^2, kernel_dim), vec_h of the basis
     complement_vecs : real ndarray (n^2, n^2 - kernel_dim), orthonormal
         basis of ker(grad)^perp (the row space of grad_matrix)
+    weight_tensor : real ndarray (n^2, d, d), d = n^2 - kernel_dim, built on
+        first use: W[c, a, e] = <h_a; T(B_c) h_e> for h_a = unvec_h(C e_a),
+        C = complement_vecs, B_c the Hermitian basis and T the weighted
+        operator of elliptic, so that C^T T(rho) C = vec_h(rho) @ W
+    complement_tensor : real ndarray (d, d, d), built on first use, V[a, e, f]
+        = sum_c C_ca W[c, e, f] = <h_e; T(h_a) h_f>.  The two tensors hold
+        n^2 d^2 + d^3 floats, about 16 MB at n = 10.
     """
 
     def __init__(self, operators):
@@ -82,7 +91,7 @@ class LindbladSet:
 
     def _build_kernel(self):
         n = self.n
-        u, s, vh = np.linalg.svd(self.grad_matrix)
+        _, s, vh = np.linalg.svd(self.grad_matrix, full_matrices=False)
         if s.size and s[0] > 0:
             rank = int(np.sum(s > KERNEL_RTOL * s[0]))
         else:
@@ -105,6 +114,28 @@ class LindbladSet:
         self.complement_vecs = vh[:rank].T
         self.kernel_vecs.setflags(write=False)
         self.complement_vecs.setflags(write=False)
+
+    @cached_property
+    def weight_tensor(self) -> np.ndarray:
+        """W[c, a, e] = Re tr(B_c P_ae), P_ae = sum_j (grad_j h_a)^* grad_j h_e; read-only."""
+        n, nn, d = self.n, self.count * self.n, self.complement_vecs.shape[1]
+        g = grad_blocks(self, unvec_h(self.complement_vecs.T, n))  # (d, N, n, n)
+        # rows (a, i) hold row i of every (grad_j h_a)^*, so one GEMM gives P
+        p = np.conj(g).transpose(0, 3, 1, 2).reshape(d * n, nn) \
+            @ g.transpose(1, 2, 0, 3).reshape(nn, d * n)
+        p = p.reshape(d, n, d, n).transpose(0, 2, 1, 3).reshape(d * d, n * n)
+        w = (np.conj(hermitian_basis(n)).reshape(n * n, -1) @ p.T).real  # vec_h
+        w = w.reshape(n * n, d, d)
+        w = 0.5 * (w + np.swapaxes(w, -1, -2))
+        w.setflags(write=False)
+        return w
+
+    @cached_property
+    def complement_tensor(self) -> np.ndarray:
+        """V = C^T W over the weight index: (d, d, d), read-only."""
+        v = np.tensordot(self.complement_vecs, self.weight_tensor, axes=(0, 0))
+        v.setflags(write=False)
+        return v
 
     def __repr__(self):
         return f"LindbladSet(N={self.count}, n={self.n}, kernel_dim={self.kernel_dim})"

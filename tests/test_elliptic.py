@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from scipy.linalg import null_space
 
+import momt.elliptic
+
 from momt import (
     DensityMatrix,
     HermitianMatrix,
@@ -9,6 +11,7 @@ from momt import (
     LindbladSet,
     OperatorStack,
     SingularWeight,
+    SolverConfig,
     WeightError,
     assemble_weighted,
     gradient,
@@ -16,6 +19,7 @@ from momt import (
     kinetic,
     momentum_divergence_matrix,
     momentum_min_check,
+    optimize_geodesic,
     poincare_constant,
     project_kernel,
     quadratic_form,
@@ -24,6 +28,7 @@ from momt import (
     unvec_stack,
     vec_h,
 )
+from momt.elliptic import _restrict, _weighted_stack, solve_potentials
 from conftest import (
     SZ,
     rand_density,
@@ -220,3 +225,49 @@ def test_inner_product_against_quadratic_route(pauli):
     lhs = inner_product(assemble_weighted(pauli, rho).apply(x), HermitianMatrix(x))
     rhs = quadratic_form(rho, gradient(pauli, x))
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
+
+
+def test_weight_tensor_matches_weighted_stack(sz_only):
+    # vec_h(rho) @ W is C^T T(rho) C for any Hermitian rho: T is linear in it
+    rng = np.random.default_rng(12)
+    sets = [rand_lindblad(rng, 3, 2), rand_lindblad(rng, 2, 3), rand_lindblad(rng, 2, 6),
+            sz_only]
+    for l in sets:
+        n, d = l.n, l.complement_vecs.shape[1]
+        rhos = np.array([rand_density(rng, n).mat, rand_density(rng, n).mat,
+                         rand_herm(rng, n), rand_herm(rng, n)])  # PD, then indefinite
+        evals = np.linalg.eigvalsh(rhos[2:])
+        assert evals[:, 0].max() < 0 < evals[:, -1].min()
+        got = (vec_h(rhos) @ l.weight_tensor.reshape(n * n, d * d)).reshape(-1, d, d)
+        ref = _restrict(l, _weighted_stack(l, rhos))
+        for g, r in zip(got, ref):
+            np.testing.assert_allclose(g, r, rtol=0, atol=1e-13 * np.abs(r).max())
+
+
+def test_solve_potentials_gates(pauli, three_level_pair, monkeypatch):
+    rng = np.random.default_rng(13)
+    rhos = np.array([rand_density(rng, 2).mat for _ in range(3)])
+    fs = np.array([feasible_rhs(rng, pauli).mat for _ in range(3)])
+    xs, tcs = solve_potentials(pauli, rhos, fs)
+    assert xs.shape == (3, 3) and tcs.shape == (3, 3, 3)
+    singular = rhos.copy()
+    singular[1] = np.diag([1.0, 0.0])
+    with pytest.raises(SingularWeight):
+        solve_potentials(pauli, singular, fs)
+    identity = fs.copy()
+    identity[2] = identity[2] + 1e-3 * np.eye(2)
+    with pytest.raises(InfeasibleRHS):
+        solve_potentials(pauli, rhos, identity)
+    # an operator set with empty ker(grad)^perp has only zero potentials
+    flat = LindbladSet([np.eye(2)])
+    assert flat.complement_vecs.shape[1] == 0
+    xs, tcs = solve_potentials(flat, rhos, np.zeros_like(fs))
+    assert xs.shape == (3, 0) and tcs.shape == (3, 0, 0)
+    assert np.array_equal(unvec_h(xs @ flat.complement_vecs.T, 2), np.zeros((3, 2, 2)))
+    # the residual gate still runs, in restricted form, on every system
+    monkeypatch.setattr(momt.elliptic, "RESIDUAL_RTOL", -1.0)
+    with pytest.raises(RuntimeError, match="residual"):
+        solve_potentials(pauli, rhos, fs)
+    l, r0, r1 = three_level_pair
+    with pytest.raises(RuntimeError, match="residual"):
+        optimize_geodesic(l, r0, r1, SolverConfig(K=4))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import momt.elliptic
 from momt import (
     DensityMatrix,
     DiscretePath,
@@ -22,11 +23,13 @@ from momt import (
     optimize_geodesic,
     path_cost,
     solve_potential,
+    unvec_h,
     vec_h,
 )
-from momt.geodesic import _Reduced, _accept_step, _block_tridiag_solve
+from momt.geodesic import _Reduced, _accept_step, _block_tridiag_solve, _discrete_path
 from momt.io import load_problem
-from conftest import FIXTURES, SZ, rand_density
+from momt.lindblad import grad_blocks
+from conftest import FIXTURES, SZ, rand_density, rand_lindblad
 
 
 def finite_difference(fun, y, h=1e-6):
@@ -169,8 +172,8 @@ def test_analytic_hessian_matches_finite_differences(three_level_pair):
     rng = np.random.default_rng(0)
     y = 0.02 * rng.standard_normal(red.d * (red.big_k - 1))
     assert red.feasible(y)
-    _, _, xs, _, tcs = red.value_grad(y)
-    h = dense_block_tridiag(*red.hessian(xs, tcs))
+    _, _, _, us, tcs = red.value_grad(y)
+    h = dense_block_tridiag(*red.hessian(us, tcs))
     fd = finite_difference(lambda z: red.value_grad(z)[1], y)
     np.testing.assert_allclose(h, fd, rtol=1e-6, atol=1e-8)
 
@@ -234,27 +237,90 @@ def test_continuity_residual_matches_interval_loop(three_level_pair, pauli, swap
             <= 1e-15
 
 
-def test_batched_sweep_matches_interval_loop(three_level_pair):
-    l, r0, r1 = three_level_pair
-    red = _Reduced(l, r0, r1, 6, 1e-8)
-    rng = np.random.default_rng(1)
-    y = 0.02 * rng.standard_normal(red.d * (red.big_k - 1))
-    assert red.feasible(y)
-    total, g, xs, ms, _ = red.value_grad(y)
-    ref_total, ref_g = loop_value_grad(red, y)
-    ref_xs, _, ref_ms, _ = loop_intervals(l, red.nodes(y), red.dt)
-    np.testing.assert_allclose(total, ref_total, rtol=1e-12)
-    np.testing.assert_allclose(g, ref_g, rtol=1e-12, atol=1e-12 * np.abs(ref_g).max())
-    for got, ref in [(xs, ref_xs), (ms, ref_ms)]:
-        np.testing.assert_allclose(np.array(got), np.array(ref),
-                                   atol=1e-12 * np.abs(np.array(ref)).max())
+def six_level_set():
+    """Random n = 6 operators and endpoints: a larger complement (d = 35) than the pair."""
+    rng = np.random.default_rng(6)
+    return rand_lindblad(rng, 2, 6), rand_density(rng, 6, 0.1), rand_density(rng, 6, 0.1)
 
-    path = DiscretePath(K=red.big_k, grid=np.linspace(0, 1, red.big_k + 1),
-                        densities=red.nodes(y), momenta=ms, potentials=xs)
-    lam, value = dual_certificate(l, path)
-    ref_lam, ref_value = loop_dual_certificate(l, path)
-    np.testing.assert_allclose(value, ref_value, rtol=1e-12)
-    np.testing.assert_allclose(lam, np.array(ref_lam), atol=1e-12 * np.abs(ref_lam).max())
+
+def test_batched_sweep_matches_interval_loop(three_level_pair):
+    for l, r0, r1 in [three_level_pair, six_level_set()]:
+        red = _Reduced(l, r0, r1, 6, 1e-8)
+        rng = np.random.default_rng(1)
+        y = 0.02 * rng.standard_normal(red.d * (red.big_k - 1))
+        assert red.feasible(y)
+        total, g, xcs, _, _ = red.value_grad(y)
+        ref_total, ref_g = loop_value_grad(red, y)
+        ref_xs, _, ref_ms, _ = loop_intervals(l, red.nodes(y), red.dt)
+        np.testing.assert_allclose(total, ref_total, rtol=1e-12)
+        np.testing.assert_allclose(g, ref_g, rtol=1e-12, atol=1e-12 * np.abs(ref_g).max())
+        # the returned path's X_k = unvec_h(C x_k) and momenta grad(X_k) mid_k
+        path = _discrete_path(l, red.nodes(y), xcs)
+        for got, ref in [(path.potentials, ref_xs), (path.momenta, ref_ms)]:
+            np.testing.assert_allclose(np.array(got), np.array(ref),
+                                       atol=1e-12 * np.abs(np.array(ref)).max())
+
+        lam, value = dual_certificate(l, path)
+        ref_lam, ref_value = loop_dual_certificate(l, path)
+        np.testing.assert_allclose(value, ref_value, rtol=1e-12)
+        np.testing.assert_allclose(lam, np.array(ref_lam),
+                                   atol=1e-12 * np.abs(ref_lam).max())
+
+
+def move_coupling(l, xs, dt):
+    """Reference coupling M_k[a, b] = dt <h_a; T(h_b) X_k>, h_a = unvec_h(C e_a).
+
+    M_k[a, b] = dt Re tr(h_b S_ak) with S_ak = sum_j (grad_j h_a)^* grad_j X_k,
+    since <Z; T(mu) X> is Re tr(mu sum_j (grad_j Z)^* grad_j X).
+    """
+    n, c = l.n, l.complement_vecs
+    d, big_k = c.shape[1], xs.shape[0]
+    moves = unvec_h(c.T, n)
+    adj = np.conj(grad_blocks(l, moves)).transpose(0, 3, 1, 2).reshape(d * n, -1)
+    cols = np.conj(moves).reshape(d, n * n).T
+    s = adj @ grad_blocks(l, xs).reshape(big_k, -1, n)
+    return dt * (s.reshape(big_k, d, n * n) @ cols).real
+
+
+def test_couplings_match_gram_and_move_formula(three_level_pair):
+    for l, r0, r1 in [three_level_pair, six_level_set()]:
+        red = _Reduced(l, r0, r1, 6, 1e-8)
+        y = 0.02 * np.random.default_rng(2).standard_normal(red.d * (red.big_k - 1))
+        _, _, xcs, us, _ = red.value_grad(y)
+        xs = unvec_h(xcs @ red.c.T, l.n)
+        ref = vec_h(np.array([loop_gram(v) for v in grad_blocks(l, xs)])) @ red.c
+        np.testing.assert_allclose((us @ xcs[..., None])[..., 0], ref,
+                                   rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+        ref = move_coupling(l, xs, red.dt)
+        np.testing.assert_allclose(red.dt * np.swapaxes(us, -1, -2), ref,
+                                   rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+
+def test_solve_assembles_no_weighted_matrix(three_level_pair, monkeypatch):
+    l, r0, r1 = three_level_pair
+    ref = optimize_geodesic(l, r0, r1, SolverConfig(K=8))
+
+    def refuse(*args):
+        raise AssertionError("the solve assembled an n^2 x n^2 weighted matrix")
+
+    monkeypatch.setattr(momt.elliptic, "_weighted_stack", refuse)
+    res = optimize_geodesic(l, r0, r1, SolverConfig(K=8))
+    assert res.converged and res.iterations == ref.iterations
+    np.testing.assert_allclose(res.distance, ref.distance, rtol=1e-13)
+
+
+def test_weight_tensors_cached_and_read_only(three_level_pair):
+    ops, r0, r1 = three_level_pair[0].ops, *three_level_pair[1:]
+    l = LindbladSet(list(ops))
+    assert "weight_tensor" not in vars(l)  # built on first use, not with the set
+    optimize_geodesic(l, r0, r1, SolverConfig(K=4))
+    tensors = vars(l)["weight_tensor"], vars(l)["complement_tensor"]
+    optimize_geodesic(l, r1, r0, SolverConfig(K=8))
+    assert vars(l)["weight_tensor"] is tensors[0]
+    assert vars(l)["complement_tensor"] is tensors[1]
+    for t in tensors:
+        with pytest.raises(ValueError):
+            t[0, 0, 0] = 1.0
 
 
 def test_solver_on_swap_instance(pauli, swap_endpoints, frozen_fixture):

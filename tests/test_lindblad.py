@@ -164,3 +164,20 @@ def test_heat_flow_unstable_step_raises(pauli):
     rho = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
     with pytest.raises(StabilityError, match="steps"):
         heat_flow(pauli, rho, 5.0, 2)
+
+
+def test_thin_svd_kernel_matches_full_svd(monkeypatch):
+    # the kernel build reads only s and vh; the thin SVD must give the same
+    # bases, bit for bit, as the full one that also forms the unused U
+    rng = np.random.default_rng(11)
+    sets = [[SZ], [SX, SY, SZ], [SX, SZ]]
+    sets += [[rand_herm(rng, n) for _ in range(count)]
+             for n in (2, 3, 5, 8) for count in (1, 2, 3)]
+    thin = [LindbladSet(ops) for ops in sets]
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda a, full_matrices=True, **kw: svd(a, full_matrices=True, **kw))
+    for ops, l in zip(sets, thin):
+        full = LindbladSet(ops)
+        assert np.array_equal(l.kernel_vecs, full.kernel_vecs)
+        assert np.array_equal(l.complement_vecs, full.complement_vecs)
