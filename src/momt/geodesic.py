@@ -57,7 +57,7 @@ import numpy as np
 
 from .action import kinetic_values
 from .elliptic import solve_potentials
-from .hermitian import DensityMatrix, _entries, gram, unvec_h, vec_h
+from .hermitian import DensityMatrix, _entries, gram, hermitian_part, unvec_h, vec_h
 from .lindblad import LindbladSet, div_blocks, grad_blocks
 
 
@@ -117,7 +117,7 @@ def continuity_residual(l: LindbladSet, path: DiscretePath) -> float:
     """Max over intervals of |rho_{k+1} - rho_k - (dt/2) div(m_k - m_k*)|."""
     ms, dt = path.momenta, 1.0 / path.K
     div = div_blocks(l, ms - np.conj(np.swapaxes(ms, -1, -2)))
-    div = 0.5 * (div + np.conj(np.swapaxes(div, -1, -2)))  # as divergence() returns it
+    div = hermitian_part(div)  # as divergence() returns it
     diff = path.densities[1:] - path.densities[:-1] - 0.5 * dt * div
     return float(np.max(np.linalg.norm(diff, axis=(-2, -1))))
 
@@ -179,6 +179,7 @@ class _Reduced:
     basis of ker(grad)^perp, so unit trace and endpoint reachability are
     automatic for every candidate.  Nodes are a (K+1, n, n) stack and all
     K interval systems are solved in one batched call, for x_k = C^T vec_h(X_k).
+    feasible and value_grad take the stack nodes(y), so a trial builds it once.
     """
 
     def __init__(self, l, r0, r1, big_k, floor):
@@ -195,14 +196,13 @@ class _Reduced:
         out[1:-1] += unvec_h(y.reshape(-1, self.d) @ self.c.T, self.l.n)
         return out
 
-    def feasible(self, y: np.ndarray) -> bool:
-        nodes = self.nodes(y)
+    def feasible(self, nodes: np.ndarray) -> bool:
         mids = 0.5 * (nodes[:-1] + nodes[1:])
         lows = np.linalg.eigvalsh(np.concatenate([nodes[1:-1], mids]))[:, 0]
         return bool(np.all(lows > self.floor))
 
-    def value_grad(self, y: np.ndarray):
-        """(E, grad E, potential coordinates x_k, couplings U_k, systems A_k) at y.
+    def value_grad(self, nodes: np.ndarray):
+        """(E, grad E, potential coordinates x_k, couplings U_k, systems A_k) at nodes(y).
 
         With h_a = unvec_h(C e_a) and V[a, e, f] = <h_e; T(h_a) h_f>
         (l.complement_tensor), U_k = V x_k over f has U_k[a, e] =
@@ -211,7 +211,7 @@ class _Reduced:
         2(X_{j-1} - X_j) - (dt/2)(Gram(grad X_{j-1}) + Gram(grad X_j)) is
         g_j = 2(x_{j-1} - x_j) - (dt/2)(U_{j-1} x_{j-1} + U_j x_j).
         """
-        fs, xs, tcs = _intervals(self.l, self.nodes(y), self.dt)
+        fs, xs, tcs = _intervals(self.l, nodes, self.dt)
         actions = np.sum((vec_h(fs) @ self.c) * xs, axis=-1)  # <f_k; X_k>
         total = float(np.sum(self.dt * actions))
         d = self.d
@@ -339,9 +339,9 @@ def optimize_geodesic(l: LindbladSet, rho0, rho1, config: SolverConfig | None = 
 
     reduced = _Reduced(l, r0, r1, cfg.K, cfg.eps_pd)
     y = np.zeros((cfg.K - 1) * reduced.d)
-    cost, grad, xs, us, tcs = reduced.value_grad(y)
-    gnorm = float(np.linalg.norm(grad))
     nodes = reduced.nodes(y)
+    cost, grad, xs, us, tcs = reduced.value_grad(nodes)
+    gnorm = float(np.linalg.norm(grad))
     trace_drift = _trace_drift(nodes)
     iterates = [nodes] if record_iterates else None
 
@@ -359,8 +359,9 @@ def optimize_geodesic(l: LindbladSet, rho0, rho1, config: SolverConfig | None = 
         step, accepted = 1.0, False
         for _ in range(60):
             cand = y + step * d
-            if reduced.feasible(cand):
-                c_cost, c_grad, c_xs, c_us, c_tcs = reduced.value_grad(cand)
+            c_nodes = reduced.nodes(cand)
+            if reduced.feasible(c_nodes):
+                c_cost, c_grad, c_xs, c_us, c_tcs = reduced.value_grad(c_nodes)
                 if _accept_step(cost, slope, step, c_cost, float(c_grad @ d)):
                     accepted = True
                     break
@@ -368,10 +369,9 @@ def optimize_geodesic(l: LindbladSet, rho0, rho1, config: SolverConfig | None = 
         if not accepted:
             warnings_list.append("boundary-hit")
             break
-        y, cost, grad, xs, us, tcs = cand, c_cost, c_grad, c_xs, c_us, c_tcs
+        y, nodes, cost, grad, xs, us, tcs = cand, c_nodes, c_cost, c_grad, c_xs, c_us, c_tcs
         gnorm = float(np.linalg.norm(grad))
         iterations += 1
-        nodes = reduced.nodes(y)
         trace_drift = max(trace_drift, _trace_drift(nodes))
         if record_iterates:
             iterates.append(nodes)

@@ -61,8 +61,10 @@ def _entries(x) -> np.ndarray:
     return np.asarray(x, dtype=complex)
 
 
-def _herm_defect(a: np.ndarray) -> float:
-    return 0.5 * float(np.linalg.norm(a - a.conj().T))
+def hermitian_part(x) -> np.ndarray:
+    """(A + A^*)/2 over the last two axes, for a matrix or a stack of them."""
+    a = _entries(x)
+    return 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
 
 
 class HermitianMatrix:
@@ -76,13 +78,13 @@ class HermitianMatrix:
         a = np.array(_entries(entries), dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-        defect = _herm_defect(a)
+        defect = 0.5 * float(np.linalg.norm(a - a.conj().T))
         if defect > tol * max(1.0, float(np.linalg.norm(a))):
             raise SymmetryError(
                 f"matrix is not Hermitian: symmetry defect {defect:.3e} "
                 f"exceeds tolerance {tol:.1e}"
             )
-        a = 0.5 * (a + a.conj().T)
+        a = hermitian_part(a)
         a.setflags(write=False)
         self.mat = a
         self.n = a.shape[0]
@@ -92,9 +94,6 @@ class HermitianMatrix:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.mat))
-
-    def eigvals(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.mat)
 
     def min_eig(self) -> float:
         return float(np.linalg.eigvalsh(self.mat)[0])
@@ -160,16 +159,15 @@ class OperatorStack:
             raise DimensionMismatch(f"expected shape (N, n, n), got {b.shape}")
         if flavor not in _FLAVORS:
             raise FlavorError(f"unknown flavor {flavor!r}; expected one of {_FLAVORS}")
-        if flavor == "hermitian":
+        if flavor != "general":
+            # B = +B^* or -B^*: negating the adjoint is exact, so one check serves both
             adj = np.conj(np.transpose(b, (0, 2, 1)))
+            if flavor == "skew":
+                adj = -adj
             if 0.5 * np.linalg.norm(b - adj) > tol * max(1.0, np.linalg.norm(b)):
-                raise FlavorError("blocks are not Hermitian within tolerance")
+                kind = "Hermitian" if flavor == "hermitian" else "skew-Hermitian"
+                raise FlavorError(f"blocks are not {kind} within tolerance")
             b = 0.5 * (b + adj)
-        elif flavor == "skew":
-            adj = np.conj(np.transpose(b, (0, 2, 1)))
-            if 0.5 * np.linalg.norm(b + adj) > tol * max(1.0, np.linalg.norm(b)):
-                raise FlavorError("blocks are not skew-Hermitian within tolerance")
-            b = 0.5 * (b - adj)
         b.setflags(write=False)
         self.blocks = b
         self.flavor = flavor

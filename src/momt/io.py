@@ -108,6 +108,7 @@ def _literal_at(obj, path: str) -> np.ndarray:
     for key in ("n", "re", "im"):
         if key not in obj:
             raise ParseError(path, f"matrix literal is missing {key!r}")
+    _int_at(obj["n"], f"{path}.n")
     try:
         mat = matrix_from_literal(obj)
     except (DimensionMismatch, TypeError, ValueError) as exc:

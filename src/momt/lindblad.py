@@ -30,6 +30,7 @@ from .hermitian import (
     OperatorStack,
     _entries,
     hermitian_basis,
+    hermitian_part,
     unvec_h,
     vec_h,
     vec_s,
@@ -60,7 +61,9 @@ class LindbladSet:
     weight_tensor : real ndarray (n^2, d, d), d = n^2 - kernel_dim, built on
         first use: W[c, a, e] = <h_a; T(B_c) h_e> for h_a = unvec_h(C e_a),
         C = complement_vecs, B_c the Hermitian basis and T the weighted
-        operator of elliptic, so that C^T T(rho) C = vec_h(rho) @ W
+        operator of elliptic, so that C^T T(rho) C = vec_h(rho) @ W; the
+        only assembly of T, for the solver's potential solves and for
+        WeightedOperator
     complement_tensor : real ndarray (d, d, d), built on first use, V[a, e, f]
         = sum_c C_ca W[c, e, f] = <h_e; T(h_a) h_f>.  The two tensors hold
         n^2 d^2 + d^3 floats, about 16 MB at n = 10.
@@ -78,7 +81,6 @@ class LindbladSet:
         self.ops = ops
         self.n = n
         self.count = len(mats)
-        self.operators = mats
         self._build_grad_matrix()
         self._build_kernel()
 
@@ -225,7 +227,7 @@ def heat_flow(l: LindbladSet, rho0: DensityMatrix, t_final: float, steps: int,
         k1 = rhs(rho)
         k2 = rhs(rho + 0.5 * dt * k1)
         rho = rho + dt * k2
-        rho = 0.5 * (rho + rho.conj().T)
+        rho = hermitian_part(rho)
         lo = float(np.linalg.eigvalsh(rho)[0])
         if lo < -1e-8:
             raise StabilityError(

@@ -28,6 +28,7 @@ from .hermitian import (
     HermitianMatrix,
     OperatorStack,
     gram,
+    hermitian_part,
     inner_product,
     unvec_h,
     vec_h,
@@ -50,7 +51,7 @@ class Check:
 
 def rand_herm(rng, n: int) -> np.ndarray:
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return 0.5 * (g + g.conj().T)
+    return hermitian_part(g)
 
 
 def rand_skew_stack(rng, count: int, n: int) -> OperatorStack:

@@ -2,8 +2,10 @@
 
 T_rho X = div((grad(X) rho + rho grad(X)) / 2) is evaluated here block by
 block from the library's gradient and divergence.  It bypasses the
-assembled matrix representation behind ``WeightedOperator.apply``, which
-``test_weighted_operator_two_routes`` compares against it.
+operator set's weight tensor, the only assembly of T_rho in the library:
+``test_weighted_operator_two_routes`` compares ``WeightedOperator.apply``
+against it, and ``test_weight_tensor_matches_blockwise_oracle`` the
+restricted systems C^T T_rho C.
 """
 
 from __future__ import annotations

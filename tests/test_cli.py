@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ def test_distance_converged_exit_zero(capsys):
 
 
 def test_distance_identical_endpoints(tmp_path, capsys):
-    doc = json.loads(open(PAULI).read())
+    doc = json.loads(Path(PAULI).read_text())
     doc["rho1"] = doc["rho0"]
     prob = tmp_path / "same.json"
     prob.write_text(json.dumps(doc))
@@ -56,6 +57,8 @@ MALFORMED = [
     (lambda d: d["lindblad"].update(n="x"), "error: $.lindblad.n:"),
     (lambda d: d["lindblad"].update(operators=5), "error: $.lindblad.operators:"),
     (_set_nan_entry, "error: $.lindblad.operators[0]:"),
+    (lambda d: d["rho0"].update(n=2.5), "error: $.rho0.n:"),
+    (lambda d: d["rho0"].update(n="2"), "error: $.rho0.n:"),
     (lambda d: d.update(config={"K": 2.7}), "error: $.config.K:"),
     (lambda d: d.update(config={"grad_tol": float("nan")}), "error: $.config.grad_tol:"),
     (lambda d: d.update(config={"grad_tol": -1.0}), "error: $.config.grad_tol:"),
@@ -70,7 +73,7 @@ MALFORMED = [
 
 def test_distance_parse_error_exit_one(tmp_path, capsys):
     for i, (edit, expected) in enumerate(MALFORMED):
-        doc = json.loads(open(PAULI).read())
+        doc = json.loads(Path(PAULI).read_text())
         edit(doc)
         bad = tmp_path / f"bad{i}.json"
         bad.write_text(json.dumps(doc))
@@ -123,7 +126,7 @@ def test_operator_info_pauli(capsys):
 
 
 def test_operator_info_degenerate_set(tmp_path, capsys):
-    doc = json.loads(open(PAULI).read())
+    doc = json.loads(Path(PAULI).read_text())
     doc["lindblad"]["operators"] = [matrix_to_literal(np.eye(2))]
     prob = tmp_path / "identity.json"
     prob.write_text(json.dumps(doc))

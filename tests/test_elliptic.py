@@ -12,6 +12,7 @@ from momt import (
     OperatorStack,
     SingularWeight,
     SolverConfig,
+    WeightedOperator,
     WeightError,
     assemble_weighted,
     gradient,
@@ -28,7 +29,7 @@ from momt import (
     unvec_stack,
     vec_h,
 )
-from momt.elliptic import _restrict, _weighted_stack, solve_potentials
+from momt.elliptic import solve_potentials
 from conftest import (
     SZ,
     rand_density,
@@ -227,8 +228,10 @@ def test_inner_product_against_quadratic_route(pauli):
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
 
-def test_weight_tensor_matches_weighted_stack(sz_only):
-    # vec_h(rho) @ W is C^T T(rho) C for any Hermitian rho: T is linear in it
+def test_weight_tensor_matches_blockwise_oracle(sz_only):
+    # vec_h(rho) @ W is C^T T(rho) C for any Hermitian rho: T is linear in it.
+    # Oracle: ref[a, e] = vec_h(h_a) . vec_h(T(rho) h_e), h_a = unvec_h(C e_a),
+    # with T applied block by block from gradient and divergence
     rng = np.random.default_rng(12)
     sets = [rand_lindblad(rng, 3, 2), rand_lindblad(rng, 2, 3), rand_lindblad(rng, 2, 6),
             sz_only]
@@ -239,9 +242,23 @@ def test_weight_tensor_matches_weighted_stack(sz_only):
         evals = np.linalg.eigvalsh(rhos[2:])
         assert evals[:, 0].max() < 0 < evals[:, -1].min()
         got = (vec_h(rhos) @ l.weight_tensor.reshape(n * n, d * d)).reshape(-1, d, d)
-        ref = _restrict(l, _weighted_stack(l, rhos))
-        for g, r in zip(got, ref):
-            np.testing.assert_allclose(g, r, rtol=0, atol=1e-13 * np.abs(r).max())
+        hs = unvec_h(l.complement_vecs.T, n)
+        for g, rho in zip(got, rhos):
+            t_hs = np.array([vec_h(apply_weighted(l, HermitianMatrix(rho), h).mat)
+                             for h in hs])
+            ref = vec_h(hs) @ t_hs.T
+            np.testing.assert_allclose(g, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_solve_potential_is_one_interval_of_solve_potentials(n):
+    rng = np.random.default_rng(20 + n)
+    l = rand_lindblad(rng, 2, n)
+    rho, f = rand_density(rng, n), feasible_rhs(rng, l)
+    got = solve_potential(WeightedOperator(l, rho), f)
+    xs, _ = solve_potentials(l, rho.mat[None], f.mat[None])
+    expect = HermitianMatrix(unvec_h(xs @ l.complement_vecs.T, n)[0])
+    assert np.array_equal(got.mat, expect.mat)
 
 
 def test_solve_potentials_gates(pauli, three_level_pair, monkeypatch):

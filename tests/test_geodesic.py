@@ -160,9 +160,9 @@ def test_analytic_gradient_matches_finite_differences(pauli, swap_endpoints,
         red = _Reduced(l, r0, r1, 6, 1e-8)
         rng = np.random.default_rng(0)
         y = 0.02 * rng.standard_normal(red.d * (red.big_k - 1))
-        assert red.feasible(y)
-        g = red.value_grad(y)[1]
-        fd = finite_difference(lambda z: red.value_grad(z)[0], y)
+        assert red.feasible(red.nodes(y))
+        g = red.value_grad(red.nodes(y))[1]
+        fd = finite_difference(lambda z: red.value_grad(red.nodes(z))[0], y)
         np.testing.assert_allclose(g, fd, rtol=1e-6, atol=1e-8)
 
 
@@ -171,10 +171,10 @@ def test_analytic_hessian_matches_finite_differences(three_level_pair):
     red = _Reduced(l, r0, r1, 6, 1e-8)
     rng = np.random.default_rng(0)
     y = 0.02 * rng.standard_normal(red.d * (red.big_k - 1))
-    assert red.feasible(y)
-    _, _, _, us, tcs = red.value_grad(y)
+    assert red.feasible(red.nodes(y))
+    _, _, _, us, tcs = red.value_grad(red.nodes(y))
     h = dense_block_tridiag(*red.hessian(us, tcs))
-    fd = finite_difference(lambda z: red.value_grad(z)[1], y)
+    fd = finite_difference(lambda z: red.value_grad(red.nodes(z))[1], y)
     np.testing.assert_allclose(h, fd, rtol=1e-6, atol=1e-8)
 
 
@@ -248,8 +248,8 @@ def test_batched_sweep_matches_interval_loop(three_level_pair):
         red = _Reduced(l, r0, r1, 6, 1e-8)
         rng = np.random.default_rng(1)
         y = 0.02 * rng.standard_normal(red.d * (red.big_k - 1))
-        assert red.feasible(y)
-        total, g, xcs, _, _ = red.value_grad(y)
+        assert red.feasible(red.nodes(y))
+        total, g, xcs, _, _ = red.value_grad(red.nodes(y))
         ref_total, ref_g = loop_value_grad(red, y)
         ref_xs, _, ref_ms, _ = loop_intervals(l, red.nodes(y), red.dt)
         np.testing.assert_allclose(total, ref_total, rtol=1e-12)
@@ -286,7 +286,7 @@ def test_couplings_match_gram_and_move_formula(three_level_pair):
     for l, r0, r1 in [three_level_pair, six_level_set()]:
         red = _Reduced(l, r0, r1, 6, 1e-8)
         y = 0.02 * np.random.default_rng(2).standard_normal(red.d * (red.big_k - 1))
-        _, _, xcs, us, _ = red.value_grad(y)
+        _, _, xcs, us, _ = red.value_grad(red.nodes(y))
         xs = unvec_h(xcs @ red.c.T, l.n)
         ref = vec_h(np.array([loop_gram(v) for v in grad_blocks(l, xs)])) @ red.c
         np.testing.assert_allclose((us @ xcs[..., None])[..., 0], ref,
@@ -301,9 +301,9 @@ def test_solve_assembles_no_weighted_matrix(three_level_pair, monkeypatch):
     ref = optimize_geodesic(l, r0, r1, SolverConfig(K=8))
 
     def refuse(*args):
-        raise AssertionError("the solve assembled an n^2 x n^2 weighted matrix")
+        raise AssertionError("the solve built an n^2 x n^2 WeightedOperator")
 
-    monkeypatch.setattr(momt.elliptic, "_weighted_stack", refuse)
+    monkeypatch.setattr(momt.elliptic.WeightedOperator, "__init__", refuse)
     res = optimize_geodesic(l, r0, r1, SolverConfig(K=8))
     assert res.converged and res.iterations == ref.iterations
     np.testing.assert_allclose(res.distance, ref.distance, rtol=1e-13)
