@@ -52,7 +52,6 @@ from .geodesic import (
     dual_certificate,
     feasibility_gap,
     hamiltonian_profile,
-    hj_residuals,
     initial_path,
     optimize_geodesic,
 )

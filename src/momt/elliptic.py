@@ -196,7 +196,7 @@ def poincare_constant(l: LindbladSet, rho) -> float:
             stacklevel=2,
         )
         return 0.0
-    return WeightedOperator(l, r).restricted_min_eig
+    return float(np.linalg.eigvalsh(_systems(l, r[None])[0])[0])
 
 
 @dataclass
@@ -215,7 +215,8 @@ def momentum_min_check(l: LindbladSet, rho, f) -> MomentumCheck:
     the two agree (strong duality of a linearly-constrained quadratic).
     """
     r = _weight(rho)
-    x = solve_potential(WeightedOperator(l, r), f)
+    xc, _ = solve_potentials(l, r[None], _entries(f)[None])
+    x = HermitianMatrix(unvec_h(xc @ l.complement_vecs.T, l.n)[0])
     v = gradient(l, x)
     m = OperatorStack(np.einsum("kij,jl->kil", v.blocks, r), flavor="general")
     rinv = hermitian_part(np.linalg.inv(r))

@@ -42,11 +42,11 @@ its last digits, where Armijo admits only steps too short to change
 anything.
 
 A converged (or best-effort) path is accompanied by a dual certificate:
-node potentials lambda_k satisfying the discrete Hamilton-Jacobi
-inequality  (lambda_{k+1}-lambda_k)/dt + (1/2)(grad lb_k)^*(grad lb_k) <= 0
-(lb_k the midpoint), whose endpoint pairing bounds the primal action
-from below.  The reported gap is therefore a true optimality certificate,
-not a heuristic.
+the exact discrete dual of the reduced cost (dual_certificate) at the
+path's own interval potentials X_k.  It bounds the squared distance from
+below for any X, and at the solver's X the gap is a sum of nonnegative
+per-node slacks that vanish at a stationary point.  The reported gap is
+therefore a true certificate of how far the descent stopped from optimal.
 """
 
 from __future__ import annotations
@@ -87,7 +87,6 @@ class GeodesicResult:
     path: DiscretePath
     distance: float
     primal_cost: float
-    dual_path: np.ndarray     # (K+1, n, n) HJ-feasible node potentials lambda_k
     dual_value: float
     gap: float
     hamiltonian: list
@@ -278,10 +277,10 @@ def _constant_result(l: LindbladSet, r0, cfg: SolverConfig,
                         densities=np.repeat(r0.mat[None], cfg.K + 1, axis=0),
                         momenta=np.zeros((cfg.K, l.count, l.n, l.n), dtype=complex),
                         potentials=np.zeros((cfg.K, l.n, l.n), dtype=complex))
-    dual_path, dual_value = dual_certificate(l, path)
+    _, dual_value = dual_certificate(l, path)
     return GeodesicResult(
         path=path, distance=0.0, primal_cost=0.0,
-        dual_path=dual_path, dual_value=dual_value, gap=0.0 - dual_value,
+        dual_value=dual_value, gap=0.0 - dual_value,
         hamiltonian=[0.0] * cfg.K, iterations=0, converged=True,
         grad_norm=0.0, trace_drift=0.0, warnings=warnings_list,
         iterate_nodes=None,
@@ -378,12 +377,11 @@ def optimize_geodesic(l: LindbladSet, rho0, rho1, config: SolverConfig | None = 
         converged = gnorm <= cfg.grad_tol * (1.0 + abs(cost))
 
     path = _discrete_path(l, nodes, xs)
-    dual_path, dual_value = dual_certificate(l, path)
+    _, dual_value = dual_certificate(l, path)
     return GeodesicResult(
         path=path,
         distance=float(np.sqrt(max(cost, 0.0))),
         primal_cost=cost,
-        dual_path=dual_path,
         dual_value=dual_value,
         gap=cost - dual_value,
         hamiltonian=kinetic_values(0.5 * (nodes[:-1] + nodes[1:]), path.momenta),
@@ -396,56 +394,41 @@ def optimize_geodesic(l: LindbladSet, rho0, rho1, config: SolverConfig | None = 
     )
 
 
-def _hj_tops(l: LindbladSet, lam: np.ndarray, dt: float) -> np.ndarray:
-    """Largest eigenvalue of each interval's HJ residual for a (K+1, n, n) node stack.
-
-    The residual on interval k is (lam_{k+1} - lam_k)/dt + (1/2) Gram(grad lb_k)
-    with lb_k the midpoint of the two nodes.
-    """
-    mids = 0.5 * (lam[:-1] + lam[1:])
-    res = (lam[1:] - lam[:-1]) / dt + 0.5 * gram(grad_blocks(l, mids))
-    return np.linalg.eigvalsh(res)[:, -1]
-
-
 def dual_certificate(l: LindbladSet, path: DiscretePath):
-    """Hamilton-Jacobi-feasible node potentials and their certified value.
+    """The exact discrete dual d(X) at X = path.potentials, and its per-node slacks.
 
-    Seeds node values from the interval potentials (midpoint averaging,
-    linear extrapolation at the ends), then shifts each right node by a
-    multiple of the identity so the interval's largest HJ-residual
-    eigenvalue lands exactly at zero.  Identity shifts leave every gradient
-    untouched, so shifting node k+1 moves the residual of interval k+1 by
-    the same multiple of the identity: the shifts are the running sum of
-    the unshifted top eigenvalues, all computed in one batched call.
+    Each interval term of the reduced cost is matrix-fractional in the node
+    difference D_k and the midpoint mu_k, so its conjugate (Boyd &
+    Vandenberghe, Convex Optimization, 3.1.7) gives, for every Hermitian X_k,
+    (1/dt) <D_k; T(mu_k)^{-1} D_k> >= 2 <D_k; X_k> - dt <mu_k; G_k> with
+    G_k = Gram(grad X_k), and equality at the solver's X_k = T(mu_k)^{-1} D_k / dt.
+    Summed over k this is linear in each node: rho_K pairs with
+    2 X_{K-1} - (dt/2) G_{K-1}, rho_0 with -2 X_0 - (dt/2) G_0 and interior
+    node j with C_j = 2 (X_{j-1} - X_j) - (dt/2) (G_{j-1} + G_j), the node
+    gradient of _Reduced.value_grad.  Admissible nodes are unit-trace
+    densities with rho_j - rho_0 orthogonal to ker(grad), so the
+    non-identity kernel part kappa_j of C_j (over kernel_vecs[:, 1:]) pairs
+    with rho_j as with rho_0, and <C_j; rho_j> >= lambda_min(C_j - kappa_j)
+    + <kappa_j; rho_0>.  The node terms add up to d(X) <= primal_cost.
 
-    Returns (lam, dual_value) with lam the (K+1, n, n) node stack.  Scale
-    convention: the raw endpoint pairing <lam_K; rho_K> - <lam_0; rho_0>
-    bounds the action measured in F units; the returned dual_value is
-    twice that, placing it on the same squared-distance scale as
-    primal_cost.
+    Returns (slacks, d(X)), slacks_j = <C_j - kappa_j; rho_j> - lambda_min(C_j - kappa_j).
+    At the solver's potentials the slacks sum to the gap; at a stationary
+    point every C_j - kappa_j is a multiple of I and the gap closes.
     """
-    big_k = path.K
-    dt = 1.0 / big_k
-    xs = path.potentials
-    if big_k == 1:
-        lam = np.stack([xs[0], xs[0]])
-    else:
-        lam = np.concatenate([0.5 * (3.0 * xs[:1] - xs[1:2]),
-                              0.5 * (xs[:-1] + xs[1:]),
-                              0.5 * (3.0 * xs[-1:] - xs[-2:-1])])
-    shifts = np.cumsum(_hj_tops(l, lam, dt))
-    lam[1:] -= (dt * shifts)[:, None, None] * np.eye(l.n)
-    bracket = float(np.trace(lam[-1] @ path.densities[-1]).real) \
-        - float(np.trace(lam[0] @ path.densities[0]).real)
-    return lam, 2.0 * bracket
-
-
-def hj_residuals(l: LindbladSet, lam: np.ndarray) -> list:
-    """Largest eigenvalue of the HJ residual on each interval (feasible: <= 0).
-
-    lam is a (K+1, n, n) node stack, such as the one dual_certificate returns.
-    """
-    return [float(v) for v in _hj_tops(l, lam, 1.0 / (lam.shape[0] - 1))]
+    dt, n, rhos = 1.0 / path.K, l.n, path.densities
+    pad = np.zeros((1, n, n))
+    xs = np.concatenate([pad, path.potentials, pad])
+    gs = np.concatenate([pad, gram(grad_blocks(l, path.potentials)), pad])
+    ps = 2.0 * (xs[:-1] - xs[1:]) - 0.5 * dt * (gs[:-1] + gs[1:])  # pairs with rho_0..rho_K
+    kb = unvec_h(l.kernel_vecs[:, 1:].T, n).reshape(-1, n * n)  # non-identity kernel basis
+    kappas = (ps[1:-1].reshape(-1, n * n) @ np.conj(kb).T).real
+    ps[1:-1] -= (kappas @ kb).reshape(-1, n, n)
+    lows = np.linalg.eigvalsh(ps[1:-1])[:, 0]
+    pairs = np.sum(np.conj(ps) * rhos, axis=(-2, -1)).real
+    slacks = pairs[1:-1] - lows
+    value = pairs[0] + pairs[-1] + lows.sum() \
+        + kappas.sum(axis=0) @ (np.conj(kb) @ rhos[0].ravel()).real
+    return slacks, float(value)
 
 
 def hamiltonian_profile(result: GeodesicResult) -> HamiltonianProfile:

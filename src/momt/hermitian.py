@@ -275,10 +275,8 @@ def vec_s(s) -> np.ndarray:
 
     A stack of shape (..., n, n) maps to coordinates of shape (..., n^2).
     """
-    a = _entries(s)
-    n = a.shape[-1]
-    # <i B_a; S> = -i tr(B_a S), real for skew S
-    return (-1j * np.einsum("aij,...ij->...a", np.conj(hermitian_basis(n)), a)).real
+    # <i B_a; S> = -i tr(B_a S) = <B_a; -i S>, and -i S is Hermitian
+    return vec_h(-1j * _entries(s))
 
 
 def vec_stack(m) -> np.ndarray:

@@ -40,7 +40,7 @@ from .hermitian import (
 )
 from .lindblad import LindbladSet
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _WARNING_TEXT = {
     "kernel-dim": ("the gradient kernel has dimension > 1: the distance is only "
@@ -258,7 +258,6 @@ def geodesic_trace(result: GeodesicResult) -> dict:
         "momenta": [[matrix_to_literal(block) for block in stack]
                     for stack in path.momenta],
         "potentials": [matrix_to_literal(p) for p in path.potentials],
-        "dual_nodes": [matrix_to_literal(m) for m in result.dual_path],
         "hamiltonian": [float(v) for v in result.hamiltonian],
         "distance": result.distance,
         "primal_cost": result.primal_cost,

@@ -285,7 +285,7 @@ def suite_conservation(l: LindbladSet, rho0: DensityMatrix, rho1: DensityMatrix,
     cfg = config or SolverConfig()
 
     try:
-        res = optimize_geodesic(l, rho0, rho1, cfg, record_iterates=True)
+        res = optimize_geodesic(l, rho0, rho1, cfg)
         checks.append(_check("unit trace along every solver iterate",
                              res.trace_drift, 1e-12,
                              extra=f"; {res.iterations} iterations"))

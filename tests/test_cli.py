@@ -91,7 +91,7 @@ def test_distance_json_and_report_file(tmp_path, capsys):
     assert main(["distance", PAULI, "--out", str(out), "--json"]) == 0
     printed = capsys.readouterr().out
     report = json.loads(printed)
-    assert report["schema_version"] == 1
+    assert report["schema_version"] == 2
     assert report["converged"] is True
     assert out.read_text() == printed
 
