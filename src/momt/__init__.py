@@ -47,6 +47,7 @@ from .geodesic import (
     GeodesicResult,
     HamiltonianProfile,
     InfeasibleEndpoints,
+    InvalidConfig,
     SolverConfig,
     continuity_residual,
     dual_certificate,

@@ -14,8 +14,12 @@ This yields:
 
 * solve_potential — the unique X in ker(grad)^perp with T_rho X = f;
   it is the K = 1 case of solve_potentials, which solves K weights from
-  one contraction and one batched Cholesky, and returns ker(grad)^perp
-  coordinates and the restricted systems it solved,
+  one contraction, and returns ker(grad)^perp coordinates and the
+  restricted systems it solved.  Its two halves are shared with the
+  geodesic solver's line search: restricted_systems assembles and gates
+  the data (A_k, C^T f_k, kernel norms), and solve_restricted runs the
+  batched Cholesky gate, one batched inverse and the residual gate, and
+  returns the inverses A_k^{-1} as well,
 * poincare_constant — the smallest restricted eigenvalue (the sharp
   constant c in Q_rho(grad(X - proj X)) >= c |X - proj X|^2),
 * momentum_min_check — the primal/dual pair certifying that m = grad(X) rho
@@ -85,16 +89,15 @@ def _systems(l: LindbladSet, rhos: np.ndarray) -> np.ndarray:
     return (vec_h(rhos) @ l.weight_tensor.reshape(n2, d * d)).reshape(len(rhos), d, d)
 
 
-def solve_potentials(l: LindbladSet, rhos: np.ndarray, fs: np.ndarray):
-    """solve_potential for K raw (n, n) weights and right-hand sides at once.
+def restricted_systems(l: LindbladSet, rhos: np.ndarray, fs: np.ndarray):
+    """Gated restricted data of K weights and right-hand sides: (A_k, c_k, kpart_k).
 
-    rhos and fs are (K, n, n) Hermitian stacks; the systems A_k are one GEMM
-    (_systems), with no n^2 x n^2 matrix formed.  Returns the (K, d)
-    coordinates x_k of the potentials X_k = unvec_h(C x_k) and the A_k.
-    Every gate of solve_potential runs over the whole stack, with the
-    batched Cholesky of all A_k as the positive-definite gate.  T_k maps
-    into ker(grad)^perp, so the residual |T_k X_k - f_k| is read in
-    restricted form as sqrt(|A_k x_k - C^T f_k|^2 + |K^T f_k|^2), K = kernel_vecs.
+    rhos and fs are (K, n, n) Hermitian stacks.  A_k = C^T T(rho_k) C is one
+    GEMM (_systems), with no n^2 x n^2 matrix formed; c_k = C^T vec_h(f_k)
+    and kpart_k = |K^T vec_h(f_k)| (C = complement_vecs, K = kernel_vecs),
+    so |f_k| = hypot(|c_k|, kpart_k).  Raises SingularWeight unless every
+    rho_k has smallest eigenvalue > EPS_PD, and InfeasibleRHS if an f_k has
+    a kernel component beyond 1e-10 |f_k|.
     """
     lo = float(np.linalg.eigvalsh(rhos)[:, 0].min())
     if lo <= EPS_PD:
@@ -102,7 +105,6 @@ def solve_potentials(l: LindbladSet, rhos: np.ndarray, fs: np.ndarray):
             f"weight min eigenvalue {lo:.3e} <= {EPS_PD:.1e}; the restricted "
             "system is not safely invertible"
         )
-    tc = _systems(l, rhos)
     fv = vec_h(fs)
     fnorm = np.linalg.norm(fv, axis=-1)
     kpart = np.linalg.norm(fv @ l.kernel_vecs, axis=-1)
@@ -115,18 +117,43 @@ def solve_potentials(l: LindbladSet, rhos: np.ndarray, fs: np.ndarray):
             f"right-hand side has kernel component {kpart[k]:.3e} (|f| = {fnorm[k]:.3e}); "
             "solvability requires f orthogonal to ker(grad)"
         )
-    # numpy has no batched triangular solve, so the factor only gates
-    np.linalg.cholesky(tc)
-    fc = fv @ l.complement_vecs
-    xc = np.linalg.solve(tc, fc[..., None])[..., 0]
-    residual = np.hypot(np.linalg.norm((tc @ xc[..., None])[..., 0] - fc, axis=-1), kpart)
+    return _systems(l, rhos), fv @ l.complement_vecs, kpart
+
+
+def solve_restricted(tcs: np.ndarray, fcs: np.ndarray, kpart: np.ndarray):
+    """x_k = A_k^{-1} c_k for K restricted systems, and the inverses A_k^{-1}.
+
+    tcs, fcs and kpart are the (K, d, d), (K, d) and (K,) arrays of
+    restricted_systems.  One batched Cholesky of all A_k is the
+    positive-definite gate (numpy has no batched triangular solve, so the
+    factor only gates) and one batched inverse gives every x_k.  T_k maps
+    into ker(grad)^perp, so the residual |T_k X_k - f_k| is read in
+    restricted form as hypot(|A_k x_k - c_k|, kpart_k), and each must stay
+    within RESIDUAL_RTOL * max(|f_k|, 1).
+    """
+    np.linalg.cholesky(tcs)
+    ainv = np.linalg.inv(tcs)
+    xcs = (ainv @ fcs[..., None])[..., 0]
+    residual = np.hypot(np.linalg.norm((tcs @ xcs[..., None])[..., 0] - fcs, axis=-1), kpart)
+    fnorm = np.hypot(np.linalg.norm(fcs, axis=-1), kpart)
     over = residual > RESIDUAL_RTOL * np.maximum(fnorm, 1.0)
     if over.any():
         raise RuntimeError(
             f"potential solve residual {residual[np.argmax(over)]:.3e} exceeds "
             "tolerance; the weighted operator is badly conditioned"
         )
-    return xc, tc
+    return xcs, ainv
+
+
+def solve_potentials(l: LindbladSet, rhos: np.ndarray, fs: np.ndarray):
+    """solve_potential for K raw (n, n) weights and right-hand sides at once.
+
+    Returns the (K, d) coordinates x_k of the potentials X_k = unvec_h(C x_k)
+    and the restricted systems A_k.  Every gate of solve_potential runs over
+    the whole stack: restricted_systems, then solve_restricted.
+    """
+    tcs, fcs, kpart = restricted_systems(l, rhos, fs)
+    return solve_restricted(tcs, fcs, kpart)[0], tcs
 
 
 class WeightedOperator:

@@ -17,11 +17,16 @@ With that reconstruction the per-interval action is <f_k; X_k> with
 f_k = (rho_{k+1} - rho_k)/dt, which is what the optimizer and its
 analytic gradient use.
 
-The descent works on coordinates x_k = C^T vec_h(X_k), C = complement_vecs.
-The K interval systems (elliptic.solve_potentials), the gradient and the
-Hessian coupling are batched contractions of the operator set's cached
-weight_tensor and complement_tensor, so no trial forms grad(X_k), a Gram
-matrix or a momentum; X_k and m_k are rebuilt once, for the returned path.
+The descent works on coordinates: interior-node moves y in ker(grad)^perp
+and potentials x_k = C^T vec_h(X_k), C = complement_vecs.  The straight
+line's K interval systems are assembled from the operator set's cached
+weight_tensor and gated once per solve (elliptic.restricted_systems).  The
+path is affine in y, so a trial's systems are the line's plus one
+contraction of complement_tensor with the midpoint moves, and one gated
+batched inverse (elliptic.solve_restricted) gives both the potentials and
+the A_k^{-1} that the Newton Hessian reuses.  No trial forms vec_h,
+grad(X_k), a Gram matrix or a momentum; X_k and m_k are rebuilt once, for
+the returned path.
 
 The reduced cost E(y) is convex: in restricted coordinates each interval
 term is a matrix-fractional function (1/dt) D^T A(mu)^{-1} D of the node
@@ -29,11 +34,12 @@ difference D and the midpoint mu, with A(mu) = C^T T(mu) C linear in mu.
 Each term couples two adjacent nodes, so the Hessian is block tridiagonal
 with d x d blocks (d = dim ker(grad)^perp).  The descent takes damped
 Newton steps: the direction -H^{-1} g comes from the analytic Hessian
-(_Reduced.hessian, which reuses the factored interval systems A_k) and a
+(_Reduced.hessian, from the trial's inverses A_k^{-1}) and a
 block Thomas solve in O(K d^3) gated by one batched Cholesky of its
 Schur complements (_block_tridiag_solve), with -g as the fallback when H
 is not positive definite or the direction is not a finite descent
-direction.  Backtracking keeps every node and midpoint above the floor.
+direction.  Backtracking keeps every node and midpoint above the floor
+(one batched Cholesky, _Reduced.feasible).
 A step is accepted on the Armijo test, or, when the cost changed by at
 most FLAT_RTOL |E| so that Armijo reads only rounding noise, on the
 approximate-Wolfe bounds of Hager & Zhang (SIAM J. Optim. 2005) for its
@@ -56,8 +62,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .action import kinetic_values
-from .elliptic import solve_potentials
-from .hermitian import DensityMatrix, _entries, gram, hermitian_part, unvec_h, vec_h
+from .elliptic import restricted_systems, solve_potentials, solve_restricted
+from .hermitian import EPS_PD, DensityMatrix, _entries, gram, hermitian_part, unvec_h, vec_h
 from .lindblad import LindbladSet, div_blocks, grad_blocks
 
 
@@ -65,12 +71,40 @@ class InfeasibleEndpoints(ValueError):
     """rho1 - rho0 has a kernel component; no finite-cost connection exists."""
 
 
+class InvalidConfig(ValueError):
+    """A SolverConfig field is out of range; .field names it."""
+
+    def __init__(self, field_name: str, message: str):
+        self.field = field_name
+        self.message = message
+        super().__init__(f"SolverConfig.{field_name}: {message}")
+
+
+# Admissible solver settings.  The line search's floor eps_pd is the only
+# positivity gate of a trial, so it must not pass midpoints that the
+# SingularWeight gate of the potential solve (EPS_PD) would reject.
+_CONFIG_RANGES = {
+    "K": (lambda v: v >= 1, "need at least one interval"),
+    "max_iter": (lambda v: v >= 0, "must be >= 0"),
+    "grad_tol": (lambda v: np.isfinite(v) and v > 0, "must be finite and > 0"),
+    "eps_pd": (lambda v: np.isfinite(v) and v >= EPS_PD,
+               f"must be finite and >= {EPS_PD:g}"),
+}
+
+
 @dataclass
 class SolverConfig:
+    """Solver settings; each is range-checked at construction (InvalidConfig)."""
+
     K: int = 32
     max_iter: int = 500
     grad_tol: float = 1e-7  # scaled by (1 + |cost|) inside the solver
     eps_pd: float = 1e-8    # eigenvalue floor maintained by the line search
+
+    def __post_init__(self):
+        for key, (admissible, message) in _CONFIG_RANGES.items():
+            if not admissible(getattr(self, key)):
+                raise InvalidConfig(key, message)
 
 
 @dataclass
@@ -121,10 +155,9 @@ def continuity_residual(l: LindbladSet, path: DiscretePath) -> float:
     return float(np.max(np.linalg.norm(diff, axis=(-2, -1))))
 
 
-def _intervals(l: LindbladSet, nodes: np.ndarray, dt: float):
-    """f_k = (rho_{k+1} - rho_k)/dt and solve_potentials at the midpoints of rho_0..rho_K."""
-    fs = (nodes[1:] - nodes[:-1]) / dt
-    return (fs, *solve_potentials(l, 0.5 * (nodes[:-1] + nodes[1:]), fs))
+def _intervals(nodes: np.ndarray, dt: float):
+    """Midpoints and rates f_k = (rho_{k+1} - rho_k)/dt of the intervals of rho_0..rho_K."""
+    return 0.5 * (nodes[:-1] + nodes[1:]), (nodes[1:] - nodes[:-1]) / dt
 
 
 def _linear_nodes(r0: np.ndarray, r1: np.ndarray, big_k: int) -> np.ndarray:
@@ -164,7 +197,7 @@ def initial_path(l: LindbladSet, rho0, rho1, big_k: int) -> DiscretePath:
     """
     r0, r1 = _endpoint_guard(l, rho0, rho1)
     nodes = _linear_nodes(r0.mat, r1.mat, big_k)
-    return _discrete_path(l, nodes, _intervals(l, nodes, 1.0 / big_k)[1])
+    return _discrete_path(l, nodes, solve_potentials(l, *_intervals(nodes, 1.0 / big_k))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -176,9 +209,16 @@ class _Reduced:
 
     Interior node j sits at line_j + unvec(C y_j) with C an orthonormal
     basis of ker(grad)^perp, so unit trace and endpoint reachability are
-    automatic for every candidate.  Nodes are a (K+1, n, n) stack and all
-    K interval systems are solved in one batched call, for x_k = C^T vec_h(X_k).
-    feasible and value_grad take the stack nodes(y), so a trial builds it once.
+    automatic for every candidate.  The path is affine in y, and so is
+    every interval's restricted data: with ybar_k = (y_k + y_{k+1})/2
+    (y_0 = y_K = 0) and V = complement_tensor,
+    A_k = A_line,k + ybar_k . V and C^T vec_h(f_k) = C^T vec_h(f_line,k)
+    + (y_{k+1} - y_k)/dt, while the kernel part of f_k is the line's.  So
+    the gates of restricted_systems (SingularWeight, InfeasibleRHS) run
+    once, on the line, and a trial (value_grad) reads only y: no vec_h,
+    no eigvalsh and no kernel norm.  feasible takes the stack nodes(y),
+    which a trial builds once; its floor is >= EPS_PD, so a feasible
+    trial passes the SingularWeight gate too.
     """
 
     def __init__(self, l, r0, r1, big_k, floor):
@@ -189,6 +229,9 @@ class _Reduced:
         self.c = l.complement_vecs
         self.d = self.c.shape[1]
         self.line = _linear_nodes(r0.mat, r1.mat, big_k)
+        self.tcs_line, self.fcs_line, self.kpart = \
+            restricted_systems(l, *_intervals(self.line, self.dt))
+        self.v = l.complement_tensor.reshape(self.d, -1)
 
     def nodes(self, y: np.ndarray) -> np.ndarray:
         out = self.line.copy()
@@ -196,12 +239,28 @@ class _Reduced:
         return out
 
     def feasible(self, nodes: np.ndarray) -> bool:
-        mids = 0.5 * (nodes[:-1] + nodes[1:])
-        lows = np.linalg.eigvalsh(np.concatenate([nodes[1:-1], mids]))[:, 0]
-        return bool(np.all(lows > self.floor))
+        """Every interior node and interval midpoint has eigenvalues > floor.
 
-    def value_grad(self, nodes: np.ndarray):
-        """(E, grad E, potential coordinates x_k, couplings U_k, systems A_k) at nodes(y).
+        One batched Cholesky of the shifted stack.  It does not stop on a
+        NaN, which instead reaches the factor, so a non-finite factor fails too.
+        """
+        mids = 0.5 * (nodes[:-1] + nodes[1:])
+        shifted = np.concatenate([nodes[1:-1], mids]) - self.floor * np.eye(self.l.n)
+        try:
+            return bool(np.isfinite(np.linalg.cholesky(shifted)).all())
+        except np.linalg.LinAlgError:
+            return False
+
+    def systems(self, y: np.ndarray):
+        """(A_k, C^T vec_h(f_k)) of the K intervals of nodes(y)."""
+        d = self.d
+        ys = np.zeros((self.big_k + 1, d))
+        ys[1:-1] = y.reshape(-1, d)
+        tcs = self.tcs_line + (0.5 * (ys[:-1] + ys[1:]) @ self.v).reshape(-1, d, d)
+        return tcs, self.fcs_line + (ys[1:] - ys[:-1]) / self.dt
+
+    def value_grad(self, y: np.ndarray):
+        """(E, grad E, potential coordinates x_k, couplings U_k, inverses A_k^{-1}) at y.
 
         With h_a = unvec_h(C e_a) and V[a, e, f] = <h_e; T(h_a) h_f>
         (l.complement_tensor), U_k = V x_k over f has U_k[a, e] =
@@ -210,37 +269,42 @@ class _Reduced:
         2(X_{j-1} - X_j) - (dt/2)(Gram(grad X_{j-1}) + Gram(grad X_j)) is
         g_j = 2(x_{j-1} - x_j) - (dt/2)(U_{j-1} x_{j-1} + U_j x_j).
         """
-        fs, xs, tcs = _intervals(self.l, nodes, self.dt)
-        actions = np.sum((vec_h(fs) @ self.c) * xs, axis=-1)  # <f_k; X_k>
-        total = float(np.sum(self.dt * actions))
+        tcs, fcs = self.systems(y)
+        xs, ainv = solve_restricted(tcs, fcs, self.kpart)
+        total = float(np.sum(self.dt * np.sum(fcs * xs, axis=-1)))  # dt <f_k; X_k>
         d = self.d
         us = (xs @ self.l.complement_tensor.reshape(d * d, d).T).reshape(len(xs), d, d)
         ux = (us @ xs[..., None])[..., 0]
         g = 2.0 * (xs[:-1] - xs[1:]) - 0.5 * self.dt * (ux[:-1] + ux[1:])
-        return total, g.ravel(), xs, us, tcs
+        return total, g.ravel(), xs, us, ainv
 
-    def hessian(self, us: np.ndarray, tcs: np.ndarray):
+    def hessian(self, us: np.ndarray, ainv: np.ndarray):
         """Diagonal (K-1, d, d) and upper off-diagonal (K-2, d, d) Hessian blocks.
 
-        us and tcs are the couplings U_k and restricted systems A_k that
-        value_grad returned at the point.  In restricted coordinates the
-        interval term is (1/dt) D^T A(mu)^{-1} D with D the node difference
-        and A linear in the midpoint mu; its Hessian in (D, mu) is
-        (2/dt) J^T A^{-1} J with J = [I, -M] and M_k = dt C^T L_{X_k} C,
-        where L_X : mu |-> T(mu) X = div((grad X mu + mu grad X)/2).  So
-        M_k[a, b] = dt <h_a; T(h_b) X_k> = dt U_k[b, a], i.e. M_k = dt U_k^T.
-        With P_k = I - M_k/2 and Q_k = I + M_k/2 node j gets the diagonal
-        block (2/dt)(P_{j-1}^T A_{j-1}^{-1} P_{j-1} + Q_j^T A_j^{-1} Q_j) and
-        the block (j, j+1) is -(2/dt) Q_j^T A_j^{-1} P_j.  Each interval
-        adds a PSD term, so H is PSD.
+        us and ainv are the couplings U_k and inverses A_k^{-1} of the
+        restricted systems that value_grad returned at the point.  In
+        restricted coordinates the interval term is (1/dt) D^T A(mu)^{-1} D
+        with D the node difference and A linear in the midpoint mu; its
+        Hessian in (D, mu) is (2/dt) J^T A^{-1} J with J = [I, -M] and
+        M_k = dt C^T L_{X_k} C, where L_X : mu |-> T(mu) X =
+        div((grad X mu + mu grad X)/2).  So M_k[a, b] = dt <h_a; T(h_b) X_k>
+        = dt U_k[b, a], i.e. M_k = dt U_k^T.  With P_k = I - M_k/2 and
+        Q_k = I + M_k/2 node j gets the diagonal block
+        (2/dt)(P_{j-1}^T A_{j-1}^{-1} P_{j-1} + Q_j^T A_j^{-1} Q_j) and the
+        block (j, j+1) is -(2/dt) Q_j^T A_j^{-1} P_j.  Each interval adds a
+        PSD term, so H is PSD.  As A^{-1} is symmetric, all three come
+        from two products, AM = A^{-1} M and Z = M^T AM / 4: with S and R
+        the symmetric and skew parts of AM, P^T A^{-1} P = A^{-1} - S + Z,
+        Q^T A^{-1} Q = A^{-1} + S + Z and Q^T A^{-1} P = A^{-1} - R - Z.
         """
-        d, m = self.d, self.dt * np.swapaxes(us, -1, -2)
-        p, q = np.eye(d) - 0.5 * m, np.eye(d) + 0.5 * m
-        ainv = np.linalg.solve(tcs, np.concatenate([p, q], axis=-1))
-        ainv_p, ainv_q = ainv[..., :d], ainv[..., d:]
-        pt, qt = np.swapaxes(p, -1, -2), np.swapaxes(q, -1, -2)
-        diag = (2.0 / self.dt) * (pt[:-1] @ ainv_p[:-1] + qt[1:] @ ainv_q[1:])
-        off = -(2.0 / self.dt) * (qt[1:-1] @ ainv_p[1:-1])
+        m = self.dt * np.swapaxes(us, -1, -2)
+        am = ainv @ m
+        amt = np.swapaxes(am, -1, -2)
+        sym, skew = 0.5 * (am + amt), 0.5 * (am - amt)
+        mam = 0.25 * (np.swapaxes(m, -1, -2) @ am)
+        base = ainv + mam
+        diag = (2.0 / self.dt) * ((base[:-1] - sym[:-1]) + (base[1:] + sym[1:]))
+        off = -(2.0 / self.dt) * (ainv[1:-1] - skew[1:-1] - mam[1:-1])
         return diag, off
 
 
@@ -255,19 +319,24 @@ def _block_tridiag_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> 
     after the sweep is the gate: it raises np.linalg.LinAlgError when H is
     not positive definite (so does the sweep on an exactly singular S_j).
     """
-    gains, parts, schurs = [], [], [diag[0]]  # S_j^{-1} B_j, S_j^{-1} r_j, S_j
+    m, d = rhs.shape
+    # row block j holds [B_j | r_j], then S_j^{-1} [B_j | r_j] in place
+    cols = np.empty((m - 1, d, d + 1))
+    cols[:, :, :d] = off
+    schurs = np.empty((m, d, d))
+    schurs[0] = diag[0]
     r = rhs[0]
-    for j in range(rhs.shape[0] - 1):
-        z = np.linalg.solve(schurs[-1], np.column_stack([off[j], r]))
-        gains.append(z[:, :-1])
-        parts.append(z[:, -1])
-        schurs.append(diag[j + 1] - off[j].T @ gains[-1])
-        r = rhs[j + 1] - off[j].T @ parts[-1]
-    np.linalg.cholesky(np.stack(schurs))
-    x = [np.linalg.solve(schurs[-1], r)]
-    for gain, part in zip(reversed(gains), reversed(parts)):
-        x.append(part - gain @ x[-1])
-    return np.array(x[::-1])
+    for j in range(m - 1):
+        cols[j, :, d] = r
+        z = cols[j] = np.linalg.solve(schurs[j], cols[j])
+        schurs[j + 1] = diag[j + 1] - off[j].T @ z[:, :d]
+        r = rhs[j + 1] - off[j].T @ z[:, d]
+    np.linalg.cholesky(schurs)
+    x = np.empty((m, d))
+    x[-1] = np.linalg.solve(schurs[-1], r)
+    for j in range(m - 2, -1, -1):
+        x[j] = cols[j, :, d] - cols[j, :, :d] @ x[j + 1]
+    return x
 
 
 def _constant_result(l: LindbladSet, r0, cfg: SolverConfig,
@@ -339,7 +408,7 @@ def optimize_geodesic(l: LindbladSet, rho0, rho1, config: SolverConfig | None = 
     reduced = _Reduced(l, r0, r1, cfg.K, cfg.eps_pd)
     y = np.zeros((cfg.K - 1) * reduced.d)
     nodes = reduced.nodes(y)
-    cost, grad, xs, us, tcs = reduced.value_grad(nodes)
+    cost, grad, xs, us, ainv = reduced.value_grad(y)
     gnorm = float(np.linalg.norm(grad))
     trace_drift = _trace_drift(nodes)
     iterates = [nodes] if record_iterates else None
@@ -348,7 +417,7 @@ def optimize_geodesic(l: LindbladSet, rho0, rho1, config: SolverConfig | None = 
     converged = gnorm <= cfg.grad_tol * (1.0 + abs(cost))
     while not converged and iterations < cfg.max_iter and y.size:
         try:
-            d = -_block_tridiag_solve(*reduced.hessian(us, tcs),
+            d = -_block_tridiag_solve(*reduced.hessian(us, ainv),
                                       grad.reshape(-1, reduced.d)).ravel()
         except np.linalg.LinAlgError:
             d = -grad
@@ -360,7 +429,7 @@ def optimize_geodesic(l: LindbladSet, rho0, rho1, config: SolverConfig | None = 
             cand = y + step * d
             c_nodes = reduced.nodes(cand)
             if reduced.feasible(c_nodes):
-                c_cost, c_grad, c_xs, c_us, c_tcs = reduced.value_grad(c_nodes)
+                c_cost, c_grad, c_xs, c_us, c_ainv = reduced.value_grad(cand)
                 if _accept_step(cost, slope, step, c_cost, float(c_grad @ d)):
                     accepted = True
                     break
@@ -368,7 +437,7 @@ def optimize_geodesic(l: LindbladSet, rho0, rho1, config: SolverConfig | None = 
         if not accepted:
             warnings_list.append("boundary-hit")
             break
-        y, nodes, cost, grad, xs, us, tcs = cand, c_nodes, c_cost, c_grad, c_xs, c_us, c_tcs
+        y, nodes, cost, grad, xs, us, ainv = cand, c_nodes, c_cost, c_grad, c_xs, c_us, c_ainv
         gnorm = float(np.linalg.norm(grad))
         iterations += 1
         trace_drift = max(trace_drift, _trace_drift(nodes))

@@ -255,19 +255,35 @@ def hermitian_basis(n: int) -> np.ndarray:
     return basis
 
 
+@lru_cache(maxsize=None)
+def _flat_basis(n: int) -> np.ndarray:
+    """The basis as one real (n^2, 2 n^2) GEMM operand, read-only.
+
+    Row a holds B_a flattened with real and imaginary parts interleaved,
+    the layout of a contiguous complex stack viewed as float.  So
+    x @ F is the float view of unvec_h(x), and as <B_a; A> is real for
+    Hermitian A, viewed(A) @ F^T is vec_h(A).
+    """
+    b = hermitian_basis(n).reshape(n * n, n * n)
+    flat = np.stack([b.real, b.imag], axis=-1).reshape(n * n, 2 * n * n)
+    flat.setflags(write=False)
+    return flat
+
+
 def vec_h(h) -> np.ndarray:
     """Real coordinates of a Hermitian matrix in the fixed basis.
 
     A stack of shape (..., n, n) maps to coordinates of shape (..., n^2).
     """
-    a = _entries(h)
+    a = np.ascontiguousarray(_entries(h))
     n = a.shape[-1]
-    return np.einsum("aij,...ij->...a", np.conj(hermitian_basis(n)), a).real
+    return a.view(float).reshape(*a.shape[:-2], 2 * n * n) @ _flat_basis(n).T
 
 
 def unvec_h(x: np.ndarray, n: int) -> np.ndarray:
     """Inverse of vec_h (returns a raw complex ndarray); (..., n^2) -> (..., n, n)."""
-    return np.einsum("...a,aij->...ij", np.asarray(x, dtype=float), hermitian_basis(n))
+    x = np.asarray(x, dtype=float)
+    return (x @ _flat_basis(n)).view(complex).reshape(*x.shape[:-1], n, n)
 
 
 def vec_s(s) -> np.ndarray:

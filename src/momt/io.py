@@ -26,9 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .geodesic import GeodesicResult, SolverConfig, hamiltonian_profile
+from .geodesic import GeodesicResult, InvalidConfig, SolverConfig, hamiltonian_profile
 from .hermitian import (
-    EPS_PD,
     DensityMatrix,
     DimensionMismatch,
     HermitianMatrix,
@@ -90,16 +89,6 @@ def _float_at(val, path: str) -> float:
 
 _CONFIG_KEYS = {"K": _int_at, "max_iter": _int_at, "grad_tol": _float_at,
                 "eps_pd": _float_at, "seed": _int_at}
-
-# Admissible solver settings.  An eps_pd below EPS_PD would let the line
-# search pass midpoints that the potential solve rejects as singular.
-_CONFIG_RANGES = {
-    "K": (lambda v: v >= 1, "need at least one interval"),
-    "max_iter": (lambda v: v >= 0, "must be >= 0"),
-    "grad_tol": (lambda v: np.isfinite(v) and v > 0, "must be finite and > 0"),
-    "eps_pd": (lambda v: np.isfinite(v) and v >= EPS_PD,
-               f"must be finite and >= {EPS_PD:g}"),
-}
 
 
 def _literal_at(obj, path: str) -> np.ndarray:
@@ -177,10 +166,10 @@ def parse_problem(text: str) -> ProblemSpec:
             seed = cast
         else:
             kwargs[key] = cast
-    config = SolverConfig(**kwargs)
-    for key, (admissible, message) in _CONFIG_RANGES.items():
-        if not admissible(getattr(config, key)):
-            raise ParseError(f"$.config.{key}", message)
+    try:
+        config = SolverConfig(**kwargs)
+    except InvalidConfig as exc:
+        raise ParseError(f"$.config.{exc.field}", exc.message) from exc
     return ProblemSpec(lindblad=lset, rho0=rhos["rho0"], rho1=rhos["rho1"],
                        config=config, seed=seed)
 

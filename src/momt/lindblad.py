@@ -125,9 +125,8 @@ class LindbladSet:
         # rows (a, i) hold row i of every (grad_j h_a)^*, so one GEMM gives P
         p = np.conj(g).transpose(0, 3, 1, 2).reshape(d * n, nn) \
             @ g.transpose(1, 2, 0, 3).reshape(nn, d * n)
-        p = p.reshape(d, n, d, n).transpose(0, 2, 1, 3).reshape(d * d, n * n)
-        w = (np.conj(hermitian_basis(n)).reshape(n * n, -1) @ p.T).real  # vec_h
-        w = w.reshape(n * n, d, d)
+        w = vec_h(p.reshape(d, n, d, n).transpose(0, 2, 1, 3))  # (a, e, c)
+        w = np.ascontiguousarray(w.transpose(2, 0, 1))
         w = 0.5 * (w + np.swapaxes(w, -1, -2))
         w.setflags(write=False)
         return w

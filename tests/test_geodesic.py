@@ -5,10 +5,12 @@ import pytest
 
 import momt.elliptic
 from momt import (
+    EPS_PD,
     DensityMatrix,
     DiscretePath,
     HermitianMatrix,
     InfeasibleEndpoints,
+    InvalidConfig,
     LindbladSet,
     SolverConfig,
     WeightedOperator,
@@ -26,6 +28,7 @@ from momt import (
     unvec_h,
     vec_h,
 )
+from momt.elliptic import solve_potentials
 from momt.geodesic import _Reduced, _accept_step, _block_tridiag_solve, _discrete_path
 from momt.io import load_problem
 from momt.lindblad import grad_blocks
@@ -163,8 +166,8 @@ def test_analytic_gradient_matches_finite_differences(pauli, swap_endpoints,
         rng = np.random.default_rng(0)
         y = 0.02 * rng.standard_normal(red.d * (red.big_k - 1))
         assert red.feasible(red.nodes(y))
-        g = red.value_grad(red.nodes(y))[1]
-        fd = finite_difference(lambda z: red.value_grad(red.nodes(z))[0], y)
+        g = red.value_grad(y)[1]
+        fd = finite_difference(lambda z: red.value_grad(z)[0], y)
         np.testing.assert_allclose(g, fd, rtol=1e-6, atol=1e-8)
 
 
@@ -174,9 +177,9 @@ def test_analytic_hessian_matches_finite_differences(three_level_pair):
     rng = np.random.default_rng(0)
     y = 0.02 * rng.standard_normal(red.d * (red.big_k - 1))
     assert red.feasible(red.nodes(y))
-    _, _, _, us, tcs = red.value_grad(red.nodes(y))
-    h = dense_block_tridiag(*red.hessian(us, tcs))
-    fd = finite_difference(lambda z: red.value_grad(red.nodes(z))[1], y)
+    _, _, _, us, ainv = red.value_grad(y)
+    h = dense_block_tridiag(*red.hessian(us, ainv))
+    fd = finite_difference(lambda z: red.value_grad(z)[1], y)
     np.testing.assert_allclose(h, fd, rtol=1e-6, atol=1e-8)
 
 
@@ -215,8 +218,8 @@ def test_nan_newton_direction_falls_back_to_gradient(three_level_pair, monkeypat
     ref = optimize_geodesic(l, r0, r1, SolverConfig(K=8))
     hessian, calls = _Reduced.hessian, []
 
-    def nan_first(self, xs, tcs):
-        diag, off = hessian(self, xs, tcs)
+    def nan_first(self, us, ainv):
+        diag, off = hessian(self, us, ainv)
         calls.append(1)
         if len(calls) == 1:  # NaN blocks pass the batched Cholesky unnoticed
             return np.full_like(diag, np.nan), np.full_like(off, np.nan)
@@ -251,7 +254,7 @@ def test_batched_sweep_matches_interval_loop(three_level_pair):
         rng = np.random.default_rng(1)
         y = 0.02 * rng.standard_normal(red.d * (red.big_k - 1))
         assert red.feasible(red.nodes(y))
-        total, g, xcs, _, _ = red.value_grad(red.nodes(y))
+        total, g, xcs, _, _ = red.value_grad(y)
         ref_total, ref_g = loop_value_grad(red, y)
         ref_xs, _, ref_ms, _ = loop_intervals(l, red.nodes(y), red.dt)
         np.testing.assert_allclose(total, ref_total, rtol=1e-12)
@@ -266,6 +269,64 @@ def test_batched_sweep_matches_interval_loop(three_level_pair):
         ref_slacks, ref_value = loop_dual_certificate(l, path)
         np.testing.assert_allclose(value, ref_value, rtol=1e-12)
         np.testing.assert_allclose(slacks, ref_slacks, rtol=1e-12)
+
+
+def test_coordinate_trial_matches_solve_potentials_on_nodes(three_level_pair):
+    # the trial reads only y; the reference solves the interval systems of
+    # the stack nodes(y) and forms E and g from the matrices X_k
+    rng = np.random.default_rng(4)
+    four = rand_lindblad(rng, 2, 4), rand_density(rng, 4, 0.1), rand_density(rng, 4, 0.1)
+    for l, r0, r1 in [three_level_pair, four]:
+        red = _Reduced(l, r0, r1, 6, 1e-8)
+        y = 0.02 * np.random.default_rng(3).standard_normal(red.d * (red.big_k - 1))
+        nodes = red.nodes(y)
+        assert red.feasible(nodes)
+        fs = (nodes[1:] - nodes[:-1]) / red.dt
+        ref_xs, ref_tcs = solve_potentials(l, 0.5 * (nodes[:-1] + nodes[1:]), fs)
+        pots = unvec_h(ref_xs @ red.c.T, l.n)
+        gs = np.array([loop_gram(v) for v in grad_blocks(l, pots)])
+        ref_g = vec_h(2.0 * (pots[:-1] - pots[1:]) - 0.5 * red.dt * (gs[:-1] + gs[1:])) @ red.c
+        ref_total = red.dt * np.sum(vec_h(fs) * vec_h(pots))
+        total, g, xs, _, ainv = red.value_grad(y)
+        tcs = red.systems(y)[0]
+        for got, ref in [(xs, ref_xs), (tcs, ref_tcs), (g.reshape(ref_g.shape), ref_g)]:
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+        np.testing.assert_allclose(total, ref_total, rtol=1e-12)
+        np.testing.assert_allclose(ainv @ ref_tcs, np.broadcast_to(np.eye(red.d), tcs.shape),
+                                   rtol=0, atol=1e-12)
+
+
+def test_cone_test_matches_eigenvalue_floor(three_level_pair):
+    l, r0, r1 = three_level_pair
+    red = _Reduced(l, r0, r1, 6, 0.05)
+    rng = np.random.default_rng(5)
+    verdicts = []
+    for scale in np.linspace(0.0, 0.2, 41):
+        nodes = red.nodes(scale * rng.standard_normal(red.d * (red.big_k - 1)))
+        stack = np.concatenate([nodes[1:-1], 0.5 * (nodes[:-1] + nodes[1:])])
+        verdicts.append(bool(np.all(np.linalg.eigvalsh(stack)[:, 0] > red.floor)))
+        assert red.feasible(nodes) == verdicts[-1]
+    assert any(verdicts) and not all(verdicts)
+    # Cholesky does not stop on NaN, so the factor is checked as well
+    nodes = red.nodes(np.zeros(red.d * (red.big_k - 1)))
+    assert red.feasible(nodes)
+    for i, j in [(0, 0), (1, 0), (2, 2)]:
+        broken = nodes.copy()
+        broken[3, i, j] = broken[3, j, i] = np.nan
+        assert not red.feasible(broken)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("K", 0), ("K", -3), ("max_iter", -1), ("grad_tol", 0.0), ("grad_tol", float("nan")),
+    ("eps_pd", EPS_PD / 2), ("eps_pd", float("inf")), ("eps_pd", float("nan")),
+])
+def test_solver_config_rejects_out_of_range(key, value):
+    with pytest.raises(InvalidConfig, match=key) as info:
+        SolverConfig(**{key: value})
+    assert info.value.field == key and isinstance(info.value, ValueError)
+    with pytest.raises(InvalidConfig):
+        replace(SolverConfig(), **{key: value})
+    SolverConfig(K=1, max_iter=0, eps_pd=EPS_PD)  # the bounds themselves are admissible
 
 
 def move_coupling(l, xs, dt):
@@ -287,7 +348,7 @@ def test_couplings_match_gram_and_move_formula(three_level_pair):
     for l, r0, r1 in [three_level_pair, six_level_set()]:
         red = _Reduced(l, r0, r1, 6, 1e-8)
         y = 0.02 * np.random.default_rng(2).standard_normal(red.d * (red.big_k - 1))
-        _, _, xcs, us, _ = red.value_grad(red.nodes(y))
+        _, _, xcs, us, _ = red.value_grad(y)
         xs = unvec_h(xcs @ red.c.T, l.n)
         ref = vec_h(np.array([loop_gram(v) for v in grad_blocks(l, xs)])) @ red.c
         np.testing.assert_allclose((us @ xcs[..., None])[..., 0], ref,

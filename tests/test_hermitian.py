@@ -119,6 +119,25 @@ def test_vec_h_isometric_round_trip(n):
     np.testing.assert_allclose(unvec_h(v, n), x, atol=1e-13)
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_vec_gemm_matches_einsum_oracle(n):
+    # the GEMMs against the flattened basis give the einsum contraction's bits
+    basis = hermitian_basis(n)
+    rng = np.random.default_rng(30 + n)
+    a = np.array([rand_herm(rng, n) for _ in range(5)])
+    a[rng.random(a.shape) < 0.2] = 0.0
+    a[rng.random(a.shape) < 0.2] = -0.0
+    x = rng.standard_normal((5, n * n))
+    x[rng.random(x.shape) < 0.2] = -0.0
+    ref_vec = np.einsum("aij,...ij->...a", np.conj(basis), a).real
+    np.testing.assert_array_equal(vec_h(a), ref_vec)
+    np.testing.assert_array_equal(vec_h(a[2]), ref_vec[2])
+    np.testing.assert_array_equal(
+        vec_s(1j * a), np.einsum("aij,...ij->...a", np.conj(basis), -1j * (1j * a)).real)
+    np.testing.assert_array_equal(unvec_h(x, n), np.einsum("...a,aij->...ij", x, basis))
+    np.testing.assert_array_equal(unvec_h(x[0], n), np.einsum("a,aij->ij", x[0], basis))
+
+
 def test_vec_s_round_trip():
     rng = np.random.default_rng(11)
     s = 1j * rand_herm(rng, 3)
