@@ -15,11 +15,12 @@ This yields:
 * solve_potential — the unique X in ker(grad)^perp with T_rho X = f;
   it is the K = 1 case of solve_potentials, which solves K weights from
   one contraction, and returns ker(grad)^perp coordinates and the
-  restricted systems it solved.  Its two halves are shared with the
-  geodesic solver's line search: restricted_systems assembles and gates
-  the data (A_k, C^T f_k, kernel norms), and solve_restricted runs the
-  batched Cholesky gate, one batched inverse and the residual gate, and
-  returns the inverses A_k^{-1} as well,
+  restricted systems it solved.  Its two halves serve the geodesic
+  solver too: restricted_systems assembles and gates the data (A_k,
+  C^T f_k, kernel norms), once per solve on the straight line, and
+  solve_restricted runs the batched Cholesky gate, one batched inverse
+  and the residual gate on every line-search trial, and returns the
+  inverses A_k^{-1} as well,
 * poincare_constant — the smallest restricted eigenvalue (the sharp
   constant c in Q_rho(grad(X - proj X)) >= c |X - proj X|^2),
 * momentum_min_check — the primal/dual pair certifying that m = grad(X) rho

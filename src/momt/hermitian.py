@@ -257,12 +257,12 @@ def hermitian_basis(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _flat_basis(n: int) -> np.ndarray:
-    """The basis as one real (n^2, 2 n^2) GEMM operand, read-only.
+    """The basis as one real (n^2, 2 n^2) GEMM operand F, read-only.
 
     Row a holds B_a flattened with real and imaginary parts interleaved,
-    the layout of a contiguous complex stack viewed as float.  So
-    x @ F is the float view of unvec_h(x), and as <B_a; A> is real for
-    Hermitian A, viewed(A) @ F^T is vec_h(A).
+    the layout of a contiguous complex stack viewed as float.  So x @ F
+    is the float view of unvec_h(x), and A viewed as float times F^T is
+    Re <B_a; A>, which is vec_h(A).
     """
     b = hermitian_basis(n).reshape(n * n, n * n)
     flat = np.stack([b.real, b.imag], axis=-1).reshape(n * n, 2 * n * n)
@@ -274,6 +274,8 @@ def vec_h(h) -> np.ndarray:
     """Real coordinates of a Hermitian matrix in the fixed basis.
 
     A stack of shape (..., n, n) maps to coordinates of shape (..., n^2).
+    For a non-Hermitian A the result is Re <B_a; A>, the coordinates of
+    its Hermitian part.
     """
     a = np.ascontiguousarray(_entries(h))
     n = a.shape[-1]
