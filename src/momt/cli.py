@@ -28,6 +28,7 @@ from .hermitian import DensityMatrix, NotPositive
 from .io import (
     ParseError,
     ProblemSpec,
+    _warning_entries,
     build_report,
     dump_canonical,
     export_geodesic,
@@ -152,10 +153,7 @@ def run_operator_info(args) -> int:
         "kernel_basis_norms": [b.norm() for b in l.kernel_basis],
         "poincare_maximally_mixed": p_mixed,
         "restricted_min_eig_rho0": p_rho0,
-        "warnings": ([{"code": "kernel-dim",
-                       "message": "kernel dimension exceeds 1; distances exist "
-                                  "only between endpoints with equal kernel "
-                                  "components"}] if l.kernel_dim > 1 else [])
+        "warnings": _warning_entries(["kernel-dim"] if l.kernel_dim > 1 else [])
                     + [{"code": "degenerate-weight", "message": m} for m in caught],
     }
     if args.json:

@@ -12,15 +12,16 @@ set's cached weight_tensor; WeightedOperator's matrix_rep is C A C^T.  The
 first use on a LindbladSet builds the tensor (about 50 ms at n = 10).
 This yields:
 
-* solve_potential — the unique X in ker(grad)^perp with T_rho X = f;
-  it is the K = 1 case of solve_potentials, which solves K weights from
-  one contraction, and returns ker(grad)^perp coordinates and the
-  restricted systems it solved.  Its two halves serve the geodesic
-  solver too: restricted_systems assembles and gates the data (A_k,
-  C^T f_k, kernel norms), once per solve on the straight line, and
+* restricted_systems and solve_restricted — the one potential solve, for
+  K weights and right-hand sides at once.  restricted_systems assembles
+  and gates the data (A_k, C^T f_k, kernel norms) from one contraction;
+  the geodesic solver calls it once per solve, on the straight line.
   solve_restricted runs the batched Cholesky gate, one batched inverse
-  and the residual gate on every line-search trial, and returns the
-  inverses A_k^{-1} as well,
+  and the residual gate, and returns the ker(grad)^perp coordinates x_k
+  and the inverses A_k^{-1}; the geodesic solver calls it on every
+  line-search trial,
+* solve_potential — the unique X in ker(grad)^perp with T_rho X = f, the
+  K = 1 case of those two (as is momentum_min_check's potential),
 * poincare_constant — the smallest restricted eigenvalue (the sharp
   constant c in Q_rho(grad(X - proj X)) >= c |X - proj X|^2),
 * momentum_min_check — the primal/dual pair certifying that m = grad(X) rho
@@ -146,15 +147,10 @@ def solve_restricted(tcs: np.ndarray, fcs: np.ndarray, kpart: np.ndarray):
     return xcs, ainv
 
 
-def solve_potentials(l: LindbladSet, rhos: np.ndarray, fs: np.ndarray):
-    """solve_potential for K raw (n, n) weights and right-hand sides at once.
-
-    Returns the (K, d) coordinates x_k of the potentials X_k = unvec_h(C x_k)
-    and the restricted systems A_k.  Every gate of solve_potential runs over
-    the whole stack: restricted_systems, then solve_restricted.
-    """
-    tcs, fcs, kpart = restricted_systems(l, rhos, fs)
-    return solve_restricted(tcs, fcs, kpart)[0], tcs
+def _potential(l: LindbladSet, rho: np.ndarray, f) -> HermitianMatrix:
+    """X = unvec_h(C x) for the one system (rho, f): restricted_systems, then solve_restricted."""
+    xc, _ = solve_restricted(*restricted_systems(l, rho[None], _entries(f)[None]))
+    return HermitianMatrix(unvec_h(xc @ l.complement_vecs.T, l.n)[0])
 
 
 class WeightedOperator:
@@ -199,12 +195,10 @@ def solve_potential(w: WeightedOperator, f) -> HermitianMatrix:
     Raises InfeasibleRHS if f has a kernel component beyond 1e-10 |f|,
     SingularWeight if rho is not safely positive definite.  The returned
     X satisfies |T X - f| <= RESIDUAL_RTOL * max(|f|, 1) and the stability
-    bound |f| >= restricted_min_eig * |X|.  This is the K = 1 case of
-    solve_potentials.
+    bound |f| >= restricted_min_eig * |X|.  Every gate runs in restricted
+    form: restricted_systems, then solve_restricted on the one system.
     """
-    l = w.lindblad
-    xc, _ = solve_potentials(l, w.rho[None], _entries(f)[None])
-    return HermitianMatrix(unvec_h(xc @ l.complement_vecs.T, l.n)[0])
+    return _potential(w.lindblad, w.rho, f)
 
 
 def poincare_constant(l: LindbladSet, rho) -> float:
@@ -243,8 +237,7 @@ def momentum_min_check(l: LindbladSet, rho, f) -> MomentumCheck:
     the two agree (strong duality of a linearly-constrained quadratic).
     """
     r = _weight(rho)
-    xc, _ = solve_potentials(l, r[None], _entries(f)[None])
-    x = HermitianMatrix(unvec_h(xc @ l.complement_vecs.T, l.n)[0])
+    x = _potential(l, r, f)
     v = gradient(l, x)
     m = OperatorStack(np.einsum("kij,jl->kil", v.blocks, r), flavor="general")
     rinv = hermitian_part(np.linalg.inv(r))

@@ -26,7 +26,7 @@ contraction of complement_tensor with the midpoint moves, and one gated
 batched inverse (elliptic.solve_restricted) gives both the potentials and
 the A_k^{-1} that the Newton Hessian reuses.  No trial forms vec_h,
 grad(X_k), a Gram matrix or a momentum; X_k and m_k are rebuilt once, for
-the returned path.
+the returned path.  initial_path is the same solve at y = 0, the start.
 
 The reduced cost E(y) is convex: in restricted coordinates each interval
 term is a matrix-fractional function (1/dt) D^T A(mu)^{-1} D of the node
@@ -47,7 +47,8 @@ directional derivative.  The second rule guards against a cost flat to
 its last digits, where Armijo admits only steps too short to change
 anything.
 
-A converged (or best-effort) path is accompanied by a dual certificate:
+Every returned path, a best-effort one or the constant path between
+coincident endpoints too, is accompanied by a dual certificate (_result):
 the exact discrete dual of the reduced cost (dual_certificate) at the
 path's own interval potentials X_k.  It bounds the squared distance from
 below for any X, and at the solver's X the gap is a sum of nonnegative
@@ -58,11 +59,12 @@ therefore a true certificate of how far the descent stopped from optimal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .action import kinetic_values
-from .elliptic import restricted_systems, solve_potentials, solve_restricted
+from .elliptic import restricted_systems, solve_restricted
 from .hermitian import EPS_PD, DensityMatrix, _entries, gram, hermitian_part, unvec_h, vec_h
 from .lindblad import LindbladSet, div_blocks, grad_blocks
 
@@ -196,13 +198,23 @@ def initial_path(l: LindbladSet, rho0, rho1, big_k: int) -> DiscretePath:
     the discrete continuity equation.
     """
     r0, r1 = _endpoint_guard(l, rho0, rho1)
-    nodes = _linear_nodes(r0.mat, r1.mat, big_k)
-    return _discrete_path(l, nodes, solve_potentials(l, *_intervals(nodes, 1.0 / big_k))[0])
+    reduced = _Reduced(l, r0, r1, big_k, EPS_PD)
+    return _discrete_path(l, reduced.line, reduced.value_grad(np.zeros((big_k - 1) * reduced.d)).xs)
 
 
 # ---------------------------------------------------------------------------
 # reduced objective over interior nodes
 # ---------------------------------------------------------------------------
+
+class _Point(NamedTuple):
+    """What _Reduced.value_grad returns at one y, and the Newton loop carries."""
+
+    cost: float
+    grad: np.ndarray
+    xs: np.ndarray
+    us: np.ndarray
+    ainv: np.ndarray
+
 
 class _Reduced:
     """E(y) = sum_k <rho_{k+1} - rho_k; X_k> over interior-node moves y.
@@ -259,7 +271,7 @@ class _Reduced:
         tcs = self.tcs_line + (0.5 * (ys[:-1] + ys[1:]) @ self.v).reshape(-1, d, d)
         return tcs, self.fcs_line + (ys[1:] - ys[:-1]) / self.dt
 
-    def value_grad(self, y: np.ndarray):
+    def value_grad(self, y: np.ndarray) -> _Point:
         """(E, grad E, potential coordinates x_k, couplings U_k, inverses A_k^{-1}) at y.
 
         With h_a = unvec_h(C e_a) and V[a, e, f] = <h_e; T(h_a) h_f>
@@ -276,7 +288,7 @@ class _Reduced:
         us = (xs @ self.l.complement_tensor.reshape(d * d, d).T).reshape(len(xs), d, d)
         ux = (us @ xs[..., None])[..., 0]
         g = 2.0 * (xs[:-1] - xs[1:]) - 0.5 * self.dt * (ux[:-1] + ux[1:])
-        return total, g.ravel(), xs, us, ainv
+        return _Point(total, g.ravel(), xs, us, ainv)
 
     def hessian(self, us: np.ndarray, ainv: np.ndarray):
         """Diagonal (K-1, d, d) and upper off-diagonal (K-2, d, d) Hessian blocks.
@@ -339,23 +351,6 @@ def _block_tridiag_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> 
     return x
 
 
-def _constant_result(l: LindbladSet, r0, cfg: SolverConfig,
-                     warnings_list: list) -> GeodesicResult:
-    """Coincident endpoints: the constant path, distance exactly zero."""
-    path = DiscretePath(K=cfg.K, grid=np.linspace(0.0, 1.0, cfg.K + 1),
-                        densities=np.repeat(r0.mat[None], cfg.K + 1, axis=0),
-                        momenta=np.zeros((cfg.K, l.count, l.n, l.n), dtype=complex),
-                        potentials=np.zeros((cfg.K, l.n, l.n), dtype=complex))
-    _, dual_value = dual_certificate(l, path)
-    return GeodesicResult(
-        path=path, distance=0.0, primal_cost=0.0,
-        dual_value=dual_value, gap=0.0 - dual_value,
-        hamiltonian=[0.0] * cfg.K, iterations=0, converged=True,
-        grad_norm=0.0, trace_drift=0.0, warnings=warnings_list,
-        iterate_nodes=None,
-    )
-
-
 #: a cost change below this share of |E| is rounding noise, not a decrease
 FLAT_RTOL = 1e-12
 #: approximate-Wolfe constants (delta, sigma) of Hager & Zhang, SIAM J. Optim. 2005
@@ -398,69 +393,70 @@ def optimize_geodesic(l: LindbladSet, rho0, rho1, config: SolverConfig | None = 
     """
     cfg = config or SolverConfig()
     r0, r1 = _endpoint_guard(l, rho0, rho1)
-    warnings_list = []
-    if l.kernel_dim > 1:
-        warnings_list.append("kernel-dim")
+    warnings_list = ["kernel-dim"] if l.kernel_dim > 1 else []
 
     if float(np.linalg.norm(r1.mat - r0.mat)) <= 1e-14:
-        return _constant_result(l, r0, cfg, warnings_list)
+        # coincident endpoints: the constant path, distance exactly zero
+        path = DiscretePath(K=cfg.K, grid=np.linspace(0.0, 1.0, cfg.K + 1),
+                            densities=np.repeat(r0.mat[None], cfg.K + 1, axis=0),
+                            momenta=np.zeros((cfg.K, l.count, l.n, l.n), dtype=complex),
+                            potentials=np.zeros((cfg.K, l.n, l.n), dtype=complex))
+        return _result(l, path, 0.0, iterations=0, converged=True, grad_norm=0.0,
+                       trace_drift=0.0, warnings=warnings_list)
 
     reduced = _Reduced(l, r0, r1, cfg.K, cfg.eps_pd)
     y = np.zeros((cfg.K - 1) * reduced.d)
-    nodes = reduced.nodes(y)
-    cost, grad, xs, us, ainv = reduced.value_grad(y)
-    gnorm = float(np.linalg.norm(grad))
+    nodes, point = reduced.nodes(y), reduced.value_grad(y)
     trace_drift = _trace_drift(nodes)
     iterates = [nodes] if record_iterates else None
-
-    iterations = 0
-    converged = gnorm <= cfg.grad_tol * (1.0 + abs(cost))
-    while not converged and iterations < cfg.max_iter and y.size:
+    for iterations in range(cfg.max_iter + 1):
+        gnorm = float(np.linalg.norm(point.grad))
+        converged = bool(gnorm <= cfg.grad_tol * (1.0 + abs(point.cost)))
+        if converged or iterations == cfg.max_iter:
+            break
         try:
-            d = -_block_tridiag_solve(*reduced.hessian(us, ainv),
-                                      grad.reshape(-1, reduced.d)).ravel()
+            d = -_block_tridiag_solve(*reduced.hessian(point.us, point.ainv),
+                                      point.grad.reshape(-1, reduced.d)).ravel()
         except np.linalg.LinAlgError:
-            d = -grad
-        slope = float(d @ grad)
+            d = -point.grad
+        slope = float(d @ point.grad)
         if not -np.inf < slope < 0:  # also catches a NaN or infinite direction
-            d, slope = -grad, -gnorm * gnorm
-        step, accepted = 1.0, False
+            d, slope = -point.grad, -gnorm * gnorm
+        step = 1.0
         for _ in range(60):
-            cand = y + step * d
-            c_nodes = reduced.nodes(cand)
-            if reduced.feasible(c_nodes):
-                c_cost, c_grad, c_xs, c_us, c_ainv = reduced.value_grad(cand)
-                if _accept_step(cost, slope, step, c_cost, float(c_grad @ d)):
-                    accepted = True
+            trial_y = y + step * d
+            trial_nodes = reduced.nodes(trial_y)
+            if reduced.feasible(trial_nodes):
+                trial = reduced.value_grad(trial_y)
+                if _accept_step(point.cost, slope, step, trial.cost, float(trial.grad @ d)):
                     break
             step *= 0.5
-        if not accepted:
+        else:
             warnings_list.append("boundary-hit")
             break
-        y, nodes, cost, grad, xs, us, ainv = cand, c_nodes, c_cost, c_grad, c_xs, c_us, c_ainv
-        gnorm = float(np.linalg.norm(grad))
-        iterations += 1
+        y, point, nodes = trial_y, trial, trial_nodes
         trace_drift = max(trace_drift, _trace_drift(nodes))
         if record_iterates:
             iterates.append(nodes)
-        converged = gnorm <= cfg.grad_tol * (1.0 + abs(cost))
 
-    path = _discrete_path(l, nodes, xs)
+    return _result(l, _discrete_path(l, nodes, point.xs), point.cost, iterations=iterations,
+                   converged=converged, grad_norm=gnorm, trace_drift=trace_drift,
+                   warnings=warnings_list, iterate_nodes=iterates)
+
+
+def _result(l: LindbladSet, path: DiscretePath, cost: float, **counters) -> GeodesicResult:
+    """The GeodesicResult of path at cost: its dual certificate and Hamiltonian values.
+
+    counters are the remaining fields, which the Newton loop (or the
+    coincident-endpoint shortcut) reports as they are.
+    """
     _, dual_value = dual_certificate(l, path)
     return GeodesicResult(
-        path=path,
-        distance=float(np.sqrt(max(cost, 0.0))),
-        primal_cost=cost,
-        dual_value=dual_value,
-        gap=cost - dual_value,
-        hamiltonian=kinetic_values(0.5 * (nodes[:-1] + nodes[1:]), path.momenta),
-        iterations=iterations,
-        converged=bool(converged or (cfg.K == 1)),
-        grad_norm=gnorm,
-        trace_drift=trace_drift,
-        warnings=warnings_list,
-        iterate_nodes=iterates,
-    )
+        path=path, distance=float(np.sqrt(max(cost, 0.0))), primal_cost=cost,
+        dual_value=dual_value, gap=cost - dual_value,
+        hamiltonian=kinetic_values(0.5 * (path.densities[:-1] + path.densities[1:]),
+                                   path.momenta),
+        **counters)
 
 
 def dual_certificate(l: LindbladSet, path: DiscretePath):

@@ -112,6 +112,8 @@ class DensityMatrix:
 
     def __init__(self, entries, strict: bool = False, eps_pd: float = EPS_PD,
                  trace_tol: float = TRACE_TOL):
+        if isinstance(entries, DensityMatrix):
+            entries = entries.base  # Hermitian already; only trace and spectrum are re-checked
         base = entries if isinstance(entries, HermitianMatrix) else HermitianMatrix(entries)
         tr = base.trace()
         if abs(tr - 1.0) > trace_tol:

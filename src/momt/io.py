@@ -47,8 +47,6 @@ _WARNING_TEXT = {
                    "the kernel"),
     "boundary-hit": ("line search could not keep the path safely inside the "
                      "positive cone; best iterate returned"),
-    "degenerate-weight": ("weight is singular or the gradient vanishes "
-                          "identically; sharp constant degenerates to 0"),
 }
 
 

@@ -20,6 +20,7 @@ from .geodesic import (
     SolverConfig,
     continuity_residual,
     dual_certificate,
+    hamiltonian_profile,
     initial_path,
     optimize_geodesic,
 )
@@ -141,9 +142,9 @@ def suite_calculus(l: LindbladSet, rng, cases: int = 50) -> list[Check]:
     err = max((gradient(l, b.mat).norm() for b in l.kernel_basis), default=0.0)
     checks.append(_check("kernel basis annihilated by the gradient", err, 1e-10))
 
-    gram = np.array([[inner_product(a, b) for b in l.kernel_basis]
-                     for a in l.kernel_basis])
-    err = float(np.linalg.norm(gram - np.eye(l.kernel_dim)))
+    overlaps = np.array([[inner_product(a, b) for b in l.kernel_basis]
+                         for a in l.kernel_basis])
+    err = float(np.linalg.norm(overlaps - np.eye(l.kernel_dim)))
     checks.append(_check("kernel basis orthonormal", err, 1e-12))
 
     err = 0.0
@@ -291,10 +292,8 @@ def suite_conservation(l: LindbladSet, rho0: DensityMatrix, rho1: DensityMatrix,
                              extra=f"; {res.iterations} iterations"))
         checks.append(_check("discrete continuity on the returned path",
                              continuity_residual(l, res.path), 1e-9))
-        vals = np.asarray(res.hamiltonian)
-        rel_std = float(vals.std() / vals.mean()) if vals.mean() > 1e-15 else 0.0
         checks.append(_check("kinetic values constant along the geodesic",
-                             rel_std, 1e-3))
+                             hamiltonian_profile(res).rel_std, 1e-3))
     except InfeasibleEndpoints as exc:
         checks.append(Check(name="unit trace along every solver iterate",
                             passed=True, detail=f"skipped: {exc}"))

@@ -29,7 +29,7 @@ from momt import (
     unvec_stack,
     vec_h,
 )
-from momt.elliptic import solve_potentials
+from momt.elliptic import restricted_systems, solve_restricted
 from conftest import (
     SZ,
     rand_density,
@@ -256,7 +256,7 @@ def test_solve_potential_is_one_interval_of_solve_potentials(n):
     l = rand_lindblad(rng, 2, n)
     rho, f = rand_density(rng, n), feasible_rhs(rng, l)
     got = solve_potential(WeightedOperator(l, rho), f)
-    xs, _ = solve_potentials(l, rho.mat[None], f.mat[None])
+    xs, _ = solve_restricted(*restricted_systems(l, rho.mat[None], f.mat[None]))
     expect = HermitianMatrix(unvec_h(xs @ l.complement_vecs.T, n)[0])
     assert np.array_equal(got.mat, expect.mat)
 
@@ -265,26 +265,28 @@ def test_solve_potentials_gates(pauli, three_level_pair, monkeypatch):
     rng = np.random.default_rng(13)
     rhos = np.array([rand_density(rng, 2).mat for _ in range(3)])
     fs = np.array([feasible_rhs(rng, pauli).mat for _ in range(3)])
-    xs, tcs = solve_potentials(pauli, rhos, fs)
+    tcs, fcs, kpart = restricted_systems(pauli, rhos, fs)
+    xs, _ = solve_restricted(tcs, fcs, kpart)
     assert xs.shape == (3, 3) and tcs.shape == (3, 3, 3)
     singular = rhos.copy()
     singular[1] = np.diag([1.0, 0.0])
     with pytest.raises(SingularWeight):
-        solve_potentials(pauli, singular, fs)
+        solve_restricted(*restricted_systems(pauli, singular, fs))
     identity = fs.copy()
     identity[2] = identity[2] + 1e-3 * np.eye(2)
     with pytest.raises(InfeasibleRHS):
-        solve_potentials(pauli, rhos, identity)
+        solve_restricted(*restricted_systems(pauli, rhos, identity))
     # an operator set with empty ker(grad)^perp has only zero potentials
     flat = LindbladSet([np.eye(2)])
     assert flat.complement_vecs.shape[1] == 0
-    xs, tcs = solve_potentials(flat, rhos, np.zeros_like(fs))
+    tcs, fcs, kpart = restricted_systems(flat, rhos, np.zeros_like(fs))
+    xs, _ = solve_restricted(tcs, fcs, kpart)
     assert xs.shape == (3, 0) and tcs.shape == (3, 0, 0)
     assert np.array_equal(unvec_h(xs @ flat.complement_vecs.T, 2), np.zeros((3, 2, 2)))
     # the residual gate still runs, in restricted form, on every system
     monkeypatch.setattr(momt.elliptic, "RESIDUAL_RTOL", -1.0)
     with pytest.raises(RuntimeError, match="residual"):
-        solve_potentials(pauli, rhos, fs)
+        solve_restricted(*restricted_systems(pauli, rhos, fs))
     l, r0, r1 = three_level_pair
     with pytest.raises(RuntimeError, match="residual"):
         optimize_geodesic(l, r0, r1, SolverConfig(K=4))

@@ -28,7 +28,7 @@ from momt import (
     unvec_h,
     vec_h,
 )
-from momt.elliptic import solve_potentials
+from momt.elliptic import restricted_systems, solve_restricted
 from momt.geodesic import _Reduced, _accept_step, _block_tridiag_solve, _discrete_path
 from momt.io import load_problem
 from momt.lindblad import grad_blocks
@@ -282,7 +282,8 @@ def test_coordinate_trial_matches_solve_potentials_on_nodes(three_level_pair):
         nodes = red.nodes(y)
         assert red.feasible(nodes)
         fs = (nodes[1:] - nodes[:-1]) / red.dt
-        ref_xs, ref_tcs = solve_potentials(l, 0.5 * (nodes[:-1] + nodes[1:]), fs)
+        ref_tcs, ref_fcs, kpart = restricted_systems(l, 0.5 * (nodes[:-1] + nodes[1:]), fs)
+        ref_xs, _ = solve_restricted(ref_tcs, ref_fcs, kpart)
         pots = unvec_h(ref_xs @ red.c.T, l.n)
         gs = np.array([loop_gram(v) for v in grad_blocks(l, pots)])
         ref_g = vec_h(2.0 * (pots[:-1] - pots[1:]) - 0.5 * red.dt * (gs[:-1] + gs[1:])) @ red.c
@@ -556,12 +557,18 @@ def test_result_is_raw_stacks(three_level_pair):
             assert isinstance(stack, np.ndarray) and stack.shape == shape
 
 
-def test_identical_endpoints_zero(pauli):
+def test_identical_endpoints_zero(pauli, three_level_pair):
     rng = np.random.default_rng(2)
-    rho = rand_density(rng, 2)
-    res = optimize_geodesic(pauli, rho, rho, SolverConfig(K=4))
-    assert res.distance == 0.0
-    assert res.converged
+    for l, rho in [(pauli, rand_density(rng, 2)), three_level_pair[:2]]:
+        res = optimize_geodesic(l, rho, rho, SolverConfig(K=4))
+        assert res.distance == 0.0
+        assert res.converged
+        assert res.iterations == 0 and res.trace_drift == 0.0
+        assert res.hamiltonian == [0.0] * 4
+        assert res.gap == -res.dual_value
+        # exact +0.0 entries, so an exported trace prints no "-0.0"
+        for stack in (res.path.potentials, res.path.momenta):
+            assert not (np.signbit(stack.real).any() or np.signbit(stack.imag).any())
 
 
 def test_symmetry_of_distance(pauli):

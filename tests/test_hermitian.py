@@ -52,9 +52,19 @@ def test_density_positivity_gate():
         DensityMatrix(np.diag([1.2, -0.2]))
     # non-strict admits the boundary, strict does not
     boundary = np.diag([1.0, 0.0]).astype(complex)
-    DensityMatrix(boundary)
+    checked = DensityMatrix(boundary)
     with pytest.raises(NotPositive):
         DensityMatrix(boundary, strict=True)
+    # re-checking an admitted density still runs the strict spectrum gate
+    with pytest.raises(NotPositive):
+        DensityMatrix(checked, strict=True)
+
+
+def test_density_from_density_reuses_checked_base():
+    rho = DensityMatrix(np.diag([0.25, 0.75]))
+    strict = DensityMatrix(rho, strict=True)
+    assert strict.base is rho.base
+    assert np.array_equal(strict.mat, DensityMatrix(rho.mat, strict=True).mat)
 
 
 def test_stack_flavor_enforcement():
