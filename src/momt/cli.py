@@ -81,36 +81,40 @@ def _solve(spec: ProblemSpec):
     return result, (EXIT_OK if result.converged else EXIT_NOT_CONVERGED)
 
 
-def _print_summary(report: dict) -> None:
+def _emit(args, doc: dict, lines) -> None:
+    """--json prints the canonical document, --quiet nothing, otherwise the lines."""
+    if args.json:
+        sys.stdout.write(dump_canonical(doc))
+    elif not args.quiet:
+        print("\n".join(lines))
+
+
+def _summary_lines(report: dict) -> list[str]:
     ham = report["hamiltonian"]
-    print(f"distance     {report['distance']:.15g}")
-    print(f"squared      {report['primal_cost']:.15g}")
-    print(f"dual value   {report['dual_value']:.15g}")
-    print(f"gap          {report['gap']:.3e}  (relative {report['rel_gap']:.3e})")
-    print(f"iterations   {report['iterations']}  "
-          f"converged: {'yes' if report['converged'] else 'NO'}")
-    print(f"hamiltonian  mean {ham['mean']:.6g}  rel_std {ham['rel_std']:.3e}  "
-          f"constant speed: {'yes' if ham['speed_ok'] else 'NO'}")
-    if report["warnings"]:
-        for w in report["warnings"]:
-            print(f"warning      [{w['code']}] {w['message']}")
-    else:
-        print("warnings     none")
+    lines = [
+        f"distance     {report['distance']:.15g}",
+        f"squared      {report['primal_cost']:.15g}",
+        f"dual value   {report['dual_value']:.15g}",
+        f"gap          {report['gap']:.3e}  (relative {report['rel_gap']:.3e})",
+        f"iterations   {report['iterations']}  "
+        f"converged: {'yes' if report['converged'] else 'NO'}",
+        f"hamiltonian  mean {ham['mean']:.6g}  rel_std {ham['rel_std']:.3e}  "
+        f"constant speed: {'yes' if ham['speed_ok'] else 'NO'}",
+    ]
+    warns = [f"warning      [{w['code']}] {w['message']}" for w in report["warnings"]]
+    return lines + (warns or ["warnings     none"])
 
 
 def run_distance(args) -> int:
     spec = load_problem(args.problem)
     result, code = _solve(spec)
     report = build_report(result, spec)
+    lines = _summary_lines(report)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(dump_canonical(report))
-    if args.json:
-        sys.stdout.write(dump_canonical(report))
-    if not args.quiet and not args.json:
-        _print_summary(report)
-        if args.out:
-            print(f"report       written to {args.out}")
+        lines.append(f"report       written to {args.out}")
+    _emit(args, report, lines)
     return code
 
 
@@ -118,20 +122,14 @@ def run_geodesic(args) -> int:
     spec = load_problem(args.problem)
     result, code = _solve(spec)
     export_geodesic(result, args.out)
-    if args.json:
-        sys.stdout.write(dump_canonical({
-            "out": args.out,
-            "distance": result.distance,
-            "gap": result.gap,
-            "converged": result.converged,
-            "nodes": result.path.K + 1,
-        }))
-    if not args.quiet and not args.json:
-        print(f"trace        {result.path.K + 1} nodes written to {args.out}")
-        print(f"distance     {result.distance:.15g}")
-        print(f"gap          {result.gap:.3e}")
-        if not result.converged:
-            print("converged    NO (best iterate exported)")
+    doc = {"out": args.out, "distance": result.distance, "gap": result.gap,
+           "converged": result.converged, "nodes": result.path.K + 1}
+    lines = [f"trace        {result.path.K + 1} nodes written to {args.out}",
+             f"distance     {result.distance:.15g}",
+             f"gap          {result.gap:.3e}"]
+    if not result.converged:
+        lines.append("converged    NO (best iterate exported)")
+    _emit(args, doc, lines)
     return code
 
 
@@ -139,7 +137,6 @@ def run_operator_info(args) -> int:
     spec = load_problem(args.problem)
     l = spec.lindblad
     maximally_mixed = DensityMatrix(np.eye(l.n) / l.n)
-    caught: list[str] = []
     with _warnings.catch_warnings(record=True) as rec:
         _warnings.simplefilter("always")
         p_mixed = poincare_constant(l, maximally_mixed)
@@ -156,20 +153,15 @@ def run_operator_info(args) -> int:
         "warnings": _warning_entries(["kernel-dim"] if l.kernel_dim > 1 else [])
                     + [{"code": "degenerate-weight", "message": m} for m in caught],
     }
-    if args.json:
-        sys.stdout.write(dump_canonical(info))
-    if not args.quiet and not args.json:
-        print(f"dimension         {info['dimension']}")
-        print(f"operators         {info['operator_count']}")
-        print(f"kernel dimension  {info['kernel_dim']}")
-        norms = ", ".join(f"{v:.12g}" for v in info["kernel_basis_norms"])
-        print(f"kernel basis norms [{norms}]")
-        print(f"sharp constant at the maximally mixed state  "
-              f"{info['poincare_maximally_mixed']:.12g}")
-        print(f"restricted min eigenvalue at rho0            "
-              f"{info['restricted_min_eig_rho0']:.12g}")
-        for w in info["warnings"]:
-            print(f"warning           [{w['code']}] {w['message']}")
+    norms = ", ".join(f"{v:.12g}" for v in info["kernel_basis_norms"])
+    _emit(args, info, [
+        f"dimension         {l.n}",
+        f"operators         {l.count}",
+        f"kernel dimension  {l.kernel_dim}",
+        f"kernel basis norms [{norms}]",
+        f"sharp constant at the maximally mixed state  {p_mixed:.12g}",
+        f"restricted min eigenvalue at rho0            {p_rho0:.12g}",
+    ] + [f"warning           [{w['code']}] {w['message']}" for w in info["warnings"]])
     return EXIT_OK
 
 
@@ -177,17 +169,11 @@ def run_verify(args) -> int:
     spec = load_problem(args.problem)
     checks = run_suites(spec, args.suite)
     ok = all(c.passed for c in checks)
-    if args.json:
-        sys.stdout.write(dump_canonical({
-            "suite": args.suite,
-            "passed": ok,
-            "checks": [c.as_dict() for c in checks],
-        }))
-    if not args.quiet and not args.json:
-        for c in checks:
-            print(f"{'PASS' if c.passed else 'FAIL'}  {c.name} — {c.detail}")
-        n_ok = sum(c.passed for c in checks)
-        print(f"{n_ok}/{len(checks)} checks passed (suite: {args.suite})")
+    lines = [f"{'PASS' if c.passed else 'FAIL'}  {c.name} — {c.detail}" for c in checks]
+    lines.append(f"{sum(c.passed for c in checks)}/{len(checks)} checks passed "
+                 f"(suite: {args.suite})")
+    _emit(args, {"suite": args.suite, "passed": ok,
+                 "checks": [c.as_dict() for c in checks]}, lines)
     return EXIT_OK if ok else EXIT_ERROR
 
 
@@ -208,16 +194,13 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
         return _HANDLERS[args.command](args)
-    except (ParseError, NotPositive) as exc:
+    except (ParseError, NotPositive, OSError) as exc:
         # NotPositive: a boundary endpoint parses, but a solve needs rho > 0
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except InfeasibleEndpoints as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -91,6 +91,12 @@ def _systems(l: LindbladSet, rhos: np.ndarray) -> np.ndarray:
     return (vec_h(rhos) @ l.weight_tensor.reshape(n2, d * d)).reshape(len(rhos), d, d)
 
 
+def _kernel_excess(kpart, fnorm):
+    """Where a kernel component kpart rules out a potential for an f with |f| = fnorm."""
+    # the relative gate alone would reject float-noise-sized f as infeasible
+    return (kpart > 1e-10 * fnorm) & (kpart > 1e-14)
+
+
 def restricted_systems(l: LindbladSet, rhos: np.ndarray, fs: np.ndarray):
     """Gated restricted data of K weights and right-hand sides: (A_k, c_k, kpart_k).
 
@@ -110,9 +116,7 @@ def restricted_systems(l: LindbladSet, rhos: np.ndarray, fs: np.ndarray):
     fv = vec_h(fs)
     fnorm = np.linalg.norm(fv, axis=-1)
     kpart = np.linalg.norm(fv @ l.kernel_vecs, axis=-1)
-    # the relative gate alone would reject float-noise-sized right-hand
-    # sides whose "kernel component" is pure rounding error
-    bad = (kpart > 1e-10 * fnorm) & (kpart > 1e-14)
+    bad = _kernel_excess(kpart, fnorm)
     if bad.any():
         k = int(np.argmax(bad))
         raise InfeasibleRHS(

@@ -64,7 +64,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .action import kinetic_values
-from .elliptic import restricted_systems, solve_restricted
+from .elliptic import _kernel_excess, restricted_systems, solve_restricted
 from .hermitian import EPS_PD, DensityMatrix, _entries, gram, hermitian_part, unvec_h, vec_h
 from .lindblad import LindbladSet, div_blocks, grad_blocks
 
@@ -180,7 +180,9 @@ def _endpoint_guard(l: LindbladSet, rho0, rho1):
     r0 = DensityMatrix(rho0, strict=True)
     r1 = DensityMatrix(rho1, strict=True)
     gap = feasibility_gap(l, r0, r1)
-    if gap > 1e-10:
+    # restricted_systems applies the relative rule to every interval's rate,
+    # which on the linear path is rho1 - rho0 up to rounding
+    if gap > 1e-10 or _kernel_excess(gap, float(np.linalg.norm(r1.mat - r0.mat))):
         raise InfeasibleEndpoints(
             f"rho1 - rho0 has a kernel component of norm {gap:.3e}; the "
             "endpoints are not connectable by any finite-action path "

@@ -179,12 +179,15 @@ def div_blocks(l: LindbladSet, ys: np.ndarray) -> np.ndarray:
         - np.einsum("...kij,kjl->...il", ys, l.ops)
 
 
+def _laplacian_raw(l: LindbladSet, a: np.ndarray, lsq: np.ndarray) -> np.ndarray:
+    """The closed form of lap(A), before symmetrization, for lsq = sum_k L_k^2."""
+    return 2.0 * np.einsum("kij,jl,klm->im", l.ops, a, l.ops) - a @ lsq - lsq @ a
+
+
 def laplacian(l: LindbladSet, x) -> HermitianMatrix:
     """lap(X) by the closed form sum_k (2 L_k X L_k - X L_k^2 - L_k^2 X)."""
-    a = _square(l, x)
     lsq = np.einsum("kij,kjl->il", l.ops, l.ops)
-    out = 2.0 * np.einsum("kij,jl,klm->im", l.ops, a, l.ops) - a @ lsq - lsq @ a
-    return HermitianMatrix(out)
+    return HermitianMatrix(_laplacian_raw(l, _square(l, x), lsq))
 
 
 def project_kernel(l: LindbladSet, x) -> HermitianMatrix:
@@ -201,6 +204,10 @@ def heat_flow(l: LindbladSet, rho0: DensityMatrix, t_final: float, steps: int,
     Trace and Hermiticity are preserved by the scheme; if a step drives
     the smallest eigenvalue below -1e-8 the integration aborts with a
     StabilityError suggesting a larger ``steps``.
+
+    A restart from the returned state continues the trajectory bitwise when
+    the step t_final/steps is the same float: each step ends in hermitian_part,
+    which leaves an exactly Hermitian matrix unchanged.
     """
     if t_final < 0:
         raise ValueError("t_final must be nonnegative")
@@ -212,8 +219,11 @@ def heat_flow(l: LindbladSet, rho0: DensityMatrix, t_final: float, steps: int,
         if h.shape != (l.n, l.n):
             raise DimensionMismatch("Hamiltonian dimension mismatch")
 
+    lsq = np.einsum("kij,kjl->il", l.ops, l.ops)
+
     def rhs(r):
-        out = 0.5 * laplacian(l, r).mat
+        # equals 0.5 * laplacian(l, r).mat bitwise, without the wrapper's checks
+        out = 0.5 * hermitian_part(_laplacian_raw(l, r, lsq))
         if h is not None:
             out = out - 1j * (h @ r - r @ h)
         return out

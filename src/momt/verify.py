@@ -4,10 +4,18 @@ Each suite replays the library's structural guarantees against the
 operator set (and endpoints) of a user problem file: the calculus
 identities, the convex-duality relations, and the conservation laws.
 Failures name the violated property and carry the measured error.
+
+run_suites solves the problem once, and only when duality or conservation
+runs; both read that result.  The heat-flow checks read one trajectory
+from rho0, restarted at t = 0.5, 1 and 2, with max(200, ceil(r/2)) steps
+per 0.5 of time for the generator's spectral radius r.  So dt * r <= 1,
+inside the explicit midpoint scheme's stability interval dt * r <= 2; the
+exponential check takes max(2000, ceil(0.7 r)) steps to t = 0.7.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,26 +23,10 @@ import numpy as np
 from .action import (DualPoint, fenchel_gap, kinetic, legendre_feasible, path_cost,
                      trace_lower_bound)
 from .elliptic import momentum_min_check
-from .geodesic import (
-    InfeasibleEndpoints,
-    SolverConfig,
-    continuity_residual,
-    dual_certificate,
-    hamiltonian_profile,
-    initial_path,
-    optimize_geodesic,
-)
-from .hermitian import (
-    DensityMatrix,
-    HermitianMatrix,
-    OperatorStack,
-    gram,
-    hermitian_part,
-    inner_product,
-    unvec_h,
-    vec_h,
-    vec_s,
-)
+from .geodesic import (InfeasibleEndpoints, continuity_residual, dual_certificate,
+                       hamiltonian_profile, initial_path, optimize_geodesic)
+from .hermitian import (DensityMatrix, HermitianMatrix, OperatorStack, gram, hermitian_part,
+                        inner_product, unvec_h, vec_h, vec_s)
 from .lindblad import LindbladSet, divergence, gradient, heat_flow, laplacian, project_kernel
 
 SUITES = ("calculus", "duality", "conservation")
@@ -87,81 +79,71 @@ def _check(name: str, err: float, tol: float, extra: str = "") -> Check:
     return Check(name=name, passed=bool(err <= tol), detail=detail)
 
 
+def _worst(name: str, tol: float, draws: int, error, extra: str = "") -> Check:
+    """The check that the largest of ``draws`` calls of error() is within tol."""
+    err = 0.0
+    for _ in range(draws):
+        err = max(err, error())
+    return _check(name, err, tol, extra)
+
+
 # ---------------------------------------------------------------------------
 # calculus
 # ---------------------------------------------------------------------------
 
 def suite_calculus(l: LindbladSet, rng, cases: int = 50) -> list[Check]:
     n, big_n = l.n, l.count
-    checks = []
 
-    err = 0.0
-    for _ in range(cases):
-        x = rand_herm(rng, n)
-        y = rand_skew_stack(rng, big_n, n)
+    def adjointness():
+        x, y = rand_herm(rng, n), rand_skew_stack(rng, big_n, n)
         lhs = inner_product(gradient(l, x), y)
         rhs = inner_product(HermitianMatrix(x), divergence(l, y))
-        scale = max(1.0, abs(lhs))
-        err = max(err, abs(lhs - rhs) / scale)
-    checks.append(_check("gradient/divergence adjointness", err, 1e-12))
+        return abs(lhs - rhs) / max(1.0, abs(lhs))
 
-    err = 0.0
-    for _ in range(max(20, cases // 2)):
+    def product_rule():
         x, y = rand_herm(rng, n), rand_herm(rng, n)
         lhs = gradient(l, x @ y + y @ x).blocks
         gx, gy = gradient(l, x).blocks, gradient(l, y).blocks
         rhs = (np.einsum("kij,jl->kil", gx, y) + np.einsum("ij,kjl->kil", x, gy)
                + np.einsum("kij,jl->kil", gy, x) + np.einsum("ij,kjl->kil", y, gx))
-        scale = max(1.0, float(np.linalg.norm(lhs)))
-        err = max(err, float(np.linalg.norm(lhs - rhs)) / scale)
-    checks.append(_check("gradient product rule", err, 1e-12))
+        return float(np.linalg.norm(lhs - rhs)) / max(1.0, float(np.linalg.norm(lhs)))
 
-    err = 0.0
-    for _ in range(cases):
+    def closed_form():
         x = rand_herm(rng, n)
-        closed = laplacian(l, x).mat
-        composed = -divergence(l, gradient(l, x)).mat
-        scale = max(1.0, float(np.linalg.norm(closed)))
-        err = max(err, float(np.linalg.norm(closed - composed)) / scale)
-    checks.append(_check("laplacian closed form vs divergence of gradient", err, 1e-12))
+        closed, composed = laplacian(l, x).mat, -divergence(l, gradient(l, x)).mat
+        return float(np.linalg.norm(closed - composed)) / max(1.0, float(np.linalg.norm(closed)))
 
-    err = 0.0
-    for _ in range(cases):
-        y = rand_skew_stack(rng, big_n, n)
-        err = max(err, abs(divergence(l, y).trace()))
-    checks.append(_check("divergence output is traceless", err, 1e-12))
-
-    err = 0.0
-    for _ in range(cases):
+    def superoperator():
         x = rand_herm(rng, n)
-        via_matrix = l.grad_matrix @ vec_h(x)
         blockwise = np.concatenate([vec_s(b) for b in gradient(l, x).blocks])
-        err = max(err, float(np.linalg.norm(via_matrix - blockwise)))
-    checks.append(_check("gradient superoperator matches blockwise gradient", err, 1e-12))
+        return float(np.linalg.norm(l.grad_matrix @ vec_h(x) - blockwise))
 
-    err = max((gradient(l, b.mat).norm() for b in l.kernel_basis), default=0.0)
-    checks.append(_check("kernel basis annihilated by the gradient", err, 1e-10))
-
-    overlaps = np.array([[inner_product(a, b) for b in l.kernel_basis]
-                         for a in l.kernel_basis])
-    err = float(np.linalg.norm(overlaps - np.eye(l.kernel_dim)))
-    checks.append(_check("kernel basis orthonormal", err, 1e-12))
-
-    err = 0.0
-    for _ in range(cases):
+    def pythagoras():
         x = rand_herm(rng, n)
         p = project_kernel(l, x).mat
         pyth = abs(np.linalg.norm(x - p) ** 2 + np.linalg.norm(p) ** 2
                    - np.linalg.norm(x) ** 2)
-        err = max(err, pyth / max(1.0, np.linalg.norm(x) ** 2))
-    checks.append(_check("kernel projection Pythagoras identity", err, 1e-12))
+        return pyth / max(1.0, np.linalg.norm(x) ** 2)
 
-    err = 0.0
-    for _ in range(cases):
-        p = rand_skew_stack(rng, big_n, n)
-        err = max(err, project_kernel(l, divergence(l, p).mat).norm())
-    checks.append(_check("divergence range orthogonal to the kernel", err, 1e-10))
-
+    checks = [
+        _worst("gradient/divergence adjointness", 1e-12, cases, adjointness),
+        _worst("gradient product rule", 1e-12, max(20, cases // 2), product_rule),
+        _worst("laplacian closed form vs divergence of gradient", 1e-12, cases, closed_form),
+        _worst("divergence output is traceless", 1e-12, cases,
+               lambda: abs(divergence(l, rand_skew_stack(rng, big_n, n)).trace())),
+        _worst("gradient superoperator matches blockwise gradient", 1e-12, cases,
+               superoperator),
+    ]
+    err = max((gradient(l, b.mat).norm() for b in l.kernel_basis), default=0.0)
+    checks.append(_check("kernel basis annihilated by the gradient", err, 1e-10))
+    overlaps = np.array([[inner_product(a, b) for b in l.kernel_basis]
+                         for a in l.kernel_basis])
+    err = float(np.linalg.norm(overlaps - np.eye(l.kernel_dim)))
+    checks.append(_check("kernel basis orthonormal", err, 1e-12))
+    checks.append(_worst("kernel projection Pythagoras identity", 1e-12, cases, pythagoras))
+    checks.append(_worst(
+        "divergence range orthogonal to the kernel", 1e-10, cases,
+        lambda: project_kernel(l, divergence(l, rand_skew_stack(rng, big_n, n)).mat).norm()))
     return checks
 
 
@@ -169,41 +151,49 @@ def suite_calculus(l: LindbladSet, rng, cases: int = 50) -> list[Check]:
 # duality
 # ---------------------------------------------------------------------------
 
-def suite_duality(l: LindbladSet, rho0: DensityMatrix, rho1: DensityMatrix,
-                  rng, config: SolverConfig | None = None) -> list[Check]:
+def suite_duality(spec, rng, solved) -> list[Check]:
+    """Sampled duality checks, then weak duality on solved (see run_suites)."""
+    l = spec.lindblad
     n, big_n = l.n, l.count
-    checks = []
 
-    err = 0.0
-    for _ in range(20):
-        rho = _rand_density(rng, n)
-        f = _rand_complement(rng, l)
-        mc = momentum_min_check(l, rho, f)
-        scale = max(1.0, abs(mc.primal_min))
-        err = max(err, abs(mc.primal_min - mc.dual_max) / scale)
-    checks.append(_check("constrained momentum primal equals dual", err, 1e-9))
+    def momentum_duality():
+        mc = momentum_min_check(l, _rand_density(rng, n), _rand_complement(rng, l))
+        return abs(mc.primal_min - mc.dual_max) / max(1.0, abs(mc.primal_min))
 
-    err = 0.0
-    for _ in range(100):
+    def convexity():
         ra, rb = _rand_density(rng, n), _rand_density(rng, n)
-        ma = rand_general_stack(rng, big_n, n)
-        mb = rand_general_stack(rng, big_n, n)
-        fa = kinetic(ra, ma).value
-        fb = kinetic(rb, mb).value
-        mid = kinetic(0.5 * (ra.mat + rb.mat),
-                      0.5 * (ma.blocks + mb.blocks)).value
-        err = max(err, mid - 0.5 * (fa + fb))
-    checks.append(_check("kinetic functional midpoint convexity", err, 1e-10))
+        ma, mb = rand_general_stack(rng, big_n, n), rand_general_stack(rng, big_n, n)
+        mid = kinetic(0.5 * (ra.mat + rb.mat), 0.5 * (ma.blocks + mb.blocks)).value
+        return mid - 0.5 * (kinetic(ra, ma).value + kinetic(rb, mb).value)
 
-    agree = 0
-    total = 120
+    def fenchel_young():
+        rho = _rand_density(rng, n)
+        m, b = rand_general_stack(rng, big_n, n), rand_general_stack(rng, big_n, n)
+        a = HermitianMatrix(-0.5 * gram(b.blocks) - 0.1 * np.eye(n))
+        return -fenchel_gap(rho, m, DualPoint(a=a, b=b))
+
+    def fenchel_equality():
+        rho = _rand_density(rng, n)
+        v = gradient(l, rand_herm(rng, n))
+        m = OperatorStack(np.einsum("kij,jl->kil", v.blocks, rho.mat), flavor="general")
+        p = DualPoint(a=HermitianMatrix(-0.5 * gram(v.blocks)), b=v)
+        return abs(fenchel_gap(rho, m, p)) / max(1.0, kinetic(rho, m).value)
+
+    def lower_bound():
+        rho = _rand_density(rng, n)
+        return 0.0 if trace_lower_bound(rho, rand_general_stack(rng, big_n, n)) else 1.0
+
+    checks = [
+        _worst("constrained momentum primal equals dual", 1e-9, 20, momentum_duality),
+        _worst("kinetic functional midpoint convexity", 1e-10, 100, convexity),
+    ]
+    agree, total = 0, 120
     for i in range(total):
         b = rand_general_stack(rng, big_n, n)
         gr = gram(b.blocks)
         shift = [-1e-3, 0.0, 1e-3][i % 3] * np.eye(n)
         a = HermitianMatrix(-0.5 * gr + shift)
-        p = DualPoint(a=a, b=b)
-        claimed = legendre_feasible(p)
+        claimed = legendre_feasible(DualPoint(a=a, b=b))
         # independent route: attempted Cholesky of the negated residual
         resid = a.mat + 0.5 * gr
         try:
@@ -212,62 +202,26 @@ def suite_duality(l: LindbladSet, rho0: DensityMatrix, rho1: DensityMatrix,
         except np.linalg.LinAlgError:
             indep = False
         agree += int(claimed == indep)
-    checks.append(Check(
-        name="dual-cone membership: eigenvalue test vs factorization",
-        passed=agree == total,
-        detail=f"{agree}/{total} classifications agree",
-    ))
+    checks.append(Check("dual-cone membership: eigenvalue test vs factorization",
+                        agree == total, f"{agree}/{total} classifications agree"))
+    checks += [
+        _worst("Fenchel-Young inequality for the kinetic pair", 1e-10, 100, fenchel_young),
+        _worst("subdifferential pair attains Fenchel equality", 1e-9, 20, fenchel_equality),
+        _worst("kinetic value dominates momentum-norm lower bound", 0.0, 100, lower_bound,
+               extra="; 100 samples"),
+    ]
 
-    err = 0.0
-    for _ in range(100):
-        rho = _rand_density(rng, n)
-        m = rand_general_stack(rng, big_n, n)
-        b = rand_general_stack(rng, big_n, n)
-        gr = gram(b.blocks)
-        a = HermitianMatrix(-0.5 * gr - 0.1 * np.eye(n))
-        err = max(err, -fenchel_gap(rho, m, DualPoint(a=a, b=b)))
-    checks.append(_check("Fenchel-Young inequality for the kinetic pair", err, 1e-10))
-
-    err = 0.0
-    for _ in range(20):
-        rho = _rand_density(rng, n)
-        x = rand_herm(rng, n)
-        v = gradient(l, x)
-        m = OperatorStack(np.einsum("kij,jl->kil", v.blocks, rho.mat),
-                          flavor="general")
-        gr = gram(v.blocks)
-        p = DualPoint(a=HermitianMatrix(-0.5 * gr), b=v)
-        f_val = kinetic(rho, m).value
-        err = max(err, abs(fenchel_gap(rho, m, p)) / max(1.0, f_val))
-    checks.append(_check("subdifferential pair attains Fenchel equality", err, 1e-9))
-
-    err = 0.0
-    for _ in range(100):
-        rho = _rand_density(rng, n)
-        m = rand_general_stack(rng, big_n, n)
-        if not trace_lower_bound(rho, m):
-            err = max(err, 1.0)
-    checks.append(_check("kinetic value dominates momentum-norm lower bound", err, 0.0,
-                         extra="; 100 samples"))
-
-    cfg = config or SolverConfig()
-    try:
-        res = optimize_geodesic(l, rho0, rho1, cfg)
-        rel = res.gap / res.primal_cost if res.primal_cost > 1e-15 else 0.0
-        checks.append(_check("weak duality on the solved instance",
-                             max(0.0, -res.gap), 1e-9,
-                             extra=f"; certified rel_gap {rel:.3e}"))
-        start = initial_path(l, rho0, rho1, cfg.K)
-        _, dv = dual_certificate(l, start)
-        primal0 = 2.0 * path_cost(start).value
-        checks.append(_check("certificate never exceeds the action (initial path)",
-                             max(0.0, dv - primal0), 1e-9))
-    except InfeasibleEndpoints as exc:
-        checks.append(Check(
-            name="weak duality on the solved instance",
-            passed=True,
-            detail=f"skipped: {exc}",
-        ))
+    if isinstance(solved, InfeasibleEndpoints):
+        checks.append(Check("weak duality on the solved instance", True, f"skipped: {solved}"))
+        return checks
+    rel = solved.gap / solved.primal_cost if solved.primal_cost > 1e-15 else 0.0
+    checks.append(_check("weak duality on the solved instance",
+                         max(0.0, -solved.gap), 1e-9,
+                         extra=f"; certified rel_gap {rel:.3e}"))
+    start = initial_path(l, spec.rho0, spec.rho1, spec.config.K)
+    _, dv = dual_certificate(l, start)
+    checks.append(_check("certificate never exceeds the action (initial path)",
+                         max(0.0, dv - 2.0 * path_cost(start).value), 1e-9))
     return checks
 
 
@@ -280,64 +234,71 @@ def _generator_matrix(l: LindbladSet) -> np.ndarray:
     return -0.5 * (l.grad_matrix.T @ l.grad_matrix)
 
 
-def suite_conservation(l: LindbladSet, rho0: DensityMatrix, rho1: DensityMatrix,
-                       rng, config: SolverConfig | None = None) -> list[Check]:
-    checks = []
-    cfg = config or SolverConfig()
+def suite_conservation(spec, solved) -> list[Check]:
+    """Conservation along solved (see run_suites) and along the heat flow."""
+    l, rho0 = spec.lindblad, spec.rho0
+    if isinstance(solved, InfeasibleEndpoints):
+        checks = [Check("unit trace along every solver iterate", True, f"skipped: {solved}")]
+    else:
+        checks = [
+            _check("unit trace along every solver iterate", solved.trace_drift, 1e-12,
+                   extra=f"; {solved.iterations} iterations"),
+            _check("discrete continuity on the returned path",
+                   continuity_residual(l, solved.path), 1e-9),
+            _check("kinetic values constant along the geodesic",
+                   hamiltonian_profile(solved).rel_std, 1e-3),
+        ]
 
-    try:
-        res = optimize_geodesic(l, rho0, rho1, cfg)
-        checks.append(_check("unit trace along every solver iterate",
-                             res.trace_drift, 1e-12,
-                             extra=f"; {res.iterations} iterations"))
-        checks.append(_check("discrete continuity on the returned path",
-                             continuity_residual(l, res.path), 1e-9))
-        checks.append(_check("kinetic values constant along the geodesic",
-                             hamiltonian_profile(res).rel_std, 1e-3))
-    except InfeasibleEndpoints as exc:
-        checks.append(Check(name="unit trace along every solver iterate",
-                            passed=True, detail=f"skipped: {exc}"))
-
-    flowed = heat_flow(l, rho0, 2.0, 800)
-    tr_err = abs(float(np.trace(flowed.mat).real) - 1.0)
-    checks.append(_check("heat flow preserves trace", tr_err, 1e-10))
+    lam, vecs = np.linalg.eigh(_generator_matrix(l))
+    radius = float(np.max(np.abs(lam)))
+    half = max(200, math.ceil(radius / 2))  # steps per 0.5 of time, so dt * radius <= 1
+    states = [rho0]
+    for t, steps in ((0.5, half), (0.5, half), (1.0, 2 * half), (2.0, 4 * half)):
+        states.append(heat_flow(l, states[-1], t, steps))
+    flowed = states[3]  # t = 2
+    checks.append(_check("heat flow preserves trace",
+                         abs(float(np.trace(flowed.mat).real) - 1.0), 1e-10))
     checks.append(_check("heat flow preserves positivity",
                          max(0.0, -flowed.min_eig()), 1e-8))
 
     target = project_kernel(l, rho0.mat).mat
-    errs = [float(np.linalg.norm(heat_flow(l, rho0, t, max(200, int(400 * t))).mat
-                                 - target)) for t in (0.5, 1.0, 2.0, 4.0)]
+    errs = [float(np.linalg.norm(s.mat - target)) for s in states[1:]]  # t = 0.5, 1, 2, 4
     mono = max(0.0, max(errs[i + 1] - errs[i] for i in range(len(errs) - 1)))
     checks.append(_check("heat flow contracts toward the kernel projection",
                          mono, 1e-12,
                          extra=f"; errors {['%.2e' % e for e in errs]}"))
 
     # exp(t gen) of the symmetric generator from one eigendecomposition
-    lam, vecs = np.linalg.eigh(_generator_matrix(l))
     t_final = 0.7
     exact = unvec_h(vecs @ (np.exp(t_final * lam) * (vecs.T @ vec_h(rho0.mat))), l.n)
-    approx = heat_flow(l, rho0, t_final, 2000).mat
-    err = float(np.linalg.norm(exact - approx))
-    checks.append(_check("midpoint integrator matches exact exponential", err, 1e-4))
-
+    approx = heat_flow(l, rho0, t_final, max(2000, math.ceil(t_final * radius))).mat
+    checks.append(_check("midpoint integrator matches exact exponential",
+                         float(np.linalg.norm(exact - approx)), 1e-4))
     return checks
 
 
 def run_suites(spec, suite: str) -> list[Check]:
-    """Run one named suite or all of them, deterministically under spec.seed."""
+    """Run one named suite or all of them, deterministically under spec.seed.
+
+    Each suite draws from its own generator seeded with spec.seed.  solved
+    is the GeodesicResult of spec, or the InfeasibleEndpoints its solve raised.
+    """
+    if suite not in SUITES + ("all",):
+        raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES + ('all',)}")
     names = SUITES if suite == "all" else (suite,)
+    solved = None
+    if suite != "calculus":
+        try:
+            solved = optimize_geodesic(spec.lindblad, spec.rho0, spec.rho1, spec.config)
+        except InfeasibleEndpoints as exc:
+            solved = exc
     out = []
     for name in names:
         rng = np.random.default_rng(spec.seed)
         if name == "calculus":
             out.extend(suite_calculus(spec.lindblad, rng))
         elif name == "duality":
-            out.extend(suite_duality(spec.lindblad, spec.rho0, spec.rho1, rng,
-                                     spec.config))
-        elif name == "conservation":
-            out.extend(suite_conservation(spec.lindblad, spec.rho0, spec.rho1,
-                                          rng, spec.config))
+            out.extend(suite_duality(spec, rng, solved))
         else:
-            raise ValueError(f"unknown suite {name!r}; expected one of "
-                             f"{SUITES + ('all',)}")
+            out.extend(suite_conservation(spec, solved))
     return out

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from momt import LindbladSet, SymmetryError, matrix_to_literal
+from momt import (DensityMatrix, InfeasibleEndpoints, LindbladSet, SolverConfig,
+                  SymmetryError, feasibility_gap, matrix_to_literal, optimize_geodesic)
 from momt.cli import main
 from momt.io import dump_canonical, load_problem
 from momt.verify import run_suites, suite_calculus
@@ -220,3 +221,26 @@ def test_demo_runs(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(demo)], env=env, cwd=tmp_path,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+
+def test_relative_kernel_component_is_infeasible(tmp_path, capsys):
+    # a 2.8e-11 kernel part of rho1 - rho0 against |rho1 - rho0| = 5.7e-3:
+    # below the guard's absolute 1e-10, above the interval solve's relative
+    # 1e-10 |f|, so the guard must reject it, not the first interval solve
+    op = np.diag([1.0, 2.0, 3.0])
+    r0 = np.diag([0.3, 0.3, 0.4]).astype(complex)
+    r0[0, 1] = r0[1, 0] = 0.05
+    r1 = r0.copy()
+    r1[0, 1] = r1[1, 0] = 0.054
+    r1[0, 0] += 2e-11
+    r1[1, 1] -= 2e-11
+    l = LindbladSet([op])
+    assert 1e-11 < feasibility_gap(l, r0, r1) < 1e-10
+    with pytest.raises(InfeasibleEndpoints, match="kernel"):
+        optimize_geodesic(l, DensityMatrix(r0), DensityMatrix(r1), SolverConfig(K=4))
+    prob = tmp_path / "edge.json"
+    prob.write_text(json.dumps({"lindblad": {"n": 3, "operators": [matrix_to_literal(op)]},
+                                "rho0": matrix_to_literal(r0), "rho1": matrix_to_literal(r1)}))
+    assert main(["distance", str(prob)]) == 2
+    assert "kernel component" in capsys.readouterr().err

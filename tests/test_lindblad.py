@@ -153,6 +153,28 @@ def test_heat_flow_matches_matrix_exponential(pauli):
     np.testing.assert_allclose(vec_h(approx.mat), exact, atol=1e-6)
 
 
+def test_heat_flow_restart_continues_the_trajectory(pauli):
+    # verify's heat-flow checks read one trajectory in restarted segments
+    rng = np.random.default_rng(10)
+    for l in (pauli, rand_lindblad(rng, 2, 3)):
+        rho = rand_density(rng, l.n)
+        chained = heat_flow(l, heat_flow(l, rho, 0.5, 200), 0.5, 200)
+        assert np.array_equal(chained.mat, heat_flow(l, rho, 1.0, 400).mat)
+
+
+def test_heat_flow_step_matches_laplacian_step(pauli):
+    # the raw-array step is the wrapper-typed midpoint step, bitwise
+    rng = np.random.default_rng(11)
+    for l in (pauli, rand_lindblad(rng, 3, 4)):
+        rho = rand_density(rng, l.n)
+        ref, dt = np.array(rho.mat), 0.3 / 25
+        for _ in range(25):
+            k1 = 0.5 * laplacian(l, ref).mat
+            k2 = 0.5 * laplacian(l, ref + 0.5 * dt * k1).mat
+            ref = HermitianMatrix(ref + dt * k2).mat
+        assert np.array_equal(heat_flow(l, rho, 0.3, 25).mat, ref)
+
+
 def test_generator_matrix_matches_laplacian_columns(pauli, sz_only):
     rng = np.random.default_rng(9)
     for l in (pauli, sz_only, rand_lindblad(rng, 2, 3), rand_lindblad(rng, 3, 4)):

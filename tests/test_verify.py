@@ -1,0 +1,46 @@
+import json
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import momt.verify
+from momt import LindbladSet
+from momt.io import load_problem
+from momt.verify import _generator_matrix, run_suites
+from conftest import FIXTURES
+
+PAULI = str(FIXTURES / "pauli_problem.json")
+PINNED = json.loads((FIXTURES / "verify_checks.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_run_suites_names_and_verdicts_pinned(name):
+    # every check keeps its name, order and verdict; details carry BLAS digits
+    checks = run_suites(load_problem(str(FIXTURES / f"{name}.json")), "all")
+    assert [[c.name, c.passed] for c in checks] == PINNED[name]
+
+
+@pytest.mark.parametrize("suite, solves, steps", [
+    ("all", 1, 3600), ("calculus", 0, 0), ("duality", 1, 0), ("conservation", 1, 3600)])
+def test_run_suites_solves_once(monkeypatch, suite, solves, steps):
+    calls, taken = [], []
+    solve, flow = momt.verify.optimize_geodesic, momt.verify.heat_flow
+    monkeypatch.setattr(momt.verify, "optimize_geodesic",
+                        lambda *a: calls.append(a) or solve(*a))
+    monkeypatch.setattr(momt.verify, "heat_flow",
+                        lambda l, rho, t, n: taken.append(n) or flow(l, rho, t, n))
+    run_suites(load_problem(PAULI), suite)
+    assert len(calls) == solves
+    assert sum(taken) == steps
+
+
+def test_conservation_steps_follow_the_spectral_radius():
+    # at 20x the Pauli operators the generator's spectral radius is 1600, so
+    # fixed step counts (dt = 1/400) would leave the midpoint scheme's
+    # stability interval and abort the flow
+    spec = load_problem(PAULI)
+    stiff = LindbladSet(20.0 * spec.lindblad.ops)
+    np.testing.assert_allclose(-np.linalg.eigvalsh(_generator_matrix(stiff))[0], 1600.0)
+    checks = run_suites(replace(spec, lindblad=stiff), "conservation")
+    assert checks and all(c.passed for c in checks)
