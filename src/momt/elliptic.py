@@ -68,17 +68,18 @@ class InfeasibleRHS(ValueError):
     """Right-hand side has a component inside ker(grad); no potential exists."""
 
 
-def _weight(rho) -> np.ndarray:
+def _weight(rho):
+    """(Hermitian part of rho, its smallest eigenvalue); WeightError below -EPS_PD."""
     r = hermitian_part(rho)
     lo = float(np.linalg.eigvalsh(r)[0])
     if lo < -EPS_PD:
         raise WeightError(f"weight has negative eigenvalue {lo:.3e}")
-    return r
+    return r, lo
 
 
 def quadratic_form(rho, v) -> float:
     """Q_rho(v) = tr(rho v^* v), summing the block Gram matrix; >= 0."""
-    r = _weight(rho)
+    r, _ = _weight(rho)
     blocks = _entries(v)
     if blocks.shape[1] != r.shape[0]:
         raise DimensionMismatch("weight and stack dimensions differ")
@@ -171,7 +172,7 @@ class WeightedOperator:
 
     def __init__(self, lindblad: LindbladSet, rho):
         self.lindblad = lindblad
-        self.rho = _weight(rho)
+        self.rho, _ = _weight(rho)
         if self.rho.shape != (lindblad.n, lindblad.n):
             raise DimensionMismatch("weight dimension does not match operator set")
         a = _systems(lindblad, self.rho[None])[0]
@@ -212,8 +213,7 @@ def poincare_constant(l: LindbladSet, rho) -> float:
     singular weight (or a gradient with full kernel) the constant
     degenerates; 0 is returned with a warning instead of an error.
     """
-    r = _weight(rho)
-    lo = float(np.linalg.eigvalsh(r)[0])
+    r, lo = _weight(rho)
     if lo <= EPS_PD or l.complement_vecs.shape[1] == 0:
         warnings.warn(
             "degenerate weight or trivial gradient: the sharp constant is 0 "
@@ -240,7 +240,7 @@ def momentum_min_check(l: LindbladSet, rho, f) -> MomentumCheck:
     m = grad(X) rho, dual_max = <f; X> - (1/2) Q_rho(grad X) at Y = X;
     the two agree (strong duality of a linearly-constrained quadratic).
     """
-    r = _weight(rho)
+    r, _ = _weight(rho)
     x = _potential(l, r, f)
     v = gradient(l, x)
     m = OperatorStack(np.einsum("kij,jl->kil", v.blocks, r), flavor="general")

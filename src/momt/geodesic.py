@@ -170,25 +170,29 @@ def _linear_nodes(r0: np.ndarray, r1: np.ndarray, big_k: int) -> np.ndarray:
 
 def _discrete_path(l: LindbladSet, nodes: np.ndarray, xs: np.ndarray) -> DiscretePath:
     """The path through nodes with X_k = unvec_h(C x_k) and m_k = grad(X_k) mid_k."""
-    pots = unvec_h(xs @ l.complement_vecs.T, l.n)
-    ms = grad_blocks(l, pots) @ (0.5 * (nodes[:-1] + nodes[1:]))[:, None]
-    return DiscretePath(K=len(xs), grid=np.linspace(0.0, 1.0, len(xs) + 1),
-                        densities=nodes, momenta=ms, potentials=pots)
+    big_k, n = len(xs), l.n
+    pots = unvec_h(xs @ l.complement_vecs.T, n)
+    # one (K, N n, n) @ (K, n, n) product: row block j of entry k is grad_j(X_k) mid_k
+    ms = grad_blocks(l, pots).reshape(big_k, -1, n) @ (0.5 * (nodes[:-1] + nodes[1:]))
+    return DiscretePath(K=big_k, grid=np.linspace(0.0, 1.0, big_k + 1), densities=nodes,
+                        momenta=ms.reshape(big_k, l.count, n, n), potentials=pots)
 
 
 def _endpoint_guard(l: LindbladSet, rho0, rho1):
+    """The strict endpoints and |rho1 - rho0|; InfeasibleEndpoints if not connectable."""
     r0 = DensityMatrix(rho0, strict=True)
     r1 = DensityMatrix(rho1, strict=True)
     gap = feasibility_gap(l, r0, r1)
+    span = float(np.linalg.norm(r1.mat - r0.mat))
     # restricted_systems applies the relative rule to every interval's rate,
     # which on the linear path is rho1 - rho0 up to rounding
-    if gap > 1e-10 or _kernel_excess(gap, float(np.linalg.norm(r1.mat - r0.mat))):
+    if gap > 1e-10 or _kernel_excess(gap, span):
         raise InfeasibleEndpoints(
             f"rho1 - rho0 has a kernel component of norm {gap:.3e}; the "
             "endpoints are not connectable by any finite-action path "
             "(connectability requires rho1 - rho0 orthogonal to ker(grad))"
         )
-    return r0, r1
+    return r0, r1, span
 
 
 def initial_path(l: LindbladSet, rho0, rho1, big_k: int) -> DiscretePath:
@@ -199,7 +203,7 @@ def initial_path(l: LindbladSet, rho0, rho1, big_k: int) -> DiscretePath:
     m - m_* = grad(X) mid + mid grad(X) turns the elliptic equation into
     the discrete continuity equation.
     """
-    r0, r1 = _endpoint_guard(l, rho0, rho1)
+    r0, r1, _ = _endpoint_guard(l, rho0, rho1)
     reduced = _Reduced(l, r0, r1, big_k, EPS_PD)
     return _discrete_path(l, reduced.line, reduced.value_grad(np.zeros((big_k - 1) * reduced.d)).xs)
 
@@ -394,10 +398,10 @@ def optimize_geodesic(l: LindbladSet, rho0, rho1, config: SolverConfig | None = 
     F(mid_k, m_k) of the returned path come from one kinetic_values call.
     """
     cfg = config or SolverConfig()
-    r0, r1 = _endpoint_guard(l, rho0, rho1)
+    r0, r1, span = _endpoint_guard(l, rho0, rho1)
     warnings_list = ["kernel-dim"] if l.kernel_dim > 1 else []
 
-    if float(np.linalg.norm(r1.mat - r0.mat)) <= 1e-14:
+    if span <= 1e-14:
         # coincident endpoints: the constant path, distance exactly zero
         path = DiscretePath(K=cfg.K, grid=np.linspace(0.0, 1.0, cfg.K + 1),
                             densities=np.repeat(r0.mat[None], cfg.K + 1, axis=0),

@@ -223,9 +223,14 @@ def symmetric_dot(m, b) -> float:
 
 
 def gram(blocks) -> np.ndarray:
-    """sum_k b_k^* b_k over the stack axis: (..., N, n, n) -> (..., n, n), Hermitian PSD."""
+    """sum_k b_k^* b_k over the stack axis: (..., N, n, n) -> (..., n, n), Hermitian PSD.
+
+    One GEMM per stack entry, with no sum over products: the blocks stacked
+    as the (N n, n) column B = [b_1; ...; b_N] give B^* B = sum_k b_k^* b_k.
+    """
     b = _entries(blocks)
-    return (np.conj(np.swapaxes(b, -1, -2)) @ b).sum(axis=-3)
+    flat = b.reshape(*b.shape[:-3], b.shape[-3] * b.shape[-2], b.shape[-1])
+    return np.conj(np.swapaxes(flat, -1, -2)) @ flat
 
 
 # ---------------------------------------------------------------------------

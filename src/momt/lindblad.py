@@ -150,9 +150,20 @@ def _square(l: LindbladSet, x) -> np.ndarray:
 
 
 def grad_blocks(l: LindbladSet, xs: np.ndarray) -> np.ndarray:
-    """Raw commutators L_k X - X L_k for a stack: (..., n, n) -> (..., N, n, n)."""
-    a = np.expand_dims(xs, -3)
-    return l.ops @ a - a @ l.ops
+    """Raw commutators L_k X - X L_k for a stack: (..., n, n) -> (..., N, n, n).
+
+    Two products against the stacked operators, with no broadcast over k.
+    The (N n, n) rows [L_1; ...; L_N] times each X give every L_k X in
+    block layout.  One GEMM of all rows of the stack, (-1, n), with the
+    (n, N n) columns [L_1 ... L_N] gives every X L_k in (..., n, N, n)
+    layout; one swap of axes turns it into blocks, subtracted in place.
+    """
+    big_n, n = l.count, l.n
+    lead = np.shape(xs)[:-2]
+    xl = np.reshape(xs, (-1, n)) @ l.ops.transpose(1, 0, 2).reshape(n, big_n * n)
+    out = (l.ops.reshape(big_n * n, n) @ xs).reshape(*lead, big_n, n, n)
+    out -= np.swapaxes(xl.reshape(*lead, n, big_n, n), -3, -2)
+    return out
 
 
 def gradient(l: LindbladSet, x) -> OperatorStack:

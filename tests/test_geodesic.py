@@ -248,8 +248,8 @@ def six_level_set():
     return rand_lindblad(rng, 2, 6), rand_density(rng, 6, 0.1), rand_density(rng, 6, 0.1)
 
 
-def test_batched_sweep_matches_interval_loop(three_level_pair):
-    for l, r0, r1 in [three_level_pair, six_level_set()]:
+def test_batched_sweep_matches_interval_loop(three_level_pair, pauli, swap_endpoints):
+    for l, r0, r1 in [three_level_pair, six_level_set(), (pauli, *swap_endpoints)]:
         red = _Reduced(l, r0, r1, 6, 1e-8)
         rng = np.random.default_rng(1)
         y = 0.02 * rng.standard_normal(red.d * (red.big_k - 1))
@@ -264,6 +264,11 @@ def test_batched_sweep_matches_interval_loop(three_level_pair):
         for got, ref in [(path.potentials, ref_xs), (path.momenta, ref_ms)]:
             np.testing.assert_allclose(np.array(got), np.array(ref),
                                        atol=1e-12 * np.abs(np.array(ref)).max())
+        # block by block, m_k is grad(X_k) mid_k of the path's own X_k
+        for k, x in enumerate(path.potentials):
+            ref_m = gradient(l, x).blocks @ (0.5 * (path.densities[k] + path.densities[k + 1]))
+            np.testing.assert_allclose(path.momenta[k], ref_m, rtol=0,
+                                       atol=1e-14 * np.abs(ref_m).max())
 
         slacks, value = dual_certificate(l, path)
         ref_slacks, ref_value = loop_dual_certificate(l, path)

@@ -6,6 +6,7 @@ from momt import (
     DimensionMismatch,
     FlavorError,
     HermitianMatrix,
+    LindbladSet,
     NotPositive,
     NotUnitTrace,
     OperatorStack,
@@ -21,6 +22,8 @@ from momt import (
     vec_s,
     vec_stack,
 )
+from momt.hermitian import gram
+from momt.lindblad import grad_blocks
 from conftest import SX, SZ, rand_general_stack, rand_herm, rand_skew_stack
 
 
@@ -146,6 +149,30 @@ def test_vec_gemm_matches_einsum_oracle(n):
         vec_s(1j * a), np.einsum("aij,...ij->...a", np.conj(basis), -1j * (1j * a)).real)
     np.testing.assert_array_equal(unvec_h(x, n), np.einsum("...a,aij->...ij", x, basis))
     np.testing.assert_array_equal(unvec_h(x[0], n), np.einsum("a,aij->ij", x[0], basis))
+
+
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_commutator_and_gram_gemms_match_block_loops(n, count):
+    # grad_blocks and gram against one product per block, relative to the
+    # size of the products, for 0, 1 and 2 leading axes and a strided view
+    rng = np.random.default_rng(50 + 10 * count + n)
+    l = LindbladSet([rand_herm(rng, n) for _ in range(count)])
+    shape = (4, 3, count, n, n)
+    stacks = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for blocks in (stacks[0, 0], stacks[0], stacks, stacks[::2, :, :, ::-1].swapaxes(-1, -2)):
+        xs = blocks[..., 0, :, :]
+        got_grad, got_gram = grad_blocks(l, xs), gram(blocks)
+        assert got_grad.shape == xs.shape[:-2] + (count, n, n)
+        assert got_gram.shape == xs.shape
+        for idx in np.ndindex(xs.shape[:-2]):
+            x, bs = xs[idx], blocks[idx]
+            ref_grad = np.array([op @ x - x @ op for op in l.ops])
+            scale = max(np.linalg.norm(op) for op in l.ops) * np.linalg.norm(x)
+            np.testing.assert_allclose(got_grad[idx], ref_grad, rtol=0, atol=1e-14 * scale)
+            ref_gram = sum(b.conj().T @ b for b in bs)
+            np.testing.assert_allclose(got_gram[idx], ref_gram, rtol=0,
+                                       atol=1e-14 * np.linalg.norm(bs) ** 2)
 
 
 def test_vec_s_round_trip():
