@@ -39,15 +39,15 @@ class ExtendedValue:
     """A value in [0, inf]: either finite with a number, or tagged infinite.
 
     Infinity is a tag, never a large float, so it cannot leak into
-    arithmetic unnoticed.
+    arithmetic unnoticed; a finite tag with an inf or NaN value is rejected.
     """
 
     finite: bool
     value: float | None = None
 
     def __post_init__(self):
-        if self.finite and self.value is None:
-            raise ValueError("finite ExtendedValue needs a value")
+        if self.finite and (self.value is None or not np.isfinite(self.value)):
+            raise ValueError("finite ExtendedValue needs a finite value")
         if not self.finite and self.value is not None:
             raise ValueError("infinite ExtendedValue carries no value")
 
@@ -71,12 +71,12 @@ class DualPoint:
     b: OperatorStack
 
 
-def kinetic(rho, m, eps_pd: float = EPS_PD) -> ExtendedValue:
+def kinetic(rho, m) -> ExtendedValue:
     """F(rho, m), extended-real valued: kinetic_values on a stack of one.
 
-    * rho positive definite (all eigenvalues > eps_pd): (1/2) tr(m^* m rho^{-1}).
-    * rho with an eigenvalue below -eps_pd: infinite.
-    * rho singular PSD (eigenvalues in [-eps_pd, eps_pd] count as zero):
+    * rho positive definite (all eigenvalues > EPS_PD): (1/2) tr(m^* m rho^{-1}).
+    * rho with an eigenvalue below -EPS_PD: infinite.
+    * rho singular PSD (eigenvalues in [-EPS_PD, EPS_PD] count as zero):
       finite iff every block of m kills ker(rho) within 1e-9 |m|, with
       value (1/2) tr(m^* m rho^+).
     """
@@ -86,21 +86,21 @@ def kinetic(rho, m, eps_pd: float = EPS_PD) -> ExtendedValue:
         raise DimensionMismatch(
             f"momentum stack shape {blocks.shape} incompatible with rho {r.shape}"
         )
-    value = kinetic_values(r[None], blocks[None], eps_pd)[0]
+    value = kinetic_values(r[None], blocks[None])[0]
     return ExtendedValue.infinity() if value is None else ExtendedValue.of(value)
 
 
-def kinetic_values(rhos: np.ndarray, ms: np.ndarray, eps_pd: float = EPS_PD) -> list:
+def kinetic_values(rhos: np.ndarray, ms: np.ndarray) -> list:
     """F(rho_k, m_k) by kinetic's rules for (K, n, n) and (K, N, n, n) stacks.
 
     K floats, None where infinite.  One batched eigh, w_k = V diag(1/lambda) V^*
-    (1/lambda read as 0 on eigenvalues <= eps_pd: rho^+) and (1/2) tr(Gram(m_k) w_k)
+    (1/lambda read as 0 on eigenvalues <= EPS_PD: rho^+) and (1/2) tr(Gram(m_k) w_k)
     keep the arithmetic of one matrix at a time; only the rho_k that are not
     positive definite are then tested, one by one, for infinity.
     """
     r = hermitian_part(rhos)
     evals, vecs = np.linalg.eigh(r)
-    zero = evals <= eps_pd
+    zero = evals <= EPS_PD
     inv = np.divide(1.0, evals, out=np.zeros_like(evals), where=~zero)
     w = (vecs * inv[:, None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))
     # summing a contiguous copy of the diagonal keeps np.trace's order
@@ -109,19 +109,19 @@ def kinetic_values(rhos: np.ndarray, ms: np.ndarray, eps_pd: float = EPS_PD) -> 
     for k in np.flatnonzero(zero[:, 0]):
         ker = vecs[k][:, zero[k]]
         leak = float(np.linalg.norm(np.einsum("kij,jl->kil", ms[k], ker @ ker.conj().T)))
-        if evals[k, 0] < -eps_pd or leak > 1e-9 * float(np.linalg.norm(ms[k])):
+        if evals[k, 0] < -EPS_PD or leak > 1e-9 * float(np.linalg.norm(ms[k])):
             out[k] = None
     return out
 
 
-def legendre_feasible(p: DualPoint, tol: float = 1e-10) -> bool:
-    """True iff the largest eigenvalue of a + (1/2) sum_k b_k^* b_k is <= tol."""
+def legendre_feasible(p: DualPoint) -> bool:
+    """True iff the largest eigenvalue of a + (1/2) sum_k b_k^* b_k is <= 1e-10."""
     a = hermitian_part(p.a)
     blocks = _entries(p.b)
     if blocks.shape[1:] != a.shape:
         raise DimensionMismatch("dual point a/b dimensions differ")
     top = float(np.linalg.eigvalsh(a + 0.5 * gram(blocks))[-1])
-    return top <= tol
+    return top <= 1e-10
 
 
 def fenchel_gap(rho, m, p: DualPoint) -> float:

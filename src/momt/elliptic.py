@@ -46,10 +46,9 @@ from .hermitian import (
     hermitian_part,
     inner_product,
     unvec_h,
-    unvec_stack,
     vec_h,
 )
-from .lindblad import LindbladSet, divergence, gradient
+from .lindblad import LindbladSet, div_blocks, gradient
 
 
 # residual bound of every potential solve: |T x - f| <= RESIDUAL_RTOL * max(|f|, 1)
@@ -143,7 +142,7 @@ def solve_restricted(tcs: np.ndarray, fcs: np.ndarray, kpart: np.ndarray):
     xcs = (ainv @ fcs[..., None])[..., 0]
     residual = np.hypot(np.linalg.norm((tcs @ xcs[..., None])[..., 0] - fcs, axis=-1), kpart)
     fnorm = np.hypot(np.linalg.norm(fcs, axis=-1), kpart)
-    over = residual > RESIDUAL_RTOL * np.maximum(fnorm, 1.0)
+    over = ~(residual <= RESIDUAL_RTOL * np.maximum(fnorm, 1.0))  # NaN fails
     if over.any():
         raise RuntimeError(
             f"potential solve residual {residual[np.argmax(over)]:.3e} exceeds "
@@ -246,7 +245,8 @@ def momentum_min_check(l: LindbladSet, rho, f) -> MomentumCheck:
     m = OperatorStack(np.einsum("kij,jl->kil", v.blocks, r), flavor="general")
     rinv = hermitian_part(np.linalg.inv(r))
     primal = 0.5 * float(np.trace(gram(m.blocks) @ rinv).real)
-    dual = float(inner_product(HermitianMatrix(f), x)) - 0.5 * quadratic_form(r, v)
+    dual = float(inner_product(HermitianMatrix(f), x)) \
+        - 0.5 * float(np.trace(r @ gram(v.blocks)).real)
     return MomentumCheck(primal_min=primal, dual_max=dual, optimal_m=m, potential=x)
 
 
@@ -258,16 +258,10 @@ def momentum_divergence_matrix(l: LindbladSet) -> np.ndarray:
     the null space of this matrix is exactly the set of directions that
     leave the continuity picture unchanged.
     """
-    big_n, n = l.count, l.n
-    dof = 2 * big_n * n * n
-    cols = np.zeros((n * n, dof))
-    for p in range(dof):
-        x = np.zeros(dof)
-        x[p] = 1.0
-        m = unvec_stack(x, big_n, n)
-        y = m - np.conj(np.transpose(m, (0, 2, 1)))
-        cols[:, p] = vec_h(0.5 * divergence(l, OperatorStack(y, flavor="skew")).mat)
-    return cols
+    unit = np.eye(l.count * l.n * l.n).reshape(-1, l.count, l.n, l.n)
+    m = np.concatenate([unit, 1j * unit])  # unvec_stack of every coordinate vector
+    y = m - np.conj(np.swapaxes(m, -1, -2))
+    return vec_h(0.5 * div_blocks(l, y)).T
 
 
 __all__ = [

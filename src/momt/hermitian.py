@@ -70,19 +70,21 @@ def hermitian_part(x) -> np.ndarray:
 class HermitianMatrix:
     """An n x n complex matrix with A = A^*, symmetrized at construction.
 
-    Input whose symmetry defect exceeds ``tol * max(1, |A|_F)`` is
-    rejected rather than silently flattened.
+    Input with a non-finite entry, or whose symmetry defect exceeds
+    ``SYM_TOL * max(1, |A|_F)``, is rejected rather than silently flattened.
     """
 
-    def __init__(self, entries, tol: float = SYM_TOL):
+    def __init__(self, entries):
         a = np.array(_entries(entries), dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+        if not np.isfinite(a).all():
+            raise SymmetryError("matrix has a non-finite entry")
         defect = 0.5 * float(np.linalg.norm(a - a.conj().T))
-        if defect > tol * max(1.0, float(np.linalg.norm(a))):
+        if not defect <= SYM_TOL * max(1.0, float(np.linalg.norm(a))):
             raise SymmetryError(
                 f"matrix is not Hermitian: symmetry defect {defect:.3e} "
-                f"exceeds tolerance {tol:.1e}"
+                f"exceeds tolerance {SYM_TOL:.1e}"
             )
         a = hermitian_part(a)
         a.setflags(write=False)
@@ -105,27 +107,27 @@ class HermitianMatrix:
 class DensityMatrix:
     """A Hermitian matrix with unit trace and admissible spectrum.
 
-    Non-strict mode accepts the closed cone (eigenvalues down to -eps_pd,
-    which floating point treats as zero); strict mode demands eigenvalues
-    > eps_pd, i.e. a safely positive-definite state.
+    The trace must be within TRACE_TOL of 1.  Non-strict mode accepts the
+    closed cone (eigenvalues down to -EPS_PD, which floating point treats
+    as zero); strict mode demands eigenvalues > EPS_PD, i.e. a safely
+    positive-definite state.
     """
 
-    def __init__(self, entries, strict: bool = False, eps_pd: float = EPS_PD,
-                 trace_tol: float = TRACE_TOL):
+    def __init__(self, entries, strict: bool = False):
         if isinstance(entries, DensityMatrix):
             entries = entries.base  # Hermitian already; only trace and spectrum are re-checked
         base = entries if isinstance(entries, HermitianMatrix) else HermitianMatrix(entries)
         tr = base.trace()
-        if abs(tr - 1.0) > trace_tol:
+        if not abs(tr - 1.0) <= TRACE_TOL:
             raise NotUnitTrace(f"trace must equal 1, got {tr!r}")
         lo = base.min_eig()
         if strict:
-            if lo <= eps_pd:
+            if not lo > EPS_PD:
                 raise NotPositive(
-                    f"strict density requires min eigenvalue > {eps_pd:.1e}, got {lo!r}"
+                    f"strict density requires min eigenvalue > {EPS_PD:.1e}, got {lo!r}"
                 )
-        elif lo < -eps_pd:
-            raise NotPositive(f"min eigenvalue {lo!r} is negative beyond -{eps_pd:.1e}")
+        elif not lo >= -EPS_PD:
+            raise NotPositive(f"min eigenvalue {lo!r} is negative beyond -{EPS_PD:.1e}")
         self.base = base
 
     @property
@@ -135,9 +137,6 @@ class DensityMatrix:
     @property
     def n(self) -> int:
         return self.base.n
-
-    def min_eig(self) -> float:
-        return self.base.min_eig()
 
     def __repr__(self):
         return f"DensityMatrix(n={self.n})"
@@ -151,22 +150,24 @@ class OperatorStack:
 
     ``flavor`` declares a per-block symmetry: "hermitian" and "skew"
     blocks are symmetrized at construction (same drift-absorbing policy
-    as the matrix types); "general" blocks are stored as given.
+    as the matrix types); "general" blocks are stored as given.  A stack
+    with a non-finite entry is rejected.
     """
 
-    def __init__(self, blocks, flavor: str = "general", tol: float = SYM_TOL):
-        b = np.array([_entries(blk) for blk in blocks], dtype=complex) \
-            if isinstance(blocks, (list, tuple)) else np.array(_entries(blocks), dtype=complex)
+    def __init__(self, blocks, flavor: str = "general"):
+        b = np.array(_entries(blocks), dtype=complex)
         if b.ndim != 3 or b.shape[1] != b.shape[2]:
             raise DimensionMismatch(f"expected shape (N, n, n), got {b.shape}")
         if flavor not in _FLAVORS:
             raise FlavorError(f"unknown flavor {flavor!r}; expected one of {_FLAVORS}")
+        if not np.isfinite(b).all():
+            raise ValueError("stack has a non-finite entry")
         if flavor != "general":
             # B = +B^* or -B^*: negating the adjoint is exact, so one check serves both
             adj = np.conj(np.transpose(b, (0, 2, 1)))
             if flavor == "skew":
                 adj = -adj
-            if 0.5 * np.linalg.norm(b - adj) > tol * max(1.0, np.linalg.norm(b)):
+            if not 0.5 * np.linalg.norm(b - adj) <= SYM_TOL * max(1.0, np.linalg.norm(b)):
                 kind = "Hermitian" if flavor == "hermitian" else "skew-Hermitian"
                 raise FlavorError(f"blocks are not {kind} within tolerance")
             b = 0.5 * (b + adj)

@@ -9,7 +9,7 @@ A LindbladSet L = (L_1, ..., L_N) defines
 
 together with the kernel of the gradient (always containing the
 identity), the orthogonal projection onto it, and the dissipative heat
-flow rho' = -i[H, rho] + lap(rho)/2.
+flow rho' = lap(rho)/2.
 
 In the library's real vectorization the gradient is a plain real matrix
 (``grad_matrix``) and the divergence is its transpose, which is how the
@@ -23,7 +23,6 @@ from functools import cached_property
 import numpy as np
 
 from .hermitian import (
-    DensityMatrix,
     DimensionMismatch,
     FlavorError,
     HermitianMatrix,
@@ -208,38 +207,30 @@ def project_kernel(l: LindbladSet, x) -> HermitianMatrix:
     return HermitianMatrix(unvec_h(l.kernel_vecs @ coords, l.n))
 
 
-def heat_flow(l: LindbladSet, rho0: DensityMatrix, t_final: float, steps: int,
-              hamiltonian=None) -> DensityMatrix:
-    """Integrate rho' = -i[H, rho] + lap(rho)/2 with explicit midpoint steps.
+def heat_flow(l: LindbladSet, rho0, t_final: float, steps: int) -> HermitianMatrix:
+    """Integrate rho' = lap(rho)/2 from rho0 (a wrapper or array) by explicit midpoint steps.
 
-    Trace and Hermiticity are preserved by the scheme; if a step drives
-    the smallest eigenvalue below -1e-8 the integration aborts with a
-    StabilityError suggesting a larger ``steps``.
+    Trace and Hermiticity are preserved by the scheme.  The state comes
+    back as a HermitianMatrix with no trace or spectrum gate, so callers
+    such as momt verify measure both themselves.  If a step drives the
+    smallest eigenvalue below -1e-8 (or to NaN) the integration aborts
+    with a StabilityError suggesting a larger ``steps``.
 
     A restart from the returned state continues the trajectory bitwise when
     the step t_final/steps is the same float: each step ends in hermitian_part,
     which leaves an exactly Hermitian matrix unchanged.
     """
-    if t_final < 0:
-        raise ValueError("t_final must be nonnegative")
+    if not 0.0 <= t_final < np.inf:
+        raise ValueError("t_final must be finite and nonnegative")
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    h = None
-    if hamiltonian is not None:
-        h = HermitianMatrix(hamiltonian).mat
-        if h.shape != (l.n, l.n):
-            raise DimensionMismatch("Hamiltonian dimension mismatch")
-
     lsq = np.einsum("kij,kjl->il", l.ops, l.ops)
 
     def rhs(r):
         # equals 0.5 * laplacian(l, r).mat bitwise, without the wrapper's checks
-        out = 0.5 * hermitian_part(_laplacian_raw(l, r, lsq))
-        if h is not None:
-            out = out - 1j * (h @ r - r @ h)
-        return out
+        return 0.5 * hermitian_part(_laplacian_raw(l, r, lsq))
 
-    rho = np.array(rho0.mat if isinstance(rho0, DensityMatrix) else rho0, dtype=complex)
+    rho = np.array(_entries(rho0), dtype=complex)
     dt = t_final / steps
     for _ in range(steps):
         if dt == 0.0:
@@ -249,9 +240,9 @@ def heat_flow(l: LindbladSet, rho0: DensityMatrix, t_final: float, steps: int,
         rho = rho + dt * k2
         rho = hermitian_part(rho)
         lo = float(np.linalg.eigvalsh(rho)[0])
-        if lo < -1e-8:
+        if not lo >= -1e-8:
             raise StabilityError(
                 f"state left the positive cone (min eigenvalue {lo:.3e}); "
                 f"increase steps (currently {steps})"
             )
-    return DensityMatrix(rho, eps_pd=1e-8)
+    return HermitianMatrix(rho)

@@ -10,7 +10,8 @@ runs; both read that result.  The heat-flow checks read one trajectory
 from rho0, restarted at t = 0.5, 1 and 2, with max(200, ceil(r/2)) steps
 per 0.5 of time for the generator's spectral radius r.  So dt * r <= 1,
 inside the explicit midpoint scheme's stability interval dt * r <= 2; the
-exponential check takes max(2000, ceil(0.7 r)) steps to t = 0.7.
+exponential check takes max(2000, ceil(0.7 r)) steps to t = 0.7.  A run
+that aborts with StabilityError fails its checks, naming the error.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from .geodesic import (InfeasibleEndpoints, continuity_residual, dual_certificat
                        hamiltonian_profile, initial_path, optimize_geodesic)
 from .hermitian import (DensityMatrix, HermitianMatrix, OperatorStack, gram, hermitian_part,
                         inner_product, unvec_h, vec_h, vec_s)
-from .lindblad import LindbladSet, divergence, gradient, heat_flow, laplacian, project_kernel
+from .lindblad import (LindbladSet, StabilityError, divergence, gradient, heat_flow, laplacian,
+                       project_kernel)
 
 SUITES = ("calculus", "duality", "conservation")
 
@@ -252,28 +254,36 @@ def suite_conservation(spec, solved) -> list[Check]:
     lam, vecs = np.linalg.eigh(_generator_matrix(l))
     radius = float(np.max(np.abs(lam)))
     half = max(200, math.ceil(radius / 2))  # steps per 0.5 of time, so dt * radius <= 1
-    states = [rho0]
-    for t, steps in ((0.5, half), (0.5, half), (1.0, 2 * half), (2.0, 4 * half)):
-        states.append(heat_flow(l, states[-1], t, steps))
-    flowed = states[3]  # t = 2
-    checks.append(_check("heat flow preserves trace",
-                         abs(float(np.trace(flowed.mat).real) - 1.0), 1e-10))
-    checks.append(_check("heat flow preserves positivity",
-                         max(0.0, -flowed.min_eig()), 1e-8))
-
-    target = project_kernel(l, rho0.mat).mat
-    errs = [float(np.linalg.norm(s.mat - target)) for s in states[1:]]  # t = 0.5, 1, 2, 4
-    mono = max(0.0, max(errs[i + 1] - errs[i] for i in range(len(errs) - 1)))
+    states, aborted = [rho0], ""
+    try:
+        for t, steps in ((0.5, half), (0.5, half), (1.0, 2 * half), (2.0, 4 * half)):
+            states.append(heat_flow(l, states[-1], t, steps))
+    except StabilityError as exc:  # each heat-flow check fails and names the abort
+        drift = negative = mono = math.inf
+        aborted = contraction = f"; heat flow aborted: {exc}"
+    else:
+        flowed = states[3]  # t = 2
+        drift = abs(float(np.trace(flowed.mat).real) - 1.0)
+        negative = max(0.0, -flowed.min_eig())
+        target = project_kernel(l, rho0.mat).mat
+        errs = [float(np.linalg.norm(s.mat - target)) for s in states[1:]]  # t = 0.5, 1, 2, 4
+        mono = max(0.0, max(errs[i + 1] - errs[i] for i in range(len(errs) - 1)))
+        contraction = f"; errors {['%.2e' % e for e in errs]}"
+    checks.append(_check("heat flow preserves trace", drift, 1e-10, aborted))
+    checks.append(_check("heat flow preserves positivity", negative, 1e-8, aborted))
     checks.append(_check("heat flow contracts toward the kernel projection",
-                         mono, 1e-12,
-                         extra=f"; errors {['%.2e' % e for e in errs]}"))
+                         mono, 1e-12, contraction))
 
     # exp(t gen) of the symmetric generator from one eigendecomposition
     t_final = 0.7
     exact = unvec_h(vecs @ (np.exp(t_final * lam) * (vecs.T @ vec_h(rho0.mat))), l.n)
-    approx = heat_flow(l, rho0, t_final, max(2000, math.ceil(t_final * radius))).mat
-    checks.append(_check("midpoint integrator matches exact exponential",
-                         float(np.linalg.norm(exact - approx)), 1e-4))
+    try:
+        approx = heat_flow(l, rho0, t_final, max(2000, math.ceil(t_final * radius))).mat
+    except StabilityError as exc:
+        err, aborted = math.inf, f"; heat flow aborted: {exc}"
+    else:
+        err, aborted = float(np.linalg.norm(exact - approx)), ""
+    checks.append(_check("midpoint integrator matches exact exponential", err, 1e-4, aborted))
     return checks
 
 

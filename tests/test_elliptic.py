@@ -211,11 +211,13 @@ def test_momentum_divergence_matrix_consistency(pauli):
     rng = np.random.default_rng(12)
     from momt import divergence, vec_stack
 
-    m = (rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2)))
-    y = m - np.conj(np.transpose(m, (0, 2, 1)))
-    lhs = momentum_divergence_matrix(pauli) @ vec_stack(m)
-    rhs = vec_h(0.5 * divergence(pauli, OperatorStack(y, flavor="skew")).mat)
-    np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+    for l in (pauli, rand_lindblad(np.random.default_rng(13), 2, 3)):
+        shape = (l.count, l.n, l.n)
+        m = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        y = m - np.conj(np.transpose(m, (0, 2, 1)))
+        lhs = momentum_divergence_matrix(l) @ vec_stack(m)
+        rhs = vec_h(0.5 * divergence(l, OperatorStack(y, flavor="skew")).mat)
+        np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
 def test_inner_product_against_quadratic_route(pauli):

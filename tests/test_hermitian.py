@@ -4,6 +4,7 @@ import pytest
 from momt import (
     DensityMatrix,
     DimensionMismatch,
+    ExtendedValue,
     FlavorError,
     HermitianMatrix,
     LindbladSet,
@@ -11,10 +12,14 @@ from momt import (
     NotUnitTrace,
     OperatorStack,
     SymmetryError,
+    assemble_weighted,
+    heat_flow,
     hermitian_basis,
     inner_product,
+    kinetic,
     matrix_from_literal,
     matrix_to_literal,
+    solve_potential,
     symmetric_dot,
     unvec_h,
     unvec_stack,
@@ -24,7 +29,7 @@ from momt import (
 )
 from momt.hermitian import gram
 from momt.lindblad import grad_blocks
-from conftest import SX, SZ, rand_general_stack, rand_herm, rand_skew_stack
+from conftest import SX, SY, SZ, rand_general_stack, rand_herm, rand_skew_stack
 
 
 def test_hermitian_symmetrizes_small_defects():
@@ -80,6 +85,29 @@ def test_stack_flavor_enforcement():
         OperatorStack(np.array([h]), flavor="skew")
     with pytest.raises(FlavorError):
         OperatorStack(np.array([h]), flavor="nonsense")
+
+
+NAN, INF = float("nan"), float("inf")
+MIXED = np.eye(2) / 2
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: DensityMatrix([[NAN, 0], [0, 0.5]]), SymmetryError),
+    (lambda: HermitianMatrix([[0, INF], [0, 0]]), SymmetryError),
+    (lambda: OperatorStack(np.full((1, 2, 2), NAN)), ValueError),
+    (lambda: OperatorStack(np.full((1, 2, 2), NAN), flavor="skew"), ValueError),
+    (lambda: solve_potential(assemble_weighted(LindbladSet([SX, SY, SZ]), MIXED),
+                             np.diag([NAN, 0])), RuntimeError),
+    (lambda: heat_flow(LindbladSet([SX, SY, SZ]), MIXED, NAN, 3), ValueError),
+    (lambda: heat_flow(LindbladSet([SX, SY, SZ]), MIXED, INF, 3), ValueError),
+    (lambda: kinetic(np.diag([NAN, 0.5]), np.ones((3, 2, 2))), ValueError),
+    (lambda: ExtendedValue.of(NAN), ValueError),
+], ids=["density", "hermitian-inf", "general-stack", "skew-stack", "potential-residual",
+        "heat-flow-nan-time", "heat-flow-inf-time", "kinetic", "extended-value"])
+def test_gates_fail_closed_on_non_finite_input(call, error):
+    # a NaN compares false both ways, so a gate written "x > bound" waves it through
+    with pytest.raises(error):
+        call()
 
 
 def test_inner_product_real_for_hermitian_pairs():

@@ -44,3 +44,17 @@ def test_conservation_steps_follow_the_spectral_radius():
     np.testing.assert_allclose(-np.linalg.eigvalsh(_generator_matrix(stiff))[0], 1600.0)
     checks = run_suites(replace(spec, lindblad=stiff), "conservation")
     assert checks and all(c.passed for c in checks)
+
+
+def test_conservation_reports_an_unstable_heat_flow():
+    # negative control: a step rule that reads the Pauli set's spectral radius (4)
+    # on the 20x set (1600) leaves the stability interval; the suite reports the
+    # aborted flow as failed checks, under their usual names and order
+    spec = load_problem(PAULI)
+    stiff = LindbladSet(20.0 * spec.lindblad.ops)
+    stiff.grad_matrix = spec.lindblad.grad_matrix
+    checks = run_suites(replace(spec, lindblad=stiff), "conservation")
+    assert [c.name for c in checks] == [c.name for c in run_suites(spec, "conservation")]
+    positivity = next(c for c in checks if c.name == "heat flow preserves positivity")
+    assert not positivity.passed
+    assert "heat flow aborted" in positivity.detail and "min eigenvalue" in positivity.detail
