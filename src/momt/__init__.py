@@ -72,7 +72,6 @@ from .hermitian import (
     inner_product,
     matrix_from_literal,
     matrix_to_literal,
-    symmetric_dot,
     unvec_h,
     unvec_stack,
     vec_h,

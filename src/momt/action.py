@@ -26,7 +26,7 @@ from .hermitian import (
     _entries,
     gram,
     hermitian_part,
-    symmetric_dot,
+    inner_product,
 )
 
 
@@ -137,7 +137,7 @@ def fenchel_gap(rho, m, p: DualPoint) -> float:
     if not kin.finite:
         raise ValueError("fenchel_gap needs a finite kinetic value")
     r = hermitian_part(rho)
-    pairing = float(np.trace(hermitian_part(p.a) @ r).real) + symmetric_dot(p.b, m)
+    pairing = float(np.trace(hermitian_part(p.a) @ r).real) + inner_product(p.b, m).real
     return kin.value - pairing
 
 

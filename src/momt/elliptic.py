@@ -68,8 +68,9 @@ class InfeasibleRHS(ValueError):
 
 
 def _weight(rho):
-    """(Hermitian part of rho, its smallest eigenvalue); WeightError below -EPS_PD."""
-    r = hermitian_part(rho)
+    """(HermitianMatrix(rho).mat, its smallest eigenvalue): SymmetryError on a
+    non-finite or non-Hermitian weight, WeightError below -EPS_PD."""
+    r = HermitianMatrix(rho).mat
     lo = float(np.linalg.eigvalsh(r)[0])
     if lo < -EPS_PD:
         raise WeightError(f"weight has negative eigenvalue {lo:.3e}")

@@ -58,7 +58,8 @@ therefore a true certificate of how far the descent stopped from optimal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -92,11 +93,17 @@ _CONFIG_RANGES = {
     "eps_pd": (lambda v: np.isfinite(v) and v >= EPS_PD,
                f"must be finite and >= {EPS_PD:g}"),
 }
+# the number kind each field's annotation admits; a bool is refused as either
+_CONFIG_KINDS = {"int": numbers.Integral, "float": numbers.Real}
 
 
 @dataclass
 class SolverConfig:
-    """Solver settings; each is range-checked at construction (InvalidConfig)."""
+    """Solver settings; each is type- and range-checked at construction (InvalidConfig).
+
+    The fields and their annotations are the config schema: a problem file's
+    "config" object takes these keys and "seed", and reports echo them.
+    """
 
     K: int = 32
     max_iter: int = 500
@@ -104,9 +111,12 @@ class SolverConfig:
     eps_pd: float = 1e-8    # eigenvalue floor maintained by the line search
 
     def __post_init__(self):
-        for key, (admissible, message) in _CONFIG_RANGES.items():
-            if not admissible(getattr(self, key)):
-                raise InvalidConfig(key, message)
+        for f in fields(self):
+            value, (admissible, message) = getattr(self, f.name), _CONFIG_RANGES[f.name]
+            if isinstance(value, bool) or not isinstance(value, _CONFIG_KINDS[f.type]):
+                raise InvalidConfig(f.name, f"expected {f.type}, got {value!r}")
+            if not admissible(value):
+                raise InvalidConfig(f.name, message)
 
 
 @dataclass

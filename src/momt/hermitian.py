@@ -5,7 +5,8 @@ Conventions fixed here for the whole library:
 
 * ``<X; Y> = tr(X^* Y)`` is the (complex) Hilbert-Schmidt pairing; for
   stacks it sums over blocks.
-* The real symmetric pairing of momenta is ``m . b = Re <m; b>``.
+* The real symmetric pairing of momenta is ``m . b = Re <m; b>``, read
+  as ``inner_product(m, b).real``.
 * The space of Hermitian n x n matrices is identified with R^(n^2)
   through the orthonormal basis
 
@@ -56,8 +57,6 @@ def _entries(x) -> np.ndarray:
         return x.blocks
     if isinstance(x, HermitianMatrix):
         return x.mat
-    if isinstance(x, DensityMatrix):
-        return x.base.mat
     return np.asarray(x, dtype=complex)
 
 
@@ -104,23 +103,25 @@ class HermitianMatrix:
         return f"HermitianMatrix(n={self.n})"
 
 
-class DensityMatrix:
+class DensityMatrix(HermitianMatrix):
     """A Hermitian matrix with unit trace and admissible spectrum.
 
     The trace must be within TRACE_TOL of 1.  Non-strict mode accepts the
     closed cone (eigenvalues down to -EPS_PD, which floating point treats
     as zero); strict mode demands eigenvalues > EPS_PD, i.e. a safely
-    positive-definite state.
+    positive-definite state.  A HermitianMatrix input (a DensityMatrix is
+    one) keeps its checked read-only array; only those two gates run on it.
     """
 
     def __init__(self, entries, strict: bool = False):
-        if isinstance(entries, DensityMatrix):
-            entries = entries.base  # Hermitian already; only trace and spectrum are re-checked
-        base = entries if isinstance(entries, HermitianMatrix) else HermitianMatrix(entries)
-        tr = base.trace()
+        if isinstance(entries, HermitianMatrix):
+            self.mat, self.n = entries.mat, entries.n
+        else:
+            super().__init__(entries)
+        tr = self.trace()
         if not abs(tr - 1.0) <= TRACE_TOL:
             raise NotUnitTrace(f"trace must equal 1, got {tr!r}")
-        lo = base.min_eig()
+        lo = self.min_eig()
         if strict:
             if not lo > EPS_PD:
                 raise NotPositive(
@@ -128,30 +129,21 @@ class DensityMatrix:
                 )
         elif not lo >= -EPS_PD:
             raise NotPositive(f"min eigenvalue {lo!r} is negative beyond -{EPS_PD:.1e}")
-        self.base = base
-
-    @property
-    def mat(self) -> np.ndarray:
-        return self.base.mat
-
-    @property
-    def n(self) -> int:
-        return self.base.n
 
     def __repr__(self):
         return f"DensityMatrix(n={self.n})"
 
 
-_FLAVORS = ("general", "hermitian", "skew")
+_FLAVORS = ("general", "skew")
 
 
 class OperatorStack:
     """An ordered stack of N complex n x n blocks.
 
-    ``flavor`` declares a per-block symmetry: "hermitian" and "skew"
-    blocks are symmetrized at construction (same drift-absorbing policy
-    as the matrix types); "general" blocks are stored as given.  A stack
-    with a non-finite entry is rejected.
+    ``flavor`` declares a per-block symmetry: "skew" blocks (B = -B^*, as
+    gradients are) are symmetrized at construction (same drift-absorbing
+    policy as the matrix types); "general" blocks, such as momenta, are
+    stored as given.  A stack with a non-finite entry is rejected.
     """
 
     def __init__(self, blocks, flavor: str = "general"):
@@ -162,14 +154,10 @@ class OperatorStack:
             raise FlavorError(f"unknown flavor {flavor!r}; expected one of {_FLAVORS}")
         if not np.isfinite(b).all():
             raise ValueError("stack has a non-finite entry")
-        if flavor != "general":
-            # B = +B^* or -B^*: negating the adjoint is exact, so one check serves both
-            adj = np.conj(np.transpose(b, (0, 2, 1)))
-            if flavor == "skew":
-                adj = -adj
+        if flavor == "skew":
+            adj = -np.conj(np.transpose(b, (0, 2, 1)))
             if not 0.5 * np.linalg.norm(b - adj) <= SYM_TOL * max(1.0, np.linalg.norm(b)):
-                kind = "Hermitian" if flavor == "hermitian" else "skew-Hermitian"
-                raise FlavorError(f"blocks are not {kind} within tolerance")
+                raise FlavorError("blocks are not skew-Hermitian within tolerance")
             b = 0.5 * (b + adj)
         b.setflags(write=False)
         self.blocks = b
@@ -179,12 +167,6 @@ class OperatorStack:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.blocks))
-
-    def __len__(self):
-        return self.count
-
-    def __getitem__(self, k) -> np.ndarray:
-        return self.blocks[k]
 
     def __repr__(self):
         return f"OperatorStack(N={self.count}, n={self.dim}, flavor={self.flavor!r})"
@@ -197,30 +179,17 @@ class OperatorStack:
 def inner_product(x, y):
     """``<X; Y> = tr(X^* Y)``, summed over blocks for stacks.
 
-    Returns a real float when both arguments are Hermitian-typed
-    (matrix or hermitian-flavored stack); a complex number otherwise.
+    Returns a real float when both arguments are HermitianMatrix (a
+    DensityMatrix is one); a complex number otherwise.  The real pairing
+    of momenta, m . b, is ``inner_product(m, b).real``.
     """
     a, b = _entries(x), _entries(y)
     if a.shape != b.shape:
         raise DimensionMismatch(f"shape mismatch: {a.shape} vs {b.shape}")
     val = complex(np.sum(np.conj(a) * b))
-    if _is_hermitian_typed(x) and _is_hermitian_typed(y):
+    if isinstance(x, HermitianMatrix) and isinstance(y, HermitianMatrix):
         return val.real
     return val
-
-
-def _is_hermitian_typed(x) -> bool:
-    if isinstance(x, (HermitianMatrix, DensityMatrix)):
-        return True
-    return isinstance(x, OperatorStack) and x.flavor == "hermitian"
-
-
-def symmetric_dot(m, b) -> float:
-    """``m . b = (<m;b> + <b;m>)/2 = Re <m;b>`` — always real."""
-    a, c = _entries(m), _entries(b)
-    if a.shape != c.shape:
-        raise DimensionMismatch(f"shape mismatch: {a.shape} vs {c.shape}")
-    return float(np.sum(np.conj(a) * c).real)
 
 
 def gram(blocks) -> np.ndarray:

@@ -7,7 +7,7 @@ Problem file layout (UTF-8 JSON):
       "rho0": matrix-literal,
       "rho1": matrix-literal,
       "config": {"K": 32, "max_iter": 500, "grad_tol": 1e-7,
-                 "eps_pd": 1e-8, "seed": 1234}          # optional, strict keys
+                 "eps_pd": 1e-8, "seed": 1234}  # optional: SolverConfig fields + seed
     }
 
 with matrix-literal = {"n": int, "re": [[...]], "im": [[...]]}.
@@ -21,7 +21,7 @@ so identical inputs produce byte-identical files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -79,14 +79,15 @@ def _int_at(val, path: str) -> int:
 
 
 def _float_at(val, path: str) -> float:
-    try:
-        return float(val)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(path, "expected float") from exc
+    """A JSON number; a boolean, a string or any other value is an error."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ParseError(path, "expected float")
+    return float(val)
 
 
-_CONFIG_KEYS = {"K": _int_at, "max_iter": _int_at, "grad_tol": _float_at,
-                "eps_pd": _float_at, "seed": _int_at}
+# the SolverConfig fields, read as their annotations say, and the seed
+_CONFIG_KEYS = {**{f.name: {"int": _int_at, "float": _float_at}[f.type]
+                   for f in fields(SolverConfig)}, "seed": _int_at}
 
 
 def _literal_at(obj, path: str) -> np.ndarray:
@@ -155,15 +156,12 @@ def parse_problem(text: str) -> ProblemSpec:
     cfg_doc = doc.get("config", {})
     if not isinstance(cfg_doc, dict):
         raise ParseError("$.config", "expected an object")
-    kwargs, seed = {}, 1234
+    kwargs = {}
     for key, val in cfg_doc.items():
         if key not in _CONFIG_KEYS:
             raise ParseError(f"$.config.{key}", "unknown config key")
-        cast = _CONFIG_KEYS[key](val, f"$.config.{key}")
-        if key == "seed":
-            seed = cast
-        else:
-            kwargs[key] = cast
+        kwargs[key] = _CONFIG_KEYS[key](val, f"$.config.{key}")
+    seed = kwargs.pop("seed", 1234)
     try:
         config = SolverConfig(**kwargs)
     except InvalidConfig as exc:
@@ -186,11 +184,6 @@ def _warning_entries(codes) -> list:
     for code in codes:
         out.append({"code": code, "message": _WARNING_TEXT.get(code, code)})
     return out
-
-
-def _config_echo(cfg: SolverConfig, seed: int) -> dict:
-    return {"K": cfg.K, "max_iter": cfg.max_iter, "grad_tol": cfg.grad_tol,
-            "eps_pd": cfg.eps_pd, "seed": seed}
 
 
 def build_report(result: GeodesicResult, spec: ProblemSpec) -> dict:
@@ -222,7 +215,7 @@ def build_report(result: GeodesicResult, spec: ProblemSpec) -> dict:
         },
         "warnings": _warning_entries(result.warnings),
         "trace": {"nodes": trace_nodes},
-        "config": _config_echo(spec.config, spec.seed),
+        "config": {**asdict(spec.config), "seed": spec.seed},
     }
 
 

@@ -67,6 +67,8 @@ MALFORMED = [
     (lambda d: d.update(config={"eps_pd": -1.0}), "error: $.config.eps_pd:"),
     (lambda d: d.update(config={"eps_pd": float("inf")}), "error: $.config.eps_pd:"),
     (lambda d: d.update(config={"eps_pd": 1e-12}), "error: $.config.eps_pd:"),
+    (lambda d: d.update(config={"grad_tol": True}), "error: $.config.grad_tol:"),
+    (lambda d: d.update(config={"grad_tol": "1e-3"}), "error: $.config.grad_tol:"),
     # parses (boundary states are admissible), but a solve needs rho0 > 0
     (lambda d: d.update(rho0=SINGULAR_RHO), "error: strict density requires"),
 ]

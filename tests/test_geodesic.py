@@ -325,6 +325,8 @@ def test_cone_test_matches_eigenvalue_floor(three_level_pair):
 @pytest.mark.parametrize("key, value", [
     ("K", 0), ("K", -3), ("max_iter", -1), ("grad_tol", 0.0), ("grad_tol", float("nan")),
     ("eps_pd", EPS_PD / 2), ("eps_pd", float("inf")), ("eps_pd", float("nan")),
+    ("K", 2.5), ("K", "8"), ("K", True), ("max_iter", 10.0), ("max_iter", False),
+    ("grad_tol", "1e-7"), ("grad_tol", True), ("eps_pd", None),
 ])
 def test_solver_config_rejects_out_of_range(key, value):
     with pytest.raises(InvalidConfig, match=key) as info:

@@ -12,6 +12,7 @@ from momt import (
     NotUnitTrace,
     OperatorStack,
     SymmetryError,
+    WeightedOperator,
     assemble_weighted,
     heat_flow,
     hermitian_basis,
@@ -19,8 +20,10 @@ from momt import (
     kinetic,
     matrix_from_literal,
     matrix_to_literal,
+    momentum_min_check,
+    poincare_constant,
+    quadratic_form,
     solve_potential,
-    symmetric_dot,
     unvec_h,
     unvec_stack,
     vec_h,
@@ -71,7 +74,7 @@ def test_density_positivity_gate():
 def test_density_from_density_reuses_checked_base():
     rho = DensityMatrix(np.diag([0.25, 0.75]))
     strict = DensityMatrix(rho, strict=True)
-    assert strict.base is rho.base
+    assert strict.mat is rho.mat
     assert np.array_equal(strict.mat, DensityMatrix(rho.mat, strict=True).mat)
 
 
@@ -89,6 +92,7 @@ def test_stack_flavor_enforcement():
 
 NAN, INF = float("nan"), float("inf")
 MIXED = np.eye(2) / 2
+NAN_WEIGHT = np.diag([NAN, 0.5])
 
 
 @pytest.mark.parametrize("call, error", [
@@ -102,8 +106,14 @@ MIXED = np.eye(2) / 2
     (lambda: heat_flow(LindbladSet([SX, SY, SZ]), MIXED, INF, 3), ValueError),
     (lambda: kinetic(np.diag([NAN, 0.5]), np.ones((3, 2, 2))), ValueError),
     (lambda: ExtendedValue.of(NAN), ValueError),
+    (lambda: quadratic_form(NAN_WEIGHT, np.ones((3, 2, 2))), SymmetryError),
+    (lambda: poincare_constant(LindbladSet([SX, SY, SZ]), NAN_WEIGHT), SymmetryError),
+    (lambda: WeightedOperator(LindbladSet([SX, SY, SZ]), NAN_WEIGHT), SymmetryError),
+    (lambda: momentum_min_check(LindbladSet([SX, SY, SZ]), NAN_WEIGHT, SZ), SymmetryError),
 ], ids=["density", "hermitian-inf", "general-stack", "skew-stack", "potential-residual",
-        "heat-flow-nan-time", "heat-flow-inf-time", "kinetic", "extended-value"])
+        "heat-flow-nan-time", "heat-flow-inf-time", "kinetic", "extended-value",
+        "quadratic-form-weight", "poincare-weight", "weighted-operator-weight",
+        "momentum-check-weight"])
 def test_gates_fail_closed_on_non_finite_input(call, error):
     # a NaN compares false both ways, so a gate written "x > bound" waves it through
     with pytest.raises(error):
@@ -130,14 +140,6 @@ def test_inner_product_stacks_and_mismatch():
     np.testing.assert_allclose(v, direct, atol=1e-13)
     with pytest.raises(DimensionMismatch):
         inner_product(a, rand_general_stack(rng, 3, 3))
-
-
-def test_symmetric_dot_matches_real_part():
-    rng = np.random.default_rng(6)
-    m = rand_general_stack(rng, 3, 2)
-    b = rand_general_stack(rng, 3, 2)
-    np.testing.assert_allclose(symmetric_dot(m, b),
-                               inner_product(m, b).real, atol=1e-13)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -244,9 +246,9 @@ def test_matrix_literal_round_trip():
 
 def test_stack_indexing():
     blocks = np.array([SX, SZ])
-    s = OperatorStack(blocks, flavor="hermitian")
-    assert len(s) == 2 and s.count == 2 and s.dim == 2
-    np.testing.assert_array_equal(s[1], SZ)
+    s = OperatorStack(blocks, flavor="general")
+    assert s.blocks.shape == (2, 2, 2) and s.count == 2 and s.dim == 2
+    np.testing.assert_array_equal(s.blocks[1], SZ)
     np.testing.assert_allclose(s.norm(), np.sqrt(4.0))
 
 

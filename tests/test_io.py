@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from momt import (
     DiscretePath,
     ParseError,
     SCHEMA_VERSION,
+    SolverConfig,
     build_report,
     continuity_residual,
     dump_canonical,
@@ -46,6 +48,19 @@ def test_parse_config_overrides():
     spec = parse_problem(json.dumps(doc))
     assert spec.config.K == 8 and spec.seed == 9
     assert spec.config.grad_tol == 1e-6
+
+
+def test_config_round_trips_every_field():
+    # every SolverConfig field and the seed, each off its default, is read and echoed
+    values = {"K": 4, "max_iter": 7, "grad_tol": 1e-6, "eps_pd": 1e-9, "seed": 99}
+    assert set(values) == {f.name for f in fields(SolverConfig)} | {"seed"}
+    assert all(values[f.name] != f.default for f in fields(SolverConfig))
+    spec = parse_problem(json.dumps(minimal_problem(config=values)))
+    assert spec.seed == values["seed"]
+    for f in fields(SolverConfig):
+        assert getattr(spec.config, f.name) == values[f.name]
+    result = optimize_geodesic(spec.lindblad, spec.rho0, spec.rho1, spec.config)
+    assert build_report(result, spec)["config"] == values
 
 
 def test_parse_malformed_json():

@@ -55,7 +55,7 @@ def test_divergence_requires_skew_flavor(pauli):
     rng = np.random.default_rng(2)
     blocks = np.array([rand_herm(rng, 2) for _ in range(3)])
     with pytest.raises(FlavorError):
-        divergence(pauli, OperatorStack(blocks, flavor="hermitian"))
+        divergence(pauli, OperatorStack(blocks, flavor="general"))
 
 
 def test_divergence_dimension_check(pauli):

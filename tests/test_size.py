@@ -29,3 +29,40 @@ def test_no_unused_imports():
                     for elt in node.value.elts}
         unused += [f"{path.name}: {name}" for name in sorted(imported - used - exported)]
     assert not unused, f"imported but unused: {unused}"
+
+
+def _momt_lookups(node) -> set:
+    """Names a comprehension under node passes to getattr(momt, name, ...) from a literal tuple."""
+    found = set()
+    for comp in ast.walk(node):
+        if not isinstance(comp, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+            continue
+        looked_up = {call.args[1].id for call in ast.walk(comp) if isinstance(call, ast.Call)
+                     and getattr(call.func, "id", None) == "getattr" and len(call.args) > 1
+                     and getattr(call.args[0], "id", None) == "momt"
+                     and isinstance(call.args[1], ast.Name)}
+        found |= {elt.value for gen in comp.generators
+                  if getattr(gen.target, "id", None) in looked_up
+                  and isinstance(gen.iter, (ast.Tuple, ast.List))
+                  for elt in gen.iter.elts if isinstance(elt, ast.Constant)}
+    return found
+
+
+def test_benchmark_names_resolve():
+    # perfbench reads public callees with getattr(momt, name, None) and reports a
+    # missing one as 0, so a rename there passes silently: every name it imports
+    # from momt or looks up on it must resolve
+    import importlib
+
+    imported, looked_up = set(), set()
+    for path in sorted((SRC.parent.parent / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported |= {(node.module, alias.name) for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom)
+                     and (node.module or "").split(".")[0] == "momt"
+                     for alias in node.names}
+        looked_up |= {("momt", name) for name in _momt_lookups(tree)}
+    assert imported and looked_up, "the scan found no momt names in perfbench"
+    missing = sorted(f"{module}.{name}" for module, name in imported | looked_up
+                     if not hasattr(importlib.import_module(module), name))
+    assert not missing, f"perfbench reads names momt does not have: {missing}"
