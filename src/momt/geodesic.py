@@ -39,13 +39,8 @@ block Thomas solve in O(K d^3) gated by one batched Cholesky of its
 Schur complements (_block_tridiag_solve), with -g as the fallback when H
 is not positive definite or the direction is not a finite descent
 direction.  Backtracking keeps every node and midpoint above the floor
-(one batched Cholesky, _Reduced.feasible).
-A step is accepted on the Armijo test, or, when the cost changed by at
-most FLAT_RTOL |E| so that Armijo reads only rounding noise, on the
-approximate-Wolfe bounds of Hager & Zhang (SIAM J. Optim. 2005) for its
-directional derivative.  The second rule guards against a cost flat to
-its last digits, where Armijo admits only steps too short to change
-anything.
+(one batched Cholesky, _Reduced.feasible) and accepts a step on the
+Armijo test alone.
 
 Every returned path, a best-effort one or the constant path between
 coincident endpoints too, is accompanied by a dual certificate (_result):
@@ -54,6 +49,9 @@ path's own interval potentials X_k.  It bounds the squared distance from
 below for any X, and at the solver's X the gap is a sum of nonnegative
 per-node slacks that vanish at a stationary point.  The reported gap is
 therefore a true certificate of how far the descent stopped from optimal.
+The certificate and the Hamiltonian values share one epilogue pass: the
+grad(X_k) that builds the returned momenta also gives the Gram matrices
+G_k = Gram(grad X_k) that both read.
 """
 
 from __future__ import annotations
@@ -64,7 +62,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .action import kinetic_values
 from .elliptic import _kernel_excess, restricted_systems, solve_restricted
 from .hermitian import EPS_PD, DensityMatrix, _entries, gram, hermitian_part, unvec_h, vec_h
 from .lindblad import LindbladSet, div_blocks, grad_blocks
@@ -178,14 +175,21 @@ def _linear_nodes(r0: np.ndarray, r1: np.ndarray, big_k: int) -> np.ndarray:
     return np.concatenate([r0[None], (1 - t) * r0 + t * r1, r1[None]])
 
 
-def _discrete_path(l: LindbladSet, nodes: np.ndarray, xs: np.ndarray) -> DiscretePath:
-    """The path through nodes with X_k = unvec_h(C x_k) and m_k = grad(X_k) mid_k."""
+def _path_and_grams(l: LindbladSet, nodes: np.ndarray, xs: np.ndarray):
+    """The path through nodes with X_k = unvec_h(C x_k) and m_k = grad(X_k) mid_k,
+    and its G_k = Gram(grad X_k), all from one grad_blocks call."""
     big_k, n = len(xs), l.n
     pots = unvec_h(xs @ l.complement_vecs.T, n)
+    vs = grad_blocks(l, pots)
     # one (K, N n, n) @ (K, n, n) product: row block j of entry k is grad_j(X_k) mid_k
-    ms = grad_blocks(l, pots).reshape(big_k, -1, n) @ (0.5 * (nodes[:-1] + nodes[1:]))
+    ms = vs.reshape(big_k, -1, n) @ (0.5 * (nodes[:-1] + nodes[1:]))
     return DiscretePath(K=big_k, grid=np.linspace(0.0, 1.0, big_k + 1), densities=nodes,
-                        momenta=ms.reshape(big_k, l.count, n, n), potentials=pots)
+                        momenta=ms.reshape(big_k, l.count, n, n), potentials=pots), gram(vs)
+
+
+def _discrete_path(l: LindbladSet, nodes: np.ndarray, xs: np.ndarray) -> DiscretePath:
+    """The path of _path_and_grams, without its Gram matrices."""
+    return _path_and_grams(l, nodes, xs)[0]
 
 
 def _endpoint_guard(l: LindbladSet, rho0, rho1):
@@ -367,28 +371,6 @@ def _block_tridiag_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> 
     return x
 
 
-#: a cost change below this share of |E| is rounding noise, not a decrease
-FLAT_RTOL = 1e-12
-#: approximate-Wolfe constants (delta, sigma) of Hager & Zhang, SIAM J. Optim. 2005
-HZ_DELTA, HZ_SIGMA = 0.1, 0.9
-
-
-def _accept_step(cost, slope, step, c_cost, c_slope) -> bool:
-    """Armijo decrease, or on a cost flat to rounding the approximate-Wolfe test.
-
-    Near the optimum the cost can stop changing in its last digits while
-    the gradient is still above tolerance; Armijo then passes only for
-    steps so short that they change nothing.  A step whose cost change is
-    within FLAT_RTOL |E| is accepted instead when its directional derivative
-    c_slope = grad E(cand) . d satisfies
-    sigma * slope <= c_slope <= (2 delta - 1) * slope.
-    """
-    if c_cost <= cost + 1e-4 * step * slope:
-        return True
-    return (abs(c_cost - cost) <= FLAT_RTOL * abs(cost)
-            and HZ_SIGMA * slope <= c_slope <= (2 * HZ_DELTA - 1) * slope)
-
-
 def _trace_drift(nodes: np.ndarray) -> float:
     return float(np.max(np.abs(np.trace(nodes, axis1=-2, axis2=-1).real - 1.0)))
 
@@ -401,11 +383,12 @@ def optimize_geodesic(l: LindbladSet, rho0, rho1, config: SolverConfig | None = 
     tridiagonal reduced Hessian (see _Reduced.hessian), falling back to
     d = -g if the block solve finds H not positive definite or d is not a
     finite descent direction (d.g not in (-inf, 0), as for a NaN d), then
-    backtracks from the full step under _accept_step.  Steps that would
-    push any node or interval midpoint below the eigenvalue floor are
-    shortened, and a persistent failure to move is reported as a boundary
-    hit with the best iterate returned.  The Hamiltonian values
-    F(mid_k, m_k) of the returned path come from one kinetic_values call.
+    backtracks from the full step until the Armijo test passes.  Steps
+    that would push any node or interval midpoint below the eigenvalue
+    floor are shortened, and a persistent failure to move is reported as a
+    boundary hit with the best iterate returned.  The Hamiltonian values
+    F(mid_k, m_k) of the returned path are (1/2) Re tr(mid_k G_k), read from
+    the Gram matrices its dual certificate uses (see _result).
     """
     cfg = config or SolverConfig()
     r0, r1, span = _endpoint_guard(l, rho0, rho1)
@@ -417,8 +400,8 @@ def optimize_geodesic(l: LindbladSet, rho0, rho1, config: SolverConfig | None = 
                             densities=np.repeat(r0.mat[None], cfg.K + 1, axis=0),
                             momenta=np.zeros((cfg.K, l.count, l.n, l.n), dtype=complex),
                             potentials=np.zeros((cfg.K, l.n, l.n), dtype=complex))
-        return _result(l, path, 0.0, iterations=0, converged=True, grad_norm=0.0,
-                       trace_drift=0.0, warnings=warnings_list)
+        return _result(l, path, path.potentials, 0.0, iterations=0, converged=True,
+                       grad_norm=0.0, trace_drift=0.0, warnings=warnings_list)
 
     reduced = _Reduced(l, r0, r1, cfg.K, cfg.eps_pd)
     y = np.zeros((cfg.K - 1) * reduced.d)
@@ -444,7 +427,7 @@ def optimize_geodesic(l: LindbladSet, rho0, rho1, config: SolverConfig | None = 
             trial_nodes = reduced.nodes(trial_y)
             if reduced.feasible(trial_nodes):
                 trial = reduced.value_grad(trial_y)
-                if _accept_step(point.cost, slope, step, trial.cost, float(trial.grad @ d)):
+                if trial.cost <= point.cost + 1e-4 * step * slope:  # Armijo
                     break
             step *= 0.5
         else:
@@ -455,23 +438,28 @@ def optimize_geodesic(l: LindbladSet, rho0, rho1, config: SolverConfig | None = 
         if record_iterates:
             iterates.append(nodes)
 
-    return _result(l, _discrete_path(l, nodes, point.xs), point.cost, iterations=iterations,
+    return _result(l, *_path_and_grams(l, nodes, point.xs), point.cost, iterations=iterations,
                    converged=converged, grad_norm=gnorm, trace_drift=trace_drift,
                    warnings=warnings_list, iterate_nodes=iterates)
 
 
-def _result(l: LindbladSet, path: DiscretePath, cost: float, **counters) -> GeodesicResult:
-    """The GeodesicResult of path at cost: its dual certificate and Hamiltonian values.
+def _result(l: LindbladSet, path: DiscretePath, grams: np.ndarray, cost: float,
+            **counters) -> GeodesicResult:
+    """The GeodesicResult of path at cost, from its G_k = Gram(grad X_k) (_path_and_grams).
 
-    counters are the remaining fields, which the Newton loop (or the
-    coincident-endpoint shortcut) reports as they are.
+    The dual is dual_certificate's at the path's own X_k.  As m_k =
+    grad(X_k) mid_k, Gram(m_k) = mid_k G_k mid_k and F(mid_k, m_k) =
+    (1/2) Re tr(mid_k G_k), with no inverse, for every mid_k > 0: each
+    returned midpoint lies above the floor eps_pd >= EPS_PD (the line, the
+    Newton iterates, a best-effort exit), and G_k = 0 on the constant path.
+    counters are the other fields, as the Newton loop or shortcut has them.
     """
-    _, dual_value = dual_certificate(l, path)
+    _, dual_value = _dual_certificate(l, path, grams)
+    mids = 0.5 * (path.densities[:-1] + path.densities[1:])
     return GeodesicResult(
         path=path, distance=float(np.sqrt(max(cost, 0.0))), primal_cost=cost,
         dual_value=dual_value, gap=cost - dual_value,
-        hamiltonian=kinetic_values(0.5 * (path.densities[:-1] + path.densities[1:]),
-                                   path.momenta),
+        hamiltonian=(0.5 * np.sum(np.conj(grams) * mids, axis=(-2, -1)).real).tolist(),
         **counters)
 
 
@@ -496,10 +484,15 @@ def dual_certificate(l: LindbladSet, path: DiscretePath):
     At the solver's potentials the slacks sum to the gap; at a stationary
     point every C_j - kappa_j is a multiple of I and the gap closes.
     """
+    return _dual_certificate(l, path, gram(grad_blocks(l, path.potentials)))
+
+
+def _dual_certificate(l: LindbladSet, path: DiscretePath, grams: np.ndarray):
+    """dual_certificate's (slacks, d(X)) from the path's G_k = Gram(grad X_k)."""
     dt, n, rhos = 1.0 / path.K, l.n, path.densities
     pad = np.zeros((1, n, n))
     xs = np.concatenate([pad, path.potentials, pad])
-    gs = np.concatenate([pad, gram(grad_blocks(l, path.potentials)), pad])
+    gs = np.concatenate([pad, grams, pad])
     ps = 2.0 * (xs[:-1] - xs[1:]) - 0.5 * dt * (gs[:-1] + gs[1:])  # pairs with rho_0..rho_K
     kb = unvec_h(l.kernel_vecs[:, 1:].T, n).reshape(-1, n * n)  # non-identity kernel basis
     kappas = (ps[1:-1].reshape(-1, n * n) @ np.conj(kb).T).real

@@ -89,6 +89,7 @@ class HermitianMatrix:
         a.setflags(write=False)
         self.mat = a
         self.n = a.shape[0]
+        self._min_eig = None  # set by the first min_eig() call
 
     def trace(self) -> float:
         return float(np.trace(self.mat).real)
@@ -97,7 +98,10 @@ class HermitianMatrix:
         return float(np.linalg.norm(self.mat))
 
     def min_eig(self) -> float:
-        return float(np.linalg.eigvalsh(self.mat)[0])
+        """Smallest eigenvalue, computed on the first call only: mat is read-only."""
+        if self._min_eig is None:
+            self._min_eig = float(np.linalg.eigvalsh(self.mat)[0])
+        return self._min_eig
 
     def __repr__(self):
         return f"HermitianMatrix(n={self.n})"
@@ -110,12 +114,12 @@ class DensityMatrix(HermitianMatrix):
     closed cone (eigenvalues down to -EPS_PD, which floating point treats
     as zero); strict mode demands eigenvalues > EPS_PD, i.e. a safely
     positive-definite state.  A HermitianMatrix input (a DensityMatrix is
-    one) keeps its checked read-only array; only those two gates run on it.
+    one) shares its checked array and smallest eigenvalue with the result.
     """
 
     def __init__(self, entries, strict: bool = False):
         if isinstance(entries, HermitianMatrix):
-            self.mat, self.n = entries.mat, entries.n
+            self.mat, self.n, self._min_eig = entries.mat, entries.n, entries.min_eig()
         else:
             super().__init__(entries)
         tr = self.trace()

@@ -71,18 +71,21 @@ _TOP_KEYS = {"lindblad", "rho0", "rho1", "config"}
 
 
 def _int_at(val, path: str) -> int:
-    """An integral JSON number (8 or 8.0); a fraction or a non-number is an error."""
+    """An integral JSON number (8 or 8.0) in the float range; anything else is an error."""
     if isinstance(val, bool) or not isinstance(val, (int, float)) \
-            or not float(val).is_integer():
+            or not _float_at(val, path).is_integer():
         raise ParseError(path, f"expected an integer, got {val!r}")
     return int(val)
 
 
 def _float_at(val, path: str) -> float:
-    """A JSON number; a boolean, a string or any other value is an error."""
+    """A JSON number in the float range; a boolean, a string or any other value is an error."""
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ParseError(path, "expected float")
-    return float(val)
+    try:
+        return float(val)
+    except OverflowError:  # a JSON integer has no size limit
+        raise ParseError(path, "number is outside the float range") from None
 
 
 # the SolverConfig fields, read as their annotations say, and the seed

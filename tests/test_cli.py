@@ -69,6 +69,10 @@ MALFORMED = [
     (lambda d: d.update(config={"eps_pd": 1e-12}), "error: $.config.eps_pd:"),
     (lambda d: d.update(config={"grad_tol": True}), "error: $.config.grad_tol:"),
     (lambda d: d.update(config={"grad_tol": "1e-3"}), "error: $.config.grad_tol:"),
+    # a JSON integer has no size limit; one beyond the float range is refused
+    (lambda d: d.update(config={"K": 10 ** 400}), "error: $.config.K:"),
+    (lambda d: d.update(config={"grad_tol": 10 ** 400}), "error: $.config.grad_tol:"),
+    (lambda d: d.update(config={"seed": -10 ** 400}), "error: $.config.seed:"),
     # parses (boundary states are admissible), but a solve needs rho0 > 0
     (lambda d: d.update(rho0=SINGULAR_RHO), "error: strict density requires"),
 ]

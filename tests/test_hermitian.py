@@ -32,7 +32,7 @@ from momt import (
 )
 from momt.hermitian import gram
 from momt.lindblad import grad_blocks
-from conftest import SX, SY, SZ, rand_general_stack, rand_herm, rand_skew_stack
+from conftest import SX, SY, SZ, rand_density, rand_general_stack, rand_herm, rand_skew_stack
 
 
 def test_hermitian_symmetrizes_small_defects():
@@ -76,6 +76,23 @@ def test_density_from_density_reuses_checked_base():
     strict = DensityMatrix(rho, strict=True)
     assert strict.mat is rho.mat
     assert np.array_equal(strict.mat, DensityMatrix(rho.mat, strict=True).mat)
+
+
+def test_min_eig_computed_once(monkeypatch):
+    # mat is read-only, so the spectrum is computed once per checked array
+    rho = rand_density(np.random.default_rng(5), 4)
+    assert rho.min_eig() == np.linalg.eigvalsh(rho.mat)[0]
+
+    def refuse(*args):
+        raise AssertionError("a checked spectrum was computed again")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    strict = DensityMatrix(rho, strict=True)
+    assert strict.min_eig() == rho.min_eig()
+    monkeypatch.undo()
+    # the shared value still meets the strict gate's threshold
+    with pytest.raises(NotPositive):
+        DensityMatrix(DensityMatrix(np.diag([1.0, 0.0])), strict=True)
 
 
 def test_stack_flavor_enforcement():
