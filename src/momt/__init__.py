@@ -76,7 +76,6 @@ from .hermitian import (
     unvec_stack,
     vec_h,
     vec_s,
-    vec_stack,
 )
 from .io import (
     SCHEMA_VERSION,

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings as _warnings
+from dataclasses import asdict
 
 import numpy as np
 
@@ -173,7 +174,7 @@ def run_verify(args) -> int:
     lines.append(f"{sum(c.passed for c in checks)}/{len(checks)} checks passed "
                  f"(suite: {args.suite})")
     _emit(args, {"suite": args.suite, "passed": ok,
-                 "checks": [c.as_dict() for c in checks]}, lines)
+                 "checks": [asdict(c) for c in checks]}, lines)
     return EXIT_OK if ok else EXIT_ERROR
 
 

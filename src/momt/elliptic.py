@@ -48,7 +48,7 @@ from .hermitian import (
     unvec_h,
     vec_h,
 )
-from .lindblad import LindbladSet, div_blocks, gradient
+from .lindblad import LindbladSet, _square, div_blocks, gradient
 
 
 # residual bound of every potential solve: |T x - f| <= RESIDUAL_RTOL * max(|f|, 1)
@@ -153,8 +153,10 @@ def solve_restricted(tcs: np.ndarray, fcs: np.ndarray, kpart: np.ndarray):
 
 
 def _potential(l: LindbladSet, rho: np.ndarray, f) -> HermitianMatrix:
-    """X = unvec_h(C x) for the one system (rho, f): restricted_systems, then solve_restricted."""
-    xc, _ = solve_restricted(*restricted_systems(l, rho[None], _entries(f)[None]))
+    """X = unvec_h(C x) for the one system (rho, f) of n x n inputs, f Hermitian:
+    restricted_systems, then solve_restricted."""
+    f = _square(l, HermitianMatrix(f))
+    xc, _ = solve_restricted(*restricted_systems(l, _square(l, rho)[None], f[None]))
     return HermitianMatrix(unvec_h(xc @ l.complement_vecs.T, l.n)[0])
 
 
@@ -213,7 +215,7 @@ def poincare_constant(l: LindbladSet, rho) -> float:
     singular weight (or a gradient with full kernel) the constant
     degenerates; 0 is returned with a warning instead of an error.
     """
-    r, lo = _weight(rho)
+    r, lo = _weight(_square(l, rho))
     if lo <= EPS_PD or l.complement_vecs.shape[1] == 0:
         warnings.warn(
             "degenerate weight or trivial gradient: the sharp constant is 0 "
@@ -254,8 +256,8 @@ def momentum_min_check(l: LindbladSet, rho, f) -> MomentumCheck:
 def momentum_divergence_matrix(l: LindbladSet) -> np.ndarray:
     """Real matrix of m |-> vec_h( div(m - m_*)/2 ) on general-stack coordinates.
 
-    Columns follow the vec_stack convention (all real parts, then all
-    imaginary parts).  Used to sample feasible momentum perturbations:
+    Columns follow unvec_stack's layout: all real parts of m, then all
+    imaginary parts, each in C order.  Used to sample feasible momentum perturbations:
     the null space of this matrix is exactly the set of directions that
     leave the continuity picture unchanged.
     """

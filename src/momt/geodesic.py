@@ -26,7 +26,7 @@ contraction of complement_tensor with the midpoint moves, and one gated
 batched inverse (elliptic.solve_restricted) gives both the potentials and
 the A_k^{-1} that the Newton Hessian reuses.  No trial forms vec_h,
 grad(X_k), a Gram matrix or a momentum; X_k and m_k are rebuilt once, for
-the returned path.  initial_path is the same solve at y = 0, the start.
+the returned path.  initial_path is the solver's iteration 0 (y = 0, max_iter = 0).
 
 The reduced cost E(y) is convex: in restricted coordinates each interval
 term is a matrix-fractional function (1/dt) D^T A(mu)^{-1} D of the node
@@ -63,8 +63,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .elliptic import _kernel_excess, restricted_systems, solve_restricted
-from .hermitian import EPS_PD, DensityMatrix, _entries, gram, hermitian_part, unvec_h, vec_h
-from .lindblad import LindbladSet, div_blocks, grad_blocks
+from .hermitian import EPS_PD, DensityMatrix, gram, hermitian_part, unvec_h, vec_h
+from .lindblad import LindbladSet, _square, div_blocks, grad_blocks
 
 
 class InfeasibleEndpoints(ValueError):
@@ -151,7 +151,7 @@ class HamiltonianProfile:
 
 def feasibility_gap(l: LindbladSet, rho0, rho1) -> float:
     """Norm of the kernel component of rho1 - rho0 (zero iff connectable)."""
-    d = _entries(rho1) - _entries(rho0)
+    d = _square(l, rho1) - _square(l, rho0)
     return float(np.linalg.norm(l.kernel_vecs.T @ vec_h(d)))
 
 
@@ -187,11 +187,6 @@ def _path_and_grams(l: LindbladSet, nodes: np.ndarray, xs: np.ndarray):
                         momenta=ms.reshape(big_k, l.count, n, n), potentials=pots), gram(vs)
 
 
-def _discrete_path(l: LindbladSet, nodes: np.ndarray, xs: np.ndarray) -> DiscretePath:
-    """The path of _path_and_grams, without its Gram matrices."""
-    return _path_and_grams(l, nodes, xs)[0]
-
-
 def _endpoint_guard(l: LindbladSet, rho0, rho1):
     """The strict endpoints and |rho1 - rho0|; InfeasibleEndpoints if not connectable."""
     r0 = DensityMatrix(rho0, strict=True)
@@ -212,14 +207,13 @@ def _endpoint_guard(l: LindbladSet, rho0, rho1):
 def initial_path(l: LindbladSet, rho0, rho1, big_k: int) -> DiscretePath:
     """Linear density interpolation with per-interval reconstructed momenta.
 
+    The solver's iteration 0: optimize_geodesic's path at max_iter = 0.
     Exactly feasible: with X_k solving the weighted system at the interval
     midpoint and m_k = grad(X_k) mid_k, the identity
     m - m_* = grad(X) mid + mid grad(X) turns the elliptic equation into
     the discrete continuity equation.
     """
-    r0, r1, _ = _endpoint_guard(l, rho0, rho1)
-    reduced = _Reduced(l, r0, r1, big_k, EPS_PD)
-    return _discrete_path(l, reduced.line, reduced.value_grad(np.zeros((big_k - 1) * reduced.d)).xs)
+    return optimize_geodesic(l, rho0, rho1, SolverConfig(K=big_k, max_iter=0)).path
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,7 @@ def hermitian_part(x) -> np.ndarray:
 
 
 class HermitianMatrix:
-    """An n x n complex matrix with A = A^*, symmetrized at construction.
+    """A non-empty n x n complex matrix with A = A^*, symmetrized at construction.
 
     Input with a non-finite entry, or whose symmetry defect exceeds
     ``SYM_TOL * max(1, |A|_F)``, is rejected rather than silently flattened.
@@ -75,8 +75,8 @@ class HermitianMatrix:
 
     def __init__(self, entries):
         a = np.array(_entries(entries), dtype=complex)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+            raise DimensionMismatch(f"expected a non-empty square matrix, got shape {a.shape}")
         if not np.isfinite(a).all():
             raise SymmetryError("matrix has a non-finite entry")
         defect = 0.5 * float(np.linalg.norm(a - a.conj().T))
@@ -278,14 +278,8 @@ def vec_s(s) -> np.ndarray:
     return vec_h(-1j * _entries(s))
 
 
-def vec_stack(m) -> np.ndarray:
-    """Real coordinates of a general stack: all real parts, then all imaginary."""
-    b = _entries(m)
-    return np.concatenate([b.real.ravel(), b.imag.ravel()])
-
-
 def unvec_stack(x: np.ndarray, count: int, n: int) -> np.ndarray:
-    """Inverse of vec_stack (raw complex ndarray of shape (count, n, n))."""
+    """The raw complex (count, n, n) stack of x = all real parts, then all imaginary parts."""
     x = np.asarray(x, dtype=float)
     half = x.size // 2
     return (x[:half] + 1j * x[half:]).reshape(count, n, n)

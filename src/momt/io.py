@@ -183,10 +183,7 @@ def load_problem(path: str) -> ProblemSpec:
 # ---------------------------------------------------------------------------
 
 def _warning_entries(codes) -> list:
-    out = []
-    for code in codes:
-        out.append({"code": code, "message": _WARNING_TEXT.get(code, code)})
-    return out
+    return [{"code": code, "message": _WARNING_TEXT[code]} for code in codes]
 
 
 def build_report(result: GeodesicResult, spec: ProblemSpec) -> dict:

@@ -93,10 +93,7 @@ class LindbladSet:
     def _build_kernel(self):
         n = self.n
         _, s, vh = np.linalg.svd(self.grad_matrix, full_matrices=False)
-        if s.size and s[0] > 0:
-            rank = int(np.sum(s > KERNEL_RTOL * s[0]))
-        else:
-            rank = 0
+        rank = int(np.sum(s > KERNEL_RTOL * s[0]))  # 0 when s[0] == 0
         null = vh[rank:].T  # (n^2, kdim), orthonormal
         # Rotate the null basis so I/sqrt(n) is literally the first element.
         ident = vec_h(np.eye(n)) / np.sqrt(n)

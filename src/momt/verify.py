@@ -32,6 +32,7 @@ from .lindblad import (LindbladSet, StabilityError, divergence, gradient, heat_f
                        project_kernel)
 
 SUITES = ("calculus", "duality", "conservation")
+_MIN_EIG = 0.05  # spectral floor of the sampled densities
 
 
 @dataclass
@@ -39,9 +40,6 @@ class Check:
     name: str
     passed: bool
     detail: str
-
-    def as_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
 def rand_herm(rng, n: int) -> np.ndarray:
@@ -60,11 +58,11 @@ def rand_general_stack(rng, count: int, n: int) -> OperatorStack:
     return OperatorStack(blocks, flavor="general")
 
 
-def _rand_density(rng, n: int, min_eig: float = 0.05) -> DensityMatrix:
-    """Random strictly positive density with spectrum bounded below by min_eig."""
+def _rand_density(rng, n: int) -> DensityMatrix:
+    """Random strictly positive density with spectrum bounded below by _MIN_EIG."""
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, _ = np.linalg.qr(g)
-    lam = min_eig + rng.dirichlet(np.ones(n)) * (1.0 - n * min_eig)
+    lam = _MIN_EIG + rng.dirichlet(np.ones(n)) * (1.0 - n * _MIN_EIG)
     return DensityMatrix(q @ np.diag(lam) @ q.conj().T, strict=True)
 
 

@@ -10,7 +10,7 @@ import pytest
 from momt import (DensityMatrix, InfeasibleEndpoints, LindbladSet, SolverConfig,
                   SymmetryError, feasibility_gap, matrix_to_literal, optimize_geodesic)
 from momt.cli import main
-from momt.io import dump_canonical, load_problem
+from momt.io import dump_canonical, load_problem, parse_problem
 from momt.verify import run_suites, suite_calculus
 from conftest import FIXTURES, SX, SZ
 
@@ -250,3 +250,39 @@ def test_relative_kernel_component_is_infeasible(tmp_path, capsys):
                                 "rho0": matrix_to_literal(r0), "rho1": matrix_to_literal(r1)}))
     assert main(["distance", str(prob)]) == 2
     assert "kernel component" in capsys.readouterr().err
+
+
+def test_readme_problem_file_runs(tmp_path, capsys):
+    # the problem file that README documents parses and solves as it stands
+    text = (FIXTURES.parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("```json\n", 1)[1].split("```", 1)[0]
+    spec = parse_problem(block)
+    assert spec.lindblad.count == 3 and spec.config.K == 32
+    prob = tmp_path / "readme.json"
+    prob.write_text(block)
+    assert main(["distance", str(prob)]) == 0
+    assert "converged: yes" in capsys.readouterr().out
+
+
+BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+
+@pytest.mark.parametrize("cap, preset, expect", [
+    ("2", {}, dict.fromkeys(BLAS_VARS, "2")),
+    ("2", {"MKL_NUM_THREADS": "5"}, {**dict.fromkeys(BLAS_VARS, "2"), "MKL_NUM_THREADS": "5"}),
+    ("abc", {}, dict.fromkeys(BLAS_VARS)),
+    ("0", {}, dict.fromkeys(BLAS_VARS)),
+], ids=["cap", "user-value-kept", "not-an-integer", "zero"])
+def test_thread_cap_sets_blas_variables(cap, preset, expect):
+    # numpy sizes its BLAS pools when it is first imported, so the cap that
+    # `import momt` applies is read back in a fresh interpreter
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update(preset, MOMT_THREADS=cap)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    code = ("import json, os, momt; "
+            f"print(json.dumps({{v: os.environ.get(v) for v in {BLAS_VARS!r}}}))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == expect

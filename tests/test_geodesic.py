@@ -30,7 +30,7 @@ from momt import (
 )
 from momt.action import kinetic_values
 from momt.elliptic import restricted_systems, solve_restricted
-from momt.geodesic import _Reduced, _block_tridiag_solve, _discrete_path
+from momt.geodesic import _Reduced, _block_tridiag_solve, _path_and_grams
 from momt.io import load_problem
 from momt.lindblad import grad_blocks
 from conftest import FIXTURES, SZ, rand_density, rand_herm, rand_lindblad
@@ -158,6 +158,24 @@ def test_endpoint_guard(sz_only, swap_endpoints):
         optimize_geodesic(sz_only, r0, r1, SolverConfig(K=4))
 
 
+@pytest.mark.parametrize("big_k", [0, -1, 2.5])
+def test_initial_path_gates_interval_count(pauli, swap_endpoints, big_k):
+    with pytest.raises(InvalidConfig) as err:
+        initial_path(pauli, *swap_endpoints, big_k)
+    assert err.value.field == "K"
+
+
+@pytest.mark.parametrize("big_k", [1, 2, 8])
+def test_initial_path_is_iteration_zero(three_level_pair, pauli, swap_endpoints, big_k):
+    # the start is the solver's own path at max_iter = 0, array for array
+    for l, r0, r1 in [three_level_pair, (pauli, *swap_endpoints)]:
+        start = initial_path(l, r0, r1, big_k)
+        solved = optimize_geodesic(l, r0, r1, SolverConfig(K=big_k, max_iter=0)).path
+        assert start.K == solved.K == big_k
+        for name in ("grid", "densities", "momenta", "potentials"):
+            np.testing.assert_array_equal(getattr(start, name), getattr(solved, name))
+
+
 def test_analytic_gradient_matches_finite_differences(pauli, swap_endpoints,
                                                       three_level_pair):
     # at n = 2 T_rho does not depend on rho; the 3-level pair checks the
@@ -261,7 +279,7 @@ def test_batched_sweep_matches_interval_loop(three_level_pair, pauli, swap_endpo
         np.testing.assert_allclose(total, ref_total, rtol=1e-12)
         np.testing.assert_allclose(g, ref_g, rtol=1e-12, atol=1e-12 * np.abs(ref_g).max())
         # the returned path's X_k = unvec_h(C x_k) and momenta grad(X_k) mid_k
-        path = _discrete_path(l, red.nodes(y), xcs)
+        path = _path_and_grams(l, red.nodes(y), xcs)[0]
         for got, ref in [(path.potentials, ref_xs), (path.momenta, ref_ms)]:
             np.testing.assert_allclose(np.array(got), np.array(ref),
                                        atol=1e-12 * np.abs(np.array(ref)).max())

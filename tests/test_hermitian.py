@@ -14,13 +14,16 @@ from momt import (
     SymmetryError,
     WeightedOperator,
     assemble_weighted,
+    feasibility_gap,
     heat_flow,
+    initial_path,
     hermitian_basis,
     inner_product,
     kinetic,
     matrix_from_literal,
     matrix_to_literal,
     momentum_min_check,
+    optimize_geodesic,
     poincare_constant,
     quadratic_form,
     solve_potential,
@@ -28,8 +31,8 @@ from momt import (
     unvec_stack,
     vec_h,
     vec_s,
-    vec_stack,
 )
+from momt.elliptic import restricted_systems, solve_restricted
 from momt.hermitian import gram
 from momt.lindblad import grad_blocks
 from conftest import SX, SY, SZ, rand_density, rand_general_stack, rand_herm, rand_skew_stack
@@ -118,7 +121,9 @@ NAN_WEIGHT = np.diag([NAN, 0.5])
     (lambda: OperatorStack(np.full((1, 2, 2), NAN)), ValueError),
     (lambda: OperatorStack(np.full((1, 2, 2), NAN), flavor="skew"), ValueError),
     (lambda: solve_potential(assemble_weighted(LindbladSet([SX, SY, SZ]), MIXED),
-                             np.diag([NAN, 0])), RuntimeError),
+                             np.diag([NAN, 0])), SymmetryError),
+    (lambda: solve_restricted(*restricted_systems(
+        LindbladSet([SX, SY, SZ]), MIXED[None], np.diag([NAN, 0])[None])), RuntimeError),
     (lambda: heat_flow(LindbladSet([SX, SY, SZ]), MIXED, NAN, 3), ValueError),
     (lambda: heat_flow(LindbladSet([SX, SY, SZ]), MIXED, INF, 3), ValueError),
     (lambda: kinetic(np.diag([NAN, 0.5]), np.ones((3, 2, 2))), ValueError),
@@ -128,11 +133,38 @@ NAN_WEIGHT = np.diag([NAN, 0.5])
     (lambda: WeightedOperator(LindbladSet([SX, SY, SZ]), NAN_WEIGHT), SymmetryError),
     (lambda: momentum_min_check(LindbladSet([SX, SY, SZ]), NAN_WEIGHT, SZ), SymmetryError),
 ], ids=["density", "hermitian-inf", "general-stack", "skew-stack", "potential-residual",
-        "heat-flow-nan-time", "heat-flow-inf-time", "kinetic", "extended-value",
-        "quadratic-form-weight", "poincare-weight", "weighted-operator-weight",
+        "restricted-residual", "heat-flow-nan-time", "heat-flow-inf-time", "kinetic",
+        "extended-value", "quadratic-form-weight", "poincare-weight", "weighted-operator-weight",
         "momentum-check-weight"])
 def test_gates_fail_closed_on_non_finite_input(call, error):
     # a NaN compares false both ways, so a gate written "x > bound" waves it through
+    with pytest.raises(error):
+        call()
+
+
+PAULI_SET = LindbladSet([SX, SY, SZ])
+QUTRIT = np.eye(3) / 3
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: optimize_geodesic(PAULI_SET, QUTRIT, QUTRIT), DimensionMismatch),
+    (lambda: initial_path(PAULI_SET, QUTRIT, QUTRIT, 4), DimensionMismatch),
+    (lambda: feasibility_gap(PAULI_SET, QUTRIT, QUTRIT), DimensionMismatch),
+    (lambda: poincare_constant(PAULI_SET, QUTRIT), DimensionMismatch),
+    (lambda: momentum_min_check(PAULI_SET, QUTRIT, SZ), DimensionMismatch),
+    (lambda: momentum_min_check(PAULI_SET, MIXED, np.diag([1.0, -1.0, 0.0])),
+     DimensionMismatch),
+    (lambda: solve_potential(WeightedOperator(PAULI_SET, MIXED), np.diag([1.0, -1.0, 0.0])),
+     DimensionMismatch),
+    (lambda: solve_potential(WeightedOperator(PAULI_SET, MIXED), 1j * SZ), SymmetryError),
+    (lambda: HermitianMatrix(np.zeros((0, 0))), DimensionMismatch),
+    (lambda: LindbladSet([np.zeros((0, 0))]), DimensionMismatch),
+], ids=["geodesic", "initial-path", "feasibility-gap", "poincare", "momentum-check-weight",
+        "momentum-check-rhs", "potential-rhs", "potential-non-hermitian-rhs",
+        "empty-hermitian", "empty-operator"])
+def test_gates_reject_wrong_size_or_symmetry(call, error):
+    # a 3 x 3 input against 2-level operators, a skew right-hand side or an
+    # empty matrix stops at the input gate, before any product or solve
     with pytest.raises(error):
         call()
 
@@ -228,12 +260,14 @@ def test_vec_s_round_trip():
     np.testing.assert_allclose(1j * unvec_h(vec_s(s), 3), s, atol=1e-13)
 
 
-def test_vec_stack_round_trip():
+def test_unvec_stack_layout():
+    # the coordinates are all real parts, then all imaginary parts, in C order
     rng = np.random.default_rng(12)
-    m = rand_general_stack(rng, 3, 2)
-    x = vec_stack(m.blocks)
-    assert x.dtype.kind == "f" and x.shape == (2 * 3 * 4,)
-    np.testing.assert_allclose(unvec_stack(x, 3, 2), m.blocks, atol=1e-13)
+    m = rand_general_stack(rng, 3, 2).blocks
+    x = np.concatenate([m.real.ravel(), m.imag.ravel()])
+    got = unvec_stack(x, 3, 2)
+    assert got.shape == (3, 2, 2)
+    np.testing.assert_array_equal(got, m)
 
 
 def test_vec_h_pairing_matches_inner_product():
