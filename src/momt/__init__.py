@@ -98,3 +98,10 @@ from .lindblad import (
     project_kernel,
 )
 from .verify import Check, run_suites
+
+# The star-import surface is the names re-exported above, never a submodule
+# (a bare ``io`` would shadow the standard library's).
+from types import ModuleType as _ModuleType
+
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

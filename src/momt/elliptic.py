@@ -14,7 +14,8 @@ This yields:
 
 * restricted_systems and solve_restricted — the one potential solve, for
   K weights and right-hand sides at once.  restricted_systems assembles
-  and gates the data (A_k, C^T f_k, kernel norms) from one contraction;
+  and gates the data (A_k, C^T f_k, kernel norms) from one contraction,
+  with one batched Cholesky as the weight gate;
   the geodesic solver calls it once per solve, on the straight line.
   solve_restricted runs the batched Cholesky gate, one batched inverse
   and the residual gate, and returns the ker(grad)^perp coordinates x_k
@@ -41,6 +42,7 @@ from .hermitian import (
     DimensionMismatch,
     HermitianMatrix,
     OperatorStack,
+    _above_floor,
     _entries,
     gram,
     hermitian_part,
@@ -106,10 +108,12 @@ def restricted_systems(l: LindbladSet, rhos: np.ndarray, fs: np.ndarray):
     and kpart_k = |K^T vec_h(f_k)| (C = complement_vecs, K = kernel_vecs),
     so |f_k| = hypot(|c_k|, kpart_k).  Raises SingularWeight unless every
     rho_k has smallest eigenvalue > EPS_PD, and InfeasibleRHS if an f_k has
-    a kernel component beyond 1e-10 |f_k|.
+    a kernel component beyond 1e-10 |f_k|.  The weight gate is one batched
+    Cholesky of the rho_k - EPS_PD I (_above_floor), whose factor must be
+    finite; eigvalsh runs only to word a failure.
     """
-    lo = float(np.linalg.eigvalsh(rhos)[:, 0].min())
-    if lo <= EPS_PD:
+    if not _above_floor(rhos, EPS_PD):
+        lo = float(np.linalg.eigvalsh(rhos)[:, 0].min())
         raise SingularWeight(
             f"weight min eigenvalue {lo:.3e} <= {EPS_PD:.1e}; the restricted "
             "system is not safely invertible"

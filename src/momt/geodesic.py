@@ -26,7 +26,9 @@ contraction of complement_tensor with the midpoint moves, and one gated
 batched inverse (elliptic.solve_restricted) gives both the potentials and
 the A_k^{-1} that the Newton Hessian reuses.  No trial forms vec_h,
 grad(X_k), a Gram matrix or a momentum; X_k and m_k are rebuilt once, for
-the returned path.  initial_path is the solver's iteration 0 (y = 0, max_iter = 0).
+the returned path.  Iteration 0 is the line itself: its nodes and systems
+are the ones _Reduced stores, with no zero move added, and initial_path is
+that iteration (max_iter = 0).
 
 The reduced cost E(y) is convex: in restricted coordinates each interval
 term is a matrix-fractional function (1/dt) D^T A(mu)^{-1} D of the node
@@ -58,12 +60,14 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .elliptic import _kernel_excess, restricted_systems, solve_restricted
-from .hermitian import EPS_PD, DensityMatrix, gram, hermitian_part, unvec_h, vec_h
+from .hermitian import (EPS_PD, DensityMatrix, _above_floor, gram, hermitian_part,
+                        unvec_h, vec_h)
 from .lindblad import LindbladSet, _square, div_blocks, grad_blocks
 
 
@@ -170,9 +174,20 @@ def _intervals(nodes: np.ndarray, dt: float):
 
 
 def _linear_nodes(r0: np.ndarray, r1: np.ndarray, big_k: int) -> np.ndarray:
-    """Nodes (1 - t_j) rho_0 + t_j rho_1, j = 0..K, endpoints exact: (K+1, n, n)."""
+    """Nodes (1 - t_j) rho_0 + t_j rho_1, j = 0..K, endpoints exact: (K+1, n, n).
+
+    The interior's + 0.0 makes a -0.0 entry +0.0, so the line is nodes(0) byte for byte.
+    """
     t = (np.arange(1, big_k) * (1.0 / big_k))[:, None, None]
-    return np.concatenate([r0[None], (1 - t) * r0 + t * r1, r1[None]])
+    return np.concatenate([r0[None], (1 - t) * r0 + t * r1 + 0.0, r1[None]])
+
+
+@lru_cache(maxsize=32)
+def _grid(big_k: int) -> np.ndarray:
+    """The times k/K, k = 0..K, built once per recent K; read-only, as paths share it."""
+    grid = np.linspace(0.0, 1.0, big_k + 1)
+    grid.flags.writeable = False
+    return grid
 
 
 def _path_and_grams(l: LindbladSet, nodes: np.ndarray, xs: np.ndarray):
@@ -183,7 +198,7 @@ def _path_and_grams(l: LindbladSet, nodes: np.ndarray, xs: np.ndarray):
     vs = grad_blocks(l, pots)
     # one (K, N n, n) @ (K, n, n) product: row block j of entry k is grad_j(X_k) mid_k
     ms = vs.reshape(big_k, -1, n) @ (0.5 * (nodes[:-1] + nodes[1:]))
-    return DiscretePath(K=big_k, grid=np.linspace(0.0, 1.0, big_k + 1), densities=nodes,
+    return DiscretePath(K=big_k, grid=_grid(big_k), densities=nodes,
                         momenta=ms.reshape(big_k, l.count, n, n), potentials=pots), gram(vs)
 
 
@@ -244,7 +259,8 @@ class _Reduced:
     once, on the line, and a trial (value_grad) reads only y: no vec_h,
     no eigvalsh and no kernel norm.  feasible takes the stack nodes(y),
     which a trial builds once; its floor is >= EPS_PD, so a feasible
-    trial passes the SingularWeight gate too.
+    trial passes the SingularWeight gate too.  Iteration 0 is the line
+    itself: line is nodes(0) and (tcs_line, fcs_line) is systems(0).
     """
 
     def __init__(self, l, r0, r1, big_k, floor):
@@ -265,17 +281,9 @@ class _Reduced:
         return out
 
     def feasible(self, nodes: np.ndarray) -> bool:
-        """Every interior node and interval midpoint has eigenvalues > floor.
-
-        One batched Cholesky of the shifted stack.  It does not stop on a
-        NaN, which instead reaches the factor, so a non-finite factor fails too.
-        """
+        """Every interior node and interval midpoint has eigenvalues > floor (_above_floor)."""
         mids = 0.5 * (nodes[:-1] + nodes[1:])
-        shifted = np.concatenate([nodes[1:-1], mids]) - self.floor * np.eye(self.l.n)
-        try:
-            return bool(np.isfinite(np.linalg.cholesky(shifted)).all())
-        except np.linalg.LinAlgError:
-            return False
+        return _above_floor(np.concatenate([nodes[1:-1], mids]), self.floor)
 
     def systems(self, y: np.ndarray):
         """(A_k, C^T vec_h(f_k)) of the K intervals of nodes(y)."""
@@ -286,7 +294,12 @@ class _Reduced:
         return tcs, self.fcs_line + (ys[1:] - ys[:-1]) / self.dt
 
     def value_grad(self, y: np.ndarray) -> _Point:
-        """(E, grad E, potential coordinates x_k, couplings U_k, inverses A_k^{-1}) at y.
+        """The point of nodes(y): point(*systems(y))."""
+        return self.point(*self.systems(y))
+
+    def point(self, tcs: np.ndarray, fcs: np.ndarray) -> _Point:
+        """(E, grad E, potential coordinates x_k, couplings U_k, inverses A_k^{-1})
+        of the intervals with restricted systems (A_k, C^T vec_h(f_k)).
 
         With h_a = unvec_h(C e_a) and V[a, e, f] = <h_e; T(h_a) h_f>
         (l.complement_tensor), U_k = V x_k over f has U_k[a, e] =
@@ -295,7 +308,6 @@ class _Reduced:
         2(X_{j-1} - X_j) - (dt/2)(Gram(grad X_{j-1}) + Gram(grad X_j)) is
         g_j = 2(x_{j-1} - x_j) - (dt/2)(U_{j-1} x_{j-1} + U_j x_j).
         """
-        tcs, fcs = self.systems(y)
         xs, ainv = solve_restricted(tcs, fcs, self.kpart)
         total = float(np.sum(self.dt * np.sum(fcs * xs, axis=-1)))  # dt <f_k; X_k>
         d = self.d
@@ -390,7 +402,7 @@ def optimize_geodesic(l: LindbladSet, rho0, rho1, config: SolverConfig | None = 
 
     if span <= 1e-14:
         # coincident endpoints: the constant path, distance exactly zero
-        path = DiscretePath(K=cfg.K, grid=np.linspace(0.0, 1.0, cfg.K + 1),
+        path = DiscretePath(K=cfg.K, grid=_grid(cfg.K),
                             densities=np.repeat(r0.mat[None], cfg.K + 1, axis=0),
                             momenta=np.zeros((cfg.K, l.count, l.n, l.n), dtype=complex),
                             potentials=np.zeros((cfg.K, l.n, l.n), dtype=complex))
@@ -399,7 +411,8 @@ def optimize_geodesic(l: LindbladSet, rho0, rho1, config: SolverConfig | None = 
 
     reduced = _Reduced(l, r0, r1, cfg.K, cfg.eps_pd)
     y = np.zeros((cfg.K - 1) * reduced.d)
-    nodes, point = reduced.nodes(y), reduced.value_grad(y)
+    # iteration 0 is the straight line, whose systems reduced already holds
+    nodes, point = reduced.line, reduced.point(reduced.tcs_line, reduced.fcs_line)
     trace_drift = _trace_drift(nodes)
     iterates = [nodes] if record_iterates else None
     for iterations in range(cfg.max_iter + 1):
@@ -488,15 +501,16 @@ def _dual_certificate(l: LindbladSet, path: DiscretePath, grams: np.ndarray):
     xs = np.concatenate([pad, path.potentials, pad])
     gs = np.concatenate([pad, grams, pad])
     ps = 2.0 * (xs[:-1] - xs[1:]) - 0.5 * dt * (gs[:-1] + gs[1:])  # pairs with rho_0..rho_K
-    kb = unvec_h(l.kernel_vecs[:, 1:].T, n).reshape(-1, n * n)  # non-identity kernel basis
-    kappas = (ps[1:-1].reshape(-1, n * n) @ np.conj(kb).T).real
-    ps[1:-1] -= (kappas @ kb).reshape(-1, n, n)
+    shift = 0.0  # sum_j <kappa_j; rho_0>; every kappa_j is 0 when I spans the kernel
+    if l.kernel_dim > 1:
+        kb = unvec_h(l.kernel_vecs[:, 1:].T, n).reshape(-1, n * n)  # non-identity kernel basis
+        kappas = (ps[1:-1].reshape(-1, n * n) @ np.conj(kb).T).real
+        ps[1:-1] -= (kappas @ kb).reshape(-1, n, n)
+        shift = kappas.sum(axis=0) @ (np.conj(kb) @ rhos[0].ravel()).real
     lows = np.linalg.eigvalsh(ps[1:-1])[:, 0]
     pairs = np.sum(np.conj(ps) * rhos, axis=(-2, -1)).real
     slacks = pairs[1:-1] - lows
-    value = pairs[0] + pairs[-1] + lows.sum() \
-        + kappas.sum(axis=0) @ (np.conj(kb) @ rhos[0].ravel()).real
-    return slacks, float(value)
+    return slacks, float(pairs[0] + pairs[-1] + lows.sum() + shift)
 
 
 def hamiltonian_profile(result: GeodesicResult) -> HamiltonianProfile:
@@ -506,22 +520,18 @@ def hamiltonian_profile(result: GeodesicResult) -> HamiltonianProfile:
     and reparametrized to unit time is (t_j - t_i) * sum(dt * 2 F_k over
     the window); on an exact geodesic it equals ((t_j - t_i) * distance)^2.
     speed_ok says every window's relative deviation is within
-    max(10 rel_std, 1e-9).
+    max(10 rel_std, 1e-9).  A window's deviation is |a - E| / E with a the
+    window's mean of 2 F_k and E the squared distance; a mean lies between
+    its extreme terms, so the largest deviation is a one-interval window's,
+    max_k |2 F_k - E| / E, and the check is O(K).
     """
     vals = list(result.hamiltonian)
-    big_k = result.path.K
-    dt = 1.0 / big_k
     mean = float(np.mean(vals))
     rel_std = float(np.std(vals) / mean) if mean > 1e-15 else 0.0
     total = result.primal_cost
-    cum = np.concatenate([[0.0], np.cumsum([2.0 * dt * v for v in vals])])
     speed_ok = True
     if total > 1e-15:
-        i, j = np.triu_indices(big_k + 1, 1)
-        width = (j - i) * dt
-        sub_sq = width * (cum[j] - cum[i])
-        target = width ** 2 * total
-        err = np.abs(sub_sq - target) / np.maximum(np.abs(target), 1e-15)
+        err = np.abs(2.0 * np.asarray(vals) - total) / total
         speed_ok = not np.any(err > max(10.0 * rel_std, 1e-9))
     return HamiltonianProfile(values=vals, mean=mean, rel_std=rel_std,
                               speed_ok=speed_ok)

@@ -196,6 +196,18 @@ def inner_product(x, y):
     return val
 
 
+def _above_floor(mats: np.ndarray, floor: float) -> bool:
+    """Every matrix of the Hermitian (..., n, n) stack has eigenvalues > floor.
+
+    One batched Cholesky of the shifted stack.  It does not stop on a NaN,
+    which instead reaches the factor, so a non-finite factor fails too.
+    """
+    try:
+        return bool(np.isfinite(np.linalg.cholesky(mats - floor * np.eye(mats.shape[-1]))).all())
+    except np.linalg.LinAlgError:
+        return False
+
+
 def gram(blocks) -> np.ndarray:
     """sum_k b_k^* b_k over the stack axis: (..., N, n, n) -> (..., n, n), Hermitian PSD.
 

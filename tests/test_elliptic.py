@@ -5,6 +5,7 @@ from scipy.linalg import null_space
 import momt.elliptic
 
 from momt import (
+    EPS_PD,
     DensityMatrix,
     HermitianMatrix,
     InfeasibleRHS,
@@ -30,12 +31,14 @@ from momt import (
     vec_h,
 )
 from momt.elliptic import restricted_systems, solve_restricted
+from momt.hermitian import hermitian_part
 from conftest import (
     SZ,
     rand_density,
     rand_herm,
     rand_lindblad,
     rand_skew_stack,
+    rand_unitary,
 )
 from oracles.weighted_oracle import apply_weighted
 
@@ -261,6 +264,32 @@ def test_solve_potential_is_one_interval_of_solve_potentials(n):
     xs, _ = solve_restricted(*restricted_systems(l, rho.mat[None], f.mat[None]))
     expect = HermitianMatrix(unvec_h(xs @ l.complement_vecs.T, n)[0])
     assert np.array_equal(got.mat, expect.mat)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_restricted_weight_gate_at_the_floor(n):
+    # the gate is one Cholesky of the rho_k - EPS_PD I: a weight whose smallest
+    # eigenvalue sits 0.1 % below EPS_PD fails, 0.1 % above passes, and a NaN fails
+    rng = np.random.default_rng(30 + n)
+    l = rand_lindblad(rng, 2, n)
+    fs = np.array([feasible_rhs(rng, l).mat for _ in range(3)])
+
+    def weights(middle):
+        return np.array([rand_density(rng, n).mat, middle, rand_density(rng, n).mat])
+
+    for scale, singular in [(1 - 1e-3, True), (1 + 1e-3, False)]:
+        lam = np.full(n, (1.0 - EPS_PD * scale) / (n - 1))
+        lam[0] = EPS_PD * scale
+        u = rand_unitary(rng, n)
+        rhos = weights(hermitian_part(u @ np.diag(lam) @ u.conj().T))
+        if singular:
+            with pytest.raises(SingularWeight, match="min eigenvalue"):
+                restricted_systems(l, rhos, fs)
+        else:
+            d = l.complement_vecs.shape[1]
+            assert restricted_systems(l, rhos, fs)[0].shape == (3, d, d)
+    with pytest.raises(SingularWeight):
+        restricted_systems(l, weights(np.diag([np.nan] + [1.0 / n] * (n - 1))), fs)
 
 
 def test_solve_potentials_gates(pauli, three_level_pair, monkeypatch):

@@ -176,6 +176,30 @@ def test_initial_path_is_iteration_zero(three_level_pair, pauli, swap_endpoints,
             np.testing.assert_array_equal(getattr(start, name), getattr(solved, name))
 
 
+def test_iteration_zero_point_is_value_grad_at_zero(three_level_pair, pauli, swap_endpoints):
+    # the solver starts from the line and line systems _Reduced holds; they
+    # are the zero move's nodes and point, byte for byte (signed zeros too)
+    for l, r0, r1 in [three_level_pair, (pauli, *swap_endpoints), diagonal_kernel_set()]:
+        for big_k in (1, 2, 8):
+            red = _Reduced(l, r0, r1, big_k, 1e-8)
+            zero = np.zeros(red.d * (big_k - 1))
+            assert red.line.tobytes() == red.nodes(zero).tobytes()
+            start, ref = red.point(red.tcs_line, red.fcs_line), red.value_grad(zero)
+            for got, want in zip(start, ref):
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_paths_share_one_read_only_grid_per_k(pauli, swap_endpoints, three_level_pair):
+    paths = [initial_path(pauli, *swap_endpoints, 8),
+             optimize_geodesic(*three_level_pair, SolverConfig(K=8)).path,
+             optimize_geodesic(pauli, swap_endpoints[0], swap_endpoints[0],
+                               SolverConfig(K=8)).path]
+    assert all(p.grid is paths[0].grid for p in paths)
+    assert not paths[0].grid.flags.writeable
+    assert np.array_equal(paths[0].grid, np.linspace(0.0, 1.0, 9))
+    assert initial_path(pauli, *swap_endpoints, 4).grid is not paths[0].grid
+
+
 def test_analytic_gradient_matches_finite_differences(pauli, swap_endpoints,
                                                       three_level_pair):
     # at n = 2 T_rho does not depend on rho; the 3-level pair checks the
@@ -418,6 +442,26 @@ def test_solve_runs_one_epilogue_pass(pauli, swap_endpoints, three_level_pair, m
             assert not [a for a in spectra for end in ends if a is end.mat]
 
 
+def test_zero_iteration_solve_starts_at_the_stored_line(pauli, swap_endpoints,
+                                                       three_level_pair, monkeypatch):
+    # iteration 0 reads _Reduced's line and line systems, so a solve that
+    # stops there rebuilds neither from y; a Newton trial still does
+    calls = []
+
+    def counted(name):
+        method = getattr(_Reduced, name)
+        return lambda self, y: calls.append(name) or method(self, y)
+
+    for name in ("nodes", "systems"):
+        monkeypatch.setattr(_Reduced, name, counted(name))
+    for l, r0, r1, cfg in [(pauli, *swap_endpoints, SolverConfig(K=8)),
+                           (*three_level_pair, SolverConfig(K=8, max_iter=0))]:
+        assert optimize_geodesic(l, r0, r1, cfg).iterations == 0
+        assert not calls
+    assert optimize_geodesic(*three_level_pair, SolverConfig(K=8)).iterations > 0
+    assert {"nodes", "systems"} <= set(calls)
+
+
 def test_weight_tensors_cached_and_read_only(three_level_pair):
     ops, r0, r1 = three_level_pair[0].ops, *three_level_pair[1:]
     l = LindbladSet(list(ops))
@@ -600,6 +644,21 @@ def test_dual_certificate_with_larger_kernel(sz_only):
         assert np.all(slacks >= -1e-12)
 
 
+def test_dual_certificate_matches_node_loop_for_each_kernel_dim(three_level_pair, sz_only):
+    # the non-identity kernel projection runs only when kernel_dim > 1; the
+    # reference projects every node in turn, whatever the kernel
+    r0 = DensityMatrix(np.array([[0.7, 0.2], [0.2, 0.3]], dtype=complex))
+    r1 = DensityMatrix(r0.mat + np.array([[0.0, -0.1], [-0.1, 0.0]], dtype=complex))
+    for (l, a, b), kernel_dim in [(three_level_pair, 1), ((sz_only, r0, r1), 2),
+                                  (diagonal_kernel_set(), 3)]:
+        assert l.kernel_dim == kernel_dim
+        for path in (initial_path(l, a, b, 8), optimize_geodesic(l, a, b, SolverConfig(K=8)).path):
+            slacks, value = dual_certificate(l, path)
+            ref_slacks, ref_value = loop_dual_certificate(l, path)
+            np.testing.assert_allclose(value, ref_value, rtol=1e-12)
+            np.testing.assert_allclose(slacks, ref_slacks, rtol=1e-12, atol=1e-12 * abs(ref_value))
+
+
 def test_hamiltonian_profile_constant_speed(pauli, swap_endpoints):
     r0, r1 = swap_endpoints
     res = optimize_geodesic(pauli, r0, r1, SolverConfig(K=16))
@@ -614,6 +673,38 @@ def test_hamiltonian_profile_constant_speed(pauli, swap_endpoints):
     # and the action equals 2 * dt * sum of values
     np.testing.assert_allclose(res.primal_cost,
                                2.0 * np.mean(prof.values), rtol=1e-12)
+
+
+def window_speed_ok(result):
+    """Reference speed_ok: every sub-window [t_i, t_j]'s reparametrized action
+    (t_j - t_i) * sum(dt 2 F_k) against ((t_j - t_i) distance)^2, in O(K^2)."""
+    vals, dt = np.asarray(result.hamiltonian), 1.0 / result.path.K
+    rel_std = np.std(vals) / np.mean(vals)
+    cum = np.concatenate([[0.0], np.cumsum(2.0 * dt * vals)])
+    i, j = np.triu_indices(result.path.K + 1, 1)
+    width = (j - i) * dt
+    target = width ** 2 * result.primal_cost
+    err = np.abs(width * (cum[j] - cum[i]) - target) / target
+    return not np.any(err > max(10.0 * rel_std, 1e-9))
+
+
+def test_hamiltonian_profile_matches_window_formula(pauli, swap_endpoints, three_level_pair):
+    results = [optimize_geodesic(*three_level_pair, SolverConfig(K=big_k, max_iter=it))
+               for big_k in (4, 16) for it in (0, 1, 500)]
+    results.append(optimize_geodesic(*boundary_qutrit(), SolverConfig(K=16, max_iter=100)))
+    swap = optimize_geodesic(pauli, *swap_endpoints, SolverConfig(K=16))
+    # constant values against a squared distance off by s, either side of the 1e-9 floor
+    results += [replace(swap, primal_cost=swap.primal_cost * (1.0 + s))
+                for s in (5e-10, -5e-10, 2e-9, -2e-9, 1e-6)]
+    # one interval 2 % fast: beyond 10 rel_std only once K > 100
+    for big_k in (16, 128):
+        res = optimize_geodesic(pauli, *swap_endpoints, SolverConfig(K=big_k))
+        spike = np.array(res.hamiltonian)
+        spike[big_k // 3] *= 1.02
+        results.append(replace(res, hamiltonian=spike.tolist()))
+    verdicts = [hamiltonian_profile(res).speed_ok for res in results]
+    assert verdicts == [window_speed_ok(res) for res in results]
+    assert True in verdicts and False in verdicts
 
 
 def test_result_is_raw_stacks(three_level_pair):

@@ -66,3 +66,19 @@ def test_benchmark_names_resolve():
     missing = sorted(f"{module}.{name}" for module, name in imported | looked_up
                      if not hasattr(importlib.import_module(module), name))
     assert not missing, f"perfbench reads names momt does not have: {missing}"
+
+
+def test_star_import_binds_no_module():
+    # `from momt import *` takes momt's re-exported names, not its submodules:
+    # a bound `io` would shadow the standard library's
+    import types
+
+    import momt
+
+    namespace = {}
+    exec("from momt import *", namespace)
+    modules = sorted(name for name, value in namespace.items()
+                     if isinstance(value, types.ModuleType))
+    assert not modules, f"the star import binds modules: {modules}"
+    assert "optimize_geodesic" in namespace and "SolverConfig" in namespace
+    assert set(momt.__all__) == set(namespace) - {"__builtins__"}
