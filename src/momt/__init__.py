@@ -10,11 +10,19 @@ Library layers (bottom up):
 * io / cli   — problem files, reports, the ``momt`` command
 """
 
-from ._threads import apply_thread_cap as _apply_thread_cap
+# BLAS sizes its thread pools when numpy is first imported, so an integer
+# MOMT_THREADS >= 1 must reach these variables before any import below loads
+# numpy; a variable the user set is kept, and any other MOMT_THREADS is ignored.
+import os as _os
 
-# Must happen before the first numpy import anywhere in the process for the
-# MOMT_THREADS cap to reach the BLAS thread pools.
-_apply_thread_cap()
+try:
+    _cap = int(_os.environ.get("MOMT_THREADS", ""))
+except ValueError:
+    _cap = 0
+if _cap >= 1:
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                 "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+        _os.environ.setdefault(_var, str(_cap))
 
 # Defined before the submodule imports below; io reads it back from here.
 __version__ = "0.1.0"

@@ -11,7 +11,7 @@ Exit codes: 0 success/converged, 1 parse or I/O error, 2 infeasible
 endpoints, 3 solver did not converge (best iterate still reported).
 ``--json`` prints the machine-readable document to stdout; ``--quiet``
 suppresses the human-readable lines.  The MOMT_THREADS environment
-variable caps BLAS parallelism (applied on package import).
+variable caps BLAS parallelism; ``momt/__init__`` applies it before numpy loads.
 """
 
 from __future__ import annotations

@@ -70,13 +70,13 @@ class InfeasibleRHS(ValueError):
 
 
 def _weight(rho):
-    """(HermitianMatrix(rho).mat, its smallest eigenvalue): SymmetryError on a
+    """(HermitianMatrix(rho).mat, its cached min_eig()): SymmetryError on a
     non-finite or non-Hermitian weight, WeightError below -EPS_PD."""
-    r = HermitianMatrix(rho).mat
-    lo = float(np.linalg.eigvalsh(r)[0])
+    h = HermitianMatrix(rho)
+    lo = h.min_eig()
     if lo < -EPS_PD:
         raise WeightError(f"weight has negative eigenvalue {lo:.3e}")
-    return r, lo
+    return h.mat, lo
 
 
 def quadratic_form(rho, v) -> float:
@@ -219,7 +219,8 @@ def poincare_constant(l: LindbladSet, rho) -> float:
     singular weight (or a gradient with full kernel) the constant
     degenerates; 0 is returned with a warning instead of an error.
     """
-    r, lo = _weight(_square(l, rho))
+    _square(l, rho)  # the shape gate; the wrapper itself goes on, with its spectrum
+    r, lo = _weight(rho)
     if lo <= EPS_PD or l.complement_vecs.shape[1] == 0:
         warnings.warn(
             "degenerate weight or trivial gradient: the sharp constant is 0 "
@@ -247,12 +248,13 @@ def momentum_min_check(l: LindbladSet, rho, f) -> MomentumCheck:
     the two agree (strong duality of a linearly-constrained quadratic).
     """
     r, _ = _weight(rho)
+    f = HermitianMatrix(f)
     x = _potential(l, r, f)
     v = gradient(l, x)
     m = OperatorStack(np.einsum("kij,jl->kil", v.blocks, r), flavor="general")
     rinv = hermitian_part(np.linalg.inv(r))
     primal = 0.5 * float(np.trace(gram(m.blocks) @ rinv).real)
-    dual = float(inner_product(HermitianMatrix(f), x)) \
+    dual = float(inner_product(f, x)) \
         - 0.5 * float(np.trace(r @ gram(v.blocks)).real)
     return MomentumCheck(primal_min=primal, dual_max=dual, optimal_m=m, potential=x)
 

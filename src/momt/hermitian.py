@@ -71,9 +71,14 @@ class HermitianMatrix:
 
     Input with a non-finite entry, or whose symmetry defect exceeds
     ``SYM_TOL * max(1, |A|_F)``, is rejected rather than silently flattened.
+    A HermitianMatrix input (a DensityMatrix is one) is not checked again:
+    the result shares its read-only array and any cached smallest eigenvalue.
     """
 
     def __init__(self, entries):
+        if isinstance(entries, HermitianMatrix):
+            self.mat, self.n, self._min_eig = entries.mat, entries.n, entries._min_eig
+            return
         a = np.array(_entries(entries), dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
             raise DimensionMismatch(f"expected a non-empty square matrix, got shape {a.shape}")
@@ -113,15 +118,11 @@ class DensityMatrix(HermitianMatrix):
     The trace must be within TRACE_TOL of 1.  Non-strict mode accepts the
     closed cone (eigenvalues down to -EPS_PD, which floating point treats
     as zero); strict mode demands eigenvalues > EPS_PD, i.e. a safely
-    positive-definite state.  A HermitianMatrix input (a DensityMatrix is
-    one) shares its checked array and smallest eigenvalue with the result.
+    positive-definite state.
     """
 
     def __init__(self, entries, strict: bool = False):
-        if isinstance(entries, HermitianMatrix):
-            self.mat, self.n, self._min_eig = entries.mat, entries.n, entries.min_eig()
-        else:
-            super().__init__(entries)
+        super().__init__(entries)
         tr = self.trace()
         if not abs(tr - 1.0) <= TRACE_TOL:
             raise NotUnitTrace(f"trace must equal 1, got {tr!r}")

@@ -91,7 +91,10 @@ def _worst(name: str, tol: float, draws: int, error, extra: str = "") -> Check:
 # calculus
 # ---------------------------------------------------------------------------
 
-def suite_calculus(l: LindbladSet, rng, cases: int = 50) -> list[Check]:
+_CASES = 50  # draws of each sampled calculus identity
+
+
+def suite_calculus(l: LindbladSet, rng) -> list[Check]:
     n, big_n = l.n, l.count
 
     def adjointness():
@@ -126,12 +129,12 @@ def suite_calculus(l: LindbladSet, rng, cases: int = 50) -> list[Check]:
         return pyth / max(1.0, np.linalg.norm(x) ** 2)
 
     checks = [
-        _worst("gradient/divergence adjointness", 1e-12, cases, adjointness),
-        _worst("gradient product rule", 1e-12, max(20, cases // 2), product_rule),
-        _worst("laplacian closed form vs divergence of gradient", 1e-12, cases, closed_form),
-        _worst("divergence output is traceless", 1e-12, cases,
+        _worst("gradient/divergence adjointness", 1e-12, _CASES, adjointness),
+        _worst("gradient product rule", 1e-12, _CASES // 2, product_rule),
+        _worst("laplacian closed form vs divergence of gradient", 1e-12, _CASES, closed_form),
+        _worst("divergence output is traceless", 1e-12, _CASES,
                lambda: abs(divergence(l, rand_skew_stack(rng, big_n, n)).trace())),
-        _worst("gradient superoperator matches blockwise gradient", 1e-12, cases,
+        _worst("gradient superoperator matches blockwise gradient", 1e-12, _CASES,
                superoperator),
     ]
     err = max((gradient(l, b.mat).norm() for b in l.kernel_basis), default=0.0)
@@ -140,9 +143,9 @@ def suite_calculus(l: LindbladSet, rng, cases: int = 50) -> list[Check]:
                          for a in l.kernel_basis])
     err = float(np.linalg.norm(overlaps - np.eye(l.kernel_dim)))
     checks.append(_check("kernel basis orthonormal", err, 1e-12))
-    checks.append(_worst("kernel projection Pythagoras identity", 1e-12, cases, pythagoras))
+    checks.append(_worst("kernel projection Pythagoras identity", 1e-12, _CASES, pythagoras))
     checks.append(_worst(
-        "divergence range orthogonal to the kernel", 1e-10, cases,
+        "divergence range orthogonal to the kernel", 1e-10, _CASES,
         lambda: project_kernel(l, divergence(l, rand_skew_stack(rng, big_n, n)).mat).norm()))
     return checks
 

@@ -165,6 +165,27 @@ def test_poincare_degenerate_warns():
     assert c == 0.0
 
 
+def test_poincare_constant_reuses_the_weight_spectrum(monkeypatch):
+    # a DensityMatrix weight brings its cached smallest eigenvalue, so the
+    # only eigvalsh is the restricted system's
+    rng = np.random.default_rng(9)
+    l = rand_lindblad(rng, 2, 3)
+    rho = rand_density(rng, 3)
+    rho.min_eig()
+    eigvalsh, shapes = np.linalg.eigvalsh, []
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    c = poincare_constant(l, rho)
+    d = l.complement_vecs.shape[1]
+    assert shapes == [(d, d)] and d != 3
+    monkeypatch.undo()
+    assert c == poincare_constant(l, rho.mat)
+
+
 def test_poincare_inequality_sampled(pauli):
     rng = np.random.default_rng(8)
     rho = rand_density(rng, 2)

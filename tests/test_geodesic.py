@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -29,6 +30,7 @@ from momt import (
     vec_h,
 )
 from momt.action import kinetic_values
+from momt.cli import main
 from momt.elliptic import restricted_systems, solve_restricted
 from momt.geodesic import _Reduced, _block_tridiag_solve, _path_and_grams
 from momt.io import load_problem
@@ -273,6 +275,42 @@ def test_nan_newton_direction_falls_back_to_gradient(three_level_pair, monkeypat
     assert len(calls) > 1
     assert res.converged and "boundary-hit" not in res.warnings
     np.testing.assert_allclose(res.distance, ref.distance, rtol=1e-9)
+
+
+def _singular_solve(*args):
+    raise np.linalg.LinAlgError("Schur complement is not positive definite")
+
+
+def _nan_solve(diag, off, rhs):
+    return np.full_like(rhs, np.nan)
+
+
+@pytest.mark.parametrize("solve", [_singular_solve, _nan_solve], ids=["linalg-error", "nan"])
+def test_failed_newton_solve_steps_along_minus_gradient(three_level_pair, monkeypatch, solve):
+    # a Newton system that cannot be solved (LinAlgError) or yields a NaN
+    # direction (caught by the slope test) falls back to -g: the iterates
+    # still descend from the line, certified, but at gradient speed
+    l, r0, r1 = three_level_pair
+    line = optimize_geodesic(l, r0, r1, SolverConfig(K=8, max_iter=0))
+    monkeypatch.setattr(momt.geodesic, "_block_tridiag_solve", solve)
+    res = optimize_geodesic(l, r0, r1, SolverConfig(K=8, max_iter=3))
+    assert res.iterations == 3 and not res.converged and res.warnings == []
+    assert res.primal_cost < line.primal_cost
+    assert res.gap >= 0
+
+
+def test_line_search_that_finds_no_feasible_trial_stops_at_boundary(three_level_pair,
+                                                                    monkeypatch, capsys):
+    l, r0, r1 = three_level_pair
+    line = initial_path(l, r0, r1, 8)
+    monkeypatch.setattr(_Reduced, "feasible", lambda self, nodes: False)
+    res = optimize_geodesic(l, r0, r1, SolverConfig(K=8))
+    assert res.warnings == ["boundary-hit"] and res.iterations == 0 and not res.converged
+    np.testing.assert_array_equal(res.path.densities, line.densities)
+    # the CLI reports the stop and exits 3, "did not converge"
+    assert main(["distance", str(FIXTURES / "flat_cost_qutrit21.json"), "--json"]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert [w["code"] for w in report["warnings"]] == ["boundary-hit"]
 
 
 def test_continuity_residual_matches_interval_loop(three_level_pair, pauli, swap_endpoints):

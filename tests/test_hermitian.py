@@ -98,6 +98,26 @@ def test_min_eig_computed_once(monkeypatch):
         DensityMatrix(DensityMatrix(np.diag([1.0, 0.0])), strict=True)
 
 
+def test_checked_matrix_is_shared_not_checked_again(monkeypatch):
+    # a wrapper's array is read-only, so wrapping it again shares the array
+    # and its cached spectrum: no copy, no finiteness or symmetry check, no
+    # second eigvalsh
+    h = HermitianMatrix(rand_herm(np.random.default_rng(6), 3))
+    rho = rand_density(np.random.default_rng(7), 3)
+    lows = [h.min_eig(), rho.min_eig()]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a checked matrix was checked again")
+
+    for name in ("eigvalsh", "norm"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    monkeypatch.setattr(np, "isfinite", refuse)
+    shared = [HermitianMatrix(h), HermitianMatrix(rho)]
+    assert [type(g) for g in shared] == [HermitianMatrix, HermitianMatrix]
+    assert all(g.mat is w.mat for g, w in zip(shared, (h, rho)))
+    assert [g.min_eig() for g in shared] == lows
+
+
 def test_stack_flavor_enforcement():
     rng = np.random.default_rng(3)
     h = rand_herm(rng, 3)

@@ -10,6 +10,7 @@ from momt import (
     LindbladSet,
     OperatorStack,
     StabilityError,
+    SymmetryError,
     divergence,
     gradient,
     hermitian_basis,
@@ -37,6 +38,18 @@ def test_construction_rejects_non_hermitian():
 
     with pytest.raises(SymmetryError):
         LindbladSet([np.array([[0.0, 1.0], [0.0, 0.0]])])
+
+
+def test_wrapped_operators_are_not_checked_again():
+    # parse_problem wraps each operator before LindbladSet sees it, and the set
+    # trusts that check: an array swapped in behind a wrapper's gate is taken
+    # as it is, where the same raw array is rejected
+    op = HermitianMatrix(SX)
+    op.mat = np.array([[0.0, 1.0], [0.5, 0.0]], dtype=complex)
+    l = LindbladSet([op, HermitianMatrix(SZ)])
+    assert np.array_equal(l.ops[0], op.mat)
+    with pytest.raises(SymmetryError):
+        LindbladSet([op.mat, SZ])
 
 
 def test_adjointness_random_sets():

@@ -1,0 +1,79 @@
+"""Exact identities of the discrete problem, used as oracles.
+
+Each identity relates the optimal costs E_K of several solves.  A solve
+certifies its cost only to within its gap (dual_value <= E_K* <= primal_cost
+= dual_value + gap), so every bound below is the sum of the certified gaps of
+the solves involved plus 1e-12 E for rounding, never an observed deviation.
+
+* unitary covariance: E_K(U L U^*; U rho0 U^*, U rho1 U^*) = E_K(L; rho0, rho1)
+* endpoint reversal:  E_K(rho1, rho0) = E_K(rho0, rho1)
+* the split at the middle node rho_m of the K-solve's path: each half of the
+  path is admissible for its half-problem at K/2 intervals, whose time step is
+  twice as long, so E_K* <= 2 (E_{K/2}*(rho0, rho_m) + E_{K/2}*(rho_m, rho1))
+  <= E_K(path), and the computed values agree within gap_K + 2 (gap_a + gap_b).
+"""
+
+import numpy as np
+import pytest
+
+from momt import DensityMatrix, LindbladSet, SolverConfig, optimize_geodesic
+from conftest import rand_herm, rand_unitary
+
+K = 16
+
+
+def draw(seed, n=3, count=2):
+    """Operators and a mild endpoint pair drawn as conftest's three_level_pair
+    draws them (whose own seed is 42)."""
+    rng = np.random.default_rng(seed)
+    ops = [rand_herm(rng, n) for _ in range(count)]
+    ends = []
+    for _ in range(2):
+        d = rand_herm(rng, n)
+        d -= np.trace(d) / n * np.eye(n)
+        ends.append(np.eye(n) / n + 0.12 * d / np.linalg.norm(d))
+    return ops, ends[0], ends[1]
+
+
+def solve(ops, rho0, rho1, big_k=K):
+    return optimize_geodesic(LindbladSet(ops), DensityMatrix(rho0, strict=True),
+                             DensityMatrix(rho1, strict=True), SolverConfig(K=big_k))
+
+
+@pytest.fixture(scope="module", params=[(42,), (1,), (2,), (3,), (4, 6, 3)],
+                ids=["three-level-pair", "qutrit-1", "qutrit-2", "qutrit-3", "n6-N3"])
+def instance(request):
+    ops, rho0, rho1 = draw(*request.param)
+    return ops, rho0, rho1, solve(ops, rho0, rho1)
+
+
+def assert_within(e, e_other, gaps, scale):
+    assert all(g >= 0 for g in gaps)
+    bound = sum(gaps) + 1e-12 * scale
+    assert abs(e - e_other) <= bound, (e, e_other, bound)
+
+
+def test_unitary_covariance(instance):
+    ops, rho0, rho1, res = instance
+    u = rand_unitary(np.random.default_rng(11), len(rho0))
+
+    def conj(a):
+        return u @ a @ u.conj().T
+
+    moved = solve([conj(op) for op in ops], conj(rho0), conj(rho1))
+    assert_within(moved.primal_cost, res.primal_cost, [moved.gap, res.gap], res.primal_cost)
+
+
+def test_endpoint_reversal(instance):
+    ops, rho0, rho1, res = instance
+    back = solve(ops, rho1, rho0)
+    assert_within(back.primal_cost, res.primal_cost, [back.gap, res.gap], res.primal_cost)
+
+
+def test_split_at_the_middle_node(instance):
+    ops, rho0, rho1, res = instance
+    mid = res.path.densities[K // 2]
+    first, second = solve(ops, rho0, mid, K // 2), solve(ops, mid, rho1, K // 2)
+    joined = 2 * (first.primal_cost + second.primal_cost)
+    assert_within(joined, res.primal_cost, [res.gap, 2 * first.gap, 2 * second.gap],
+                  res.primal_cost)
