@@ -13,16 +13,13 @@ first use on a LindbladSet builds the tensor (about 50 ms at n = 10).
 This yields:
 
 * restricted_systems and solve_restricted — the one potential solve, for
-  K weights and right-hand sides at once.  restricted_systems assembles
-  and gates the data (A_k, C^T f_k, kernel norms) from one contraction,
-  with one batched Cholesky as the weight gate;
-  the geodesic solver calls it once per solve, on the straight line.
-  solve_restricted runs the batched Cholesky gate, one batched inverse
-  and the residual gate, and returns the ker(grad)^perp coordinates x_k
-  and the inverses A_k^{-1}; the geodesic solver calls it on every
-  line-search trial,
+  K weights and right-hand sides at once.  restricted_systems only
+  assembles (A_k, C^T f_k, kernel norms), once per geodesic solve.
+  solve_restricted runs the batched Cholesky gate, one batched inverse and
+  the residual gate, and returns the ker(grad)^perp coordinates x_k and
+  the inverses A_k^{-1}; the geodesic solver calls it on every trial,
 * solve_potential — the unique X in ker(grad)^perp with T_rho X = f, the
-  K = 1 case of those two (as is momentum_min_check's potential),
+  K = 1 case of those two, and the gate of a caller's weight and f,
 * poincare_constant — the smallest restricted eigenvalue (the sharp
   constant c in Q_rho(grad(X - proj X)) >= c |X - proj X|^2),
 * momentum_min_check — the primal/dual pair certifying that m = grad(X) rho
@@ -42,7 +39,6 @@ from .hermitian import (
     DimensionMismatch,
     HermitianMatrix,
     OperatorStack,
-    _above_floor,
     _entries,
     gram,
     hermitian_part,
@@ -101,34 +97,16 @@ def _kernel_excess(kpart, fnorm):
 
 
 def restricted_systems(l: LindbladSet, rhos: np.ndarray, fs: np.ndarray):
-    """Gated restricted data of K weights and right-hand sides: (A_k, c_k, kpart_k).
+    """Restricted data of K weights and right-hand sides: (A_k, c_k, kpart_k).
 
     rhos and fs are (K, n, n) Hermitian stacks.  A_k = C^T T(rho_k) C is one
     GEMM (_systems), with no n^2 x n^2 matrix formed; c_k = C^T vec_h(f_k)
     and kpart_k = |K^T vec_h(f_k)| (C = complement_vecs, K = kernel_vecs),
-    so |f_k| = hypot(|c_k|, kpart_k).  Raises SingularWeight unless every
-    rho_k has smallest eigenvalue > EPS_PD, and InfeasibleRHS if an f_k has
-    a kernel component beyond 1e-10 |f_k|.  The weight gate is one batched
-    Cholesky of the rho_k - EPS_PD I (_above_floor), whose factor must be
-    finite; eigvalsh runs only to word a failure.
+    so |f_k| = hypot(|c_k|, kpart_k).  It only assembles: each entry point
+    gates its own inputs (solve_potential, the geodesic solver's endpoints).
     """
-    if not _above_floor(rhos, EPS_PD):
-        lo = float(np.linalg.eigvalsh(rhos)[:, 0].min())
-        raise SingularWeight(
-            f"weight min eigenvalue {lo:.3e} <= {EPS_PD:.1e}; the restricted "
-            "system is not safely invertible"
-        )
     fv = vec_h(fs)
-    fnorm = np.linalg.norm(fv, axis=-1)
-    kpart = np.linalg.norm(fv @ l.kernel_vecs, axis=-1)
-    bad = _kernel_excess(kpart, fnorm)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise InfeasibleRHS(
-            f"right-hand side has kernel component {kpart[k]:.3e} (|f| = {fnorm[k]:.3e}); "
-            "solvability requires f orthogonal to ker(grad)"
-        )
-    return _systems(l, rhos), fv @ l.complement_vecs, kpart
+    return _systems(l, rhos), fv @ l.complement_vecs, np.linalg.norm(fv @ l.kernel_vecs, axis=-1)
 
 
 def solve_restricted(tcs: np.ndarray, fcs: np.ndarray, kpart: np.ndarray):
@@ -156,20 +134,13 @@ def solve_restricted(tcs: np.ndarray, fcs: np.ndarray, kpart: np.ndarray):
     return xcs, ainv
 
 
-def _potential(l: LindbladSet, rho: np.ndarray, f) -> HermitianMatrix:
-    """X = unvec_h(C x) for the one system (rho, f) of n x n inputs, f Hermitian:
-    restricted_systems, then solve_restricted."""
-    f = _square(l, HermitianMatrix(f))
-    xc, _ = solve_restricted(*restricted_systems(l, _square(l, rho)[None], f[None]))
-    return HermitianMatrix(unvec_h(xc @ l.complement_vecs.T, l.n)[0])
-
-
 class WeightedOperator:
     """T_rho with its real symmetric matrix representation.
 
     Attributes: lindblad, rho (raw Hermitian ndarray), matrix_rep
     (n^2 x n^2 real symmetric PSD), restricted_min_eig (smallest
-    eigenvalue on ker(grad)^perp; 0 when the complement is empty).
+    eigenvalue on ker(grad)^perp; 0 when the complement is empty).  rho's
+    own smallest eigenvalue, from _weight, is kept for solve_potential.
 
     Both come from A = C^T T(rho) C: T vanishes on ker(grad) and maps into
     ker(grad)^perp, so matrix_rep = C A C^T exactly.  The first operator on
@@ -178,7 +149,7 @@ class WeightedOperator:
 
     def __init__(self, lindblad: LindbladSet, rho):
         self.lindblad = lindblad
-        self.rho, _ = _weight(rho)
+        self.rho, self._min_eig = _weight(rho)
         if self.rho.shape != (lindblad.n, lindblad.n):
             raise DimensionMismatch("weight dimension does not match operator set")
         a = _systems(lindblad, self.rho[None])[0]
@@ -195,21 +166,33 @@ class WeightedOperator:
                 f"restricted_min_eig={self.restricted_min_eig:.6g})")
 
 
-def assemble_weighted(l: LindbladSet, rho) -> WeightedOperator:
-    """Build T_rho (matrix representation + restricted smallest eigenvalue)."""
-    return WeightedOperator(l, rho)
+assemble_weighted = WeightedOperator  # builds T_rho of (l, rho), as a function name
 
 
 def solve_potential(w: WeightedOperator, f) -> HermitianMatrix:
     """The unique X in ker(grad)^perp with T_rho X = f (rho strictly positive).
 
-    Raises InfeasibleRHS if f has a kernel component beyond 1e-10 |f|,
-    SingularWeight if rho is not safely positive definite.  The returned
-    X satisfies |T X - f| <= RESIDUAL_RTOL * max(|f|, 1) and the stability
-    bound |f| >= restricted_min_eig * |X|.  Every gate runs in restricted
-    form: restricted_systems, then solve_restricted on the one system.
+    The gate of a caller's weight and f: SingularWeight unless rho's smallest
+    eigenvalue is > EPS_PD, InfeasibleRHS if f has a kernel component beyond
+    1e-10 |f|.  X satisfies |T X - f| <= RESIDUAL_RTOL * max(|f|, 1) and the
+    stability bound |f| >= restricted_min_eig * |X|.
     """
-    return _potential(w.lindblad, w.rho, f)
+    l = w.lindblad
+    f = _square(l, HermitianMatrix(f))
+    if not w._min_eig > EPS_PD:
+        raise SingularWeight(
+            f"weight min eigenvalue {w._min_eig:.3e} <= {EPS_PD:.1e}; the restricted "
+            "system is not safely invertible"
+        )
+    tcs, fcs, kpart = restricted_systems(l, w.rho[None], f[None])
+    fnorm = float(np.linalg.norm(f))
+    if _kernel_excess(kpart[0], fnorm):
+        raise InfeasibleRHS(
+            f"right-hand side has kernel component {kpart[0]:.3e} (|f| = {fnorm:.3e}); "
+            "solvability requires f orthogonal to ker(grad)"
+        )
+    xc, _ = solve_restricted(tcs, fcs, kpart)
+    return HermitianMatrix(unvec_h(xc @ l.complement_vecs.T, l.n)[0])
 
 
 def poincare_constant(l: LindbladSet, rho) -> float:
@@ -219,9 +202,8 @@ def poincare_constant(l: LindbladSet, rho) -> float:
     singular weight (or a gradient with full kernel) the constant
     degenerates; 0 is returned with a warning instead of an error.
     """
-    _square(l, rho)  # the shape gate; the wrapper itself goes on, with its spectrum
-    r, lo = _weight(rho)
-    if lo <= EPS_PD or l.complement_vecs.shape[1] == 0:
+    w = WeightedOperator(l, rho)
+    if w._min_eig <= EPS_PD or l.complement_vecs.shape[1] == 0:
         warnings.warn(
             "degenerate weight or trivial gradient: the sharp constant is 0 "
             "and the inequality may lose strictness",
@@ -229,7 +211,7 @@ def poincare_constant(l: LindbladSet, rho) -> float:
             stacklevel=2,
         )
         return 0.0
-    return float(np.linalg.eigvalsh(_systems(l, r[None])[0])[0])
+    return w.restricted_min_eig
 
 
 @dataclass
@@ -247,9 +229,9 @@ def momentum_min_check(l: LindbladSet, rho, f) -> MomentumCheck:
     m = grad(X) rho, dual_max = <f; X> - (1/2) Q_rho(grad X) at Y = X;
     the two agree (strong duality of a linearly-constrained quadratic).
     """
-    r, _ = _weight(rho)
+    w = WeightedOperator(l, rho)
     f = HermitianMatrix(f)
-    x = _potential(l, r, f)
+    x, r = solve_potential(w, f), w.rho
     v = gradient(l, x)
     m = OperatorStack(np.einsum("kij,jl->kil", v.blocks, r), flavor="general")
     rinv = hermitian_part(np.linalg.inv(r))

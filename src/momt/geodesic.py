@@ -19,16 +19,16 @@ analytic gradient use.
 
 The descent works on coordinates: interior-node moves y in ker(grad)^perp
 and potentials x_k = C^T vec_h(X_k), C = complement_vecs.  The straight
-line's K interval systems are assembled from the operator set's cached
-weight_tensor and gated once per solve (elliptic.restricted_systems).  The
-path is affine in y, so a trial's systems are the line's plus one
-contraction of complement_tensor with the midpoint moves, and one gated
-batched inverse (elliptic.solve_restricted) gives both the potentials and
-the A_k^{-1} that the Newton Hessian reuses.  No trial forms vec_h,
-grad(X_k), a Gram matrix or a momentum; X_k and m_k are rebuilt once, for
-the returned path.  Iteration 0 is the line itself: its nodes and systems
-are the ones _Reduced stores, with no zero move added, and initial_path is
-that iteration (max_iter = 0).
+line's K interval systems are assembled once per solve from the operator
+set's cached weight_tensor (elliptic.restricted_systems); the solve's one
+input gate is _endpoint_guard.  The path is affine in y, so a trial's
+systems are the line's plus one contraction of complement_tensor with the
+midpoint moves, and one gated batched inverse (elliptic.solve_restricted)
+gives both the potentials and the A_k^{-1} that the Newton Hessian
+reuses.  No trial forms vec_h, grad(X_k), a Gram matrix or a momentum;
+X_k and m_k are rebuilt once, for the returned path.  Iteration 0 is the
+line itself: its nodes and systems are the ones _Reduced stores, with no
+zero move added, and initial_path is that iteration (max_iter = 0).
 
 The reduced cost E(y) is convex: in restricted coordinates each interval
 term is a matrix-fractional function (1/dt) D^T A(mu)^{-1} D of the node
@@ -85,8 +85,8 @@ class InvalidConfig(ValueError):
 
 
 # Admissible solver settings.  The line search's floor eps_pd is the only
-# positivity gate of a trial, so it must not pass midpoints that the
-# SingularWeight gate of the potential solve (EPS_PD) would reject.
+# positivity gate of a trial, so it is at least EPS_PD, the floor that the
+# strict endpoints clear and below which solve_potential refuses a weight.
 _CONFIG_RANGES = {
     "K": (lambda v: v >= 1, "need at least one interval"),
     "max_iter": (lambda v: v >= 0, "must be >= 0"),
@@ -192,24 +192,27 @@ def _grid(big_k: int) -> np.ndarray:
 
 def _path_and_grams(l: LindbladSet, nodes: np.ndarray, xs: np.ndarray):
     """The path through nodes with X_k = unvec_h(C x_k) and m_k = grad(X_k) mid_k,
-    and its G_k = Gram(grad X_k), all from one grad_blocks call."""
+    its G_k = Gram(grad X_k), all from one grad_blocks call, and its mid_k."""
     big_k, n = len(xs), l.n
     pots = unvec_h(xs @ l.complement_vecs.T, n)
     vs = grad_blocks(l, pots)
+    mids, _ = _intervals(nodes, 1.0 / big_k)
     # one (K, N n, n) @ (K, n, n) product: row block j of entry k is grad_j(X_k) mid_k
-    ms = vs.reshape(big_k, -1, n) @ (0.5 * (nodes[:-1] + nodes[1:]))
-    return DiscretePath(K=big_k, grid=_grid(big_k), densities=nodes,
-                        momenta=ms.reshape(big_k, l.count, n, n), potentials=pots), gram(vs)
+    ms = vs.reshape(big_k, -1, n) @ mids
+    return DiscretePath(K=big_k, grid=_grid(big_k), densities=nodes, potentials=pots,
+                        momenta=ms.reshape(big_k, l.count, n, n)), gram(vs), mids
 
 
 def _endpoint_guard(l: LindbladSet, rho0, rho1):
-    """The strict endpoints and |rho1 - rho0|; InfeasibleEndpoints if not connectable."""
+    """The strict endpoints and |rho1 - rho0|; InfeasibleEndpoints if not connectable.
+
+    The solve's one input gate: strict endpoints put the line's midpoints above EPS_PD
+    (lambda_min is concave), and the line's K rates are not judged again.
+    """
     r0 = DensityMatrix(rho0, strict=True)
     r1 = DensityMatrix(rho1, strict=True)
     gap = feasibility_gap(l, r0, r1)
     span = float(np.linalg.norm(r1.mat - r0.mat))
-    # restricted_systems applies the relative rule to every interval's rate,
-    # which on the linear path is rho1 - rho0 up to rounding
     if gap > 1e-10 or _kernel_excess(gap, span):
         raise InfeasibleEndpoints(
             f"rho1 - rho0 has a kernel component of norm {gap:.3e}; the "
@@ -255,12 +258,12 @@ class _Reduced:
     (y_0 = y_K = 0) and V = complement_tensor,
     A_k = A_line,k + ybar_k . V and C^T vec_h(f_k) = C^T vec_h(f_line,k)
     + (y_{k+1} - y_k)/dt, while the kernel part of f_k is the line's.  So
-    the gates of restricted_systems (SingularWeight, InfeasibleRHS) run
-    once, on the line, and a trial (value_grad) reads only y: no vec_h,
-    no eigvalsh and no kernel norm.  feasible takes the stack nodes(y),
-    which a trial builds once; its floor is >= EPS_PD, so a feasible
-    trial passes the SingularWeight gate too.  Iteration 0 is the line
-    itself: line is nodes(0) and (tcs_line, fcs_line) is systems(0).
+    restricted_systems runs once, on the line, whose weights and rates
+    _endpoint_guard has already judged, and a trial (value_grad) reads
+    only y: no vec_h, no eigvalsh and no kernel norm.  feasible takes the
+    stack nodes(y), which a trial builds once; its floor is >= EPS_PD,
+    like the line's midpoints.  Iteration 0 is the line itself: line is
+    nodes(0) and (tcs_line, fcs_line) is systems(0).
     """
 
     def __init__(self, l, r0, r1, big_k, floor):
@@ -282,7 +285,7 @@ class _Reduced:
 
     def feasible(self, nodes: np.ndarray) -> bool:
         """Every interior node and interval midpoint has eigenvalues > floor (_above_floor)."""
-        mids = 0.5 * (nodes[:-1] + nodes[1:])
+        mids, _ = _intervals(nodes, self.dt)
         return _above_floor(np.concatenate([nodes[1:-1], mids]), self.floor)
 
     def systems(self, y: np.ndarray):
@@ -406,7 +409,8 @@ def optimize_geodesic(l: LindbladSet, rho0, rho1, config: SolverConfig | None = 
                             densities=np.repeat(r0.mat[None], cfg.K + 1, axis=0),
                             momenta=np.zeros((cfg.K, l.count, l.n, l.n), dtype=complex),
                             potentials=np.zeros((cfg.K, l.n, l.n), dtype=complex))
-        return _result(l, path, path.potentials, 0.0, iterations=0, converged=True,
+        mids, _ = _intervals(path.densities, 1.0 / cfg.K)
+        return _result(l, path, path.potentials, mids, 0.0, iterations=0, converged=True,
                        grad_norm=0.0, trace_drift=0.0, warnings=warnings_list)
 
     reduced = _Reduced(l, r0, r1, cfg.K, cfg.eps_pd)
@@ -450,9 +454,9 @@ def optimize_geodesic(l: LindbladSet, rho0, rho1, config: SolverConfig | None = 
                    warnings=warnings_list, iterate_nodes=iterates)
 
 
-def _result(l: LindbladSet, path: DiscretePath, grams: np.ndarray, cost: float,
-            **counters) -> GeodesicResult:
-    """The GeodesicResult of path at cost, from its G_k = Gram(grad X_k) (_path_and_grams).
+def _result(l: LindbladSet, path: DiscretePath, grams: np.ndarray, mids: np.ndarray,
+            cost: float, **counters) -> GeodesicResult:
+    """The GeodesicResult of path at cost, from its G_k = Gram(grad X_k) and mid_k.
 
     The dual is dual_certificate's at the path's own X_k.  As m_k =
     grad(X_k) mid_k, Gram(m_k) = mid_k G_k mid_k and F(mid_k, m_k) =
@@ -462,7 +466,6 @@ def _result(l: LindbladSet, path: DiscretePath, grams: np.ndarray, cost: float,
     counters are the other fields, as the Newton loop or shortcut has them.
     """
     _, dual_value = _dual_certificate(l, path, grams)
-    mids = 0.5 * (path.densities[:-1] + path.densities[1:])
     return GeodesicResult(
         path=path, distance=float(np.sqrt(max(cost, 0.0))), primal_cost=cost,
         dual_value=dual_value, gap=cost - dual_value,

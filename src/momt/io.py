@@ -104,8 +104,6 @@ def _literal_at(obj, path: str) -> np.ndarray:
         mat = matrix_from_literal(obj)
     except (DimensionMismatch, TypeError, ValueError) as exc:
         raise ParseError(path, str(exc)) from exc
-    if not np.isfinite(mat).all():
-        raise ParseError(path, "matrix entries must be finite")
     return mat
 
 
@@ -137,12 +135,13 @@ def parse_problem(text: str) -> ProblemSpec:
         except SymmetryError as exc:
             raise ParseError(f"$.lindblad.operators[{i}]",
                              f"SymmetryError: {exc}") from exc
-    if not ops:
-        raise ParseError("$.lindblad.operators", "need at least one operator")
-    n = _int_at(lind["n"], "$.lindblad.n") if "n" in lind else ops[0].n
-    if any(op.n != n for op in ops):
-        raise ParseError("$.lindblad", f"operators do not all have dimension {n}")
-    lset = LindbladSet(ops)
+    try:
+        lset = LindbladSet(ops)
+    except DimensionMismatch as exc:
+        raise ParseError("$.lindblad.operators", f"DimensionMismatch: {exc}") from exc
+    n = _int_at(lind["n"], "$.lindblad.n") if "n" in lind else lset.n
+    if n != lset.n:
+        raise ParseError("$.lindblad.n", f"{n} is not the operators' dimension {lset.n}")
 
     rhos = {}
     for key in ("rho0", "rho1"):

@@ -26,8 +26,8 @@ from .action import (DualPoint, fenchel_gap, kinetic, legendre_feasible, path_co
 from .elliptic import momentum_min_check
 from .geodesic import (InfeasibleEndpoints, continuity_residual, dual_certificate,
                        hamiltonian_profile, initial_path, optimize_geodesic)
-from .hermitian import (DensityMatrix, HermitianMatrix, OperatorStack, gram, hermitian_part,
-                        inner_product, unvec_h, vec_h, vec_s)
+from .hermitian import (DensityMatrix, HermitianMatrix, OperatorStack, _above_floor, gram,
+                        hermitian_part, inner_product, unvec_h, vec_h, vec_s)
 from .lindblad import (LindbladSet, StabilityError, divergence, gradient, heat_flow, laplacian,
                        project_kernel)
 
@@ -197,13 +197,8 @@ def suite_duality(spec, rng, solved) -> list[Check]:
         shift = [-1e-3, 0.0, 1e-3][i % 3] * np.eye(n)
         a = HermitianMatrix(-0.5 * gr + shift)
         claimed = legendre_feasible(DualPoint(a=a, b=b))
-        # independent route: attempted Cholesky of the negated residual
-        resid = a.mat + 0.5 * gr
-        try:
-            np.linalg.cholesky(-(resid - 1e-10 * np.eye(n)) + 1e-13 * np.eye(n))
-            indep = True
-        except np.linalg.LinAlgError:
-            indep = False
+        # independent route: a Cholesky of the negated residual, shifted by 1e-13
+        indep = _above_floor(1e-13 * np.eye(n) - (a.mat + 0.5 * gr - 1e-10 * np.eye(n)), 0.0)
         agree += int(claimed == indep)
     checks.append(Check("dual-cone membership: eigenvalue test vs factorization",
                         agree == total, f"{agree}/{total} classifications agree"))

@@ -289,28 +289,22 @@ def test_solve_potential_is_one_interval_of_solve_potentials(n):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_restricted_weight_gate_at_the_floor(n):
-    # the gate is one Cholesky of the rho_k - EPS_PD I: a weight whose smallest
-    # eigenvalue sits 0.1 % below EPS_PD fails, 0.1 % above passes, and a NaN fails
+    # solve_potential gates the weight on the smallest eigenvalue that its
+    # WeightedOperator computed: 0.1 % below EPS_PD fails, 0.1 % above passes
+    # (a NaN weight already stops in WeightedOperator)
     rng = np.random.default_rng(30 + n)
     l = rand_lindblad(rng, 2, n)
-    fs = np.array([feasible_rhs(rng, l).mat for _ in range(3)])
-
-    def weights(middle):
-        return np.array([rand_density(rng, n).mat, middle, rand_density(rng, n).mat])
-
+    f = feasible_rhs(rng, l)
     for scale, singular in [(1 - 1e-3, True), (1 + 1e-3, False)]:
         lam = np.full(n, (1.0 - EPS_PD * scale) / (n - 1))
         lam[0] = EPS_PD * scale
         u = rand_unitary(rng, n)
-        rhos = weights(hermitian_part(u @ np.diag(lam) @ u.conj().T))
+        w = WeightedOperator(l, hermitian_part(u @ np.diag(lam) @ u.conj().T))
         if singular:
             with pytest.raises(SingularWeight, match="min eigenvalue"):
-                restricted_systems(l, rhos, fs)
+                solve_potential(w, f)
         else:
-            d = l.complement_vecs.shape[1]
-            assert restricted_systems(l, rhos, fs)[0].shape == (3, d, d)
-    with pytest.raises(SingularWeight):
-        restricted_systems(l, weights(np.diag([np.nan] + [1.0 / n] * (n - 1))), fs)
+            assert solve_potential(w, f).n == n
 
 
 def test_solve_potentials_gates(pauli, three_level_pair, monkeypatch):
@@ -320,14 +314,16 @@ def test_solve_potentials_gates(pauli, three_level_pair, monkeypatch):
     tcs, fcs, kpart = restricted_systems(pauli, rhos, fs)
     xs, _ = solve_restricted(tcs, fcs, kpart)
     assert xs.shape == (3, 3) and tcs.shape == (3, 3, 3)
-    singular = rhos.copy()
-    singular[1] = np.diag([1.0, 0.0])
+    # restricted_systems only assembles: a singular weight and a kernel
+    # component pass through it, and solve_potential is the gate that refuses them
+    singular, identity = np.diag([1.0, 0.0]), fs[2] + 1e-3 * np.eye(2)
+    _, _, kpart = restricted_systems(pauli, np.array([singular, rhos[2]]),
+                                     np.array([fs[1], identity]))
+    np.testing.assert_allclose(kpart[1], 1e-3 * np.sqrt(2), rtol=1e-12)
     with pytest.raises(SingularWeight):
-        solve_restricted(*restricted_systems(pauli, singular, fs))
-    identity = fs.copy()
-    identity[2] = identity[2] + 1e-3 * np.eye(2)
+        solve_potential(WeightedOperator(pauli, singular), fs[1])
     with pytest.raises(InfeasibleRHS):
-        solve_restricted(*restricted_systems(pauli, rhos, identity))
+        solve_potential(WeightedOperator(pauli, rhos[2]), identity)
     # an operator set with empty ker(grad)^perp has only zero potentials
     flat = LindbladSet([np.eye(2)])
     assert flat.complement_vecs.shape[1] == 0

@@ -23,6 +23,7 @@ from momt import (
     hamiltonian_profile,
     initial_path,
     kinetic,
+    matrix_to_literal,
     optimize_geodesic,
     path_cost,
     solve_potential,
@@ -158,6 +159,36 @@ def test_endpoint_guard(sz_only, swap_endpoints):
         initial_path(sz_only, r0, r1, 4)
     with pytest.raises(InfeasibleEndpoints):
         optimize_geodesic(sz_only, r0, r1, SolverConfig(K=4))
+
+
+def write_problem(path, l, r0, r1, **config):
+    """Write (l, r0, r1) and config as a problem file; return its name."""
+    path.write_text(json.dumps({
+        "lindblad": {"operators": [matrix_to_literal(op) for op in l.ops]},
+        "rho0": matrix_to_literal(r0), "rho1": matrix_to_literal(r1), "config": config}))
+    return str(path)
+
+
+def test_connectability_has_one_verdict_at_every_k(pauli, tmp_path, capsys):
+    # _endpoint_guard is the one connectability verdict: an identity component
+    # of rho1 - rho0 near the 1e-14 floor, which the line's K rates carry with
+    # K-dependent rounding, gets the same answer at every K
+    r0 = DensityMatrix(np.diag([0.5, 0.5]), strict=True)
+    seen = set()
+    for eps in np.linspace(1.00e-14, 1.45e-14, 46):
+        r1 = DensityMatrix(np.diag([0.5 + 1e-7, 0.5 - 1e-7 + eps]), strict=True)
+        verdicts = set()
+        for big_k in (8, 16, 32, 64):
+            try:
+                verdicts.add(optimize_geodesic(pauli, r0, r1, SolverConfig(K=big_k)).converged)
+            except InfeasibleEndpoints:
+                verdicts.add("infeasible")
+        assert len(verdicts) == 1, (eps, verdicts)
+        seen |= verdicts
+    assert seen == {True, "infeasible"}  # the sweep crosses the floor
+    r1 = np.diag([0.5 + 1e-7, 0.5 - 1e-7 + 1e-14])
+    assert main(["distance", write_problem(tmp_path / "p.json", pauli, r0, r1, K=64)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("big_k", [0, -1, 2.5])
@@ -311,6 +342,19 @@ def test_line_search_that_finds_no_feasible_trial_stops_at_boundary(three_level_
     assert main(["distance", str(FIXTURES / "flat_cost_qutrit21.json"), "--json"]) == 3
     report = json.loads(capsys.readouterr().out)
     assert [w["code"] for w in report["warnings"]] == ["boundary-hit"]
+
+
+def test_iteration_cap_stops_unconverged_without_warning(three_level_pair, tmp_path, capsys):
+    # three_level_pair takes 2 Newton steps at K = 8, so max_iter = 1 stops on the cap
+    l, r0, r1 = three_level_pair
+    line = optimize_geodesic(l, r0, r1, SolverConfig(K=8, max_iter=0))
+    res = optimize_geodesic(l, r0, r1, SolverConfig(K=8, max_iter=1))
+    assert res.iterations == 1 and not res.converged and res.warnings == []
+    assert 0 <= res.gap < line.gap
+    # the CLI reports the stop and exits 3, "did not converge"
+    problem = write_problem(tmp_path / "capped.json", l, r0, r1, K=8, max_iter=1)
+    assert main(["distance", problem, "--json"]) == 3
+    assert json.loads(capsys.readouterr().out)["converged"] is False
 
 
 def test_continuity_residual_matches_interval_loop(three_level_pair, pauli, swap_endpoints):

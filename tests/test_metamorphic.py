@@ -6,6 +6,9 @@ certifies its cost only to within its gap (dual_value <= E_K* <= primal_cost
 the solves involved plus 1e-12 E for rounding, never an observed deviation.
 
 * unitary covariance: E_K(U L U^*; U rho0 U^*, U rho1 U^*) = E_K(L; rho0, rho1)
+* real orthogonal mixing: E_K(sum_j O_ij L_j) = E_K(L) for a real orthogonal O
+* identity shifts: E_K(L_j + a_j I) = E_K(L_j) for real a_j
+* scaling: E_K(2 L) = E_K(L) / 4, so |4 E' - E| <= 4 gap' + gap + 1e-12 E
 * endpoint reversal:  E_K(rho1, rho0) = E_K(rho0, rho1)
 * the split at the middle node rho_m of the K-solve's path: each half of the
   path is admissible for its half-problem at K/2 intervals, whose time step is
@@ -62,6 +65,28 @@ def test_unitary_covariance(instance):
 
     moved = solve([conj(op) for op in ops], conj(rho0), conj(rho1))
     assert_within(moved.primal_cost, res.primal_cost, [moved.gap, res.gap], res.primal_cost)
+
+
+def test_real_orthogonal_mixing(instance):
+    ops, rho0, rho1, res = instance
+    o, _ = np.linalg.qr(np.random.default_rng(12).standard_normal((len(ops), len(ops))))
+    mixed = solve([sum(c * op for c, op in zip(row, ops)) for row in o], rho0, rho1)
+    assert_within(mixed.primal_cost, res.primal_cost, [mixed.gap, res.gap], res.primal_cost)
+
+
+def test_identity_shifts(instance):
+    ops, rho0, rho1, res = instance
+    shifts = np.random.default_rng(13).standard_normal(len(ops))
+    shifted = solve([op + a * np.eye(len(op)) for a, op in zip(shifts, ops)], rho0, rho1)
+    assert_within(shifted.primal_cost, res.primal_cost, [shifted.gap, res.gap],
+                  res.primal_cost)
+
+
+def test_scaling(instance):
+    ops, rho0, rho1, res = instance
+    scaled = solve([2 * op for op in ops], rho0, rho1)
+    assert_within(4 * scaled.primal_cost, res.primal_cost, [4 * scaled.gap, res.gap],
+                  res.primal_cost)
 
 
 def test_endpoint_reversal(instance):
