@@ -49,6 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Transport distances and geodesics between density matrices.",
     )
     common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("problem", help="problem file (JSON)")
     common.add_argument("--quiet", action="store_true",
                         help="suppress human-readable output")
     common.add_argument("--json", action="store_true",
@@ -57,23 +58,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("distance", parents=[common],
                        help="compute the transport distance between the endpoints")
-    p.add_argument("problem", help="problem file (JSON)")
     p.add_argument("--out", metavar="PATH", help="write the full run report here")
+    p.set_defaults(run=run_distance)
 
     p = sub.add_parser("geodesic", parents=[common],
                        help="solve and export the discrete geodesic trace")
-    p.add_argument("problem", help="problem file (JSON)")
     p.add_argument("--out", metavar="PATH", required=True,
                    help="trace file to write")
+    p.set_defaults(run=run_geodesic)
 
     p = sub.add_parser("operator-info", parents=[common],
                        help="kernel dimension, basis, and sharp constants")
-    p.add_argument("problem", help="problem file (JSON)")
+    p.set_defaults(run=run_operator_info)
 
     p = sub.add_parser("verify", parents=[common],
                        help="run the seeded property suites against the problem")
-    p.add_argument("problem", help="problem file (JSON)")
     p.add_argument("--suite", choices=list(SUITES) + ["all"], default="all")
+    p.set_defaults(run=run_verify)
     return parser
 
 
@@ -106,8 +107,7 @@ def _summary_lines(report: dict) -> list[str]:
     return lines + (warns or ["warnings     none"])
 
 
-def run_distance(args) -> int:
-    spec = load_problem(args.problem)
+def run_distance(args, spec: ProblemSpec):
     result, code = _solve(spec)
     report = build_report(result, spec)
     lines = _summary_lines(report)
@@ -115,12 +115,10 @@ def run_distance(args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(dump_canonical(report))
         lines.append(f"report       written to {args.out}")
-    _emit(args, report, lines)
-    return code
+    return report, lines, code
 
 
-def run_geodesic(args) -> int:
-    spec = load_problem(args.problem)
+def run_geodesic(args, spec: ProblemSpec):
     result, code = _solve(spec)
     export_geodesic(result, args.out)
     doc = {"out": args.out, "distance": result.distance, "gap": result.gap,
@@ -130,12 +128,10 @@ def run_geodesic(args) -> int:
              f"gap          {result.gap:.3e}"]
     if not result.converged:
         lines.append("converged    NO (best iterate exported)")
-    _emit(args, doc, lines)
-    return code
+    return doc, lines, code
 
 
-def run_operator_info(args) -> int:
-    spec = load_problem(args.problem)
+def run_operator_info(args, spec: ProblemSpec):
     l = spec.lindblad
     maximally_mixed = DensityMatrix(np.eye(l.n) / l.n)
     with _warnings.catch_warnings(record=True) as rec:
@@ -155,35 +151,25 @@ def run_operator_info(args) -> int:
                     + [{"code": "degenerate-weight", "message": m} for m in caught],
     }
     norms = ", ".join(f"{v:.12g}" for v in info["kernel_basis_norms"])
-    _emit(args, info, [
+    lines = [
         f"dimension         {l.n}",
         f"operators         {l.count}",
         f"kernel dimension  {l.kernel_dim}",
         f"kernel basis norms [{norms}]",
         f"sharp constant at the maximally mixed state  {p_mixed:.12g}",
         f"restricted min eigenvalue at rho0            {p_rho0:.12g}",
-    ] + [f"warning           [{w['code']}] {w['message']}" for w in info["warnings"]])
-    return EXIT_OK
+    ] + [f"warning           [{w['code']}] {w['message']}" for w in info["warnings"]]
+    return info, lines, EXIT_OK
 
 
-def run_verify(args) -> int:
-    spec = load_problem(args.problem)
+def run_verify(args, spec: ProblemSpec):
     checks = run_suites(spec, args.suite)
     ok = all(c.passed for c in checks)
     lines = [f"{'PASS' if c.passed else 'FAIL'}  {c.name} — {c.detail}" for c in checks]
     lines.append(f"{sum(c.passed for c in checks)}/{len(checks)} checks passed "
                  f"(suite: {args.suite})")
-    _emit(args, {"suite": args.suite, "passed": ok,
-                 "checks": [asdict(c) for c in checks]}, lines)
-    return EXIT_OK if ok else EXIT_ERROR
-
-
-_HANDLERS = {
-    "distance": run_distance,
-    "geodesic": run_geodesic,
-    "operator-info": run_operator_info,
-    "verify": run_verify,
-}
+    return ({"suite": args.suite, "passed": ok, "checks": [asdict(c) for c in checks]},
+            lines, EXIT_OK if ok else EXIT_ERROR)
 
 
 def main(argv=None) -> int:
@@ -194,7 +180,10 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; keep 2 reserved for infeasibility
         return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
-        return _HANDLERS[args.command](args)
+        # each run_* handler returns (document, human-readable lines, exit code)
+        doc, lines, code = args.run(args, load_problem(args.problem))
+        _emit(args, doc, lines)
+        return code
     except (ParseError, NotPositive, OSError) as exc:
         # NotPositive: a boundary endpoint parses, but a solve needs rho > 0
         print(f"error: {exc}", file=sys.stderr)

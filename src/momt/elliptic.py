@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -143,8 +144,9 @@ class WeightedOperator:
     own smallest eigenvalue, from _weight, is kept for solve_potential.
 
     Both come from A = C^T T(rho) C: T vanishes on ker(grad) and maps into
-    ker(grad)^perp, so matrix_rep = C A C^T exactly.  The first operator on
-    a LindbladSet builds its weight tensor (about 50 ms at n = 10).
+    ker(grad)^perp, so matrix_rep = C A C^T exactly.  Each is built on first
+    read, as solve_potential reads neither.  The first A on a LindbladSet
+    builds its weight tensor (about 50 ms at n = 10).
     """
 
     def __init__(self, lindblad: LindbladSet, rho):
@@ -152,11 +154,17 @@ class WeightedOperator:
         self.rho, self._min_eig = _weight(rho)
         if self.rho.shape != (lindblad.n, lindblad.n):
             raise DimensionMismatch("weight dimension does not match operator set")
-        a = _systems(lindblad, self.rho[None])[0]
-        c = lindblad.complement_vecs
-        m = c @ a @ c.T
-        self.matrix_rep = 0.5 * (m + m.T)
-        self.restricted_min_eig = float(np.linalg.eigvalsh(a)[0]) if a.size else 0.0
+
+    @cached_property
+    def matrix_rep(self) -> np.ndarray:
+        c = self.lindblad.complement_vecs
+        m = c @ _systems(self.lindblad, self.rho[None])[0] @ c.T
+        return 0.5 * (m + m.T)
+
+    @cached_property
+    def restricted_min_eig(self) -> float:
+        a = _systems(self.lindblad, self.rho[None])[0]
+        return float(np.linalg.eigvalsh(a)[0]) if a.size else 0.0
 
     def apply(self, x) -> HermitianMatrix:
         return HermitianMatrix(unvec_h(self.matrix_rep @ vec_h(x), self.lindblad.n))

@@ -316,4 +316,6 @@ def matrix_from_literal(d: dict) -> np.ndarray:
         raise DimensionMismatch(
             f"literal claims n={n} but re/im have shapes {re.shape}, {im.shape}"
         )
-    return re + 1j * im
+    out = np.empty((n, n), dtype=complex)  # no 1j * im: it would warn on an infinite entry
+    out.real, out.imag = re, im
+    return out

@@ -17,15 +17,15 @@ that aborts with StabilityError fails its checks, naming the error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .action import (DualPoint, fenchel_gap, kinetic, legendre_feasible, path_cost,
                      trace_lower_bound)
 from .elliptic import momentum_min_check
-from .geodesic import (InfeasibleEndpoints, continuity_residual, dual_certificate,
-                       hamiltonian_profile, initial_path, optimize_geodesic)
+from .geodesic import (InfeasibleEndpoints, continuity_residual, hamiltonian_profile,
+                       optimize_geodesic)
 from .hermitian import (DensityMatrix, HermitianMatrix, OperatorStack, _above_floor, gram,
                         hermitian_part, inner_product, unvec_h, vec_h, vec_s)
 from .lindblad import (LindbladSet, StabilityError, divergence, gradient, heat_flow, laplacian,
@@ -155,7 +155,8 @@ def suite_calculus(l: LindbladSet, rng) -> list[Check]:
 # ---------------------------------------------------------------------------
 
 def suite_duality(spec, rng, solved) -> list[Check]:
-    """Sampled duality checks, then weak duality on solved (see run_suites)."""
+    """Sampled duality checks, then weak duality on solved (see run_suites) and
+    on the initial path, the solver's iteration 0 (a max_iter = 0 solve)."""
     l = spec.lindblad
     n, big_n = l.n, l.count
 
@@ -216,10 +217,9 @@ def suite_duality(spec, rng, solved) -> list[Check]:
     checks.append(_check("weak duality on the solved instance",
                          max(0.0, -solved.gap), 1e-9,
                          extra=f"; certified rel_gap {rel:.3e}"))
-    start = initial_path(l, spec.rho0, spec.rho1, spec.config.K)
-    _, dv = dual_certificate(l, start)
+    start = optimize_geodesic(l, spec.rho0, spec.rho1, replace(spec.config, max_iter=0))
     checks.append(_check("certificate never exceeds the action (initial path)",
-                         max(0.0, dv - 2.0 * path_cost(start).value), 1e-9))
+                         max(0.0, start.dual_value - 2.0 * path_cost(start.path).value), 1e-9))
     return checks
 
 

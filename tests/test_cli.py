@@ -50,6 +50,10 @@ def _set_nan_entry(doc):
     doc["lindblad"]["operators"][0]["re"][0][0] = float("nan")
 
 
+def _set_infinite_imaginary_entry(doc):
+    doc["rho1"]["im"][0][1] = float("inf")
+
+
 SINGULAR_RHO = matrix_to_literal(np.diag([1.0, 0.0]))
 
 # (edit of the Pauli problem, start of the error line it must produce)
@@ -58,6 +62,7 @@ MALFORMED = [
     (lambda d: d["lindblad"].update(n="x"), "error: $.lindblad.n:"),
     (lambda d: d["lindblad"].update(operators=5), "error: $.lindblad.operators:"),
     (_set_nan_entry, "error: $.lindblad.operators[0]:"),
+    (_set_infinite_imaginary_entry, "error: $.rho1:"),
     (lambda d: d["rho0"].update(n=2.5), "error: $.rho0.n:"),
     (lambda d: d["rho0"].update(n="2"), "error: $.rho0.n:"),
     (lambda d: d.update(config={"K": 2.7}), "error: $.config.K:"),

@@ -186,6 +186,22 @@ def test_poincare_constant_reuses_the_weight_spectrum(monkeypatch):
     assert c == poincare_constant(l, rho.mat)
 
 
+def test_weighted_operator_builds_its_matrices_on_first_read():
+    # solve_potential reads neither matrix_rep nor restricted_min_eig, so a fresh
+    # operator forms no n^2 x n^2 product; read later, each equals what the
+    # constructor used to form eagerly from A = C^T T(rho) C
+    rng = np.random.default_rng(10)
+    l = rand_lindblad(rng, 3, 4)
+    rho = rand_density(rng, 4)
+    w = WeightedOperator(l, rho)
+    solve_potential(w, feasible_rhs(rng, l))
+    assert "matrix_rep" not in vars(w) and "restricted_min_eig" not in vars(w)
+    a, c = momt.elliptic._systems(l, rho.mat[None])[0], l.complement_vecs
+    m = c @ a @ c.T
+    np.testing.assert_array_equal(w.matrix_rep, 0.5 * (m + m.T))
+    assert w.restricted_min_eig == float(np.linalg.eigvalsh(a)[0])
+
+
 def test_poincare_inequality_sampled(pauli):
     rng = np.random.default_rng(8)
     rho = rand_density(rng, 2)

@@ -14,12 +14,22 @@ the solves involved plus 1e-12 E for rounding, never an observed deviation.
   path is admissible for its half-problem at K/2 intervals, whose time step is
   twice as long, so E_K* <= 2 (E_{K/2}*(rho0, rho_m) + E_{K/2}*(rho_m, rho1))
   <= E_K(path), and the computed values agree within gap_K + 2 (gap_a + gap_b).
+* envelope: the dual d(X) is affine in the end node, with slope
+  P_K = 2 X_{K-1} - (dt/2) G_{K-1}, and d(X) <= E_K, so at the optimum
+  dE_K(rho1 + eps H)/d eps = <P_K; H> for traceless H orthogonal to ker(grad).
+  The slope is dual_certificate's change when the path's end node moves by
+  eps H.  The central difference at eps/2 must match it within its
+  disagreement with the one at eps, which bounds the O(eps^2) truncation, plus
+  the gaps of the three solves it reads (the base and the two at +-eps/2) over eps.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from momt import DensityMatrix, LindbladSet, SolverConfig, optimize_geodesic
+from momt import (DensityMatrix, LindbladSet, SolverConfig, dual_certificate,
+                  optimize_geodesic, unvec_h)
 from conftest import rand_herm, rand_unitary
 
 K = 16
@@ -101,4 +111,21 @@ def test_split_at_the_middle_node(instance):
     first, second = solve(ops, rho0, mid, K // 2), solve(ops, mid, rho1, K // 2)
     joined = 2 * (first.primal_cost + second.primal_cost)
     assert_within(joined, res.primal_cost, [res.gap, 2 * first.gap, 2 * second.gap],
+                  res.primal_cost)
+
+
+def test_envelope_slope_of_the_end_node(instance):
+    ops, rho0, rho1, res = instance
+    l, eps = LindbladSet(ops), 1e-3
+    c = l.complement_vecs
+    h = unvec_h(c @ np.random.default_rng(14).standard_normal(c.shape[1]), l.n)
+    h /= np.linalg.norm(h)
+    moved = res.path.densities.copy()
+    moved[-1] += eps * h
+    slope = (dual_certificate(l, replace(res.path, densities=moved))[1] - res.dual_value) / eps
+    wide, near = [[solve(ops, rho0, rho1 + s * h) for s in (step, -step)]
+                  for step in (eps, eps / 2)]
+    central = (near[0].primal_cost - near[1].primal_cost) / eps
+    disagreement = abs((wide[0].primal_cost - wide[1].primal_cost) / (2 * eps) - central)
+    assert_within(central, slope, [disagreement] + [r.gap / eps for r in (res, *near)],
                   res.primal_cost)

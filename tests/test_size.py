@@ -1,5 +1,6 @@
 import ast
 import pathlib
+from collections import Counter
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "momt"
 
@@ -29,6 +30,25 @@ def test_no_unused_imports():
                     for elt in node.value.elts}
         unused += [f"{path.name}: {name}" for name in sorted(imported - used - exported)]
     assert not unused, f"imported but unused: {unused}"
+
+
+def _referenced_names(node) -> list:
+    """Every name read under node, as a bare name or as an attribute."""
+    return [n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))]
+
+
+def test_no_private_helper_only_tests_call():
+    # code that nothing calls except its own test goes: every private module-level
+    # function or class is read somewhere in src/momt outside its own definition;
+    # reads from tests or perfbench do not count
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))]
+    reads = Counter(name for tree in trees for name in _referenced_names(tree))
+    dead = [node.name for tree in trees for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.endswith("__")
+            and reads[node.name] == _referenced_names(node).count(node.name)]
+    assert not dead, f"private helpers nothing in src/momt reads: {dead}"
 
 
 def _momt_lookups(node) -> set:

@@ -24,14 +24,18 @@ def test_run_suites_names_and_verdicts_pinned(name):
 @pytest.mark.parametrize("suite, solves, steps", [
     ("all", 1, 3600), ("calculus", 0, 0), ("duality", 1, 0), ("conservation", 1, 3600)])
 def test_run_suites_solves_once(monkeypatch, suite, solves, steps):
-    calls, taken = [], []
+    # besides the one solve, the duality suite certifies the initial path: the
+    # solver's iteration 0, a call with max_iter = 0
+    max_iters, taken = [], []
     solve, flow = momt.verify.optimize_geodesic, momt.verify.heat_flow
     monkeypatch.setattr(momt.verify, "optimize_geodesic",
-                        lambda *a: calls.append(a) or solve(*a))
+                        lambda l, r0, r1, cfg: max_iters.append(cfg.max_iter)
+                        or solve(l, r0, r1, cfg))
     monkeypatch.setattr(momt.verify, "heat_flow",
                         lambda l, rho, t, n: taken.append(n) or flow(l, rho, t, n))
-    run_suites(load_problem(PAULI), suite)
-    assert len(calls) == solves
+    spec = load_problem(PAULI)
+    run_suites(spec, suite)
+    assert max_iters == [spec.config.max_iter] * solves + [0] * (suite in ("all", "duality"))
     assert sum(taken) == steps
 
 
