@@ -5,19 +5,18 @@ For a weight rho >= 0 the central object is the self-adjoint map
     T_rho : X  |->  div( (grad(X) rho + rho grad(X)) / 2 ),
 
 whose quadratic form is <X; T_rho X> = Q_rho(grad X) with
-Q_rho(v) = tr(rho v^* v).  Restricted to ker(grad)^perp the map is
-positive definite whenever rho is.  T_rho is assembled one way only, as
-A = C^T T_rho C (C = complement_vecs), one contraction of the operator
-set's cached weight_tensor; WeightedOperator's matrix_rep is C A C^T.  The
-first use on a LindbladSet builds the tensor (about 50 ms at n = 10).
-This yields:
+Q_rho(v) = tr(rho v^* v) >= lambda_min(rho) |v|^2.  So the restricted
+system A(rho) = C^T T_rho C (C = complement_vecs) has A(rho) >=
+lambda_min(rho) A(I) > 0, and a weight gated above EPS_PD gives a
+positive-definite A.  A is one contraction of the operator set's cached
+weight_tensor (built on first use, about 50 ms at n = 10), and
+WeightedOperator's matrix_rep is C A C^T.  This yields:
 
 * restricted_systems and solve_restricted — the one potential solve, for
   K weights and right-hand sides at once.  restricted_systems only
   assembles (A_k, C^T f_k, kernel norms), once per geodesic solve.
-  solve_restricted runs the batched Cholesky gate, one batched inverse and
-  the residual gate, and returns the ker(grad)^perp coordinates x_k and
-  the inverses A_k^{-1}; the geodesic solver calls it on every trial,
+  solve_restricted runs one batched inverse and the residual gate; the
+  geodesic solver calls it on every trial,
 * solve_potential — the unique X in ker(grad)^perp with T_rho X = f, the
   K = 1 case of those two, and the gate of a caller's weight and f,
 * poincare_constant — the smallest restricted eigenvalue (the sharp
@@ -113,15 +112,13 @@ def restricted_systems(l: LindbladSet, rhos: np.ndarray, fs: np.ndarray):
 def solve_restricted(tcs: np.ndarray, fcs: np.ndarray, kpart: np.ndarray):
     """x_k = A_k^{-1} c_k for K restricted systems, and the inverses A_k^{-1}.
 
-    tcs, fcs and kpart are the (K, d, d), (K, d) and (K,) arrays of
-    restricted_systems.  One batched Cholesky of all A_k is the
-    positive-definite gate (numpy has no batched triangular solve, so the
-    factor only gates) and one batched inverse gives every x_k.  T_k maps
-    into ker(grad)^perp, so the residual |T_k X_k - f_k| is read in
-    restricted form as hypot(|A_k x_k - c_k|, kpart_k), and each must stay
-    within RESIDUAL_RTOL * max(|f_k|, 1).
+    tcs, fcs and kpart are restricted_systems' (K, d, d), (K, d) and (K,)
+    arrays.  Each caller gated its weights above EPS_PD (_endpoint_guard,
+    _Reduced.feasible, solve_potential), so A_k >= lambda_min(rho_k) A(I) > 0
+    and one batched inverse gives every x_k.  The one gate is the residual
+    |T_k X_k - f_k| = hypot(|A_k x_k - c_k|, kpart_k) <= RESIDUAL_RTOL * max(|f_k|, 1),
+    which a NaN fails.
     """
-    np.linalg.cholesky(tcs)
     ainv = np.linalg.inv(tcs)
     xcs = (ainv @ fcs[..., None])[..., 0]
     residual = np.hypot(np.linalg.norm((tcs @ xcs[..., None])[..., 0] - fcs, axis=-1), kpart)

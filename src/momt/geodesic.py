@@ -20,15 +20,15 @@ analytic gradient use.
 The descent works on coordinates: interior-node moves y in ker(grad)^perp
 and potentials x_k = C^T vec_h(X_k), C = complement_vecs.  The straight
 line's K interval systems are assembled once per solve from the operator
-set's cached weight_tensor (elliptic.restricted_systems); the solve's one
-input gate is _endpoint_guard.  The path is affine in y, so a trial's
-systems are the line's plus one contraction of complement_tensor with the
-midpoint moves, and one gated batched inverse (elliptic.solve_restricted)
-gives both the potentials and the A_k^{-1} that the Newton Hessian
-reuses.  No trial forms vec_h, grad(X_k), a Gram matrix or a momentum;
-X_k and m_k are rebuilt once, for the returned path.  Iteration 0 is the
-line itself: its nodes and systems are the ones _Reduced stores, with no
-zero move added, and initial_path is that iteration (max_iter = 0).
+set's cached weight_tensor (elliptic.restricted_systems).  The path is
+affine in y, so a trial's systems are the line's plus one contraction of
+complement_tensor with the midpoint moves, and one batched inverse
+(elliptic.solve_restricted) gives the potentials and the A_k^{-1} that the
+Newton Hessian reuses, gated by its residual only: A_k >= lambda_min(mid_k)
+A(I) > 0, as _endpoint_guard (the one input gate) and _Reduced.feasible put
+the line's and a trial's midpoints above EPS_PD.  No trial forms vec_h,
+grad(X_k) or a Gram matrix; X_k and m_k are rebuilt once, for the returned
+path.  Iteration 0 is the line, whose nodes and systems _Reduced stores.
 
 The reduced cost E(y) is convex: in restricted coordinates each interval
 term is a matrix-fractional function (1/dt) D^T A(mu)^{-1} D of the node
@@ -41,8 +41,7 @@ block Thomas solve in O(K d^3) gated by one batched Cholesky of its
 Schur complements (_block_tridiag_solve), with -g as the fallback when H
 is not positive definite or the direction is not a finite descent
 direction.  Backtracking keeps every node and midpoint above the floor
-(one batched Cholesky, _Reduced.feasible) and accepts a step on the
-Armijo test alone.
+(_Reduced.feasible) and accepts a step on the Armijo test alone.
 
 Every returned path, a best-effort one or the constant path between
 coincident endpoints too, is accompanied by a dual certificate (_result):

@@ -13,9 +13,10 @@ Problem file layout (UTF-8 JSON):
 with matrix-literal = {"n": int, "re": [[...]], "im": [[...]]}.
 
 Parse failures carry the JSON path of the offending field ("$.rho0",
-"$.lindblad.operators[1]", ...).  Reports and traces are emitted in a
-canonical JSON form (sorted keys, fixed indentation, trailing newline)
-so identical inputs produce byte-identical files.
+"$.lindblad.operators[1]", ...), and a key outside this layout is refused
+at every level.  Reports and traces are emitted in a canonical JSON form
+(sorted keys, fixed indentation, trailing newline) so identical inputs
+produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -68,6 +69,14 @@ class ProblemSpec:
 
 
 _TOP_KEYS = {"lindblad", "rho0", "rho1", "config"}
+_LITERAL_KEYS = ("n", "re", "im")
+
+
+def _known_keys(obj: dict, keys, path: str) -> None:
+    """ParseError naming the first key of obj outside keys, as path.key."""
+    for key in obj:
+        if key not in keys:
+            raise ParseError(f"{path}.{key}", "unknown key")
 
 
 def _int_at(val, path: str) -> int:
@@ -96,7 +105,8 @@ _CONFIG_KEYS = {**{f.name: {"int": _int_at, "float": _float_at}[f.type]
 def _literal_at(obj, path: str) -> np.ndarray:
     if not isinstance(obj, dict):
         raise ParseError(path, "expected a matrix literal object")
-    for key in ("n", "re", "im"):
+    _known_keys(obj, _LITERAL_KEYS, path)
+    for key in _LITERAL_KEYS:
         if key not in obj:
             raise ParseError(path, f"matrix literal is missing {key!r}")
     _int_at(obj["n"], f"{path}.n")
@@ -115,9 +125,7 @@ def parse_problem(text: str) -> ProblemSpec:
         raise ParseError("$", f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("$", "top level must be an object")
-    for key in doc:
-        if key not in _TOP_KEYS:
-            raise ParseError(f"$.{key}", "unknown key")
+    _known_keys(doc, _TOP_KEYS, "$")
     for key in ("lindblad", "rho0", "rho1"):
         if key not in doc:
             raise ParseError(f"$.{key}", "missing required field")
@@ -125,6 +133,7 @@ def parse_problem(text: str) -> ProblemSpec:
     lind = doc["lindblad"]
     if not isinstance(lind, dict) or "operators" not in lind:
         raise ParseError("$.lindblad", 'expected {"n": int, "operators": [...]}')
+    _known_keys(lind, ("n", "operators"), "$.lindblad")
     if not isinstance(lind["operators"], list):
         raise ParseError("$.lindblad.operators", "expected a list of matrix literals")
     ops = []
@@ -158,11 +167,8 @@ def parse_problem(text: str) -> ProblemSpec:
     cfg_doc = doc.get("config", {})
     if not isinstance(cfg_doc, dict):
         raise ParseError("$.config", "expected an object")
-    kwargs = {}
-    for key, val in cfg_doc.items():
-        if key not in _CONFIG_KEYS:
-            raise ParseError(f"$.config.{key}", "unknown config key")
-        kwargs[key] = _CONFIG_KEYS[key](val, f"$.config.{key}")
+    _known_keys(cfg_doc, _CONFIG_KEYS, "$.config")
+    kwargs = {key: _CONFIG_KEYS[key](val, f"$.config.{key}") for key, val in cfg_doc.items()}
     seed = kwargs.pop("seed", 1234)
     try:
         config = SolverConfig(**kwargs)

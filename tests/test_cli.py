@@ -65,6 +65,8 @@ MALFORMED = [
     (_set_infinite_imaginary_entry, "error: $.rho1:"),
     (lambda d: d["rho0"].update(n=2.5), "error: $.rho0.n:"),
     (lambda d: d["rho0"].update(n="2"), "error: $.rho0.n:"),
+    (lambda d: d["lindblad"].update(opertors=[]), "error: $.lindblad.opertors: unknown key"),
+    (lambda d: d["rho0"].update(scale=2.0), "error: $.rho0.scale: unknown key"),
     (lambda d: d.update(config={"K": 2.7}), "error: $.config.K:"),
     (lambda d: d.update(config={"grad_tol": float("nan")}), "error: $.config.grad_tol:"),
     (lambda d: d.update(config={"grad_tol": -1.0}), "error: $.config.grad_tol:"),

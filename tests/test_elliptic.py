@@ -323,6 +323,31 @@ def test_restricted_weight_gate_at_the_floor(n):
             assert solve_potential(w, f).n == n
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_restricted_system_is_bounded_below_by_its_weight(n):
+    # <X; T_rho X> = tr(rho sum_j (grad_j X)^* grad_j X) >= lambda_min(rho) |grad X|^2,
+    # so A(rho) >= lambda_min(rho) A(I): a weight above EPS_PD (the gate of
+    # solve_potential and the endpoints) or the line search's 1e-8 floor gives a
+    # positive-definite system, and solve_restricted does not factor it again
+    rng = np.random.default_rng(40 + n)
+    l = rand_lindblad(rng, 3, n)
+    rhos = []
+    for floor in (1.001 * EPS_PD, 1e-8):
+        for _ in range(4):
+            lam = np.concatenate([[floor], (1 - floor) * rng.dirichlet(np.ones(n - 1))])
+            u = rand_unitary(rng, n)
+            rhos.append(hermitian_part(u @ np.diag(lam) @ u.conj().T))
+    rhos = np.array(rhos + [np.eye(n) / n])
+    tcs, _, _ = restricted_systems(l, rhos, np.zeros_like(rhos))
+    identity_low = np.linalg.eigvalsh(restricted_systems(l, np.eye(n)[None],
+                                                         np.zeros((1, n, n)))[0])[0, 0]
+    lows = np.linalg.eigvalsh(tcs)[:, 0]
+    bounds = np.linalg.eigvalsh(rhos)[:, 0] * identity_low
+    rounding = 1e-14 * np.linalg.norm(tcs, ord=2, axis=(-2, -1))
+    assert identity_low > 0 and np.all(lows >= bounds - rounding), (lows, bounds)
+    assert abs(lows[-1] - identity_low / n) <= 1e-12 * identity_low / n
+
+
 def test_solve_potentials_gates(pauli, three_level_pair, monkeypatch):
     rng = np.random.default_rng(13)
     rhos = np.array([rand_density(rng, 2).mat for _ in range(3)])

@@ -524,6 +524,21 @@ def test_solve_runs_one_epilogue_pass(pauli, swap_endpoints, three_level_pair, m
             assert not [a for a in spectra for end in ends if a is end.mat]
 
 
+def test_solve_factors_each_restricted_system_once(three_level_pair, monkeypatch):
+    # the weights reach solve_restricted gated (_endpoint_guard, _Reduced.feasible),
+    # so each potential solve is one batched inverse and no Cholesky: in two
+    # Newton steps the Cholesky calls are the two floor tests and the two
+    # Schur-complement gates, and the inverses are the line's and two trials'
+    counts = {"cholesky": 0, "inv": 0}
+    for name in counts:
+        def counted(*args, _f=getattr(np.linalg, name), _name=name):
+            counts[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(np.linalg, name, counted)
+    assert optimize_geodesic(*three_level_pair, SolverConfig(K=8)).iterations == 2
+    assert counts == {"cholesky": 4, "inv": 3}
+
+
 def test_zero_iteration_solve_starts_at_the_stored_line(pauli, swap_endpoints,
                                                        three_level_pair, monkeypatch):
     # iteration 0 reads _Reduced's line and line systems, so a solve that

@@ -17,6 +17,8 @@ the solves involved plus 1e-12 E for rounding, never an observed deviation.
 * envelope: the dual d(X) is affine in the end node, with slope
   P_K = 2 X_{K-1} - (dt/2) G_{K-1}, and d(X) <= E_K, so at the optimum
   dE_K(rho1 + eps H)/d eps = <P_K; H> for traceless H orthogonal to ker(grad).
+  The same holds at rho0 with slope P_0 = -2 X_0 - (dt/2) G_0: the kernel
+  shift pairs with rho0 too, but vanishes for H orthogonal to ker(grad).
   The slope is dual_certificate's change when the path's end node moves by
   eps H.  The central difference at eps/2 must match it within its
   disagreement with the one at eps, which bounds the O(eps^2) truncation, plus
@@ -114,18 +116,32 @@ def test_split_at_the_middle_node(instance):
                   res.primal_cost)
 
 
-def test_envelope_slope_of_the_end_node(instance):
+def envelope_slope_matches(instance, end):
+    """The envelope identity at node end (0 for rho0, -1 for rho1)."""
     ops, rho0, rho1, res = instance
     l, eps = LindbladSet(ops), 1e-3
     c = l.complement_vecs
     h = unvec_h(c @ np.random.default_rng(14).standard_normal(c.shape[1]), l.n)
     h /= np.linalg.norm(h)
     moved = res.path.densities.copy()
-    moved[-1] += eps * h
+    moved[end] += eps * h
     slope = (dual_certificate(l, replace(res.path, densities=moved))[1] - res.dual_value) / eps
-    wide, near = [[solve(ops, rho0, rho1 + s * h) for s in (step, -step)]
-                  for step in (eps, eps / 2)]
+
+    def solve_moved(s):
+        ends = [rho0, rho1]
+        ends[end] = ends[end] + s * h
+        return solve(ops, *ends)
+
+    wide, near = [[solve_moved(s) for s in (step, -step)] for step in (eps, eps / 2)]
     central = (near[0].primal_cost - near[1].primal_cost) / eps
     disagreement = abs((wide[0].primal_cost - wide[1].primal_cost) / (2 * eps) - central)
     assert_within(central, slope, [disagreement] + [r.gap / eps for r in (res, *near)],
                   res.primal_cost)
+
+
+def test_envelope_slope_of_the_end_node(instance):
+    envelope_slope_matches(instance, -1)
+
+
+def test_envelope_slope_of_the_start_node(instance):
+    envelope_slope_matches(instance, 0)
