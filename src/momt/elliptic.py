@@ -14,9 +14,10 @@ WeightedOperator's matrix_rep is C A C^T.  This yields:
 
 * restricted_systems and solve_restricted — the one potential solve, for
   K weights and right-hand sides at once.  restricted_systems only
-  assembles (A_k, C^T f_k, kernel norms), once per geodesic solve.
-  solve_restricted runs one batched inverse and the residual gate; the
-  geodesic solver calls it on every trial,
+  assembles (A_k, C^T f_k), once per geodesic solve.  solve_restricted,
+  called on every trial, runs one batched inverse and one check, the
+  residual gate: did it solve each system?  (The solver's floor test makes
+  every A_k positive definite; its slope test judges the Newton direction.)
 * solve_potential — the unique X in ker(grad)^perp with T_rho X = f, the
   K = 1 case of those two, and the gate of a caller's weight and f,
 * poincare_constant — the smallest restricted eigenvalue (the sharp
@@ -49,7 +50,7 @@ from .hermitian import (
 from .lindblad import LindbladSet, _square, div_blocks, gradient
 
 
-# residual bound of every potential solve: |T x - f| <= RESIDUAL_RTOL * max(|f|, 1)
+# residual bound of every potential solve: |A x - c| <= RESIDUAL_RTOL * max(|c|, 1)
 RESIDUAL_RTOL = 1e-9
 
 
@@ -97,32 +98,30 @@ def _kernel_excess(kpart, fnorm):
 
 
 def restricted_systems(l: LindbladSet, rhos: np.ndarray, fs: np.ndarray):
-    """Restricted data of K weights and right-hand sides: (A_k, c_k, kpart_k).
+    """Restricted data of K weights and right-hand sides: (A_k, c_k).
 
     rhos and fs are (K, n, n) Hermitian stacks.  A_k = C^T T(rho_k) C is one
-    GEMM (_systems), with no n^2 x n^2 matrix formed; c_k = C^T vec_h(f_k)
-    and kpart_k = |K^T vec_h(f_k)| (C = complement_vecs, K = kernel_vecs),
-    so |f_k| = hypot(|c_k|, kpart_k).  It only assembles: each entry point
-    gates its own inputs (solve_potential, the geodesic solver's endpoints).
+    GEMM (_systems), with no n^2 x n^2 matrix formed, and c_k = C^T vec_h(f_k)
+    (C = complement_vecs).  It only assembles: each entry point gates its own
+    inputs and f's kernel part (solve_potential, the solver's endpoints).
     """
-    fv = vec_h(fs)
-    return _systems(l, rhos), fv @ l.complement_vecs, np.linalg.norm(fv @ l.kernel_vecs, axis=-1)
+    return _systems(l, rhos), vec_h(fs) @ l.complement_vecs
 
 
-def solve_restricted(tcs: np.ndarray, fcs: np.ndarray, kpart: np.ndarray):
+def solve_restricted(tcs: np.ndarray, fcs: np.ndarray):
     """x_k = A_k^{-1} c_k for K restricted systems, and the inverses A_k^{-1}.
 
-    tcs, fcs and kpart are restricted_systems' (K, d, d), (K, d) and (K,)
-    arrays.  Each caller gated its weights above EPS_PD (_endpoint_guard,
-    _Reduced.feasible, solve_potential), so A_k >= lambda_min(rho_k) A(I) > 0
-    and one batched inverse gives every x_k.  The one gate is the residual
-    |T_k X_k - f_k| = hypot(|A_k x_k - c_k|, kpart_k) <= RESIDUAL_RTOL * max(|f_k|, 1),
-    which a NaN fails.
+    tcs and fcs are restricted_systems' (K, d, d) and (K, d) arrays.  Each
+    caller gated its weights above EPS_PD (_endpoint_guard, _Reduced.feasible,
+    solve_potential), so A_k >= lambda_min(rho_k) A(I) > 0 and one batched
+    inverse gives every x_k.  The one check, the residual gate |A_k x_k - c_k|
+    <= RESIDUAL_RTOL * max(|c_k|, 1), which a NaN fails, decides whether it
+    solved each system; the kernel part of f_k is its caller's gate's.
     """
     ainv = np.linalg.inv(tcs)
     xcs = (ainv @ fcs[..., None])[..., 0]
-    residual = np.hypot(np.linalg.norm((tcs @ xcs[..., None])[..., 0] - fcs, axis=-1), kpart)
-    fnorm = np.hypot(np.linalg.norm(fcs, axis=-1), kpart)
+    residual = np.linalg.norm((tcs @ xcs[..., None])[..., 0] - fcs, axis=-1)
+    fnorm = np.linalg.norm(fcs, axis=-1)
     over = ~(residual <= RESIDUAL_RTOL * np.maximum(fnorm, 1.0))  # NaN fails
     if over.any():
         raise RuntimeError(
@@ -179,8 +178,8 @@ def solve_potential(w: WeightedOperator, f) -> HermitianMatrix:
 
     The gate of a caller's weight and f: SingularWeight unless rho's smallest
     eigenvalue is > EPS_PD, InfeasibleRHS if f has a kernel component beyond
-    1e-10 |f|.  X satisfies |T X - f| <= RESIDUAL_RTOL * max(|f|, 1) and the
-    stability bound |f| >= restricted_min_eig * |X|.
+    1e-10 |f|.  X satisfies |C^T (T X - f)| <= RESIDUAL_RTOL * max(|C^T f|, 1)
+    and the stability bound |f| >= restricted_min_eig * |X|.
     """
     l = w.lindblad
     f = _square(l, HermitianMatrix(f))
@@ -189,14 +188,13 @@ def solve_potential(w: WeightedOperator, f) -> HermitianMatrix:
             f"weight min eigenvalue {w._min_eig:.3e} <= {EPS_PD:.1e}; the restricted "
             "system is not safely invertible"
         )
-    tcs, fcs, kpart = restricted_systems(l, w.rho[None], f[None])
-    fnorm = float(np.linalg.norm(f))
-    if _kernel_excess(kpart[0], fnorm):
+    kpart, fnorm = float(np.linalg.norm(vec_h(f) @ l.kernel_vecs)), float(np.linalg.norm(f))
+    if _kernel_excess(kpart, fnorm):
         raise InfeasibleRHS(
-            f"right-hand side has kernel component {kpart[0]:.3e} (|f| = {fnorm:.3e}); "
+            f"right-hand side has kernel component {kpart:.3e} (|f| = {fnorm:.3e}); "
             "solvability requires f orthogonal to ker(grad)"
         )
-    xc, _ = solve_restricted(tcs, fcs, kpart)
+    xc, _ = solve_restricted(*restricted_systems(l, w.rho[None], f[None]))
     return HermitianMatrix(unvec_h(xc @ l.complement_vecs.T, l.n)[0])
 
 

@@ -24,24 +24,22 @@ set's cached weight_tensor (elliptic.restricted_systems).  The path is
 affine in y, so a trial's systems are the line's plus one contraction of
 complement_tensor with the midpoint moves, and one batched inverse
 (elliptic.solve_restricted) gives the potentials and the A_k^{-1} that the
-Newton Hessian reuses, gated by its residual only: A_k >= lambda_min(mid_k)
-A(I) > 0, as _endpoint_guard (the one input gate) and _Reduced.feasible put
-the line's and a trial's midpoints above EPS_PD.  No trial forms vec_h,
-grad(X_k) or a Gram matrix; X_k and m_k are rebuilt once, for the returned
-path.  Iteration 0 is the line, whose nodes and systems _Reduced stores.
+Newton Hessian reuses.  No trial forms vec_h, grad(X_k) or a Gram matrix;
+X_k and m_k are rebuilt once, for the returned path.  Iteration 0 is the
+line, whose nodes and systems _Reduced stores.
 
 The reduced cost E(y) is convex: in restricted coordinates each interval
 term is a matrix-fractional function (1/dt) D^T A(mu)^{-1} D of the node
 difference D and the midpoint mu, with A(mu) = C^T T(mu) C linear in mu.
-Each term couples two adjacent nodes, so the Hessian is block tridiagonal
-with d x d blocks (d = dim ker(grad)^perp).  The descent takes damped
-Newton steps: the direction -H^{-1} g comes from the analytic Hessian
-(_Reduced.hessian, from the trial's inverses A_k^{-1}) and a
-block Thomas solve in O(K d^3) gated by one batched Cholesky of its
-Schur complements (_block_tridiag_solve), with -g as the fallback when H
-is not positive definite or the direction is not a finite descent
-direction.  Backtracking keeps every node and midpoint above the floor
-(_Reduced.feasible) and accepts a step on the Armijo test alone.
+Each term couples two adjacent nodes, so the Hessian H is block
+tridiagonal with d x d blocks (d = dim ker(grad)^perp), and positive
+definite where every A_k is.  Newton directions d = -H^{-1} g come from
+_Reduced.hessian and an O(K d^3) block Thomas solve (_block_tridiag_solve),
+damped by Armijo backtracking.  A step runs three checks.  The floor test
+(_Reduced.feasible) asks if a trial's nodes and midpoints clear eps_pd, so
+A_k >= lambda_min(mid_k) A(I) > 0, as _endpoint_guard (the one input gate)
+ensures on the line; the residual gate (solve_restricted) if the inverse
+solved every system; the slope test if d.g is in (-inf, 0), else d = -g.
 
 Every returned path, a best-effort one or the constant path between
 coincident endpoints too, is accompanied by a dual certificate (_result):
@@ -256,10 +254,9 @@ class _Reduced:
     every interval's restricted data: with ybar_k = (y_k + y_{k+1})/2
     (y_0 = y_K = 0) and V = complement_tensor,
     A_k = A_line,k + ybar_k . V and C^T vec_h(f_k) = C^T vec_h(f_line,k)
-    + (y_{k+1} - y_k)/dt, while the kernel part of f_k is the line's.  So
-    restricted_systems runs once, on the line, whose weights and rates
-    _endpoint_guard has already judged, and a trial (value_grad) reads
-    only y: no vec_h, no eigvalsh and no kernel norm.  feasible takes the
+    + (y_{k+1} - y_k)/dt.  So restricted_systems runs once, on the line,
+    whose weights and rates _endpoint_guard has already judged, and a trial
+    (value_grad) reads only y: no vec_h and no eigvalsh.  feasible takes the
     stack nodes(y), which a trial builds once; its floor is >= EPS_PD,
     like the line's midpoints.  Iteration 0 is the line itself: line is
     nodes(0) and (tcs_line, fcs_line) is systems(0).
@@ -273,8 +270,7 @@ class _Reduced:
         self.c = l.complement_vecs
         self.d = self.c.shape[1]
         self.line = _linear_nodes(r0.mat, r1.mat, big_k)
-        self.tcs_line, self.fcs_line, self.kpart = \
-            restricted_systems(l, *_intervals(self.line, self.dt))
+        self.tcs_line, self.fcs_line = restricted_systems(l, *_intervals(self.line, self.dt))
         self.v = l.complement_tensor.reshape(self.d, -1)
 
     def nodes(self, y: np.ndarray) -> np.ndarray:
@@ -310,7 +306,7 @@ class _Reduced:
         2(X_{j-1} - X_j) - (dt/2)(Gram(grad X_{j-1}) + Gram(grad X_j)) is
         g_j = 2(x_{j-1} - x_j) - (dt/2)(U_{j-1} x_{j-1} + U_j x_j).
         """
-        xs, ainv = solve_restricted(tcs, fcs, self.kpart)
+        xs, ainv = solve_restricted(tcs, fcs)
         total = float(np.sum(self.dt * np.sum(fcs * xs, axis=-1)))  # dt <f_k; X_k>
         d = self.d
         us = (xs @ self.l.complement_tensor.reshape(d * d, d).T).reshape(len(xs), d, d)
@@ -349,31 +345,28 @@ class _Reduced:
 
 
 def _block_tridiag_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """x with H x = rhs for a symmetric positive-definite block-tridiagonal H.
+    """x with H x = rhs for a symmetric block-tridiagonal H.
 
     diag holds the (m, d, d) diagonal blocks, off the (m - 1, d, d) blocks
     H[j, j+1] (H[j+1, j] is their transpose), rhs is (m, d).  Block Thomas
     elimination on the Schur complements S_0 = D_0,
-    S_{j+1} = D_{j+1} - B_j^T S_j^{-1} B_j, in O(m d^3).  H is positive
-    definite iff every S_j is, so one batched Cholesky of the stacked S_j
-    after the sweep is the gate: it raises np.linalg.LinAlgError when H is
-    not positive definite (so does the sweep on an exactly singular S_j).
+    S_{j+1} = D_{j+1} - B_j^T S_j^{-1} B_j, in O(m d^3).  It checks nothing:
+    the Newton H is positive definite where every A_k is, and the caller's
+    slope test judges the x it returns, a NaN one too.  Only an exactly
+    singular S_j stops the sweep, with np.linalg.LinAlgError.
     """
     m, d = rhs.shape
     # row block j holds [B_j | r_j], then S_j^{-1} [B_j | r_j] in place
     cols = np.empty((m - 1, d, d + 1))
     cols[:, :, :d] = off
-    schurs = np.empty((m, d, d))
-    schurs[0] = diag[0]
-    r = rhs[0]
+    schur, r = diag[0], rhs[0]
     for j in range(m - 1):
         cols[j, :, d] = r
-        z = cols[j] = np.linalg.solve(schurs[j], cols[j])
-        schurs[j + 1] = diag[j + 1] - off[j].T @ z[:, :d]
+        z = cols[j] = np.linalg.solve(schur, cols[j])
+        schur = diag[j + 1] - off[j].T @ z[:, :d]
         r = rhs[j + 1] - off[j].T @ z[:, d]
-    np.linalg.cholesky(schurs)
     x = np.empty((m, d))
-    x[-1] = np.linalg.solve(schurs[-1], r)
+    x[-1] = np.linalg.solve(schur, r)
     for j in range(m - 2, -1, -1):
         x[j] = cols[j, :, d] - cols[j, :, :d] @ x[j + 1]
     return x
@@ -388,13 +381,14 @@ def optimize_geodesic(l: LindbladSet, rho0, rho1, config: SolverConfig | None = 
     """Minimize the discrete action over interior nodes; return path + certificate.
 
     Damped Newton descent: each iteration solves H d = -g with the block
-    tridiagonal reduced Hessian (see _Reduced.hessian), falling back to
-    d = -g if the block solve finds H not positive definite or d is not a
-    finite descent direction (d.g not in (-inf, 0), as for a NaN d), then
-    backtracks from the full step until the Armijo test passes.  Steps
-    that would push any node or interval midpoint below the eigenvalue
-    floor are shortened, and a persistent failure to move is reported as a
-    boundary hit with the best iterate returned.  The Hamiltonian values
+    tridiagonal reduced Hessian (see _Reduced.hessian) and backtracks from
+    the full step until the Armijo test passes.  The slope test is the
+    direction's one gate: -g replaces a d with d.g not in (-inf, 0), as an H
+    indefinite by rounding or a NaN d gives (so does an exactly singular
+    block).  The floor test shortens steps that would push any node or
+    interval midpoint below eps_pd, a persistent failure to move is reported
+    as a boundary hit with the best iterate returned, and each trial's
+    residual gate raises on a failed potential solve.  The Hamiltonian values
     F(mid_k, m_k) of the returned path are (1/2) Re tr(mid_k G_k), read from
     the Gram matrices its dual certificate uses (see _result).
     """

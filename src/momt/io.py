@@ -109,12 +109,14 @@ def _literal_at(obj, path: str) -> np.ndarray:
     for key in _LITERAL_KEYS:
         if key not in obj:
             raise ParseError(path, f"matrix literal is missing {key!r}")
-    _int_at(obj["n"], f"{path}.n")
-    try:
-        mat = matrix_from_literal(obj)
-    except (DimensionMismatch, TypeError, ValueError) as exc:
-        raise ParseError(path, str(exc)) from exc
-    return mat
+    n = _int_at(obj["n"], f"{path}.n")
+    for key in ("re", "im"):  # n >= 1 lists of n numbers, each under _float_at's rule
+        if not (n >= 1 and isinstance(obj[key], list) and len(obj[key]) == n and all(
+                isinstance(row, list) and len(row) == n for row in obj[key])):
+            raise ParseError(f"{path}.{key}", f"expected {n} lists of {n} numbers (n >= 1)")
+        for i, j in np.ndindex(n, n):
+            _float_at(obj[key][i][j], f"{path}.{key}[{i}][{j}]")
+    return matrix_from_literal(obj)
 
 
 def parse_problem(text: str) -> ProblemSpec:

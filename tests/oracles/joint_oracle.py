@@ -20,8 +20,22 @@ it builds its own vectorization, its own constraint matrix, and its own
 objective.  It exists so that the end-to-end geodesic solver can be
 checked against a value obtained by a completely different route.
 
+Each frozen grid records the cost, the reduced gradient norm, the
+constraint residual, the smallest eigenvalue over the nodes and over the
+interval midpoints of the final path, and optimality_error: the Newton
+decrement estimate g^T H^{-1} g / 2 of how far the cost is above the
+discrete optimum, with H a central-difference Hessian of the reduced cost.
+A path whose nodes and midpoints are all positive definite is admissible,
+so its cost bounds the discrete optimum from above.
+
 Usage:
     python tests/oracles/joint_oracle.py --out tests/fixtures/pauli_geodesic.json
+    python tests/oracles/joint_oracle.py --problem tests/fixtures/three_level_pair.json \
+        --grids 8 16 --out tests/fixtures/three_level_oracle.json
+
+--problem reads a momt problem file (its operators and endpoints; any
+"config" is ignored) with its own JSON reader; without it the script solves
+the Pauli swap instance.
 """
 
 from __future__ import annotations
@@ -183,6 +197,10 @@ class JointProblem:
             worst = min(worst, float(np.linalg.eigvalsh(mid)[0]))
         return worst
 
+    def min_node_eig(self, u):
+        rhos, _ = self.unpack(u)
+        return min(float(np.linalg.eigvalsh(r)[0]) for r in rhos)
+
     def cost_grad(self, u):
         rhos, ms = self.unpack(u)
         cost = 0.0
@@ -262,7 +280,37 @@ def solve(problem, max_iter=60000, tol=1e-12, floor=1e-9, verbose=False):
         "constraint_residual": residual,
         "iterations": n_iter,
         "min_midpoint_eig": problem.min_midpoint_eig(u),
+        "min_node_eig": problem.min_node_eig(u),
+        "optimality_error": newton_decrement(lambda wv: z.T @ problem.cost_grad(full(wv))[1],
+                                             w, g),
     }
+
+
+def newton_decrement(reduced_grad, w, g, h=1e-5):
+    """g^T H^{-1} g / 2 with H the central-difference Hessian of the reduced cost at w.
+
+    The quadratic model's estimate of the cost's excess over the optimum.
+    """
+    cols = []
+    for i in range(w.size):
+        e = np.zeros(w.size)
+        e[i] = h
+        cols.append((reduced_grad(w + e) - reduced_grad(w - e)) / (2.0 * h))
+    hess = np.array(cols).T
+    hess = 0.5 * (hess + hess.T)
+    return 0.5 * float(g @ np.linalg.solve(hess, g))
+
+
+def read_problem(path):
+    """(operators, rho0, rho1) of a momt problem file, read without momt."""
+    with open(path) as fh:
+        doc = json.load(fh)
+
+    def matrix(lit):
+        return np.array(lit["re"], dtype=float) + 1j * np.array(lit["im"], dtype=float)
+
+    return ([matrix(op) for op in doc["lindblad"]["operators"]],
+            matrix(doc["rho0"]), matrix(doc["rho1"]))
 
 
 def main():
@@ -270,26 +318,33 @@ def main():
     ap.add_argument("--out", default="tests/fixtures/pauli_geodesic.json")
     ap.add_argument("--grids", type=int, nargs="+", default=[8, 16, 32])
     ap.add_argument("--verbose", action="store_true")
+    ap.add_argument("--problem", metavar="FILE",
+                    help="solve this momt problem file instead of the Pauli swap")
     args = ap.parse_args()
 
-    ls = [SIGMA_X, SIGMA_Y, SIGMA_Z]
-    rho0 = np.diag([0.9, 0.1]).astype(complex)
-    rho1 = np.diag([0.1, 0.9]).astype(complex)
-
-    fixture = {
-        "description": (
-            "Reference values for the swap instance: Pauli operator set, "
-            "rho0=diag(0.9,0.1), rho1=diag(0.1,0.9).  Produced by the "
-            "standalone joint solver in tests/oracles/joint_oracle.py "
-            "(projected Barzilai-Borwein descent over all node densities "
-            "and interval momenta at once)."
-        ),
-        "n": 2,
-        "lindblad": "pauli-xyz",
-        "rho0_diag": [0.9, 0.1],
-        "rho1_diag": [0.1, 0.9],
-        "grids": {},
-    }
+    if args.problem:
+        ls, rho0, rho1 = read_problem(args.problem)
+        fixture = {"description": f"Reference values for the problem file {args.problem}.",
+                   "problem": args.problem}
+    else:
+        ls = [SIGMA_X, SIGMA_Y, SIGMA_Z]
+        rho0 = np.diag([0.9, 0.1]).astype(complex)
+        rho1 = np.diag([0.1, 0.9]).astype(complex)
+        fixture = {
+            "description": (
+                "Reference values for the swap instance: Pauli operator set, "
+                "rho0=diag(0.9,0.1), rho1=diag(0.1,0.9)."
+            ),
+            "lindblad": "pauli-xyz",
+            "rho0_diag": [0.9, 0.1],
+            "rho1_diag": [0.1, 0.9],
+        }
+    fixture["description"] += (
+        "  Produced by the standalone joint solver in tests/oracles/joint_oracle.py "
+        "(projected Barzilai-Borwein descent over all node densities "
+        "and interval momenta at once)."
+    )
+    fixture.update(n=int(rho0.shape[0]), grids={})
     for kk in args.grids:
         print(f"K = {kk}")
         problem = JointProblem(ls, rho0, rho1, kk)
@@ -297,7 +352,8 @@ def main():
         res["w2"] = math.sqrt(res["w2_squared"])
         fixture["grids"][str(kk)] = res
         print(f"  W2^2 = {res['w2_squared']:.15f}  grad {res['grad_norm']:.2e} "
-              f"iters {res['iterations']} residual {res['constraint_residual']:.2e}")
+              f"iters {res['iterations']} residual {res['constraint_residual']:.2e} "
+              f"optimality error {res['optimality_error']:.2e}")
 
     with open(args.out, "w") as fh:
         json.dump(fixture, fh, indent=2, sort_keys=True)

@@ -191,6 +191,15 @@ def test_trace_lower_bound_tight_for_aligned_rank_one():
     assert trace_lower_bound(rho, m)
 
 
+def test_trace_lower_bound_gate_and_infinite_kinetic():
+    m = OperatorStack(np.ones((1, 2, 2), dtype=complex), flavor="general")
+    with pytest.raises(ValueError, match="positive trace"):
+        trace_lower_bound(np.diag([1.0, -1.0]), m)
+    # m reaches the kernel of diag(1, 0), so F is infinite and the bound vacuous
+    assert not kinetic(np.diag([1.0, 0.0]), m).finite
+    assert trace_lower_bound(np.diag([1.0, 0.0]), m)
+
+
 def test_path_cost_finite_and_infinite(pauli, swap_endpoints):
     r0, r1 = swap_endpoints
     path = initial_path(pauli, r0, r1, 8)

@@ -82,6 +82,22 @@ MALFORMED = [
     (lambda d: d.update(config={"seed": -10 ** 400}), "error: $.config.seed:"),
     # parses (boundary states are admissible), but a solve needs rho0 > 0
     (lambda d: d.update(rho0=SINGULAR_RHO), "error: strict density requires"),
+    # a literal's entries follow the config's number rule, each at its own path
+    (lambda d: d["rho0"]["re"][0].__setitem__(0, 10 ** 400), "error: $.rho0.re[0][0]:"),
+    (lambda d: d["rho0"]["re"][0].__setitem__(0, "0.9"), "error: $.rho0.re[0][0]:"),
+    (lambda d: d["lindblad"]["operators"][0]["re"][0].__setitem__(1, True),
+     "error: $.lindblad.operators[0].re[0][1]:"),
+    (lambda d: d["rho1"]["im"][0].__setitem__(1, None), "error: $.rho1.im[0][1]: expected float"),
+    (lambda d: d["rho1"]["re"][1].append(0.0),
+     "error: $.rho1.re: expected 2 lists of 2 numbers"),
+    # the containers around the literals
+    (lambda d: d.update(rho0=[[0.9, 0.0], [0.0, 0.1]]),
+     "error: $.rho0: expected a matrix literal object"),
+    (lambda d: d.update(config=[["K", 8]]), "error: $.config: expected an object"),
+    (lambda d: d["lindblad"]["operators"].append(matrix_to_literal(np.eye(3))),
+     "error: $.lindblad.operators: DimensionMismatch"),
+    (lambda d: d["lindblad"].update(n=3),
+     "error: $.lindblad.n: 3 is not the operators' dimension 2"),
 ]
 
 
@@ -93,6 +109,25 @@ def test_distance_parse_error_exit_one(tmp_path, capsys):
         bad.write_text(json.dumps(doc))
         assert main(["distance", str(bad)]) == 1, expected
         assert capsys.readouterr().err.startswith(expected)
+
+
+@pytest.mark.parametrize("text", ["[]", "3", '"problem"', "null"])
+def test_distance_non_object_top_level_exit_one(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert main(["distance", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith("error: $: top level must be an object")
+
+
+def test_geodesic_exports_best_iterate_when_not_converged(tmp_path, capsys):
+    # max_iter = 0 stops a qutrit solve on the straight line, which is not optimal
+    doc = json.loads((FIXTURES / "flat_cost_qutrit21.json").read_text())
+    doc["config"]["max_iter"] = 0
+    prob, out = tmp_path / "capped.json", tmp_path / "trace.json"
+    prob.write_text(json.dumps(doc))
+    assert main(["geodesic", str(prob), "--out", str(out)]) == 3
+    assert "converged    NO (best iterate exported)" in capsys.readouterr().out.splitlines()
+    assert len(json.loads(out.read_text())["nodes"]) == 9
 
 
 def test_usage_error_does_not_collide_with_infeasible(capsys):
@@ -269,6 +304,20 @@ def test_readme_problem_file_runs(tmp_path, capsys):
     prob.write_text(block)
     assert main(["distance", str(prob)]) == 0
     assert "converged: yes" in capsys.readouterr().out
+
+
+def test_readme_quickstart_runs(capsys):
+    # the Quickstart block runs as it stands, and prints and returns what README says
+    text = (FIXTURES.parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Quickstart", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(compile(block, "README.md", "exec"), scope)
+    assert capsys.readouterr().out.startswith("0.565685424949")
+    res = scope["res"]
+    assert abs(res.gap) < 1e-12
+    assert res.path.densities.shape == (33, 2, 2)
+    assert res.path.momenta.shape == (32, 3, 2, 2)
+    assert res.path.potentials.shape == (32, 2, 2)
 
 
 BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",

@@ -273,20 +273,23 @@ def test_block_tridiag_solve_matches_dense(m):
     x = _block_tridiag_solve(diag, off, rhs)
     np.testing.assert_allclose(x.ravel(), np.linalg.solve(full, rhs.ravel()),
                                rtol=1e-12, atol=1e-14)
-    with pytest.raises(np.linalg.LinAlgError):
-        _block_tridiag_solve(-diag, -off, rhs)
 
 
-def test_block_tridiag_solve_gates_later_schur_complement():
-    # D_0 is positive definite, S_1 = D_1 - B_0^T D_0^{-1} B_0 is not; the
-    # batched Cholesky after the sweep must still reject H
+def test_block_tridiag_solve_matches_dense_on_an_indefinite_matrix():
+    # D_0 is positive definite, S_1 = D_1 - B_0^T D_0^{-1} B_0 is not: the
+    # sweep does not judge H, it solves it (the Newton loop's slope test
+    # judges the direction), and only an exactly singular S_j stops it
     diag = np.array([[[2.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]])
     off = np.array([[[2.0, 0.0], [0.0, 0.5]]])
     assert np.linalg.eigvalsh(diag[0])[0] > 0
     assert np.linalg.eigvalsh(diag[1] - off[0].T @ np.linalg.solve(diag[0], off[0]))[0] < 0
-    assert np.linalg.eigvalsh(dense_block_tridiag(diag, off))[0] < 0
+    full = dense_block_tridiag(diag, off)
+    assert np.linalg.eigvalsh(full)[0] < 0
+    rhs = np.array([[1.0, -2.0], [0.5, 3.0]])
+    np.testing.assert_allclose(_block_tridiag_solve(diag, off, rhs).ravel(),
+                               np.linalg.solve(full, rhs.ravel()), rtol=1e-12, atol=1e-14)
     with pytest.raises(np.linalg.LinAlgError):
-        _block_tridiag_solve(diag, off, np.ones((2, 2)))
+        _block_tridiag_solve(np.zeros_like(diag), off, rhs)
 
 
 def test_nan_newton_direction_falls_back_to_gradient(three_level_pair, monkeypatch):
@@ -297,7 +300,7 @@ def test_nan_newton_direction_falls_back_to_gradient(three_level_pair, monkeypat
     def nan_first(self, us, ainv):
         diag, off = hessian(self, us, ainv)
         calls.append(1)
-        if len(calls) == 1:  # NaN blocks pass the batched Cholesky unnoticed
+        if len(calls) == 1:  # the sweep returns a NaN direction, which the slope test catches
             return np.full_like(diag, np.nan), np.full_like(off, np.nan)
         return diag, off
 
@@ -316,11 +319,17 @@ def _nan_solve(diag, off, rhs):
     return np.full_like(rhs, np.nan)
 
 
-@pytest.mark.parametrize("solve", [_singular_solve, _nan_solve], ids=["linalg-error", "nan"])
+def _negated_solve(diag, off, rhs):
+    return _block_tridiag_solve(-diag, -off, rhs)
+
+
+@pytest.mark.parametrize("solve", [_singular_solve, _nan_solve, _negated_solve],
+                         ids=["linalg-error", "nan", "negated"])
 def test_failed_newton_solve_steps_along_minus_gradient(three_level_pair, monkeypatch, solve):
-    # a Newton system that cannot be solved (LinAlgError) or yields a NaN
-    # direction (caught by the slope test) falls back to -g: the iterates
-    # still descend from the line, certified, but at gradient speed
+    # a Newton system that cannot be solved (LinAlgError), yields a NaN
+    # direction, or is negative definite (the real sweep on -H gives an
+    # ascent direction) falls back to -g, the last two by the slope test:
+    # the iterates still descend from the line, certified, but at gradient speed
     l, r0, r1 = three_level_pair
     line = optimize_geodesic(l, r0, r1, SolverConfig(K=8, max_iter=0))
     monkeypatch.setattr(momt.geodesic, "_block_tridiag_solve", solve)
@@ -412,8 +421,8 @@ def test_coordinate_trial_matches_solve_potentials_on_nodes(three_level_pair):
         nodes = red.nodes(y)
         assert red.feasible(nodes)
         fs = (nodes[1:] - nodes[:-1]) / red.dt
-        ref_tcs, ref_fcs, kpart = restricted_systems(l, 0.5 * (nodes[:-1] + nodes[1:]), fs)
-        ref_xs, _ = solve_restricted(ref_tcs, ref_fcs, kpart)
+        ref_tcs, ref_fcs = restricted_systems(l, 0.5 * (nodes[:-1] + nodes[1:]), fs)
+        ref_xs, _ = solve_restricted(ref_tcs, ref_fcs)
         pots = unvec_h(ref_xs @ red.c.T, l.n)
         gs = np.array([loop_gram(v) for v in grad_blocks(l, pots)])
         ref_g = vec_h(2.0 * (pots[:-1] - pots[1:]) - 0.5 * red.dt * (gs[:-1] + gs[1:])) @ red.c
@@ -526,9 +535,9 @@ def test_solve_runs_one_epilogue_pass(pauli, swap_endpoints, three_level_pair, m
 
 def test_solve_factors_each_restricted_system_once(three_level_pair, monkeypatch):
     # the weights reach solve_restricted gated (_endpoint_guard, _Reduced.feasible),
-    # so each potential solve is one batched inverse and no Cholesky: in two
-    # Newton steps the Cholesky calls are the two floor tests and the two
-    # Schur-complement gates, and the inverses are the line's and two trials'
+    # so each potential solve is one batched inverse and no Cholesky, and the
+    # block sweep factors no Schur complement: in two Newton steps the Cholesky
+    # calls are the two floor tests, and the inverses are the line's and two trials'
     counts = {"cholesky": 0, "inv": 0}
     for name in counts:
         def counted(*args, _f=getattr(np.linalg, name), _name=name):
@@ -536,7 +545,7 @@ def test_solve_factors_each_restricted_system_once(three_level_pair, monkeypatch
             return _f(*args)
         monkeypatch.setattr(np.linalg, name, counted)
     assert optimize_geodesic(*three_level_pair, SolverConfig(K=8)).iterations == 2
-    assert counts == {"cholesky": 4, "inv": 3}
+    assert counts == {"cholesky": 2, "inv": 3}
 
 
 def test_zero_iteration_solve_starts_at_the_stored_line(pauli, swap_endpoints,

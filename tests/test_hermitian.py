@@ -4,6 +4,7 @@ import pytest
 from momt import (
     DensityMatrix,
     DimensionMismatch,
+    DualPoint,
     ExtendedValue,
     FlavorError,
     HermitianMatrix,
@@ -20,6 +21,7 @@ from momt import (
     hermitian_basis,
     inner_product,
     kinetic,
+    legendre_feasible,
     matrix_from_literal,
     matrix_to_literal,
     momentum_min_check,
@@ -179,9 +181,17 @@ QUTRIT = np.eye(3) / 3
     (lambda: solve_potential(WeightedOperator(PAULI_SET, MIXED), 1j * SZ), SymmetryError),
     (lambda: HermitianMatrix(np.zeros((0, 0))), DimensionMismatch),
     (lambda: LindbladSet([np.zeros((0, 0))]), DimensionMismatch),
+    (lambda: LindbladSet([]), DimensionMismatch),
+    (lambda: LindbladSet([SX, np.eye(3)]), DimensionMismatch),
+    (lambda: OperatorStack(np.zeros((2, 2))), DimensionMismatch),
+    (lambda: quadratic_form(MIXED, np.ones((3, 3, 3))), DimensionMismatch),
+    (lambda: legendre_feasible(DualPoint(a=HermitianMatrix(QUTRIT),
+                                         b=OperatorStack(np.ones((1, 2, 2))))),
+     DimensionMismatch),
 ], ids=["geodesic", "initial-path", "feasibility-gap", "poincare", "momentum-check-weight",
         "momentum-check-rhs", "potential-rhs", "potential-non-hermitian-rhs",
-        "empty-hermitian", "empty-operator"])
+        "empty-hermitian", "empty-operator", "no-operator", "mixed-operators", "flat-stack",
+        "quadratic-form", "legendre-dual-point"])
 def test_gates_reject_wrong_size_or_symmetry(call, error):
     # a 3 x 3 input against 2-level operators, a skew right-hand side or an
     # empty matrix stops at the input gate, before any product or solve

@@ -201,6 +201,14 @@ def test_heat_flow_unstable_step_raises(pauli):
         heat_flow(pauli, rho, 5.0, 2)
 
 
+def test_heat_flow_step_gate_and_zero_time(pauli):
+    rho = DensityMatrix(np.diag([0.9, 0.1]).astype(complex))
+    with pytest.raises(ValueError, match="steps"):
+        heat_flow(pauli, rho, 1.0, 0)
+    # no time to flow: the start state comes back unchanged
+    assert np.array_equal(heat_flow(pauli, rho, 0.0, 5).mat, rho.mat)
+
+
 def test_thin_svd_kernel_matches_full_svd(monkeypatch):
     # the kernel build reads only s and vh; the thin SVD must give the same
     # bases, bit for bit, as the full one that also forms the unused U
