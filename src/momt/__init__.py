@@ -44,7 +44,6 @@ from .elliptic import (
     WeightedOperator,
     WeightError,
     assemble_weighted,
-    momentum_divergence_matrix,
     momentum_min_check,
     poincare_constant,
     quadratic_form,
@@ -81,7 +80,6 @@ from .hermitian import (
     matrix_from_literal,
     matrix_to_literal,
     unvec_h,
-    unvec_stack,
     vec_h,
     vec_s,
 )

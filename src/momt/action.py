@@ -79,9 +79,14 @@ def kinetic(rho, m) -> ExtendedValue:
     * rho singular PSD (eigenvalues in [-EPS_PD, EPS_PD] count as zero):
       finite iff every block of m kills ker(rho) within 1e-9 |m|, with
       value (1/2) tr(m^* m rho^+).
+
+    The gate of a caller's inputs: rho passes HermitianMatrix's (shared if it is
+    one), and a non-finite momentum is refused with ValueError, as OperatorStack does.
     """
-    r = _entries(rho)
+    r = HermitianMatrix(rho).mat
     blocks = _entries(m)
+    if not np.isfinite(blocks).all():
+        raise ValueError("momentum stack has a non-finite entry")
     if blocks.ndim != 3 or blocks.shape[1:] != r.shape:
         raise DimensionMismatch(
             f"momentum stack shape {blocks.shape} incompatible with rho {r.shape}"

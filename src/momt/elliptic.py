@@ -47,7 +47,7 @@ from .hermitian import (
     unvec_h,
     vec_h,
 )
-from .lindblad import LindbladSet, _square, div_blocks, gradient
+from .lindblad import LindbladSet, _square, gradient
 
 
 # residual bound of every potential solve: |A x - c| <= RESIDUAL_RTOL * max(|c|, 1)
@@ -244,24 +244,9 @@ def momentum_min_check(l: LindbladSet, rho, f) -> MomentumCheck:
     return MomentumCheck(primal_min=primal, dual_max=dual, optimal_m=m, potential=x)
 
 
-def momentum_divergence_matrix(l: LindbladSet) -> np.ndarray:
-    """Real matrix of m |-> vec_h( div(m - m_*)/2 ) on general-stack coordinates.
-
-    Columns follow unvec_stack's layout: all real parts of m, then all
-    imaginary parts, each in C order.  Used to sample feasible momentum perturbations:
-    the null space of this matrix is exactly the set of directions that
-    leave the continuity picture unchanged.
-    """
-    unit = np.eye(l.count * l.n * l.n).reshape(-1, l.count, l.n, l.n)
-    m = np.concatenate([unit, 1j * unit])  # unvec_stack of every coordinate vector
-    y = m - np.conj(np.swapaxes(m, -1, -2))
-    return vec_h(0.5 * div_blocks(l, y)).T
-
-
 __all__ = [
     "WeightError", "SingularWeight", "InfeasibleRHS",
     "WeightedOperator", "MomentumCheck",
     "quadratic_form", "assemble_weighted", "solve_potential",
-    "poincare_constant",
-    "momentum_min_check", "momentum_divergence_matrix",
+    "poincare_constant", "momentum_min_check",
 ]

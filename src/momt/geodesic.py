@@ -139,7 +139,6 @@ class GeodesicResult:
     grad_norm: float
     trace_drift: float
     warnings: list = field(default_factory=list)
-    iterate_nodes: list | None = None
 
 
 @dataclass
@@ -376,8 +375,8 @@ def _trace_drift(nodes: np.ndarray) -> float:
     return float(np.max(np.abs(np.trace(nodes, axis1=-2, axis2=-1).real - 1.0)))
 
 
-def optimize_geodesic(l: LindbladSet, rho0, rho1, config: SolverConfig | None = None,
-                      record_iterates: bool = False) -> GeodesicResult:
+def optimize_geodesic(l: LindbladSet, rho0, rho1,
+                      config: SolverConfig | None = None) -> GeodesicResult:
     """Minimize the discrete action over interior nodes; return path + certificate.
 
     Damped Newton descent: each iteration solves H d = -g with the block
@@ -390,7 +389,8 @@ def optimize_geodesic(l: LindbladSet, rho0, rho1, config: SolverConfig | None = 
     as a boundary hit with the best iterate returned, and each trial's
     residual gate raises on a failed potential solve.  The Hamiltonian values
     F(mid_k, m_k) of the returned path are (1/2) Re tr(mid_k G_k), read from
-    the Gram matrices its dual certificate uses (see _result).
+    the Gram matrices its dual certificate uses (see _result).  Iterate k of
+    a solve is its path at max_iter = k, certified like the last.
     """
     cfg = config or SolverConfig()
     r0, r1, span = _endpoint_guard(l, rho0, rho1)
@@ -411,7 +411,6 @@ def optimize_geodesic(l: LindbladSet, rho0, rho1, config: SolverConfig | None = 
     # iteration 0 is the straight line, whose systems reduced already holds
     nodes, point = reduced.line, reduced.point(reduced.tcs_line, reduced.fcs_line)
     trace_drift = _trace_drift(nodes)
-    iterates = [nodes] if record_iterates else None
     for iterations in range(cfg.max_iter + 1):
         gnorm = float(np.linalg.norm(point.grad))
         converged = bool(gnorm <= cfg.grad_tol * (1.0 + abs(point.cost)))
@@ -439,12 +438,10 @@ def optimize_geodesic(l: LindbladSet, rho0, rho1, config: SolverConfig | None = 
             break
         y, point, nodes = trial_y, trial, trial_nodes
         trace_drift = max(trace_drift, _trace_drift(nodes))
-        if record_iterates:
-            iterates.append(nodes)
 
     return _result(l, *_path_and_grams(l, nodes, point.xs), point.cost, iterations=iterations,
                    converged=converged, grad_norm=gnorm, trace_drift=trace_drift,
-                   warnings=warnings_list, iterate_nodes=iterates)
+                   warnings=warnings_list)
 
 
 def _result(l: LindbladSet, path: DiscretePath, grams: np.ndarray, mids: np.ndarray,

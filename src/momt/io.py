@@ -34,7 +34,11 @@ from .hermitian import (
     HermitianMatrix,
     NotPositive,
     NotUnitTrace,
+    ParseError,
     SymmetryError,
+    _float_at,
+    _int_at,
+    _known_keys,
     matrix_from_literal,
     matrix_to_literal,
 )
@@ -51,14 +55,6 @@ _WARNING_TEXT = {
 }
 
 
-class ParseError(ValueError):
-    """Problem-file validation failure, annotated with a JSON path."""
-
-    def __init__(self, path: str, message: str):
-        self.path = path
-        super().__init__(f"{path}: {message}")
-
-
 @dataclass
 class ProblemSpec:
     lindblad: LindbladSet
@@ -69,54 +65,9 @@ class ProblemSpec:
 
 
 _TOP_KEYS = {"lindblad", "rho0", "rho1", "config"}
-_LITERAL_KEYS = ("n", "re", "im")
-
-
-def _known_keys(obj: dict, keys, path: str) -> None:
-    """ParseError naming the first key of obj outside keys, as path.key."""
-    for key in obj:
-        if key not in keys:
-            raise ParseError(f"{path}.{key}", "unknown key")
-
-
-def _int_at(val, path: str) -> int:
-    """An integral JSON number (8 or 8.0) in the float range; anything else is an error."""
-    if isinstance(val, bool) or not isinstance(val, (int, float)) \
-            or not _float_at(val, path).is_integer():
-        raise ParseError(path, f"expected an integer, got {val!r}")
-    return int(val)
-
-
-def _float_at(val, path: str) -> float:
-    """A JSON number in the float range; a boolean, a string or any other value is an error."""
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ParseError(path, "expected float")
-    try:
-        return float(val)
-    except OverflowError:  # a JSON integer has no size limit
-        raise ParseError(path, "number is outside the float range") from None
-
-
 # the SolverConfig fields, read as their annotations say, and the seed
 _CONFIG_KEYS = {**{f.name: {"int": _int_at, "float": _float_at}[f.type]
                    for f in fields(SolverConfig)}, "seed": _int_at}
-
-
-def _literal_at(obj, path: str) -> np.ndarray:
-    if not isinstance(obj, dict):
-        raise ParseError(path, "expected a matrix literal object")
-    _known_keys(obj, _LITERAL_KEYS, path)
-    for key in _LITERAL_KEYS:
-        if key not in obj:
-            raise ParseError(path, f"matrix literal is missing {key!r}")
-    n = _int_at(obj["n"], f"{path}.n")
-    for key in ("re", "im"):  # n >= 1 lists of n numbers, each under _float_at's rule
-        if not (n >= 1 and isinstance(obj[key], list) and len(obj[key]) == n and all(
-                isinstance(row, list) and len(row) == n for row in obj[key])):
-            raise ParseError(f"{path}.{key}", f"expected {n} lists of {n} numbers (n >= 1)")
-        for i, j in np.ndindex(n, n):
-            _float_at(obj[key][i][j], f"{path}.{key}[{i}][{j}]")
-    return matrix_from_literal(obj)
 
 
 def parse_problem(text: str) -> ProblemSpec:
@@ -140,7 +91,7 @@ def parse_problem(text: str) -> ProblemSpec:
         raise ParseError("$.lindblad.operators", "expected a list of matrix literals")
     ops = []
     for i, lit in enumerate(lind["operators"]):
-        mat = _literal_at(lit, f"$.lindblad.operators[{i}]")
+        mat = matrix_from_literal(lit, f"$.lindblad.operators[{i}]")
         try:
             ops.append(HermitianMatrix(mat))
         except SymmetryError as exc:
@@ -156,7 +107,7 @@ def parse_problem(text: str) -> ProblemSpec:
 
     rhos = {}
     for key in ("rho0", "rho1"):
-        mat = _literal_at(doc[key], f"$.{key}")
+        mat = matrix_from_literal(doc[key], f"$.{key}")
         if mat.shape != (n, n):
             raise ParseError(f"$.{key}",
                              f"dimension {mat.shape[0]} does not match operator "

@@ -4,7 +4,8 @@ import pathlib
 import numpy as np
 import pytest
 
-from momt import DensityMatrix, LindbladSet
+from momt import DensityMatrix, LindbladSet, vec_h
+from momt.lindblad import div_blocks
 from momt.verify import rand_general_stack, rand_herm, rand_skew_stack  # noqa: F401
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -29,6 +30,27 @@ def rand_density(rng, n, min_eig=0.05):
 
 def rand_lindblad(rng, count, n):
     return LindbladSet([rand_herm(rng, n) for _ in range(count)])
+
+
+def unvec_stack(x: np.ndarray, count: int, n: int) -> np.ndarray:
+    """The raw complex (count, n, n) stack of x = all real parts, then all imaginary parts."""
+    x = np.asarray(x, dtype=float)
+    half = x.size // 2
+    return (x[:half] + 1j * x[half:]).reshape(count, n, n)
+
+
+def momentum_divergence_matrix(l: LindbladSet) -> np.ndarray:
+    """Real matrix of m |-> vec_h( div(m - m_*)/2 ) on general-stack coordinates.
+
+    Columns follow unvec_stack's layout: all real parts of m, then all
+    imaginary parts, each in C order.  Used to sample feasible momentum perturbations:
+    the null space of this matrix is exactly the set of directions that
+    leave the continuity picture unchanged.
+    """
+    unit = np.eye(l.count * l.n * l.n).reshape(-1, l.count, l.n, l.n)
+    m = np.concatenate([unit, 1j * unit])  # unvec_stack of every coordinate vector
+    y = m - np.conj(np.swapaxes(m, -1, -2))
+    return vec_h(0.5 * div_blocks(l, y)).T
 
 
 @pytest.fixture

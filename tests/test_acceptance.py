@@ -28,7 +28,6 @@ from momt import (
     kinetic,
     laplacian,
     legendre_feasible,
-    momentum_divergence_matrix,
     momentum_min_check,
     optimize_geodesic,
     poincare_constant,
@@ -37,7 +36,6 @@ from momt import (
     solve_potential,
     trace_lower_bound,
     unvec_h,
-    unvec_stack,
     vec_h,
 )
 from momt.cli import main
@@ -46,11 +44,13 @@ from conftest import (
     SX,
     SY,
     SZ,
+    momentum_divergence_matrix,
     rand_density,
     rand_general_stack,
     rand_herm,
     rand_lindblad,
     rand_skew_stack,
+    unvec_stack,
 )
 
 PAULI = LindbladSet([SX, SY, SZ])
@@ -309,14 +309,13 @@ def test_c07_norm_bound_and_trace_conservation():
         assert trace_lower_bound(rho, m)
 
     drifts = []
-    res = optimize_geodesic(PAULI, R_SWAP_0, R_SWAP_1, SolverConfig(K=16),
-                            record_iterates=True)
+    res = optimize_geodesic(PAULI, R_SWAP_0, R_SWAP_1, SolverConfig(K=16))
     drifts.append(res.trace_drift)
     l3, r0, r1 = _mild_three_level()
-    res3 = optimize_geodesic(l3, r0, r1, SolverConfig(K=8),
-                             record_iterates=True)
+    res3 = optimize_geodesic(l3, r0, r1, SolverConfig(K=8))
     drifts.append(res3.trace_drift)
-    for nodes in res3.iterate_nodes:
+    for k in range(res3.iterations + 1):  # iterate k is the path of the max_iter = k solve
+        nodes = optimize_geodesic(l3, r0, r1, SolverConfig(K=8, max_iter=k)).path.densities
         for nd in nodes:
             drifts.append(abs(float(np.trace(nd).real) - 1.0))
     assert max(drifts) <= 1e-12

@@ -9,6 +9,7 @@ from momt import (
     HermitianMatrix,
     InfeasibleDualPoint,
     OperatorStack,
+    SymmetryError,
     fenchel_gap,
     gradient,
     initial_path,
@@ -86,6 +87,18 @@ def test_kinetic_negative_weight_is_infinite():
 def test_kinetic_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         kinetic(np.eye(2) / 2, rand_general_stack(np.random.default_rng(2), 1, 3))
+
+
+@pytest.mark.parametrize("rho, m, error", [
+    (np.array([[1.0, 5.0], [0.0, 1.0]]), np.ones((3, 2, 2)), SymmetryError),
+    (np.diag([np.nan, 0.5]), np.ones((3, 2, 2)), SymmetryError),
+    (np.eye(2) / 2, np.full((1, 2, 2), np.inf), ValueError),
+], ids=["non-hermitian-weight", "nan-weight", "infinite-momentum"])
+def test_kinetic_gates_its_inputs(rho, m, error):
+    # the weight passes HermitianMatrix's gate and the momentum must be finite,
+    # rather than a symmetrized-away defect or a numpy warning deciding the value
+    with pytest.raises(error):
+        kinetic(rho, m)
 
 
 def test_kinetic_boundary_rule():

@@ -101,14 +101,15 @@ MALFORMED = [
 ]
 
 
-def test_distance_parse_error_exit_one(tmp_path, capsys):
-    for i, (edit, expected) in enumerate(MALFORMED):
-        doc = json.loads(Path(PAULI).read_text())
-        edit(doc)
-        bad = tmp_path / f"bad{i}.json"
-        bad.write_text(json.dumps(doc))
-        assert main(["distance", str(bad)]) == 1, expected
-        assert capsys.readouterr().err.startswith(expected)
+@pytest.mark.parametrize("edit, expected", MALFORMED,
+                         ids=[f"row{i:02d}" for i in range(len(MALFORMED))])
+def test_distance_parse_error_exit_one(tmp_path, capsys, edit, expected):
+    doc = json.loads(Path(PAULI).read_text())
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["distance", str(bad)]) == 1, expected
+    assert capsys.readouterr().err.startswith(expected)
 
 
 @pytest.mark.parametrize("text", ["[]", "3", '"problem"', "null"])

@@ -19,7 +19,6 @@ from momt import (
     gradient,
     inner_product,
     kinetic,
-    momentum_divergence_matrix,
     momentum_min_check,
     optimize_geodesic,
     poincare_constant,
@@ -27,18 +26,19 @@ from momt import (
     quadratic_form,
     solve_potential,
     unvec_h,
-    unvec_stack,
     vec_h,
 )
 from momt.elliptic import restricted_systems, solve_restricted
 from momt.hermitian import hermitian_part
 from conftest import (
     SZ,
+    momentum_divergence_matrix,
     rand_density,
     rand_herm,
     rand_lindblad,
     rand_skew_stack,
     rand_unitary,
+    unvec_stack,
 )
 from oracles.weighted_oracle import apply_weighted
 

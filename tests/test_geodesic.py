@@ -645,13 +645,32 @@ def test_weak_duality_every_iterate(three_level_pair):
     # an instance where the optimizer genuinely iterates (at n = 2 the
     # linear path is already optimal for every Hermitian operator set)
     l, r0, r1 = three_level_pair
-    res = optimize_geodesic(l, r0, r1, SolverConfig(K=4), record_iterates=True)
+    res = optimize_geodesic(l, r0, r1, SolverConfig(K=4))
     assert res.iterations > 0
-    assert len(res.iterate_nodes) == res.iterations + 1
-    for nodes in res.iterate_nodes:
+    for k in range(res.iterations + 1):  # iterate k is the path of the max_iter = k solve
+        nodes = optimize_geodesic(l, r0, r1, SolverConfig(K=4, max_iter=k)).path.densities
         path, primal = rebuild_path(l, nodes, 4)
         _, dual_val = dual_certificate(l, path)
         assert dual_val <= primal + 1e-9
+
+
+@pytest.mark.parametrize("big_k", [8, 16])
+def test_max_iter_k_solve_is_iterate_k(three_level_pair, big_k):
+    # the loop stops before step k + 1 and certifies iterate k, so the solve capped
+    # at the default solve's own iteration count is that solve, bit for bit, and the
+    # capped solves' costs descend
+    l, r0, r1 = three_level_pair
+    res = optimize_geodesic(l, r0, r1, SolverConfig(K=big_k))
+    runs = [optimize_geodesic(l, r0, r1, SolverConfig(K=big_k, max_iter=k))
+            for k in range(res.iterations + 1)]
+    last = runs[-1]
+    assert res.iterations > 0 and last.iterations == res.iterations
+    assert (last.distance, last.dual_value, last.gap, last.converged, last.hamiltonian) \
+        == (res.distance, res.dual_value, res.gap, res.converged, res.hamiltonian)
+    for name in ("densities", "momenta", "potentials"):
+        assert getattr(last.path, name).tobytes() == getattr(res.path, name).tobytes()
+    costs = [run.primal_cost for run in runs]
+    assert all(later <= earlier for earlier, later in zip(costs, costs[1:]))
 
 
 def test_dual_certificate_weak_duality_on_random_potentials(three_level_pair):

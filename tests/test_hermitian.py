@@ -12,6 +12,7 @@ from momt import (
     NotPositive,
     NotUnitTrace,
     OperatorStack,
+    ParseError,
     SymmetryError,
     WeightedOperator,
     assemble_weighted,
@@ -30,14 +31,14 @@ from momt import (
     quadratic_form,
     solve_potential,
     unvec_h,
-    unvec_stack,
     vec_h,
     vec_s,
 )
 from momt.elliptic import restricted_systems, solve_restricted
 from momt.hermitian import gram
 from momt.lindblad import grad_blocks
-from conftest import SX, SY, SZ, rand_density, rand_general_stack, rand_herm, rand_skew_stack
+from conftest import (SX, SY, SZ, rand_density, rand_general_stack, rand_herm, rand_skew_stack,
+                      unvec_stack)
 
 
 def test_hermitian_symmetrizes_small_defects():
@@ -321,8 +322,23 @@ def test_matrix_literal_round_trip():
     assert set(lit) == {"n", "re", "im"}
     np.testing.assert_array_equal(matrix_from_literal(lit), a)
     bad = dict(lit, re=[[1.0, 2.0]])
-    with pytest.raises((DimensionMismatch, ValueError)):
+    with pytest.raises(ParseError):
         matrix_from_literal(bad)
+
+
+@pytest.mark.parametrize("literal, message", [
+    ({"n": 1, "re": [["0.9"]], "im": [[True]]}, r"\$\.re\[0\]\[0\]: expected float"),
+    ({"n": 1, "re": [[10 ** 400]], "im": [[0.0]]},
+     r"\$\.re\[0\]\[0\]: number is outside the float range"),
+    ({"n": 2, "re": [[1.0, 0.0], [0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]},
+     r"\$\.re: expected 2 lists of 2 numbers"),
+    ({"n": 1, "re": [[1.0]], "im": [[None]]}, r"\$\.im\[0\]\[0\]: expected float"),
+], ids=["string-and-bool", "beyond-float-range", "ragged-row", "null"])
+def test_matrix_from_literal_gates_every_entry(literal, message):
+    # the reader is the literal format's gate: it refuses what a problem file refuses,
+    # naming the entry, instead of converting a string, a bool or null, or leaking numpy
+    with pytest.raises(ParseError, match=message):
+        matrix_from_literal(literal)
 
 
 def test_stack_indexing():

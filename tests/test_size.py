@@ -88,6 +88,33 @@ def test_benchmark_names_resolve():
     assert not missing, f"perfbench reads names momt does not have: {missing}"
 
 
+def _loaded_names(node) -> set:
+    """Every name loaded under node, as a bare name or as an attribute (no stores)."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)}
+
+
+def test_no_public_name_only_tests_read():
+    # code that nothing calls except its own test goes, public names too: every name
+    # momt exports is read in src/momt outside its own definition and __init__.py, or
+    # read, imported from momt or looked up with getattr(momt, name) in demos or perfbench
+    import momt
+
+    read = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "__init__.py":
+            read |= {name for node in ast.parse(path.read_text(encoding="utf-8")).body
+                     for name in _loaded_names(node) if name != getattr(node, "name", None)}
+    root = SRC.parent.parent
+    for path in sorted([*(root / "demos").glob("*.py"), *(root / "perfbench").glob("*.py")]):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read |= _loaded_names(tree) | _momt_lookups(tree)
+        read |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                 and (node.module or "").split(".")[0] == "momt" for alias in node.names}
+    unread = sorted(set(momt.__all__) - read)
+    assert not unread, f"public names only tests read: {unread}"
+
+
 def test_star_import_binds_no_module():
     # `from momt import *` takes momt's re-exported names, not its submodules:
     # a bound `io` would shadow the standard library's
