@@ -120,9 +120,13 @@ def kinetic_values(rhos: np.ndarray, ms: np.ndarray) -> list:
 
 
 def legendre_feasible(p: DualPoint) -> bool:
-    """True iff the largest eigenvalue of a + (1/2) sum_k b_k^* b_k is <= 1e-10."""
-    a = hermitian_part(p.a)
-    blocks = _entries(p.b)
+    """True iff the largest eigenvalue of a + (1/2) sum_k b_k^* b_k is <= 1e-10.
+
+    The gate of a caller's dual point: a passes HermitianMatrix's (SymmetryError on a
+    non-finite or non-Hermitian a), b OperatorStack's (ValueError if non-finite).
+    """
+    a = HermitianMatrix(p.a).mat
+    blocks = OperatorStack(p.b).blocks
     if blocks.shape[1:] != a.shape:
         raise DimensionMismatch("dual point a/b dimensions differ")
     top = float(np.linalg.eigvalsh(a + 0.5 * gram(blocks))[-1])

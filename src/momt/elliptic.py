@@ -77,11 +77,18 @@ def _weight(rho):
 
 
 def quadratic_form(rho, v) -> float:
-    """Q_rho(v) = tr(rho v^* v), summing the block Gram matrix; >= 0."""
+    """Q_rho(v) = tr(rho v^* v), summing the block Gram matrix; >= 0.
+
+    The gate of a caller's inputs: rho passes _weight's, and v, as kinetic's
+    momentum, raises ValueError on a non-finite entry and DimensionMismatch
+    unless it is an (N, n, n) stack of rho's size.
+    """
     r, _ = _weight(rho)
     blocks = _entries(v)
-    if blocks.shape[1] != r.shape[0]:
-        raise DimensionMismatch("weight and stack dimensions differ")
+    if not np.isfinite(blocks).all():
+        raise ValueError("stack has a non-finite entry")
+    if blocks.ndim != 3 or blocks.shape[1:] != r.shape:
+        raise DimensionMismatch(f"stack shape {blocks.shape} incompatible with weight {r.shape}")
     return float(np.trace(r @ gram(blocks)).real)
 
 
@@ -120,12 +127,12 @@ def solve_restricted(tcs: np.ndarray, fcs: np.ndarray):
     """
     ainv = np.linalg.inv(tcs)
     xcs = (ainv @ fcs[..., None])[..., 0]
-    residual = np.linalg.norm((tcs @ xcs[..., None])[..., 0] - fcs, axis=-1)
-    fnorm = np.linalg.norm(fcs, axis=-1)
-    over = ~(residual <= RESIDUAL_RTOL * np.maximum(fnorm, 1.0))  # NaN fails
-    if over.any():
+    res = (tcs @ xcs[..., None])[..., 0] - fcs
+    residual = np.sqrt((res * res).sum(axis=-1))
+    ok = residual <= RESIDUAL_RTOL * np.maximum(np.sqrt((fcs * fcs).sum(axis=-1)), 1.0)
+    if not ok.all():  # a NaN residual fails
         raise RuntimeError(
-            f"potential solve residual {residual[np.argmax(over)]:.3e} exceeds "
+            f"potential solve residual {residual[np.argmin(ok)]:.3e} exceeds "
             "tolerance; the weighted operator is badly conditioned"
         )
     return xcs, ainv

@@ -22,7 +22,8 @@ and potentials x_k = C^T vec_h(X_k), C = complement_vecs.  The straight
 line's K interval systems are assembled once per solve from the operator
 set's cached weight_tensor (elliptic.restricted_systems).  The path is
 affine in y, so a trial's systems are the line's plus one contraction of
-complement_tensor with the midpoint moves, and one batched inverse
+complement_tensor with the midpoint moves, which with the rate moves are
+two fixed (K, K-1) maps of y (_interval_maps), and one batched inverse
 (elliptic.solve_restricted) gives the potentials and the A_k^{-1} that the
 Newton Hessian reuses.  No trial forms vec_h, grad(X_k) or a Gram matrix;
 X_k and m_k are rebuilt once, for the returned path.  Iteration 0 is the
@@ -34,8 +35,11 @@ difference D and the midpoint mu, with A(mu) = C^T T(mu) C linear in mu.
 Each term couples two adjacent nodes, so the Hessian H is block
 tridiagonal with d x d blocks (d = dim ker(grad)^perp), and positive
 definite where every A_k is.  Newton directions d = -H^{-1} g come from
-_Reduced.hessian and an O(K d^3) block Thomas solve (_block_tridiag_solve),
-damped by Armijo backtracking.  A step runs three checks.  The floor test
+_Reduced.hessian and _block_tridiag_solve, damped by Armijo backtracking.
+At small sizes numpy's per-call overhead sets that solve's cost, so a
+system of at most _DENSE_MAX = 128 unknowns (K-1) d is one dense LAPACK
+solve (56 for a qutrit at K = 8), and a larger one an O(K d^3) block
+Thomas sweep.  A step runs three checks.  The floor test
 (_Reduced.feasible) asks if a trial's nodes and midpoints clear eps_pd, so
 A_k >= lambda_min(mid_k) A(I) > 0, as _endpoint_guard (the one input gate)
 ensures on the line; the residual gate (solve_restricted) if the inverse
@@ -55,16 +59,17 @@ G_k = Gram(grad X_k) that both read.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .elliptic import _kernel_excess, restricted_systems, solve_restricted
-from .hermitian import (EPS_PD, DensityMatrix, _above_floor, gram, hermitian_part,
-                        unvec_h, vec_h)
+from .hermitian import (EPS_PD, DensityMatrix, _above_floor, _flat_basis, gram,
+                        hermitian_part, unvec_h, vec_h)
 from .lindblad import LindbladSet, _square, div_blocks, grad_blocks
 
 
@@ -151,8 +156,8 @@ class HamiltonianProfile:
 
 def feasibility_gap(l: LindbladSet, rho0, rho1) -> float:
     """Norm of the kernel component of rho1 - rho0 (zero iff connectable)."""
-    d = _square(l, rho1) - _square(l, rho0)
-    return float(np.linalg.norm(l.kernel_vecs.T @ vec_h(d)))
+    kpart = l.kernel_vecs.T @ vec_h(_square(l, rho1) - _square(l, rho0))
+    return math.sqrt(kpart @ kpart)
 
 
 def continuity_residual(l: LindbladSet, path: DiscretePath) -> float:
@@ -164,9 +169,9 @@ def continuity_residual(l: LindbladSet, path: DiscretePath) -> float:
     return float(np.max(np.linalg.norm(diff, axis=(-2, -1))))
 
 
-def _intervals(nodes: np.ndarray, dt: float):
-    """Midpoints and rates f_k = (rho_{k+1} - rho_k)/dt of the intervals of rho_0..rho_K."""
-    return 0.5 * (nodes[:-1] + nodes[1:]), (nodes[1:] - nodes[:-1]) / dt
+def _midpoints(nodes: np.ndarray) -> np.ndarray:
+    """The interval midpoints (rho_k + rho_{k+1})/2 of the nodes rho_0..rho_K."""
+    return 0.5 * (nodes[:-1] + nodes[1:])
 
 
 def _linear_nodes(r0: np.ndarray, r1: np.ndarray, big_k: int) -> np.ndarray:
@@ -186,13 +191,28 @@ def _grid(big_k: int) -> np.ndarray:
     return grid
 
 
+@lru_cache(maxsize=32)
+def _interval_maps(big_k: int):
+    """(K, K-1) maps of interior-node rows to interval rows, built once per recent K.
+
+    With y_0 = y_K = 0, row k of the first is (y_k + y_{k+1})/2, of the second
+    (y_{k+1} - y_k)/dt; read-only, as solves share them.
+    """
+    eye = np.eye(big_k, big_k - 1)
+    shifted = np.eye(big_k, big_k - 1, -1)
+    maps = 0.5 * (eye + shifted), big_k * (eye - shifted)
+    for a in maps:
+        a.flags.writeable = False
+    return maps
+
+
 def _path_and_grams(l: LindbladSet, nodes: np.ndarray, xs: np.ndarray):
     """The path through nodes with X_k = unvec_h(C x_k) and m_k = grad(X_k) mid_k,
     its G_k = Gram(grad X_k), all from one grad_blocks call, and its mid_k."""
     big_k, n = len(xs), l.n
     pots = unvec_h(xs @ l.complement_vecs.T, n)
     vs = grad_blocks(l, pots)
-    mids, _ = _intervals(nodes, 1.0 / big_k)
+    mids = _midpoints(nodes)
     # one (K, N n, n) @ (K, n, n) product: row block j of entry k is grad_j(X_k) mid_k
     ms = vs.reshape(big_k, -1, n) @ mids
     return DiscretePath(K=big_k, grid=_grid(big_k), densities=nodes, potentials=pots,
@@ -208,7 +228,8 @@ def _endpoint_guard(l: LindbladSet, rho0, rho1):
     r0 = DensityMatrix(rho0, strict=True)
     r1 = DensityMatrix(rho1, strict=True)
     gap = feasibility_gap(l, r0, r1)
-    span = float(np.linalg.norm(r1.mat - r0.mat))
+    diff = (r1.mat - r0.mat).ravel()
+    span = math.sqrt(diff.real @ diff.real + diff.imag @ diff.imag)  # np.linalg.norm's sum
     if gap > 1e-10 or _kernel_excess(gap, span):
         raise InfeasibleEndpoints(
             f"rho1 - rho0 has a kernel component of norm {gap:.3e}; the "
@@ -258,7 +279,9 @@ class _Reduced:
     (value_grad) reads only y: no vec_h and no eigvalsh.  feasible takes the
     stack nodes(y), which a trial builds once; its floor is >= EPS_PD,
     like the line's midpoints.  Iteration 0 is the line itself: line is
-    nodes(0) and (tcs_line, fcs_line) is systems(0).
+    nodes(0) and (tcs_line, fcs_line) is systems(0).  A trial's linear maps
+    (_interval_maps, node_map) are built on the first trial, so a solve that
+    stops at the line builds none.
     """
 
     def __init__(self, l, r0, r1, big_k, floor):
@@ -268,27 +291,33 @@ class _Reduced:
         self.floor = floor
         self.c = l.complement_vecs
         self.d = self.c.shape[1]
-        self.line = _linear_nodes(r0.mat, r1.mat, big_k)
-        self.tcs_line, self.fcs_line = restricted_systems(l, *_intervals(self.line, self.dt))
+        self.line = line = _linear_nodes(r0.mat, r1.mat, big_k)
+        self.tcs_line, self.fcs_line = restricted_systems(
+            l, _midpoints(line), (line[1:] - line[:-1]) / self.dt)
         self.v = l.complement_tensor.reshape(self.d, -1)
+        self.vt = l.complement_tensor.reshape(-1, self.d).T
+
+    @cached_property
+    def node_map(self) -> np.ndarray:
+        """C^T F (F = _flat_basis(n)): y_j @ node_map is the float view of unvec_h(C y_j)."""
+        return self.c.T @ _flat_basis(self.l.n)
 
     def nodes(self, y: np.ndarray) -> np.ndarray:
         out = self.line.copy()
-        out[1:-1] += unvec_h(y.reshape(-1, self.d) @ self.c.T, self.l.n)
+        out[1:-1] += (y.reshape(-1, self.d) @ self.node_map).view(complex).reshape(
+            -1, self.l.n, self.l.n)
         return out
 
     def feasible(self, nodes: np.ndarray) -> bool:
         """Every interior node and interval midpoint has eigenvalues > floor (_above_floor)."""
-        mids, _ = _intervals(nodes, self.dt)
-        return _above_floor(np.concatenate([nodes[1:-1], mids]), self.floor)
+        return _above_floor(np.concatenate([nodes[1:-1], _midpoints(nodes)]), self.floor)
 
     def systems(self, y: np.ndarray):
         """(A_k, C^T vec_h(f_k)) of the K intervals of nodes(y)."""
-        d = self.d
-        ys = np.zeros((self.big_k + 1, d))
-        ys[1:-1] = y.reshape(-1, d)
-        tcs = self.tcs_line + (0.5 * (ys[:-1] + ys[1:]) @ self.v).reshape(-1, d, d)
-        return tcs, self.fcs_line + (ys[1:] - ys[:-1]) / self.dt
+        mean, rate = _interval_maps(self.big_k)
+        ys = y.reshape(-1, self.d)
+        tcs = self.tcs_line + ((mean @ ys) @ self.v).reshape(self.tcs_line.shape)
+        return tcs, self.fcs_line + rate @ ys
 
     def value_grad(self, y: np.ndarray) -> _Point:
         """The point of nodes(y): point(*systems(y))."""
@@ -306,9 +335,8 @@ class _Reduced:
         g_j = 2(x_{j-1} - x_j) - (dt/2)(U_{j-1} x_{j-1} + U_j x_j).
         """
         xs, ainv = solve_restricted(tcs, fcs)
-        total = float(np.sum(self.dt * np.sum(fcs * xs, axis=-1)))  # dt <f_k; X_k>
-        d = self.d
-        us = (xs @ self.l.complement_tensor.reshape(d * d, d).T).reshape(len(xs), d, d)
+        total = float((self.dt * (fcs * xs).sum(axis=-1)).sum())  # dt <f_k; X_k>
+        us = (xs @ self.vt).reshape(len(xs), self.d, self.d)
         ux = (us @ xs[..., None])[..., 0]
         g = 2.0 * (xs[:-1] - xs[1:]) - 0.5 * self.dt * (ux[:-1] + ux[1:])
         return _Point(total, g.ravel(), xs, us, ainv)
@@ -343,18 +371,36 @@ class _Reduced:
         return diag, off
 
 
+# Newton systems of at most this many unknowns, (K-1) d, are solved dense.
+_DENSE_MAX = 128
+
+
 def _block_tridiag_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """x with H x = rhs for a symmetric block-tridiagonal H.
 
     diag holds the (m, d, d) diagonal blocks, off the (m - 1, d, d) blocks
-    H[j, j+1] (H[j+1, j] is their transpose), rhs is (m, d).  Block Thomas
-    elimination on the Schur complements S_0 = D_0,
-    S_{j+1} = D_{j+1} - B_j^T S_j^{-1} B_j, in O(m d^3).  It checks nothing:
-    the Newton H is positive definite where every A_k is, and the caller's
-    slope test judges the x it returns, a NaN one too.  Only an exactly
-    singular S_j stops the sweep, with np.linalg.LinAlgError.
+    H[j, j+1] (H[j+1, j] is their transpose), rhs is (m, d).  Up to
+    _DENSE_MAX unknowns m d, one LAPACK solve of the assembled dense H:
+    at that size a solve costs its numpy call overhead, not its O((m d)^3)
+    flops.  Above it, block Thomas elimination on the Schur complements
+    S_0 = D_0, S_{j+1} = D_{j+1} - B_j^T S_j^{-1} B_j, in O(m d^3) and m
+    calls.  Measured (one thread, 2-core Xeon, numpy 2.4, OpenBLAS): at
+    m = 7, d = 8 dense takes 35-39 us and Thomas 89-150 us; the two are
+    even at 120-152 unknowns, and Thomas leads from 165 (d = 15) and 184
+    (d = 8) unknowns on, by 3.3x at m = 7, d = 35 and 14x at m = 31, d = 35.
+    Neither branch checks anything: the Newton H is positive definite where
+    every A_k is, and the caller's slope test judges the x it returns, a NaN
+    one too.  Only an exactly singular H (dense) or S_j (Thomas) stops the
+    solve, with np.linalg.LinAlgError.
     """
     m, d = rhs.shape
+    if m * d <= _DENSE_MAX:
+        h = np.zeros((m, d, m, d))
+        j = np.arange(m)
+        h[j, :, j] = diag
+        h[j[:-1], :, j[1:]] = off
+        h[j[1:], :, j[:-1]] = np.swapaxes(off, -1, -2)
+        return np.linalg.solve(h.reshape(m * d, m * d), rhs.ravel()).reshape(m, d)
     # row block j holds [B_j | r_j], then S_j^{-1} [B_j | r_j] in place
     cols = np.empty((m - 1, d, d + 1))
     cols[:, :, :d] = off
@@ -372,7 +418,7 @@ def _block_tridiag_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> 
 
 
 def _trace_drift(nodes: np.ndarray) -> float:
-    return float(np.max(np.abs(np.trace(nodes, axis1=-2, axis2=-1).real - 1.0)))
+    return float(abs(nodes.trace(axis1=-2, axis2=-1).real - 1.0).max())
 
 
 def optimize_geodesic(l: LindbladSet, rho0, rho1,
@@ -384,8 +430,8 @@ def optimize_geodesic(l: LindbladSet, rho0, rho1,
     the full step until the Armijo test passes.  The slope test is the
     direction's one gate: -g replaces a d with d.g not in (-inf, 0), as an H
     indefinite by rounding or a NaN d gives (so does an exactly singular
-    block).  The floor test shortens steps that would push any node or
-    interval midpoint below eps_pd, a persistent failure to move is reported
+    Newton matrix).  The floor test shortens steps that would push any node
+    or interval midpoint below eps_pd, a persistent failure to move is reported
     as a boundary hit with the best iterate returned, and each trial's
     residual gate raises on a failed potential solve.  The Hamiltonian values
     F(mid_k, m_k) of the returned path are (1/2) Re tr(mid_k G_k), read from
@@ -402,9 +448,9 @@ def optimize_geodesic(l: LindbladSet, rho0, rho1,
                             densities=np.repeat(r0.mat[None], cfg.K + 1, axis=0),
                             momenta=np.zeros((cfg.K, l.count, l.n, l.n), dtype=complex),
                             potentials=np.zeros((cfg.K, l.n, l.n), dtype=complex))
-        mids, _ = _intervals(path.densities, 1.0 / cfg.K)
-        return _result(l, path, path.potentials, mids, 0.0, iterations=0, converged=True,
-                       grad_norm=0.0, trace_drift=0.0, warnings=warnings_list)
+        return _result(l, path, path.potentials, _midpoints(path.densities), 0.0,
+                       iterations=0, converged=True, grad_norm=0.0, trace_drift=0.0,
+                       warnings=warnings_list)
 
     reduced = _Reduced(l, r0, r1, cfg.K, cfg.eps_pd)
     y = np.zeros((cfg.K - 1) * reduced.d)
@@ -412,7 +458,7 @@ def optimize_geodesic(l: LindbladSet, rho0, rho1,
     nodes, point = reduced.line, reduced.point(reduced.tcs_line, reduced.fcs_line)
     trace_drift = _trace_drift(nodes)
     for iterations in range(cfg.max_iter + 1):
-        gnorm = float(np.linalg.norm(point.grad))
+        gnorm = math.sqrt(point.grad @ point.grad)
         converged = bool(gnorm <= cfg.grad_tol * (1.0 + abs(point.cost)))
         if converged or iterations == cfg.max_iter:
             break
@@ -459,7 +505,7 @@ def _result(l: LindbladSet, path: DiscretePath, grams: np.ndarray, mids: np.ndar
     return GeodesicResult(
         path=path, distance=float(np.sqrt(max(cost, 0.0))), primal_cost=cost,
         dual_value=dual_value, gap=cost - dual_value,
-        hamiltonian=(0.5 * np.sum(np.conj(grams) * mids, axis=(-2, -1)).real).tolist(),
+        hamiltonian=(0.5 * (np.conj(grams) * mids).sum(axis=(-2, -1)).real).tolist(),
         **counters)
 
 
@@ -501,7 +547,7 @@ def _dual_certificate(l: LindbladSet, path: DiscretePath, grams: np.ndarray):
         ps[1:-1] -= (kappas @ kb).reshape(-1, n, n)
         shift = kappas.sum(axis=0) @ (np.conj(kb) @ rhos[0].ravel()).real
     lows = np.linalg.eigvalsh(ps[1:-1])[:, 0]
-    pairs = np.sum(np.conj(ps) * rhos, axis=(-2, -1)).real
+    pairs = (np.conj(ps) * rhos).sum(axis=(-2, -1)).real
     slacks = pairs[1:-1] - lows
     return slacks, float(pairs[0] + pairs[-1] + lows.sum() + shift)
 

@@ -118,14 +118,16 @@ class DensityMatrix(HermitianMatrix):
     The trace must be within TRACE_TOL of 1.  Non-strict mode accepts the
     closed cone (eigenvalues down to -EPS_PD, which floating point treats
     as zero); strict mode demands eigenvalues > EPS_PD, i.e. a safely
-    positive-definite state.
+    positive-definite state.  A DensityMatrix input's trace is not checked
+    again; its spectrum test reads the cached smallest eigenvalue.
     """
 
     def __init__(self, entries, strict: bool = False):
         super().__init__(entries)
-        tr = self.trace()
-        if not abs(tr - 1.0) <= TRACE_TOL:
-            raise NotUnitTrace(f"trace must equal 1, got {tr!r}")
+        if not isinstance(entries, DensityMatrix):
+            tr = self.trace()
+            if not abs(tr - 1.0) <= TRACE_TOL:
+                raise NotUnitTrace(f"trace must equal 1, got {tr!r}")
         lo = self.min_eig()
         if strict:
             if not lo > EPS_PD:

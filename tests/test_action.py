@@ -167,6 +167,25 @@ def test_legendre_feasibility_borderline():
     assert legendre_feasible(below)
 
 
+NAN_A = np.array([[np.nan, 0.0], [0.0, -1.0]])
+ZERO_B = np.zeros((1, 2, 2))
+
+
+@pytest.mark.parametrize("a, b, error", [
+    (NAN_A, ZERO_B, SymmetryError),
+    (np.array([[-1.0, 5.0], [0.0, -1.0]]), ZERO_B, SymmetryError),
+    (-np.eye(2), np.full((1, 2, 2), np.inf), ValueError),
+], ids=["nan-a", "non-hermitian-a", "infinite-b"])
+def test_legendre_feasible_gates_its_dual_point(a, b, error):
+    # a NaN a once read as feasible (a NaN eigenvalue compares false) and an
+    # infinite b reached eigvalsh; the dual point passes the wrapper types' gates
+    rng = np.random.default_rng(8)
+    with pytest.raises(error):
+        legendre_feasible(DualPoint(a=a, b=b))
+    with pytest.raises(error):
+        fenchel_gap(rand_density(rng, 2), rand_general_stack(rng, 1, 2), DualPoint(a=a, b=b))
+
+
 def test_fenchel_gap_rejects_infeasible_points():
     rng = np.random.default_rng(6)
     b = rand_general_stack(rng, 1, 2)

@@ -7,6 +7,7 @@ import momt.elliptic
 from momt import (
     EPS_PD,
     DensityMatrix,
+    DimensionMismatch,
     HermitianMatrix,
     InfeasibleRHS,
     LindbladSet,
@@ -65,6 +66,19 @@ def test_quadratic_form_zero_iff_zero_stack():
     assert quadratic_form(rho, v) > 1e-6
     zero = OperatorStack(np.zeros((2, 2, 2), dtype=complex), flavor="skew")
     assert quadratic_form(rho, zero) == 0.0
+
+
+@pytest.mark.parametrize("v, error", [
+    (np.full((1, 2, 2), np.nan), ValueError),
+    (np.full((1, 2, 2), np.inf), ValueError),
+    (np.ones((2, 2)), DimensionMismatch),
+    (np.ones((1, 2, 3)), DimensionMismatch),
+], ids=["nan", "infinite", "flat", "non-square"])
+def test_quadratic_form_gates_its_stack(v, error):
+    # as kinetic gates its momentum: a NaN stack once returned nan, and an
+    # infinite one reached the matmul and its RuntimeWarning
+    with pytest.raises(error):
+        quadratic_form(np.eye(2) / 2, v)
 
 
 def test_weight_rejects_negative():

@@ -33,7 +33,7 @@ from momt import (
 from momt.action import kinetic_values
 from momt.cli import main
 from momt.elliptic import restricted_systems, solve_restricted
-from momt.geodesic import _Reduced, _block_tridiag_solve, _path_and_grams
+from momt.geodesic import _DENSE_MAX, _Reduced, _block_tridiag_solve, _path_and_grams
 from momt.io import load_problem
 from momt.lindblad import grad_blocks
 from conftest import FIXTURES, SZ, rand_density, rand_herm, rand_lindblad
@@ -259,9 +259,10 @@ def test_analytic_hessian_matches_finite_differences(three_level_pair):
     np.testing.assert_allclose(h, fd, rtol=1e-6, atol=1e-8)
 
 
-@pytest.mark.parametrize("m", [1, 2, 7])
+@pytest.mark.parametrize("m", [1, 2, 7, _DENSE_MAX // 5, _DENSE_MAX // 5 + 1, 40])
 def test_block_tridiag_solve_matches_dense(m):
-    # m = 1 is the single interior node of a K = 2 path
+    # m = 1 is the single interior node of a K = 2 path; up to _DENSE_MAX // 5
+    # blocks the system is solved dense, above it by block Thomas elimination
     rng = np.random.default_rng(m)
     d = 5
     g = rng.standard_normal((m, d, d))
@@ -275,10 +276,10 @@ def test_block_tridiag_solve_matches_dense(m):
                                rtol=1e-12, atol=1e-14)
 
 
-def test_block_tridiag_solve_matches_dense_on_an_indefinite_matrix():
-    # D_0 is positive definite, S_1 = D_1 - B_0^T D_0^{-1} B_0 is not: the
-    # sweep does not judge H, it solves it (the Newton loop's slope test
-    # judges the direction), and only an exactly singular S_j stops it
+def test_block_tridiag_solve_matches_dense_on_an_indefinite_matrix(monkeypatch):
+    # D_0 is positive definite, S_1 = D_1 - B_0^T D_0^{-1} B_0 is not: neither
+    # branch judges H, each solves it (the Newton loop's slope test judges the
+    # direction), and only an exactly singular H (dense) or S_j (Thomas) stops it
     diag = np.array([[[2.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]])
     off = np.array([[[2.0, 0.0], [0.0, 0.5]]])
     assert np.linalg.eigvalsh(diag[0])[0] > 0
@@ -286,10 +287,35 @@ def test_block_tridiag_solve_matches_dense_on_an_indefinite_matrix():
     full = dense_block_tridiag(diag, off)
     assert np.linalg.eigvalsh(full)[0] < 0
     rhs = np.array([[1.0, -2.0], [0.5, 3.0]])
-    np.testing.assert_allclose(_block_tridiag_solve(diag, off, rhs).ravel(),
-                               np.linalg.solve(full, rhs.ravel()), rtol=1e-12, atol=1e-14)
+    want = np.linalg.solve(full, rhs.ravel())
+    np.testing.assert_allclose(_block_tridiag_solve(diag, off, rhs).ravel(), want,
+                               rtol=1e-12, atol=1e-14)
+    # zero diagonal blocks and a nonsingular B_0 make a nonsingular H: the
+    # dense branch solves it, and an exactly singular H raises
+    zeros = np.zeros_like(diag)
+    np.testing.assert_allclose(_block_tridiag_solve(zeros, off, rhs).ravel(),
+                               np.linalg.solve(dense_block_tridiag(zeros, off), rhs.ravel()),
+                               rtol=1e-12, atol=1e-14)
     with pytest.raises(np.linalg.LinAlgError):
-        _block_tridiag_solve(np.zeros_like(diag), off, rhs)
+        _block_tridiag_solve(zeros, np.zeros_like(off), rhs)
+    # above _DENSE_MAX unknowns the Thomas sweep stops at a zero S_0 = D_0
+    m = _DENSE_MAX // 2 + 1
+    with pytest.raises(np.linalg.LinAlgError):
+        _block_tridiag_solve(np.zeros((m, 2, 2)), np.tile(off, (m - 1, 1, 1)), np.ones((m, 2)))
+    monkeypatch.setattr(momt.geodesic, "_DENSE_MAX", 0)
+    np.testing.assert_allclose(_block_tridiag_solve(diag, off, rhs).ravel(), want,
+                               rtol=1e-12, atol=1e-14)
+
+
+def test_forced_thomas_branch_takes_the_same_newton_steps(three_level_pair, monkeypatch):
+    # the qutrit Newton system (7 x 8 unknowns at K = 8) is solved dense; the
+    # Thomas sweep, forced, takes the same steps to the same distance
+    dense = optimize_geodesic(*three_level_pair, SolverConfig(K=8))
+    assert (dense.path.K - 1) * three_level_pair[0].complement_vecs.shape[1] <= _DENSE_MAX
+    monkeypatch.setattr(momt.geodesic, "_DENSE_MAX", 0)
+    thomas = optimize_geodesic(*three_level_pair, SolverConfig(K=8))
+    assert thomas.iterations == dense.iterations == 2
+    np.testing.assert_allclose(thomas.distance, dense.distance, rtol=1e-12)
 
 
 def test_nan_newton_direction_falls_back_to_gradient(three_level_pair, monkeypatch):
@@ -533,19 +559,31 @@ def test_solve_runs_one_epilogue_pass(pauli, swap_endpoints, three_level_pair, m
             assert not [a for a in spectra for end in ends if a is end.mat]
 
 
-def test_solve_factors_each_restricted_system_once(three_level_pair, monkeypatch):
-    # the weights reach solve_restricted gated (_endpoint_guard, _Reduced.feasible),
-    # so each potential solve is one batched inverse and no Cholesky, and the
-    # block sweep factors no Schur complement: in two Newton steps the Cholesky
-    # calls are the two floor tests, and the inverses are the line's and two trials'
-    counts = {"cholesky": 0, "inv": 0}
-    for name in counts:
+def _count_linalg(monkeypatch, names):
+    """A dict that counts the calls of each np.linalg function named."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
         def counted(*args, _f=getattr(np.linalg, name), _name=name):
             counts[_name] += 1
             return _f(*args)
         monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+def test_solve_factors_each_restricted_system_once(three_level_pair, monkeypatch):
+    # the weights reach solve_restricted gated (_endpoint_guard, _Reduced.feasible),
+    # so each potential solve is one batched inverse and no Cholesky, and the
+    # Newton system is one dense solve: in two Newton steps the Cholesky calls are
+    # the two floor tests, the inverses the line's and two trials', one solve a step
+    counts = _count_linalg(monkeypatch, ("cholesky", "inv", "solve"))
     assert optimize_geodesic(*three_level_pair, SolverConfig(K=8)).iterations == 2
-    assert counts == {"cholesky": 2, "inv": 3}
+    assert counts == {"cholesky": 2, "inv": 3, "solve": 2}
+
+
+def test_zero_iteration_solve_makes_no_newton_solve(pauli, swap_endpoints, monkeypatch):
+    counts = _count_linalg(monkeypatch, ("solve",))
+    assert optimize_geodesic(pauli, *swap_endpoints, SolverConfig(K=32)).iterations == 0
+    assert counts == {"solve": 0}
 
 
 def test_zero_iteration_solve_starts_at_the_stored_line(pauli, swap_endpoints,
