@@ -65,6 +65,7 @@ from .geodesic import (
 )
 from .hermitian import (
     EPS_PD,
+    MAX_ENTRY,
     SYM_TOL,
     TRACE_TOL,
     DensityMatrix,

@@ -20,10 +20,9 @@ import numpy as np
 
 from .hermitian import (
     EPS_PD,
-    DimensionMismatch,
     HermitianMatrix,
     OperatorStack,
-    _entries,
+    _stack_blocks,
     gram,
     hermitian_part,
     inner_product,
@@ -80,18 +79,11 @@ def kinetic(rho, m) -> ExtendedValue:
       finite iff every block of m kills ker(rho) within 1e-9 |m|, with
       value (1/2) tr(m^* m rho^+).
 
-    The gate of a caller's inputs: rho passes HermitianMatrix's (shared if it is
-    one), and a non-finite momentum is refused with ValueError, as OperatorStack does.
+    The gate of a caller's inputs: rho passes HermitianMatrix's and m
+    _stack_blocks's, each shared if it is already a wrapper.
     """
     r = HermitianMatrix(rho).mat
-    blocks = _entries(m)
-    if not np.isfinite(blocks).all():
-        raise ValueError("momentum stack has a non-finite entry")
-    if blocks.ndim != 3 or blocks.shape[1:] != r.shape:
-        raise DimensionMismatch(
-            f"momentum stack shape {blocks.shape} incompatible with rho {r.shape}"
-        )
-    value = kinetic_values(r[None], blocks[None])[0]
+    value = kinetic_values(r[None], _stack_blocks(m, r.shape[0])[None])[0]
     return ExtendedValue.infinity() if value is None else ExtendedValue.of(value)
 
 
@@ -122,14 +114,11 @@ def kinetic_values(rhos: np.ndarray, ms: np.ndarray) -> list:
 def legendre_feasible(p: DualPoint) -> bool:
     """True iff the largest eigenvalue of a + (1/2) sum_k b_k^* b_k is <= 1e-10.
 
-    The gate of a caller's dual point: a passes HermitianMatrix's (SymmetryError on a
-    non-finite or non-Hermitian a), b OperatorStack's (ValueError if non-finite).
+    The gate of a caller's dual point: a passes HermitianMatrix's and b
+    _stack_blocks's, each shared if it is already a wrapper.
     """
     a = HermitianMatrix(p.a).mat
-    blocks = OperatorStack(p.b).blocks
-    if blocks.shape[1:] != a.shape:
-        raise DimensionMismatch("dual point a/b dimensions differ")
-    top = float(np.linalg.eigvalsh(a + 0.5 * gram(blocks))[-1])
+    top = float(np.linalg.eigvalsh(a + 0.5 * gram(_stack_blocks(p.b, a.shape[0])))[-1])
     return top <= 1e-10
 
 
@@ -138,28 +127,30 @@ def fenchel_gap(rho, m, p: DualPoint) -> float:
 
     Vanishes (to solver precision) exactly when (a, b) is the
     subdifferential element (-(1/2)(grad X)^*(grad X), grad X) attached
-    to a momentum of potential form m = grad(X) rho.
+    to a momentum of potential form m = grad(X) rho.  Each input is gated
+    once, here, and the wrappers are shared by legendre_feasible and kinetic.
     """
+    p = DualPoint(a=HermitianMatrix(p.a), b=OperatorStack(p.b))
+    rho, m = HermitianMatrix(rho), OperatorStack(m)
     if not legendre_feasible(p):
         raise InfeasibleDualPoint("dual point violates a + b*b/2 <= 0")
     kin = kinetic(rho, m)
     if not kin.finite:
         raise ValueError("fenchel_gap needs a finite kinetic value")
-    r = hermitian_part(rho)
-    pairing = float(np.trace(hermitian_part(p.a) @ r).real) + inner_product(p.b, m).real
+    pairing = float(np.trace(p.a.mat @ rho.mat).real) + inner_product(p.b, m).real
     return kin.value - pairing
 
 
 def trace_lower_bound(rho, m) -> bool:
     """Check F(rho, m) >= |m|^2 / (2 tr rho) (vacuous when F is infinite)."""
-    r = hermitian_part(rho)
-    tr = float(np.trace(r).real)
+    rho, m = HermitianMatrix(rho), OperatorStack(m)
+    tr = rho.trace()
     if tr <= 0:
         raise ValueError("rho must have positive trace")
     kin = kinetic(rho, m)
     if not kin.finite:
         return True
-    bound = float(np.linalg.norm(_entries(m))) ** 2 / (2.0 * tr)
+    bound = m.norm() ** 2 / (2.0 * tr)
     return kin.value >= bound - 1e-10
 
 

@@ -37,10 +37,9 @@ import numpy as np
 
 from .hermitian import (
     EPS_PD,
-    DimensionMismatch,
     HermitianMatrix,
     OperatorStack,
-    _entries,
+    _stack_blocks,
     gram,
     hermitian_part,
     inner_product,
@@ -79,17 +78,10 @@ def _weight(rho):
 def quadratic_form(rho, v) -> float:
     """Q_rho(v) = tr(rho v^* v), summing the block Gram matrix; >= 0.
 
-    The gate of a caller's inputs: rho passes _weight's, and v, as kinetic's
-    momentum, raises ValueError on a non-finite entry and DimensionMismatch
-    unless it is an (N, n, n) stack of rho's size.
+    The gate of a caller's inputs: rho passes _weight's, v _stack_blocks's.
     """
     r, _ = _weight(rho)
-    blocks = _entries(v)
-    if not np.isfinite(blocks).all():
-        raise ValueError("stack has a non-finite entry")
-    if blocks.ndim != 3 or blocks.shape[1:] != r.shape:
-        raise DimensionMismatch(f"stack shape {blocks.shape} incompatible with weight {r.shape}")
-    return float(np.trace(r @ gram(blocks)).real)
+    return float(np.trace(r @ gram(_stack_blocks(v, r.shape[0]))).real)
 
 
 def _systems(l: LindbladSet, rhos: np.ndarray) -> np.ndarray:
@@ -155,8 +147,7 @@ class WeightedOperator:
     def __init__(self, lindblad: LindbladSet, rho):
         self.lindblad = lindblad
         self.rho, self._min_eig = _weight(rho)
-        if self.rho.shape != (lindblad.n, lindblad.n):
-            raise DimensionMismatch("weight dimension does not match operator set")
+        _square(lindblad, self.rho)  # DimensionMismatch unless n x n for the set
 
     @cached_property
     def matrix_rep(self) -> np.ndarray:

@@ -25,6 +25,8 @@ import numpy as np
 
 #: tolerance for the Hermitian-symmetry defect accepted at construction
 SYM_TOL = 1e-12
+#: largest entry modulus a wrapper admits: no norm or A + A^* of one overflows
+MAX_ENTRY = 1e150
 #: tolerance on |tr(rho) - 1| for density matrices
 TRACE_TOL = 1e-12
 #: definiteness threshold: eigenvalues in (-EPS_PD, EPS_PD) count as zero
@@ -66,11 +68,35 @@ def hermitian_part(x) -> np.ndarray:
     return 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
 
 
+def _admitted(a: np.ndarray, symmetry: str) -> np.ndarray:
+    """A fresh complex array, read-only, if it meets the wrappers' one input rule.
+
+    Every entry's modulus is at most MAX_ENTRY (NaN and inf fail).  A "hermitian" or
+    "skew" A has defect |A -+ A^*|/2 <= SYM_TOL max(1, |A|_F), and becomes that part.
+    """
+    matrix = symmetry == "hermitian"
+    if not np.abs(a).max(initial=0.0) <= MAX_ENTRY:
+        raise (SymmetryError if matrix else ValueError)(
+            f"{'matrix' if matrix else 'stack'} has a non-finite entry or one above {MAX_ENTRY:g}")
+    if symmetry != "general":
+        adj = np.conj(np.swapaxes(a, -1, -2))
+        adj = adj if matrix else -adj
+        defect = 0.5 * float(np.linalg.norm(a - adj))
+        if not defect <= SYM_TOL * max(1.0, float(np.linalg.norm(a))):
+            raise (SymmetryError if matrix else FlavorError)(
+                f"{'matrix is not ' if matrix else 'blocks are not skew-'}Hermitian: "
+                f"symmetry defect {defect:.3e} exceeds tolerance {SYM_TOL:.1e}")
+        a = 0.5 * (a + adj)
+    a.setflags(write=False)
+    return a
+
+
 class HermitianMatrix:
     """A non-empty n x n complex matrix with A = A^*, symmetrized at construction.
 
-    Input with a non-finite entry, or whose symmetry defect exceeds
-    ``SYM_TOL * max(1, |A|_F)``, is rejected rather than silently flattened.
+    Input with an entry that is non-finite or above MAX_ENTRY in modulus, or
+    whose symmetry defect exceeds SYM_TOL * max(1, |A|_F), raises
+    SymmetryError (_admitted's rule) rather than being silently flattened.
     A HermitianMatrix input (a DensityMatrix is one) is not checked again:
     the result shares its read-only array and any cached smallest eigenvalue.
     """
@@ -82,17 +108,7 @@ class HermitianMatrix:
         a = np.array(_entries(entries), dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
             raise DimensionMismatch(f"expected a non-empty square matrix, got shape {a.shape}")
-        if not np.isfinite(a).all():
-            raise SymmetryError("matrix has a non-finite entry")
-        defect = 0.5 * float(np.linalg.norm(a - a.conj().T))
-        if not defect <= SYM_TOL * max(1.0, float(np.linalg.norm(a))):
-            raise SymmetryError(
-                f"matrix is not Hermitian: symmetry defect {defect:.3e} "
-                f"exceeds tolerance {SYM_TOL:.1e}"
-            )
-        a = hermitian_part(a)
-        a.setflags(write=False)
-        self.mat = a
+        self.mat = _admitted(a, "hermitian")
         self.n = a.shape[0]
         self._min_eig = None  # set by the first min_eig() call
 
@@ -150,24 +166,24 @@ class OperatorStack:
     ``flavor`` declares a per-block symmetry: "skew" blocks (B = -B^*, as
     gradients are) are symmetrized at construction (same drift-absorbing
     policy as the matrix types); "general" blocks, such as momenta, are
-    stored as given.  A stack with a non-finite entry is rejected.
+    stored as given; entries follow _admitted's rule.  A stack input is shared,
+    not checked again (a skew one serves as general), but a general one cannot
+    be declared skew (FlavorError).
     """
 
     def __init__(self, blocks, flavor: str = "general"):
+        if isinstance(blocks, OperatorStack):
+            if flavor not in (blocks.flavor, "general"):
+                raise FlavorError(f"a {blocks.flavor} stack cannot be declared {flavor!r}")
+            self.blocks, self.flavor, self.count, self.dim = (
+                blocks.blocks, flavor, blocks.count, blocks.dim)
+            return
         b = np.array(_entries(blocks), dtype=complex)
         if b.ndim != 3 or b.shape[1] != b.shape[2]:
             raise DimensionMismatch(f"expected shape (N, n, n), got {b.shape}")
         if flavor not in _FLAVORS:
             raise FlavorError(f"unknown flavor {flavor!r}; expected one of {_FLAVORS}")
-        if not np.isfinite(b).all():
-            raise ValueError("stack has a non-finite entry")
-        if flavor == "skew":
-            adj = -np.conj(np.transpose(b, (0, 2, 1)))
-            if not 0.5 * np.linalg.norm(b - adj) <= SYM_TOL * max(1.0, np.linalg.norm(b)):
-                raise FlavorError("blocks are not skew-Hermitian within tolerance")
-            b = 0.5 * (b + adj)
-        b.setflags(write=False)
-        self.blocks = b
+        self.blocks = _admitted(b, flavor)
         self.flavor = flavor
         self.count = b.shape[0]
         self.dim = b.shape[1]
@@ -177,6 +193,14 @@ class OperatorStack:
 
     def __repr__(self):
         return f"OperatorStack(N={self.count}, n={self.dim}, flavor={self.flavor!r})"
+
+
+def _stack_blocks(m, n: int, count=None, flavor: str = "general") -> np.ndarray:
+    """OperatorStack(m, flavor)'s blocks, the stack gate: (count, n, n), any N if count is None."""
+    b = OperatorStack(m, flavor).blocks
+    if b.shape[1] != n or count not in (None, b.shape[0]):
+        raise DimensionMismatch(f"stack shape {b.shape} does not match ({count or 'N'}, {n}, {n})")
+    return b
 
 
 # ---------------------------------------------------------------------------

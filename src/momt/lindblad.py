@@ -24,10 +24,10 @@ import numpy as np
 
 from .hermitian import (
     DimensionMismatch,
-    FlavorError,
     HermitianMatrix,
     OperatorStack,
     _entries,
+    _stack_blocks,
     hermitian_basis,
     hermitian_part,
     unvec_h,
@@ -168,16 +168,8 @@ def gradient(l: LindbladSet, x) -> OperatorStack:
 
 
 def divergence(l: LindbladSet, y) -> HermitianMatrix:
-    """div(Y) = sum_k (L_k Y_k - Y_k L_k) for a skew stack Y, Hermitian output."""
-    stack = y if isinstance(y, OperatorStack) else OperatorStack(y, flavor="skew")
-    if stack.flavor != "skew":
-        raise FlavorError("divergence expects a skew-flavored stack")
-    if stack.dim != l.n or stack.count != l.count:
-        raise DimensionMismatch(
-            f"stack shape {(stack.count, stack.dim)} does not match operator set "
-            f"{(l.count, l.n)}"
-        )
-    return HermitianMatrix(div_blocks(l, stack.blocks))
+    """div(Y) = sum_k (L_k Y_k - Y_k L_k) for a skew (never general) stack Y, Hermitian output."""
+    return HermitianMatrix(div_blocks(l, _stack_blocks(y, l.n, l.count, "skew")))
 
 
 def div_blocks(l: LindbladSet, ys: np.ndarray) -> np.ndarray:
@@ -205,8 +197,9 @@ def project_kernel(l: LindbladSet, x) -> HermitianMatrix:
 
 
 def heat_flow(l: LindbladSet, rho0, t_final: float, steps: int) -> HermitianMatrix:
-    """Integrate rho' = lap(rho)/2 from rho0 (a wrapper or array) by explicit midpoint steps.
+    """Integrate rho' = lap(rho)/2 from rho0 by explicit midpoint steps.
 
+    rho0 passes HermitianMatrix's gate and _square's (DimensionMismatch).
     Trace and Hermiticity are preserved by the scheme.  The state comes
     back as a HermitianMatrix with no trace or spectrum gate, so callers
     such as momt verify measure both themselves.  If a step drives the
@@ -227,7 +220,7 @@ def heat_flow(l: LindbladSet, rho0, t_final: float, steps: int) -> HermitianMatr
         # equals 0.5 * laplacian(l, r).mat bitwise, without the wrapper's checks
         return 0.5 * hermitian_part(_laplacian_raw(l, r, lsq))
 
-    rho = np.array(_entries(rho0), dtype=complex)
+    rho = _square(l, HermitianMatrix(rho0))
     dt = t_final / steps
     for _ in range(steps):
         if dt == 0.0:

@@ -98,6 +98,12 @@ MALFORMED = [
      "error: $.lindblad.operators: DimensionMismatch"),
     (lambda d: d["lindblad"].update(n=3),
      "error: $.lindblad.n: 3 is not the operators' dimension 2"),
+    # finite entries above MAX_ENTRY: an overflowing defect test once let the first
+    # of these through as the zero operator, the second failed in the solver's SVD
+    (lambda d: d["lindblad"]["operators"][0].update(re=[[0, 1e300], [-1e300, 0]]),
+     "error: $.lindblad.operators[0]:"),
+    (lambda d: d["lindblad"]["operators"][0].update(re=[[1e308, 0], [0, 1e308]]),
+     "error: $.lindblad.operators[0]:"),
 ]
 
 

@@ -161,6 +161,22 @@ def test_endpoint_guard(sz_only, swap_endpoints):
         optimize_geodesic(sz_only, r0, r1, SolverConfig(K=4))
 
 
+@pytest.mark.parametrize("scale", [1e10, 1e-10, 1e9, 1e-9])
+def test_kernel_rank_threshold_is_relative(three_level_pair, scale):
+    # KERNEL_RTOL = 1e-10 is relative to grad's largest singular value: with one
+    # operator 1e10 times the other, the smaller one drops out of the rank and
+    # rho1 - rho0 gains a kernel component; at 1e9 both count.  Those solves stop
+    # at the cone boundary, so only that a result comes back is asserted
+    l, r0, r1 = three_level_pair
+    scaled = LindbladSet([scale * l.ops[0], l.ops[1]])
+    config = SolverConfig(K=8, max_iter=30)
+    if abs(np.log10(scale)) >= 10:
+        with pytest.raises(InfeasibleEndpoints, match="kernel"):
+            optimize_geodesic(scaled, r0, r1, config)
+    else:
+        assert optimize_geodesic(scaled, r0, r1, config).path.K == 8
+
+
 def write_problem(path, l, r0, r1, **config):
     """Write (l, r0, r1) and config as a problem file; return its name."""
     path.write_text(json.dumps({

@@ -103,22 +103,30 @@ def test_min_eig_computed_once(monkeypatch):
 
 def test_checked_matrix_is_shared_not_checked_again(monkeypatch):
     # a wrapper's array is read-only, so wrapping it again shares the array
-    # and its cached spectrum: no copy, no finiteness or symmetry check, no
-    # second eigvalsh
-    h = HermitianMatrix(rand_herm(np.random.default_rng(6), 3))
+    # and its cached spectrum: no copy, no range or symmetry check, no
+    # second eigvalsh; a stack of the asked flavor (a skew one serves as
+    # general) shares its blocks the same way
+    rng = np.random.default_rng(6)
+    h = HermitianMatrix(rand_herm(rng, 3))
     rho = rand_density(np.random.default_rng(7), 3)
     lows = [h.min_eig(), rho.min_eig()]
+    general, skew = rand_general_stack(rng, 2, 3), rand_skew_stack(rng, 2, 3)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a checked matrix was checked again")
 
     for name in ("eigvalsh", "norm"):
         monkeypatch.setattr(np.linalg, name, refuse)
-    monkeypatch.setattr(np, "isfinite", refuse)
+    for name in ("isfinite", "abs", "array", "asarray", "conj", "swapaxes"):
+        monkeypatch.setattr(np, name, refuse)
     shared = [HermitianMatrix(h), HermitianMatrix(rho)]
     assert [type(g) for g in shared] == [HermitianMatrix, HermitianMatrix]
     assert all(g.mat is w.mat for g, w in zip(shared, (h, rho)))
     assert [g.min_eig() for g in shared] == lows
+    stacks = [(OperatorStack(general), general), (OperatorStack(skew, flavor="skew"), skew),
+              (OperatorStack(skew), skew)]
+    assert all(s.blocks is w.blocks for s, w in stacks)
+    assert [s.flavor for s, _ in stacks] == ["general", "skew", "general"]
 
 
 def test_stack_flavor_enforcement():
@@ -155,12 +163,21 @@ NAN_WEIGHT = np.diag([NAN, 0.5])
     (lambda: poincare_constant(LindbladSet([SX, SY, SZ]), NAN_WEIGHT), SymmetryError),
     (lambda: WeightedOperator(LindbladSet([SX, SY, SZ]), NAN_WEIGHT), SymmetryError),
     (lambda: momentum_min_check(LindbladSet([SX, SY, SZ]), NAN_WEIGHT, SZ), SymmetryError),
+    # finite entries whose squares or A + A^* overflow: above MAX_ENTRY, refused as non-finite
+    (lambda: HermitianMatrix(np.diag([1e308, 1e308])), SymmetryError),
+    (lambda: HermitianMatrix([[0, 1e300], [-1e300, 0]]), SymmetryError),
+    (lambda: OperatorStack([[[0, 1e300], [1e300, 0]]], flavor="skew"), ValueError),
+    (lambda: kinetic(MIXED, np.full((1, 2, 2), 1e200)), ValueError),
+    (lambda: quadratic_form(MIXED, np.full((1, 2, 2), 1e200)), ValueError),
+    (lambda: legendre_feasible(DualPoint(a=-np.eye(2), b=np.full((1, 2, 2), 1e200))), ValueError),
 ], ids=["density", "hermitian-inf", "general-stack", "skew-stack", "potential-residual",
         "restricted-residual", "heat-flow-nan-time", "heat-flow-inf-time", "kinetic",
         "extended-value", "quadratic-form-weight", "poincare-weight", "weighted-operator-weight",
-        "momentum-check-weight"])
+        "momentum-check-weight", "hermitian-huge-diagonal", "hermitian-huge-skew",
+        "skew-stack-huge", "kinetic-huge", "quadratic-form-huge", "legendre-huge"])
 def test_gates_fail_closed_on_non_finite_input(call, error):
-    # a NaN compares false both ways, so a gate written "x > bound" waves it through
+    # a NaN compares false both ways, so a gate written "x > bound" waves it through;
+    # an overflowing norm reads inf, and inf <= SYM_TOL * inf passes a defect test
     with pytest.raises(error):
         call()
 
@@ -189,10 +206,13 @@ QUTRIT = np.eye(3) / 3
     (lambda: legendre_feasible(DualPoint(a=HermitianMatrix(QUTRIT),
                                          b=OperatorStack(np.ones((1, 2, 2))))),
      DimensionMismatch),
+    (lambda: heat_flow(LindbladSet([SX, SZ]), [[0.5, 0.3], [0, 0.5]], 0.1, 5), SymmetryError),
+    (lambda: heat_flow(LindbladSet([SX, SZ]), QUTRIT, 0.1, 5), DimensionMismatch),
 ], ids=["geodesic", "initial-path", "feasibility-gap", "poincare", "momentum-check-weight",
         "momentum-check-rhs", "potential-rhs", "potential-non-hermitian-rhs",
         "empty-hermitian", "empty-operator", "no-operator", "mixed-operators", "flat-stack",
-        "quadratic-form", "legendre-dual-point"])
+        "quadratic-form", "legendre-dual-point", "heat-flow-non-hermitian-start",
+        "heat-flow-start-size"])
 def test_gates_reject_wrong_size_or_symmetry(call, error):
     # a 3 x 3 input against 2-level operators, a skew right-hand side or an
     # empty matrix stops at the input gate, before any product or solve

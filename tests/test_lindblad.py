@@ -69,6 +69,8 @@ def test_divergence_requires_skew_flavor(pauli):
     blocks = np.array([rand_herm(rng, 2) for _ in range(3)])
     with pytest.raises(FlavorError):
         divergence(pauli, OperatorStack(blocks, flavor="general"))
+    with pytest.raises(FlavorError):  # a general stack is refused even with skew blocks
+        divergence(pauli, OperatorStack(1j * blocks, flavor="general"))
 
 
 def test_divergence_dimension_check(pauli):
