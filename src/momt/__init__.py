@@ -11,7 +11,7 @@ Library layers (bottom up):
 """
 
 # BLAS sizes its thread pools when numpy is first imported, so an integer
-# MOMT_THREADS >= 1 must reach these variables before any import below loads
+# MOMT_THREADS >= 1 reaches these variables here, before any submodule loads
 # numpy; a variable the user set is kept, and any other MOMT_THREADS is ignored.
 import os as _os
 
@@ -24,91 +24,53 @@ if _cap >= 1:
                  "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
         _os.environ.setdefault(_var, str(_cap))
 
-# Defined before the submodule imports below; io reads it back from here.
+# Eager, unlike the names below: io reads it back from here.
 __version__ = "0.1.0"
 
-from .action import (
-    DualPoint,
-    ExtendedValue,
-    InfeasibleDualPoint,
-    fenchel_gap,
-    kinetic,
-    legendre_feasible,
-    path_cost,
-    trace_lower_bound,
-)
-from .elliptic import (
-    InfeasibleRHS,
-    MomentumCheck,
-    SingularWeight,
-    WeightedOperator,
-    WeightError,
-    assemble_weighted,
-    momentum_min_check,
-    poincare_constant,
-    quadratic_form,
-    solve_potential,
-)
-from .geodesic import (
-    DiscretePath,
-    GeodesicResult,
-    HamiltonianProfile,
-    InfeasibleEndpoints,
-    InvalidConfig,
-    SolverConfig,
-    continuity_residual,
-    dual_certificate,
-    feasibility_gap,
-    hamiltonian_profile,
-    initial_path,
-    optimize_geodesic,
-)
-from .hermitian import (
-    EPS_PD,
-    MAX_ENTRY,
-    SYM_TOL,
-    TRACE_TOL,
-    DensityMatrix,
-    DimensionMismatch,
-    FlavorError,
-    HermitianMatrix,
-    NotPositive,
-    NotUnitTrace,
-    OperatorStack,
-    SymmetryError,
-    hermitian_basis,
-    inner_product,
-    matrix_from_literal,
-    matrix_to_literal,
-    unvec_h,
-    vec_h,
-    vec_s,
-)
-from .io import (
-    SCHEMA_VERSION,
-    ParseError,
-    ProblemSpec,
-    build_report,
-    dump_canonical,
-    export_geodesic,
-    geodesic_trace,
-    load_problem,
-    parse_problem,
-)
-from .lindblad import (
-    LindbladSet,
-    StabilityError,
-    divergence,
-    gradient,
-    heat_flow,
-    laplacian,
-    project_kernel,
-)
-from .verify import Check, run_suites
+# Each public name and the submodule that defines it.  `import momt` loads no
+# submodule (nor numpy): __getattr__ imports one on first access to one of its
+# names and binds the name here, so later lookups are plain attribute reads.
+_EXPORTS = {
+    "action": ("DualPoint", "ExtendedValue", "InfeasibleDualPoint", "fenchel_gap",
+               "kinetic", "legendre_feasible", "path_cost", "trace_lower_bound"),
+    "cli": (),  # no public names; listed so that momt.cli resolves
+    "elliptic": ("IllConditioned", "InfeasibleRHS", "MomentumCheck", "SingularWeight",
+                 "WeightedOperator", "WeightError", "assemble_weighted",
+                 "momentum_min_check", "poincare_constant", "quadratic_form",
+                 "solve_potential"),
+    "geodesic": ("DiscretePath", "GeodesicResult", "HamiltonianProfile",
+                 "InfeasibleEndpoints", "InvalidConfig", "SolverConfig",
+                 "continuity_residual", "dual_certificate", "feasibility_gap",
+                 "hamiltonian_profile", "initial_path", "optimize_geodesic"),
+    "hermitian": ("EPS_PD", "MAX_ENTRY", "SYM_TOL", "TRACE_TOL", "DensityMatrix",
+                  "DimensionMismatch", "FlavorError", "HermitianMatrix", "NotPositive",
+                  "NotUnitTrace", "OperatorStack", "ParseError", "SymmetryError",
+                  "hermitian_basis", "inner_product", "matrix_from_literal",
+                  "matrix_to_literal", "unvec_h", "vec_h", "vec_s"),
+    "io": ("SCHEMA_VERSION", "ProblemSpec", "build_report", "dump_canonical",
+           "export_geodesic", "geodesic_trace", "load_problem", "parse_problem"),
+    "lindblad": ("LindbladSet", "StabilityError", "divergence", "gradient", "heat_flow",
+                 "laplacian", "project_kernel"),
+    "verify": ("Check", "run_suites"),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 
-# The star-import surface is the names re-exported above, never a submodule
-# (a bare ``io`` would shadow the standard library's).
-from types import ModuleType as _ModuleType
+# The star-import surface is the names above, never a submodule (a bare ``io``
+# would shadow the standard library's).
+__all__ = sorted(_SOURCE)
 
-__all__ = sorted(name for name, value in globals().items()
-                 if not name.startswith("_") and not isinstance(value, _ModuleType))
+
+def __getattr__(name):
+    from importlib import import_module
+
+    if name in _EXPORTS:  # a submodule not yet imported, such as momt.geodesic
+        return import_module(f"{__name__}.{name}")
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_SOURCE[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | set(_EXPORTS))

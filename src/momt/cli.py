@@ -7,14 +7,23 @@ Subcommands:
 * ``operator-info <file>``                 — kernel/constant diagnostics
 * ``verify <file> --suite NAME``           — seeded property suites
 
-Exit codes: 0 success/converged, 1 parse or I/O error, 2 infeasible
-endpoints, 3 solver did not converge (best iterate still reported).
+Exit codes: 0 success/converged, 1 parse or I/O error or an ill-conditioned
+operator set, 2 infeasible endpoints, 3 solver did not converge (best iterate
+still reported).
 ``--json`` prints the machine-readable document to stdout; ``--quiet``
 suppresses the human-readable lines.  The MOMT_THREADS environment
 variable caps BLAS parallelism; ``momt/__init__`` applies it before numpy loads.
+
+The process entry is ``run``; ``main`` is the in-process call and leaves the
+garbage collector as it found it.
 """
 
 from __future__ import annotations
+
+import gc
+
+if __name__ == "__main__":
+    gc.disable()  # no collection while the imports below run; run() enables it
 
 import argparse
 import sys
@@ -23,7 +32,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .elliptic import poincare_constant
+from .elliptic import IllConditioned, poincare_constant
 from .geodesic import InfeasibleEndpoints, optimize_geodesic
 from .hermitian import DensityMatrix, NotPositive
 from .io import (
@@ -35,7 +44,10 @@ from .io import (
     export_geodesic,
     load_problem,
 )
-from .verify import SUITES, run_suites
+
+# the --suite choices, in run order: momt.verify reads them from here, so that
+# the parser needs no import of it (only the verify command loads it)
+SUITES = ("calculus", "duality", "conservation")
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -163,6 +175,8 @@ def run_operator_info(args, spec: ProblemSpec):
 
 
 def run_verify(args, spec: ProblemSpec):
+    from .verify import run_suites
+
     checks = run_suites(spec, args.suite)
     ok = all(c.passed for c in checks)
     lines = [f"{'PASS' if c.passed else 'FAIL'}  {c.name} — {c.detail}" for c in checks]
@@ -184,8 +198,9 @@ def main(argv=None) -> int:
         doc, lines, code = args.run(args, load_problem(args.problem))
         _emit(args, doc, lines)
         return code
-    except (ParseError, NotPositive, OSError) as exc:
-        # NotPositive: a boundary endpoint parses, but a solve needs rho > 0
+    except (ParseError, NotPositive, IllConditioned, OSError) as exc:
+        # NotPositive: a boundary endpoint parses, but a solve needs rho > 0;
+        # IllConditioned: the operator set parses, but a potential solve fails
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except InfeasibleEndpoints as exc:
@@ -193,5 +208,16 @@ def main(argv=None) -> int:
         return EXIT_INFEASIBLE
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """The ``momt`` process: main() with the import-time objects frozen.
+
+    Every object alive now was made by the imports and lives to the exit, so
+    gc.freeze() takes them out of every later collection, the one at exit too.
+    """
+    gc.freeze()
+    gc.enable()
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -65,6 +65,10 @@ class InfeasibleRHS(ValueError):
     """Right-hand side has a component inside ker(grad); no potential exists."""
 
 
+class IllConditioned(RuntimeError):
+    """A potential solve failed the residual gate: A_k is too ill-conditioned."""
+
+
 def _weight(rho):
     """(HermitianMatrix(rho).mat, its cached min_eig()): SymmetryError on a
     non-finite or non-Hermitian weight, WeightError below -EPS_PD."""
@@ -123,7 +127,7 @@ def solve_restricted(tcs: np.ndarray, fcs: np.ndarray):
     residual = np.sqrt((res * res).sum(axis=-1))
     ok = residual <= RESIDUAL_RTOL * np.maximum(np.sqrt((fcs * fcs).sum(axis=-1)), 1.0)
     if not ok.all():  # a NaN residual fails
-        raise RuntimeError(
+        raise IllConditioned(
             f"potential solve residual {residual[np.argmin(ok)]:.3e} exceeds "
             "tolerance; the weighted operator is badly conditioned"
         )

@@ -89,8 +89,11 @@ class InvalidConfig(ValueError):
 # Admissible solver settings.  The line search's floor eps_pd is the only
 # positivity gate of a trial, so it is at least EPS_PD, the floor that the
 # strict endpoints clear and below which solve_potential refuses a weight.
+# A path holds K (N, n, n) momenta, so K is capped far above any grid a
+# Richardson study uses (K = 128), before a problem file's K asks for memory.
+_MAX_K = 2 ** 16
 _CONFIG_RANGES = {
-    "K": (lambda v: v >= 1, "need at least one interval"),
+    "K": (lambda v: 1 <= v <= _MAX_K, f"need 1 to {_MAX_K} intervals"),
     "max_iter": (lambda v: v >= 0, "must be >= 0"),
     "grad_tol": (lambda v: np.isfinite(v) and v > 0, "must be finite and > 0"),
     "eps_pd": (lambda v: np.isfinite(v) and v >= EPS_PD,

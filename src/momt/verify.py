@@ -23,6 +23,7 @@ import numpy as np
 
 from .action import (DualPoint, fenchel_gap, kinetic, legendre_feasible, path_cost,
                      trace_lower_bound)
+from .cli import SUITES
 from .elliptic import momentum_min_check
 from .geodesic import (InfeasibleEndpoints, continuity_residual, hamiltonian_profile,
                        optimize_geodesic)
@@ -31,7 +32,6 @@ from .hermitian import (DensityMatrix, HermitianMatrix, OperatorStack, _above_fl
 from .lindblad import (LindbladSet, StabilityError, divergence, gradient, heat_flow, laplacian,
                        project_kernel)
 
-SUITES = ("calculus", "duality", "conservation")
 _MIN_EIG = 0.05  # spectral floor of the sampled densities
 
 

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -104,6 +105,9 @@ MALFORMED = [
      "error: $.lindblad.operators[0]:"),
     (lambda d: d["lindblad"]["operators"][0].update(re=[[1e308, 0], [0, 1e308]]),
      "error: $.lindblad.operators[0]:"),
+    # K within the float range but beyond any path the solver could allocate
+    (lambda d: d.update(config={"K": 10 ** 30}), "error: $.config.K:"),
+    (lambda d: d.update(config={"K": 10 ** 12}), "error: $.config.K:"),
 ]
 
 
@@ -116,6 +120,18 @@ def test_distance_parse_error_exit_one(tmp_path, capsys, edit, expected):
     bad.write_text(json.dumps(doc))
     assert main(["distance", str(bad)]) == 1, expected
     assert capsys.readouterr().err.startswith(expected)
+
+
+def test_ill_conditioned_operator_set_ends_in_error_line(tmp_path, capsys):
+    # the file parses, but the straight line's own potential solve fails the
+    # residual gate: one error line and exit 1, not a traceback
+    doc = json.loads((FIXTURES / "flat_cost_qutrit21.json").read_text())
+    doc["lindblad"]["operators"][0]["re"][2][2] *= 1e10
+    prob = tmp_path / "ill.json"
+    prob.write_text(json.dumps(doc))
+    assert main(["distance", str(prob)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: potential solve residual") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("text", ["[]", "3", '"problem"', "null"])
@@ -349,3 +365,70 @@ def test_thread_cap_sets_blas_variables(cap, preset, expect):
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == expect
+
+
+PROBLEMS = [str(FIXTURES / f"{name}.json") for name in (
+    "flat_cost_qutrit139", "flat_cost_qutrit21", "infeasible_problem", "pauli_problem",
+    "three_level_pair")]
+
+
+def _python(*args):
+    """A fresh interpreter on src: (exit code, stdout bytes, stderr text)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=300)
+    return proc.returncode, proc.stdout, proc.stderr.decode()
+
+
+def test_import_binds_names_on_first_use():
+    # `import momt` loads neither numpy nor a submodule; a public name loads its
+    # submodule on first use, is that submodule's own object and is then bound
+    # in the package, and a submodule name resolves to the submodule
+    script = ("import importlib, json, sys, momt\n"
+            "loaded = sorted(m for m in sys.modules if m == 'numpy' or m.startswith('momt.'))\n"
+            "wrong = [n for m, ns in momt._EXPORTS.items() for n in ns\n"
+            "         if getattr(momt, n) is not getattr(importlib.import_module('momt.' + m), n)\n"
+            "         or n not in vars(momt)]\n"
+            "print(json.dumps([loaded, wrong, momt.action is sys.modules['momt.action']]))\n")
+    code, out, err = _python("-c", script)
+    assert code == 0, err
+    assert json.loads(out) == [[], [], True]
+
+
+def test_package_namespace_lists_and_refuses_names():
+    import momt
+
+    assert set(momt.__all__) <= set(dir(momt)) and "geodesic" in dir(momt)
+    assert getattr(momt, "no_such_name", None) is None
+    with pytest.raises(AttributeError, match="no_such_name"):
+        momt.no_such_name
+
+
+def test_distance_process_loads_only_what_it_uses():
+    # the verify command's modules stay out of a `momt distance` process, and
+    # the process entry ran main() with the import-time objects frozen
+    script = ("import contextlib, gc, io, runpy, sys\n"
+            f"sys.argv = ['momt', 'distance', {PAULI!r}, '--json']\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    try:\n"
+            "        runpy.run_module('momt.cli', run_name='__main__')\n"
+            "    except SystemExit as exc:\n"
+            "        code = exc.code\n"
+            "print(code, 'momt.verify' in sys.modules, 'momt.action' in sys.modules,\n"
+            "      gc.isenabled(), gc.get_freeze_count() > 0)\n")
+    code, out, err = _python("-c", script)
+    assert code == 0, err
+    assert out.split() == [b"0", b"False", b"False", b"True", b"True"]
+
+
+@pytest.mark.parametrize("problem", PROBLEMS, ids=lambda p: Path(p).stem)
+def test_process_entry_matches_in_process_call(problem, capsys):
+    # `python -m momt.cli` freezes its import-time objects, and prints the same
+    # bytes with the same exit code as main() in process, which leaves the
+    # garbage collector as it found it
+    frozen = gc.get_freeze_count()
+    for args in (["distance", problem, "--json"], ["operator-info", problem, "--json"]):
+        code = main(args)
+        out = capsys.readouterr().out
+        assert gc.isenabled() and gc.get_freeze_count() == frozen
+        assert _python("-m", "momt.cli", *args)[:2] == (code, out.encode())

@@ -502,7 +502,7 @@ def test_cone_test_matches_eigenvalue_floor(three_level_pair):
     ("K", 0), ("K", -3), ("max_iter", -1), ("grad_tol", 0.0), ("grad_tol", float("nan")),
     ("eps_pd", EPS_PD / 2), ("eps_pd", float("inf")), ("eps_pd", float("nan")),
     ("K", 2.5), ("K", "8"), ("K", True), ("max_iter", 10.0), ("max_iter", False),
-    ("grad_tol", "1e-7"), ("grad_tol", True), ("eps_pd", None),
+    ("grad_tol", "1e-7"), ("grad_tol", True), ("eps_pd", None), ("K", 2 ** 16 + 1),
 ])
 def test_solver_config_rejects_out_of_range(key, value):
     with pytest.raises(InvalidConfig, match=key) as info:
@@ -511,6 +511,7 @@ def test_solver_config_rejects_out_of_range(key, value):
     with pytest.raises(InvalidConfig):
         replace(SolverConfig(), **{key: value})
     SolverConfig(K=1, max_iter=0, eps_pd=EPS_PD)  # the bounds themselves are admissible
+    SolverConfig(K=2 ** 16)
 
 
 def move_coupling(l, xs, dt):
