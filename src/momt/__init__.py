@@ -24,8 +24,10 @@ if _cap >= 1:
                  "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
         _os.environ.setdefault(_var, str(_cap))
 
-# Eager, unlike the names below: io reads it back from here.
+# Eager, unlike the names below: io reads the version back from here, and cli
+# (the --suite choices) and verify the suite names, in run order.
 __version__ = "0.1.0"
+SUITES = ("calculus", "duality", "conservation")
 
 # Each public name and the submodule that defines it.  `import momt` loads no
 # submodule (nor numpy): __getattr__ imports one on first access to one of its

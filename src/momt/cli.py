@@ -32,6 +32,7 @@ from dataclasses import asdict
 
 import numpy as np
 
+from . import SUITES
 from .elliptic import IllConditioned, poincare_constant
 from .geodesic import InfeasibleEndpoints, optimize_geodesic
 from .hermitian import DensityMatrix, NotPositive
@@ -44,10 +45,6 @@ from .io import (
     export_geodesic,
     load_problem,
 )
-
-# the --suite choices, in run order: momt.verify reads them from here, so that
-# the parser needs no import of it (only the verify command loads it)
-SUITES = ("calculus", "duality", "conservation")
 
 EXIT_OK = 0
 EXIT_ERROR = 1

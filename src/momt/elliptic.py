@@ -244,11 +244,3 @@ def momentum_min_check(l: LindbladSet, rho, f) -> MomentumCheck:
     dual = float(inner_product(f, x)) \
         - 0.5 * float(np.trace(r @ gram(v.blocks)).real)
     return MomentumCheck(primal_min=primal, dual_max=dual, optimal_m=m, potential=x)
-
-
-__all__ = [
-    "WeightError", "SingularWeight", "InfeasibleRHS",
-    "WeightedOperator", "MomentumCheck",
-    "quadratic_form", "assemble_weighted", "solve_potential",
-    "poincare_constant", "momentum_min_check",
-]

@@ -54,7 +54,8 @@ per-node slacks that vanish at a stationary point.  The reported gap is
 therefore a true certificate of how far the descent stopped from optimal.
 The certificate and the Hamiltonian values share one epilogue pass: the
 grad(X_k) that builds the returned momenta also gives the Gram matrices
-G_k = Gram(grad X_k) that both read.
+G_k = Gram(grad X_k) that both read.  The path's times (DiscretePath.grid) and
+the relative gap (GeodesicResult.rel_gap) are computed when read, not stored.
 """
 
 from __future__ import annotations
@@ -86,6 +87,14 @@ class InvalidConfig(ValueError):
         super().__init__(f"SolverConfig.{field_name}: {message}")
 
 
+def _finite(value) -> bool:
+    """value is finite as a float; an integer too large to become one is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 # Admissible solver settings.  The line search's floor eps_pd is the only
 # positivity gate of a trial, so it is at least EPS_PD, the floor that the
 # strict endpoints clear and below which solve_potential refuses a weight.
@@ -95,12 +104,13 @@ _MAX_K = 2 ** 16
 _CONFIG_RANGES = {
     "K": (lambda v: 1 <= v <= _MAX_K, f"need 1 to {_MAX_K} intervals"),
     "max_iter": (lambda v: v >= 0, "must be >= 0"),
-    "grad_tol": (lambda v: np.isfinite(v) and v > 0, "must be finite and > 0"),
-    "eps_pd": (lambda v: np.isfinite(v) and v >= EPS_PD,
-               f"must be finite and >= {EPS_PD:g}"),
+    "grad_tol": (lambda v: _finite(v) and v > 0, "must be finite and > 0"),
+    "eps_pd": (lambda v: _finite(v) and v >= EPS_PD, f"must be finite and >= {EPS_PD:g}"),
 }
 # the number kind each field's annotation admits; a bool is refused as either
 _CONFIG_KINDS = {"int": numbers.Integral, "float": numbers.Real}
+# a cost or mean kinetic value at most this counts as zero; no ratio is taken to it
+_ZERO_COST = 1e-15
 
 
 @dataclass
@@ -127,11 +137,16 @@ class SolverConfig:
 
 @dataclass
 class DiscretePath:
+    """K intervals of a path; its times k/K are grid, made afresh on each read."""
+
     K: int
-    grid: np.ndarray
     densities: np.ndarray    # (K+1, n, n) nodes rho_0..rho_K
     momenta: np.ndarray      # (K, N, n, n) interval momenta m_k
     potentials: np.ndarray   # (K, n, n) interval potentials X_k
+
+    @property
+    def grid(self) -> np.ndarray:
+        return np.linspace(0.0, 1.0, self.K + 1)
 
 
 @dataclass
@@ -148,10 +163,14 @@ class GeodesicResult:
     trace_drift: float
     warnings: list = field(default_factory=list)
 
+    @property
+    def rel_gap(self) -> float:
+        """gap / primal_cost, or 0 for a cost at most _ZERO_COST."""
+        return self.gap / self.primal_cost if self.primal_cost > _ZERO_COST else 0.0
+
 
 @dataclass
 class HamiltonianProfile:
-    values: list
     mean: float
     rel_std: float
     speed_ok: bool
@@ -187,14 +206,6 @@ def _linear_nodes(r0: np.ndarray, r1: np.ndarray, big_k: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _grid(big_k: int) -> np.ndarray:
-    """The times k/K, k = 0..K, built once per recent K; read-only, as paths share it."""
-    grid = np.linspace(0.0, 1.0, big_k + 1)
-    grid.flags.writeable = False
-    return grid
-
-
-@lru_cache(maxsize=32)
 def _interval_maps(big_k: int):
     """(K, K-1) maps of interior-node rows to interval rows, built once per recent K.
 
@@ -218,7 +229,7 @@ def _path_and_grams(l: LindbladSet, nodes: np.ndarray, xs: np.ndarray):
     mids = _midpoints(nodes)
     # one (K, N n, n) @ (K, n, n) product: row block j of entry k is grad_j(X_k) mid_k
     ms = vs.reshape(big_k, -1, n) @ mids
-    return DiscretePath(K=big_k, grid=_grid(big_k), densities=nodes, potentials=pots,
+    return DiscretePath(K=big_k, densities=nodes, potentials=pots,
                         momenta=ms.reshape(big_k, l.count, n, n)), gram(vs), mids
 
 
@@ -447,8 +458,7 @@ def optimize_geodesic(l: LindbladSet, rho0, rho1,
 
     if span <= 1e-14:
         # coincident endpoints: the constant path, distance exactly zero
-        path = DiscretePath(K=cfg.K, grid=_grid(cfg.K),
-                            densities=np.repeat(r0.mat[None], cfg.K + 1, axis=0),
+        path = DiscretePath(K=cfg.K, densities=np.repeat(r0.mat[None], cfg.K + 1, axis=0),
                             momenta=np.zeros((cfg.K, l.count, l.n, l.n), dtype=complex),
                             potentials=np.zeros((cfg.K, l.n, l.n), dtype=complex))
         return _result(l, path, path.potentials, _midpoints(path.densities), 0.0,
@@ -567,13 +577,12 @@ def hamiltonian_profile(result: GeodesicResult) -> HamiltonianProfile:
     its extreme terms, so the largest deviation is a one-interval window's,
     max_k |2 F_k - E| / E, and the check is O(K).
     """
-    vals = list(result.hamiltonian)
+    vals = np.asarray(result.hamiltonian)
     mean = float(np.mean(vals))
-    rel_std = float(np.std(vals) / mean) if mean > 1e-15 else 0.0
+    rel_std = float(np.std(vals) / mean) if mean > _ZERO_COST else 0.0
     total = result.primal_cost
     speed_ok = True
-    if total > 1e-15:
-        err = np.abs(2.0 * np.asarray(vals) - total) / total
+    if total > _ZERO_COST:
+        err = np.abs(2.0 * vals - total) / total
         speed_ok = not np.any(err > max(10.0 * rel_std, 1e-9))
-    return HamiltonianProfile(values=vals, mean=mean, rel_std=rel_std,
-                              speed_ok=speed_ok)
+    return HamiltonianProfile(mean=mean, rel_std=rel_std, speed_ok=speed_ok)

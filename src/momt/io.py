@@ -147,7 +147,6 @@ def _warning_entries(codes) -> list:
 def build_report(result: GeodesicResult, spec: ProblemSpec) -> dict:
     """Full run report; every number is recomputable from the embedded trace."""
     prof = hamiltonian_profile(result)
-    rel_gap = result.gap / result.primal_cost if result.primal_cost > 1e-15 else 0.0
     path = result.path
     trace_nodes = [{"t": float(t), "eigenvalues": evals.tolist(),
                     "matrix": matrix_to_literal(rho)}
@@ -160,13 +159,13 @@ def build_report(result: GeodesicResult, spec: ProblemSpec) -> dict:
         "primal_cost": result.primal_cost,
         "dual_value": result.dual_value,
         "gap": result.gap,
-        "rel_gap": rel_gap,
+        "rel_gap": result.rel_gap,
         "converged": result.converged,
         "iterations": result.iterations,
         "grad_norm": result.grad_norm,
         "trace_drift": result.trace_drift,
         "hamiltonian": {
-            "values": [float(v) for v in prof.values],
+            "values": [float(v) for v in result.hamiltonian],
             "mean": prof.mean,
             "rel_std": prof.rel_std,
             "speed_ok": prof.speed_ok,

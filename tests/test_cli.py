@@ -404,21 +404,36 @@ def test_package_namespace_lists_and_refuses_names():
         momt.no_such_name
 
 
+def _cli_process(args, probe):
+    """Run `python -m momt.cli args` in a fresh interpreter, through runpy as the
+    -m switch does; the words of its exit code, then of the expression probe."""
+    script = ("import contextlib, gc, io, runpy, sys\n"
+              f"sys.argv = ['momt', *{args!r}]\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    try:\n"
+              "        runpy.run_module('momt.cli', run_name='__main__')\n"
+              "    except SystemExit as exc:\n"
+              "        code = exc.code\n"
+              f"print(code, {probe})\n")
+    code, out, err = _python("-c", script)
+    assert code == 0, err
+    return out.split()
+
+
 def test_distance_process_loads_only_what_it_uses():
     # the verify command's modules stay out of a `momt distance` process, and
     # the process entry ran main() with the import-time objects frozen
-    script = ("import contextlib, gc, io, runpy, sys\n"
-            f"sys.argv = ['momt', 'distance', {PAULI!r}, '--json']\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    try:\n"
-            "        runpy.run_module('momt.cli', run_name='__main__')\n"
-            "    except SystemExit as exc:\n"
-            "        code = exc.code\n"
-            "print(code, 'momt.verify' in sys.modules, 'momt.action' in sys.modules,\n"
-            "      gc.isenabled(), gc.get_freeze_count() > 0)\n")
-    code, out, err = _python("-c", script)
-    assert code == 0, err
-    assert out.split() == [b"0", b"False", b"False", b"True", b"True"]
+    probe = ("'momt.verify' in sys.modules, 'momt.action' in sys.modules, "
+             "gc.isenabled(), gc.get_freeze_count() > 0")
+    assert _cli_process(["distance", PAULI, "--json"], probe) == [
+        b"0", b"False", b"False", b"True", b"True"]
+
+
+def test_verify_process_runs_the_driver_once():
+    # momt.verify imports nothing from the driver, so `python -m momt.cli verify`
+    # runs cli.py once, as __main__, and never imports it as momt.cli
+    args = ["verify", PAULI, "--suite", "calculus", "--json"]
+    assert _cli_process(args, "'momt.cli' in sys.modules") == [b"0", b"False"]
 
 
 @pytest.mark.parametrize("problem", PROBLEMS, ids=lambda p: Path(p).stem)

@@ -238,17 +238,6 @@ def test_iteration_zero_point_is_value_grad_at_zero(three_level_pair, pauli, swa
                 assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
-def test_paths_share_one_read_only_grid_per_k(pauli, swap_endpoints, three_level_pair):
-    paths = [initial_path(pauli, *swap_endpoints, 8),
-             optimize_geodesic(*three_level_pair, SolverConfig(K=8)).path,
-             optimize_geodesic(pauli, swap_endpoints[0], swap_endpoints[0],
-                               SolverConfig(K=8)).path]
-    assert all(p.grid is paths[0].grid for p in paths)
-    assert not paths[0].grid.flags.writeable
-    assert np.array_equal(paths[0].grid, np.linspace(0.0, 1.0, 9))
-    assert initial_path(pauli, *swap_endpoints, 4).grid is not paths[0].grid
-
-
 def test_analytic_gradient_matches_finite_differences(pauli, swap_endpoints,
                                                       three_level_pair):
     # at n = 2 T_rho does not depend on rho; the 3-level pair checks the
@@ -503,6 +492,8 @@ def test_cone_test_matches_eigenvalue_floor(three_level_pair):
     ("eps_pd", EPS_PD / 2), ("eps_pd", float("inf")), ("eps_pd", float("nan")),
     ("K", 2.5), ("K", "8"), ("K", True), ("max_iter", 10.0), ("max_iter", False),
     ("grad_tol", "1e-7"), ("grad_tol", True), ("eps_pd", None), ("K", 2 ** 16 + 1),
+    pytest.param("grad_tol", 10 ** 400, id="grad_tol-10**400"),
+    pytest.param("eps_pd", 10 ** 400, id="eps_pd-10**400"),
 ])
 def test_solver_config_rejects_out_of_range(key, value):
     with pytest.raises(InvalidConfig, match=key) as info:
@@ -512,6 +503,7 @@ def test_solver_config_rejects_out_of_range(key, value):
         replace(SolverConfig(), **{key: value})
     SolverConfig(K=1, max_iter=0, eps_pd=EPS_PD)  # the bounds themselves are admissible
     SolverConfig(K=2 ** 16)
+    SolverConfig(grad_tol=2 ** 64, eps_pd=2 ** 64)  # finite as floats
 
 
 def move_coupling(l, xs, dt):
@@ -691,8 +683,7 @@ def rebuild_path(l, nodes, big_k):
     """DiscretePath for arbitrary node matrices, intervals re-solved."""
     dt = 1.0 / big_k
     xs, _, ms, actions = loop_intervals(l, nodes, dt)
-    path = DiscretePath(K=big_k, grid=np.linspace(0, 1, big_k + 1),
-                        densities=nodes, momenta=np.array(ms), potentials=np.array(xs))
+    path = DiscretePath(K=big_k, densities=nodes, momenta=np.array(ms), potentials=np.array(xs))
     return path, sum(dt * a for a in actions)
 
 
@@ -846,13 +837,13 @@ def test_hamiltonian_profile_constant_speed(pauli, swap_endpoints):
     assert prof.rel_std <= 1e-6
     assert prof.speed_ok
     # profile values are the interval kinetic terms
-    for k, val in enumerate(prof.values):
+    for k, val in enumerate(res.hamiltonian):
         mid = 0.5 * (res.path.densities[k] + res.path.densities[k + 1])
         np.testing.assert_allclose(val, kinetic(mid, res.path.momenta[k]).value,
                                    rtol=1e-10)
     # and the action equals 2 * dt * sum of values
     np.testing.assert_allclose(res.primal_cost,
-                               2.0 * np.mean(prof.values), rtol=1e-12)
+                               2.0 * np.mean(res.hamiltonian), rtol=1e-12)
 
 
 def window_speed_ok(result):
@@ -912,6 +903,15 @@ def test_identical_endpoints_zero(pauli, three_level_pair):
         # exact +0.0 entries, so an exported trace prints no "-0.0"
         for stack in (res.path.potentials, res.path.momenta):
             assert not (np.signbit(stack.real).any() or np.signbit(stack.imag).any())
+
+
+def test_rel_gap_is_the_gap_over_the_cost(pauli, swap_endpoints, three_level_pair):
+    # reports and momt verify read this one rule: gap / primal_cost, 0 at a cost <= 1e-15
+    res = optimize_geodesic(*three_level_pair, SolverConfig(K=8))
+    assert res.primal_cost > 1e-15 and res.rel_gap == res.gap / res.primal_cost
+    assert replace(res, primal_cost=1e-15).rel_gap == 0.0
+    same = optimize_geodesic(pauli, swap_endpoints[0], swap_endpoints[0], SolverConfig(K=4))
+    assert same.rel_gap == 0.0
 
 
 def test_symmetry_of_distance(pauli):

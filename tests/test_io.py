@@ -157,12 +157,13 @@ def test_geodesic_trace_round_trip(tmp_path, solved):
     assert out.read_bytes() == out2.read_bytes()
 
     path = DiscretePath(
-        K=trace["K"], grid=np.asarray(trace["grid"]),
+        K=trace["K"],
         densities=np.array([matrix_from_literal(lit) for lit in trace["nodes"]]),
         momenta=np.array([[matrix_from_literal(lit) for lit in blocks]
                           for blocks in trace["momenta"]]),
         potentials=np.array([matrix_from_literal(lit) for lit in trace["potentials"]]))
     assert continuity_residual(spec.lindblad, path) < 1e-9
+    assert trace["grid"] == path.grid.tolist()
     # hamiltonian values in the file match a fresh kinetic evaluation
     for k, v in enumerate(trace["hamiltonian"]):
         mid = 0.5 * (path.densities[k] + path.densities[k + 1])

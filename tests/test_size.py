@@ -13,7 +13,7 @@ def test_library_stays_under_line_budget():
 
 def test_no_unused_imports():
     # no linter is a dependency, so this is the guard: a name a module imports is
-    # used there or listed in its __all__ (the package's __init__ only re-exports)
+    # used there (the package's __init__ only re-exports)
     unused = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "__init__.py":
@@ -25,11 +25,36 @@ def test_no_unused_imports():
                     and getattr(node, "module", None) != "__future__"
                     for alias in node.names}
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        exported = {elt.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
-                    and any(getattr(t, "id", None) == "__all__" for t in node.targets)
-                    for elt in node.value.elts}
-        unused += [f"{path.name}: {name}" for name in sorted(imported - used - exported)]
+        unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
     assert not unused, f"imported but unused: {unused}"
+
+
+def test_only_the_package_lists_public_names():
+    # momt._EXPORTS is the one list of public names: no submodule assigns __all__
+    listing = sorted(path.name for path in SRC.glob("*.py") if path.name != "__init__.py"
+                     if any(isinstance(n, ast.Name) and n.id == "__all__"
+                            and isinstance(n.ctx, ast.Store)
+                            for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))))
+    assert not listing, f"modules with their own __all__: {listing}"
+
+
+def _imports_cli(node) -> bool:
+    """node imports momt.cli or a name from it, relatively or absolutely."""
+    if isinstance(node, ast.Import):
+        return any(alias.name == "momt.cli" for alias in node.names)
+    if not isinstance(node, ast.ImportFrom):
+        return False
+    module = "." * node.level + (node.module or "")
+    return (module in (".cli", "momt.cli")
+            or module in (".", "momt") and any(alias.name == "cli" for alias in node.names))
+
+
+def test_no_module_imports_the_command_line_driver():
+    # the command-line driver is the top layer: no other library module imports it
+    importers = sorted(path.name for path in SRC.glob("*.py") if path.name != "cli.py"
+                       if any(_imports_cli(node)
+                              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))))
+    assert not importers, f"modules importing momt.cli: {importers}"
 
 
 def _referenced_names(node) -> list:
