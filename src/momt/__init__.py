@@ -51,8 +51,8 @@ _EXPORTS = {
                   "matrix_to_literal", "unvec_h", "vec_h", "vec_s"),
     "io": ("SCHEMA_VERSION", "ProblemSpec", "build_report", "dump_canonical",
            "export_geodesic", "geodesic_trace", "load_problem", "parse_problem"),
-    "lindblad": ("LindbladSet", "StabilityError", "divergence", "gradient", "heat_flow",
-                 "laplacian", "project_kernel"),
+    "lindblad": ("LindbladSet", "divergence", "gradient", "heat_flow", "laplacian",
+                 "project_kernel"),
     "verify": ("Check", "run_suites"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -74,7 +74,7 @@ def parse_problem(text: str) -> ProblemSpec:
     """Validate a problem file; raises ParseError naming the offending field."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deeply
         raise ParseError("$", f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("$", "top level must be an object")
@@ -133,7 +133,11 @@ def parse_problem(text: str) -> ProblemSpec:
 
 def load_problem(path: str) -> ProblemSpec:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_problem(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError("$", f"not UTF-8 text: {exc}") from exc
+    return parse_problem(text)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ flow rho' = lap(rho)/2.
 
 In the library's real vectorization the gradient is a plain real matrix
 (``grad_matrix``) and the divergence is its transpose, which is how the
-kernel and all downstream superoperators are assembled.
+kernel and all downstream superoperators are assembled.  The heat flow's
+generator is then the symmetric -(1/2) G^T G, so the flow is its exact
+exponential, taken from one eigendecomposition.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .hermitian import (
     _entries,
     _stack_blocks,
     hermitian_basis,
-    hermitian_part,
     unvec_h,
     vec_h,
     vec_s,
@@ -37,10 +38,6 @@ from .hermitian import (
 
 #: relative singular-value threshold for the kernel rank decision
 KERNEL_RTOL = 1e-10
-
-
-class StabilityError(RuntimeError):
-    """Heat-flow step produced a state with an inadmissible negative eigenvalue."""
 
 
 class LindbladSet:
@@ -178,61 +175,35 @@ def div_blocks(l: LindbladSet, ys: np.ndarray) -> np.ndarray:
         - np.einsum("...kij,kjl->...il", ys, l.ops)
 
 
-def _laplacian_raw(l: LindbladSet, a: np.ndarray, lsq: np.ndarray) -> np.ndarray:
-    """The closed form of lap(A), before symmetrization, for lsq = sum_k L_k^2."""
-    return 2.0 * np.einsum("kij,jl,klm->im", l.ops, a, l.ops) - a @ lsq - lsq @ a
-
-
 def laplacian(l: LindbladSet, x) -> HermitianMatrix:
     """lap(X) by the closed form sum_k (2 L_k X L_k - X L_k^2 - L_k^2 X)."""
+    a = _square(l, x)
     lsq = np.einsum("kij,kjl->il", l.ops, l.ops)
-    return HermitianMatrix(_laplacian_raw(l, _square(l, x), lsq))
+    return HermitianMatrix(2.0 * np.einsum("kij,jl,klm->im", l.ops, a, l.ops)
+                           - a @ lsq - lsq @ a)
 
 
 def project_kernel(l: LindbladSet, x) -> HermitianMatrix:
     """Orthogonal projection of X onto ker(grad)."""
-    a = _square(l, x)
+    a = _square(l, HermitianMatrix(x))
     coords = l.kernel_vecs.T @ vec_h(a)
     return HermitianMatrix(unvec_h(l.kernel_vecs @ coords, l.n))
 
 
-def heat_flow(l: LindbladSet, rho0, t_final: float, steps: int) -> HermitianMatrix:
-    """Integrate rho' = lap(rho)/2 from rho0 by explicit midpoint steps.
+def heat_flow(l: LindbladSet, rho0, t_final: float) -> HermitianMatrix:
+    """exp(t_final gen) rho0, the exact flow of rho' = lap(rho)/2.
 
-    rho0 passes HermitianMatrix's gate and _square's (DimensionMismatch).
-    Trace and Hermiticity are preserved by the scheme.  The state comes
-    back as a HermitianMatrix with no trace or spectrum gate, so callers
-    such as momt verify measure both themselves.  If a step drives the
-    smallest eigenvalue below -1e-8 (or to NaN) the integration aborts
-    with a StabilityError suggesting a larger ``steps``.
-
-    A restart from the returned state continues the trajectory bitwise when
-    the step t_final/steps is the same float: each step ends in hermitian_part,
-    which leaves an exactly Hermitian matrix unchanged.
+    The generator gen = -(1/2) G^T G (G = grad_matrix) is symmetric, so one
+    eigendecomposition gives the flow at any time and stiffness.  rho0 passes
+    HermitianMatrix's gate and _square's; t_final must be finite and >= 0, and
+    at 0 the gated start comes back unchanged.  The result has no trace or
+    spectrum gate: callers such as momt verify measure both themselves.
     """
     if not 0.0 <= t_final < np.inf:
         raise ValueError("t_final must be finite and nonnegative")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    lsq = np.einsum("kij,kjl->il", l.ops, l.ops)
-
-    def rhs(r):
-        # equals 0.5 * laplacian(l, r).mat bitwise, without the wrapper's checks
-        return 0.5 * hermitian_part(_laplacian_raw(l, r, lsq))
-
-    rho = _square(l, HermitianMatrix(rho0))
-    dt = t_final / steps
-    for _ in range(steps):
-        if dt == 0.0:
-            break
-        k1 = rhs(rho)
-        k2 = rhs(rho + 0.5 * dt * k1)
-        rho = rho + dt * k2
-        rho = hermitian_part(rho)
-        lo = float(np.linalg.eigvalsh(rho)[0])
-        if not lo >= -1e-8:
-            raise StabilityError(
-                f"state left the positive cone (min eigenvalue {lo:.3e}); "
-                f"increase steps (currently {steps})"
-            )
-    return HermitianMatrix(rho)
+    start = HermitianMatrix(rho0)
+    rho = _square(l, start)
+    if t_final == 0.0:
+        return start
+    lam, vecs = np.linalg.eigh(-0.5 * (l.grad_matrix.T @ l.grad_matrix))
+    return HermitianMatrix(unvec_h(vecs @ (np.exp(t_final * lam) * (vecs.T @ vec_h(rho))), l.n))

@@ -47,6 +47,13 @@ def test_distance_missing_file_exit_one(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_distance_non_utf8_file_exit_one(tmp_path, capsys):
+    prob = tmp_path / "latin.json"
+    prob.write_bytes(b'{"lindblad": \xff\xfe}')
+    assert main(["distance", str(prob)]) == 1
+    assert capsys.readouterr().err.startswith("error: $")
+
+
 def _set_nan_entry(doc):
     doc["lindblad"]["operators"][0]["re"][0][0] = float("nan")
 

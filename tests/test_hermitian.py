@@ -28,6 +28,7 @@ from momt import (
     momentum_min_check,
     optimize_geodesic,
     poincare_constant,
+    project_kernel,
     quadratic_form,
     solve_potential,
     unvec_h,
@@ -155,8 +156,10 @@ NAN_WEIGHT = np.diag([NAN, 0.5])
                              np.diag([NAN, 0])), SymmetryError),
     (lambda: solve_restricted(*restricted_systems(
         LindbladSet([SX, SY, SZ]), MIXED[None], np.diag([NAN, 0])[None])), RuntimeError),
-    (lambda: heat_flow(LindbladSet([SX, SY, SZ]), MIXED, NAN, 3), ValueError),
-    (lambda: heat_flow(LindbladSet([SX, SY, SZ]), MIXED, INF, 3), ValueError),
+    (lambda: heat_flow(LindbladSet([SX, SY, SZ]), MIXED, NAN), ValueError),
+    (lambda: heat_flow(LindbladSet([SX, SY, SZ]), MIXED, INF), ValueError),
+    (lambda: feasibility_gap(LindbladSet([SX, SY, SZ]), np.diag([NAN, 0.5]), MIXED),
+     SymmetryError),
     (lambda: kinetic(np.diag([NAN, 0.5]), np.ones((3, 2, 2))), ValueError),
     (lambda: ExtendedValue.of(NAN), ValueError),
     (lambda: quadratic_form(NAN_WEIGHT, np.ones((3, 2, 2))), SymmetryError),
@@ -171,7 +174,8 @@ NAN_WEIGHT = np.diag([NAN, 0.5])
     (lambda: quadratic_form(MIXED, np.full((1, 2, 2), 1e200)), ValueError),
     (lambda: legendre_feasible(DualPoint(a=-np.eye(2), b=np.full((1, 2, 2), 1e200))), ValueError),
 ], ids=["density", "hermitian-inf", "general-stack", "skew-stack", "potential-residual",
-        "restricted-residual", "heat-flow-nan-time", "heat-flow-inf-time", "kinetic",
+        "restricted-residual", "heat-flow-nan-time", "heat-flow-inf-time",
+        "feasibility-gap-nan", "kinetic",
         "extended-value", "quadratic-form-weight", "poincare-weight", "weighted-operator-weight",
         "momentum-check-weight", "hermitian-huge-diagonal", "hermitian-huge-skew",
         "skew-stack-huge", "kinetic-huge", "quadratic-form-huge", "legendre-huge"])
@@ -206,13 +210,16 @@ QUTRIT = np.eye(3) / 3
     (lambda: legendre_feasible(DualPoint(a=HermitianMatrix(QUTRIT),
                                          b=OperatorStack(np.ones((1, 2, 2))))),
      DimensionMismatch),
-    (lambda: heat_flow(LindbladSet([SX, SZ]), [[0.5, 0.3], [0, 0.5]], 0.1, 5), SymmetryError),
-    (lambda: heat_flow(LindbladSet([SX, SZ]), QUTRIT, 0.1, 5), DimensionMismatch),
+    (lambda: heat_flow(LindbladSet([SX, SZ]), [[0.5, 0.3], [0, 0.5]], 0.1), SymmetryError),
+    (lambda: heat_flow(LindbladSet([SX, SZ]), QUTRIT, 0.1), DimensionMismatch),
+    (lambda: feasibility_gap(PAULI_SET, [[0.5, 0.3], [0, 0.5]], MIXED), SymmetryError),
+    (lambda: project_kernel(PAULI_SET, [[0.5, 0.3], [0, 0.5]]), SymmetryError),
 ], ids=["geodesic", "initial-path", "feasibility-gap", "poincare", "momentum-check-weight",
         "momentum-check-rhs", "potential-rhs", "potential-non-hermitian-rhs",
         "empty-hermitian", "empty-operator", "no-operator", "mixed-operators", "flat-stack",
         "quadratic-form", "legendre-dual-point", "heat-flow-non-hermitian-start",
-        "heat-flow-start-size"])
+        "heat-flow-start-size", "feasibility-gap-non-hermitian",
+        "project-kernel-non-hermitian"])
 def test_gates_reject_wrong_size_or_symmetry(call, error):
     # a 3 x 3 input against 2-level operators, a skew right-hand side or an
     # empty matrix stops at the input gate, before any product or solve

@@ -64,8 +64,10 @@ def test_config_round_trips_every_field():
 
 
 def test_parse_malformed_json():
-    with pytest.raises(ParseError, match=r"\$: malformed JSON"):
-        parse_problem("{not json")
+    # a nesting deeper than the decoder's recursion limit is malformed too
+    for text in ("{not json", "[" * 100000 + "]" * 100000):
+        with pytest.raises(ParseError, match=r"\$: malformed JSON"):
+            parse_problem(text)
 
 
 def test_parse_wrong_trace_names_field():

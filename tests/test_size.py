@@ -154,3 +154,22 @@ def test_star_import_binds_no_module():
     assert not modules, f"the star import binds modules: {modules}"
     assert "optimize_geodesic" in namespace and "SolverConfig" in namespace
     assert set(momt.__all__) == set(namespace) - {"__builtins__"}
+
+
+def test_every_exception_class_is_raised():
+    # an exception class that no `raise` in src/momt names is an abort path nothing
+    # takes: a caller's `except` for it, or its export, is dead code
+    import importlib
+    import inspect
+
+    defined, raised = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module("momt" if path.stem == "__init__" else f"momt.{path.stem}")
+        defined |= {name for name, obj in vars(module).items()
+                    if inspect.isclass(obj) and issubclass(obj, BaseException)
+                    and obj.__module__ == module.__name__}
+        raised |= {name for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                   if isinstance(node, ast.Raise) and node.exc is not None
+                   for name in _loaded_names(node.exc)}
+    assert defined, "the scan found no exception classes in src/momt"
+    assert not defined - raised, f"exception classes no raise names: {sorted(defined - raised)}"
