@@ -149,9 +149,9 @@ class WeightedOperator:
     """
 
     def __init__(self, lindblad: LindbladSet, rho):
-        self.lindblad = lindblad
-        self.rho, self._min_eig = _weight(rho)
-        _square(lindblad, self.rho)  # DimensionMismatch unless n x n for the set
+        self.lindblad, h = lindblad, HermitianMatrix(rho)  # admitted once, shared below
+        self.rho, self._min_eig = _weight(h)
+        _square(lindblad, h)  # DimensionMismatch unless n x n for the set
 
     @cached_property
     def matrix_rep(self) -> np.ndarray:
@@ -165,7 +165,9 @@ class WeightedOperator:
         return float(np.linalg.eigvalsh(a)[0]) if a.size else 0.0
 
     def apply(self, x) -> HermitianMatrix:
-        return HermitianMatrix(unvec_h(self.matrix_rep @ vec_h(x), self.lindblad.n))
+        """T_rho X; X passes _square's gate."""
+        return HermitianMatrix(unvec_h(self.matrix_rep @ vec_h(_square(self.lindblad, x)),
+                                       self.lindblad.n))
 
     def __repr__(self):
         return (f"WeightedOperator(n={self.lindblad.n}, "
@@ -184,7 +186,7 @@ def solve_potential(w: WeightedOperator, f) -> HermitianMatrix:
     and the stability bound |f| >= restricted_min_eig * |X|.
     """
     l = w.lindblad
-    f = _square(l, HermitianMatrix(f))
+    f = _square(l, f)
     if not w._min_eig > EPS_PD:
         raise SingularWeight(
             f"weight min eigenvalue {w._min_eig:.3e} <= {EPS_PD:.1e}; the restricted "

@@ -69,8 +69,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .elliptic import _kernel_excess, restricted_systems, solve_restricted
-from .hermitian import (EPS_PD, DensityMatrix, HermitianMatrix, _above_floor, _flat_basis,
-                        gram, hermitian_part, unvec_h, vec_h)
+from .hermitian import (EPS_PD, DensityMatrix, _above_floor, _flat_basis, gram,
+                        hermitian_part, unvec_h, vec_h)
 from .lindblad import LindbladSet, _square, div_blocks, grad_blocks
 
 
@@ -178,7 +178,7 @@ class HamiltonianProfile:
 
 def feasibility_gap(l: LindbladSet, rho0, rho1) -> float:
     """Norm of the kernel component of rho1 - rho0 (zero iff connectable); inputs gated."""
-    diff = _square(l, HermitianMatrix(rho1)) - _square(l, HermitianMatrix(rho0))
+    diff = _square(l, rho1) - _square(l, rho0)
     kpart = l.kernel_vecs.T @ vec_h(diff)
     return math.sqrt(kpart @ kpart)
 

@@ -123,6 +123,8 @@ def parse_problem(text: str) -> ProblemSpec:
     _known_keys(cfg_doc, _CONFIG_KEYS, "$.config")
     kwargs = {key: _CONFIG_KEYS[key](val, f"$.config.{key}") for key, val in cfg_doc.items()}
     seed = kwargs.pop("seed", 1234)
+    if seed < 0:  # numpy's generators take no negative seed
+        raise ParseError("$.config.seed", f"must be >= 0, got {seed}")
     try:
         config = SolverConfig(**kwargs)
     except InvalidConfig as exc:

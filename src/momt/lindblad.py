@@ -9,7 +9,7 @@ A LindbladSet L = (L_1, ..., L_N) defines
 
 together with the kernel of the gradient (always containing the
 identity), the orthogonal projection onto it, and the dissipative heat
-flow rho' = lap(rho)/2.
+flow rho' = lap(rho)/2.  Each matrix they take passes one gate, _square.
 
 In the library's real vectorization the gradient is a plain real matrix
 (``grad_matrix``) and the divergence is its transpose, which is how the
@@ -28,7 +28,6 @@ from .hermitian import (
     DimensionMismatch,
     HermitianMatrix,
     OperatorStack,
-    _entries,
     _stack_blocks,
     hermitian_basis,
     unvec_h,
@@ -136,7 +135,8 @@ class LindbladSet:
 
 
 def _square(l: LindbladSet, x) -> np.ndarray:
-    a = _entries(x)
+    """The matrix gate for l: HermitianMatrix(x)'s array; DimensionMismatch unless n x n."""
+    a = HermitianMatrix(x).mat
     if a.shape != (l.n, l.n):
         raise DimensionMismatch(f"expected shape {(l.n, l.n)}, got {a.shape}")
     return a
@@ -160,7 +160,7 @@ def grad_blocks(l: LindbladSet, xs: np.ndarray) -> np.ndarray:
 
 
 def gradient(l: LindbladSet, x) -> OperatorStack:
-    """grad(X): block k is the commutator L_k X - X L_k (skew-Hermitian)."""
+    """grad(X): block k is the commutator L_k X - X L_k (skew-Hermitian); X passes _square."""
     return OperatorStack(grad_blocks(l, _square(l, x)), flavor="skew")
 
 
@@ -176,7 +176,7 @@ def div_blocks(l: LindbladSet, ys: np.ndarray) -> np.ndarray:
 
 
 def laplacian(l: LindbladSet, x) -> HermitianMatrix:
-    """lap(X) by the closed form sum_k (2 L_k X L_k - X L_k^2 - L_k^2 X)."""
+    """lap(X) by the closed form sum_k (2 L_k X L_k - X L_k^2 - L_k^2 X); X passes _square."""
     a = _square(l, x)
     lsq = np.einsum("kij,kjl->il", l.ops, l.ops)
     return HermitianMatrix(2.0 * np.einsum("kij,jl,klm->im", l.ops, a, l.ops)
@@ -184,8 +184,8 @@ def laplacian(l: LindbladSet, x) -> HermitianMatrix:
 
 
 def project_kernel(l: LindbladSet, x) -> HermitianMatrix:
-    """Orthogonal projection of X onto ker(grad)."""
-    a = _square(l, HermitianMatrix(x))
+    """Orthogonal projection of X onto ker(grad); X passes _square."""
+    a = _square(l, x)
     coords = l.kernel_vecs.T @ vec_h(a)
     return HermitianMatrix(unvec_h(l.kernel_vecs @ coords, l.n))
 
@@ -195,9 +195,9 @@ def heat_flow(l: LindbladSet, rho0, t_final: float) -> HermitianMatrix:
 
     The generator gen = -(1/2) G^T G (G = grad_matrix) is symmetric, so one
     eigendecomposition gives the flow at any time and stiffness.  rho0 passes
-    HermitianMatrix's gate and _square's; t_final must be finite and >= 0, and
-    at 0 the gated start comes back unchanged.  The result has no trace or
-    spectrum gate: callers such as momt verify measure both themselves.
+    _square's gate; t_final must be finite and >= 0, and at 0 the gated start
+    comes back unchanged.  The result has no trace or spectrum gate: callers
+    such as momt verify measure both themselves.
     """
     if not 0.0 <= t_final < np.inf:
         raise ValueError("t_final must be finite and nonnegative")

@@ -132,7 +132,7 @@ def suite_calculus(l: LindbladSet, rng) -> list[Check]:
         _worst("gradient superoperator matches blockwise gradient", 1e-12, _CASES,
                superoperator),
     ]
-    err = max((gradient(l, b.mat).norm() for b in l.kernel_basis), default=0.0)
+    err = max((gradient(l, b).norm() for b in l.kernel_basis), default=0.0)
     checks.append(_check("kernel basis annihilated by the gradient", err, 1e-10))
     overlaps = np.array([[inner_product(a, b) for b in l.kernel_basis]
                          for a in l.kernel_basis])
@@ -241,7 +241,7 @@ def suite_conservation(spec, solved) -> list[Check]:
     drift = abs(float(np.trace(flowed.mat).real) - 1.0)
     checks.append(_check("heat flow preserves trace", drift, 1e-10))
     checks.append(_check("heat flow preserves positivity", max(0.0, -flowed.min_eig()), 1e-8))
-    target = project_kernel(l, rho0.mat).mat
+    target = project_kernel(l, rho0).mat
     errs = [float(np.linalg.norm(s.mat - target)) for s in states]
     mono = max(0.0, max(errs[i + 1] - errs[i] for i in range(len(errs) - 1)))
     checks.append(_check("heat flow contracts toward the kernel projection", mono, 1e-12,

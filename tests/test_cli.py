@@ -88,6 +88,8 @@ MALFORMED = [
     (lambda d: d.update(config={"K": 10 ** 400}), "error: $.config.K:"),
     (lambda d: d.update(config={"grad_tol": 10 ** 400}), "error: $.config.grad_tol:"),
     (lambda d: d.update(config={"seed": -10 ** 400}), "error: $.config.seed:"),
+    # an integer, but numpy's generators take no negative seed
+    (lambda d: d.update(config={"seed": -1}), "error: $.config.seed: must be >= 0"),
     # parses (boundary states are admissible), but a solve needs rho0 > 0
     (lambda d: d.update(rho0=SINGULAR_RHO), "error: strict density requires"),
     # a literal's entries follow the config's number rule, each at its own path
@@ -246,6 +248,17 @@ def test_verify_deterministic(capsys):
     first = capsys.readouterr().out
     main(["verify", PAULI, "--suite", "duality", "--json"])
     assert capsys.readouterr().out == first
+
+
+def test_verify_negative_seed_ends_in_error_line(tmp_path, capsys):
+    # the calculus suite seeds its generator from the file: a negative seed is
+    # refused where it enters, one error line and exit 1, not a numpy traceback
+    doc = json.loads(Path(PAULI).read_text())
+    doc["config"] = {"seed": -1}
+    prob = tmp_path / "negative_seed.json"
+    prob.write_text(json.dumps(doc))
+    assert main(["verify", str(prob), "--suite", "calculus"]) == 1
+    assert capsys.readouterr().err.startswith("error: $.config.seed: must be >= 0")
 
 
 def test_verify_infeasible_endpoints_skips_solve(capsys):

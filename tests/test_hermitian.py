@@ -17,11 +17,13 @@ from momt import (
     WeightedOperator,
     assemble_weighted,
     feasibility_gap,
+    gradient,
     heat_flow,
     initial_path,
     hermitian_basis,
     inner_product,
     kinetic,
+    laplacian,
     legendre_feasible,
     matrix_from_literal,
     matrix_to_literal,
@@ -37,7 +39,7 @@ from momt import (
 )
 from momt.elliptic import restricted_systems, solve_restricted
 from momt.hermitian import gram
-from momt.lindblad import grad_blocks
+from momt.lindblad import _square, grad_blocks
 from conftest import (SX, SY, SZ, rand_density, rand_general_stack, rand_herm, rand_skew_stack,
                       unvec_stack)
 
@@ -112,6 +114,7 @@ def test_checked_matrix_is_shared_not_checked_again(monkeypatch):
     rho = rand_density(np.random.default_rng(7), 3)
     lows = [h.min_eig(), rho.min_eig()]
     general, skew = rand_general_stack(rng, 2, 3), rand_skew_stack(rng, 2, 3)
+    h2, rho2 = HermitianMatrix(np.diag([1.0, -1.0])), rand_density(np.random.default_rng(8), 2)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a checked matrix was checked again")
@@ -128,6 +131,10 @@ def test_checked_matrix_is_shared_not_checked_again(monkeypatch):
               (OperatorStack(skew), skew)]
     assert all(s.blocks is w.blocks for s, w in stacks)
     assert [s.flavor for s, _ in stacks] == ["general", "skew", "general"]
+    # the set-size gate shares a wrapper's array, and a weighted operator
+    # admits its weight once for both its weight and its size checks
+    assert _square(PAULI_SET, h2) is h2.mat
+    assert WeightedOperator(PAULI_SET, rho2).rho is rho2.mat
 
 
 def test_stack_flavor_enforcement():
@@ -166,6 +173,8 @@ NAN_WEIGHT = np.diag([NAN, 0.5])
     (lambda: poincare_constant(LindbladSet([SX, SY, SZ]), NAN_WEIGHT), SymmetryError),
     (lambda: WeightedOperator(LindbladSet([SX, SY, SZ]), NAN_WEIGHT), SymmetryError),
     (lambda: momentum_min_check(LindbladSet([SX, SY, SZ]), NAN_WEIGHT, SZ), SymmetryError),
+    (lambda: gradient(LindbladSet([SX, SY, SZ]), np.diag([NAN, 0])), SymmetryError),
+    (lambda: laplacian(LindbladSet([SX, SY, SZ]), np.diag([INF, 0])), SymmetryError),
     # finite entries whose squares or A + A^* overflow: above MAX_ENTRY, refused as non-finite
     (lambda: HermitianMatrix(np.diag([1e308, 1e308])), SymmetryError),
     (lambda: HermitianMatrix([[0, 1e300], [-1e300, 0]]), SymmetryError),
@@ -177,8 +186,9 @@ NAN_WEIGHT = np.diag([NAN, 0.5])
         "restricted-residual", "heat-flow-nan-time", "heat-flow-inf-time",
         "feasibility-gap-nan", "kinetic",
         "extended-value", "quadratic-form-weight", "poincare-weight", "weighted-operator-weight",
-        "momentum-check-weight", "hermitian-huge-diagonal", "hermitian-huge-skew",
-        "skew-stack-huge", "kinetic-huge", "quadratic-form-huge", "legendre-huge"])
+        "momentum-check-weight", "gradient-nan", "laplacian-inf", "hermitian-huge-diagonal",
+        "hermitian-huge-skew", "skew-stack-huge", "kinetic-huge", "quadratic-form-huge",
+        "legendre-huge"])
 def test_gates_fail_closed_on_non_finite_input(call, error):
     # a NaN compares false both ways, so a gate written "x > bound" waves it through;
     # an overflowing norm reads inf, and inf <= SYM_TOL * inf passes a defect test
@@ -214,12 +224,18 @@ QUTRIT = np.eye(3) / 3
     (lambda: heat_flow(LindbladSet([SX, SZ]), QUTRIT, 0.1), DimensionMismatch),
     (lambda: feasibility_gap(PAULI_SET, [[0.5, 0.3], [0, 0.5]], MIXED), SymmetryError),
     (lambda: project_kernel(PAULI_SET, [[0.5, 0.3], [0, 0.5]]), SymmetryError),
+    # a non-Hermitian X whose image is (skew-)Hermitian, even zero, stops at the input
+    (lambda: gradient(LindbladSet([SZ]), np.diag([1j, 0])), SymmetryError),
+    (lambda: laplacian(PAULI_SET, 1j * np.eye(2)), SymmetryError),
+    (lambda: assemble_weighted(PAULI_SET, MIXED).apply([[0, 1], [0, 0]]), SymmetryError),
+    (lambda: assemble_weighted(PAULI_SET, MIXED).apply(QUTRIT), DimensionMismatch),
 ], ids=["geodesic", "initial-path", "feasibility-gap", "poincare", "momentum-check-weight",
         "momentum-check-rhs", "potential-rhs", "potential-non-hermitian-rhs",
         "empty-hermitian", "empty-operator", "no-operator", "mixed-operators", "flat-stack",
         "quadratic-form", "legendre-dual-point", "heat-flow-non-hermitian-start",
         "heat-flow-start-size", "feasibility-gap-non-hermitian",
-        "project-kernel-non-hermitian"])
+        "project-kernel-non-hermitian", "gradient-non-hermitian", "laplacian-non-hermitian",
+        "apply-non-hermitian", "apply-size"])
 def test_gates_reject_wrong_size_or_symmetry(call, error):
     # a 3 x 3 input against 2-level operators, a skew right-hand side or an
     # empty matrix stops at the input gate, before any product or solve

@@ -173,3 +173,18 @@ def test_every_exception_class_is_raised():
                    for name in _loaded_names(node.exc)}
     assert defined, "the scan found no exception classes in src/momt"
     assert not defined - raised, f"exception classes no raise names: {sorted(defined - raised)}"
+
+
+def test_only_hermitian_reads_the_raw_accessor():
+    # _entries returns a wrapper's array, or any input as a raw array with no
+    # check: outside momt.hermitian a matrix enters through a wrapper or a gate
+    # (lindblad._square, hermitian._stack_blocks), so no entry takes one ungated
+    readers = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = _referenced_names(tree) + [alias.name for node in ast.walk(tree)
+                                           if isinstance(node, ast.ImportFrom)
+                                           for alias in node.names]
+        if path.name != "hermitian.py" and "_entries" in names:
+            readers.append(path.name)
+    assert not readers, f"modules reading hermitian._entries: {readers}"
