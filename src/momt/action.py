@@ -137,7 +137,7 @@ def fenchel_gap(rho, m, p: DualPoint) -> float:
     kin = kinetic(rho, m)
     if not kin.finite:
         raise ValueError("fenchel_gap needs a finite kinetic value")
-    pairing = float(np.trace(p.a.mat @ rho.mat).real) + inner_product(p.b, m).real
+    pairing = inner_product(p.a, rho) + inner_product(p.b, m).real
     return kin.value - pairing
 
 

@@ -14,10 +14,11 @@ WeightedOperator's matrix_rep is C A C^T.  This yields:
 
 * restricted_systems and solve_restricted — the one potential solve, for
   K weights and right-hand sides at once.  restricted_systems only
-  assembles (A_k, C^T f_k), once per geodesic solve.  solve_restricted,
-  called on every trial, runs one batched inverse and one check, the
-  residual gate: did it solve each system?  (The solver's floor test makes
-  every A_k positive definite; its slope test judges the Newton direction.)
+  assembles (A_k, C^T f_k), and geodesic trials assemble theirs through
+  _systems.  solve_restricted, called on every trial, runs one batched
+  inverse and one check, the residual gate: did it solve each system?
+  (The solver's floor test makes every A_k positive definite; its slope
+  test judges the Newton direction.)
 * solve_potential — the unique X in ker(grad)^perp with T_rho X = f, the
   K = 1 case of those two, and the gate of a caller's weight and f,
 * poincare_constant — the smallest restricted eigenvalue (the sharp
@@ -88,10 +89,10 @@ def quadratic_form(rho, v) -> float:
     return float(np.trace(r @ gram(_stack_blocks(v, r.shape[0]))).real)
 
 
-def _systems(l: LindbladSet, rhos: np.ndarray) -> np.ndarray:
-    """A_k = C^T T(rho_k) C = vec_h(rho_k) @ l.weight_tensor for (K, n, n) weights: (K, d, d)."""
+def _systems(l: LindbladSet, coords: np.ndarray) -> np.ndarray:
+    """A_k = C^T T(rho_k) C = coords_k @ l.weight_tensor for (K, n^2) vec_h(rho_k): (K, d, d)."""
     n2, d = l.n * l.n, l.complement_vecs.shape[1]
-    return (vec_h(rhos) @ l.weight_tensor.reshape(n2, d * d)).reshape(len(rhos), d, d)
+    return (coords @ l.weight_tensor.reshape(n2, d * d)).reshape(len(coords), d, d)
 
 
 def _kernel_excess(kpart, fnorm):
@@ -108,13 +109,13 @@ def restricted_systems(l: LindbladSet, rhos: np.ndarray, fs: np.ndarray):
     (C = complement_vecs).  It only assembles: each entry point gates its own
     inputs and f's kernel part (solve_potential, the solver's endpoints).
     """
-    return _systems(l, rhos), vec_h(fs) @ l.complement_vecs
+    return _systems(l, vec_h(rhos)), vec_h(fs) @ l.complement_vecs
 
 
 def solve_restricted(tcs: np.ndarray, fcs: np.ndarray):
     """x_k = A_k^{-1} c_k for K restricted systems, and the inverses A_k^{-1}.
 
-    tcs and fcs are restricted_systems' (K, d, d) and (K, d) arrays.  Each
+    tcs and fcs are the (K, d, d) and (K, d) arrays of K restricted systems.  Each
     caller gated its weights above EPS_PD (_endpoint_guard, _Reduced.feasible,
     solve_potential), so A_k >= lambda_min(rho_k) A(I) > 0 and one batched
     inverse gives every x_k.  The one check, the residual gate |A_k x_k - c_k|
@@ -156,12 +157,12 @@ class WeightedOperator:
     @cached_property
     def matrix_rep(self) -> np.ndarray:
         c = self.lindblad.complement_vecs
-        m = c @ _systems(self.lindblad, self.rho[None])[0] @ c.T
+        m = c @ _systems(self.lindblad, vec_h(self.rho)[None])[0] @ c.T
         return 0.5 * (m + m.T)
 
     @cached_property
     def restricted_min_eig(self) -> float:
-        a = _systems(self.lindblad, self.rho[None])[0]
+        a = _systems(self.lindblad, vec_h(self.rho)[None])[0]
         return float(np.linalg.eigvalsh(a)[0]) if a.size else 0.0
 
     def apply(self, x) -> HermitianMatrix:

@@ -18,16 +18,14 @@ f_k = (rho_{k+1} - rho_k)/dt, which is what the optimizer and its
 analytic gradient use.
 
 The descent works on coordinates: interior-node moves y in ker(grad)^perp
-and potentials x_k = C^T vec_h(X_k), C = complement_vecs.  The straight
-line's K interval systems are assembled once per solve from the operator
-set's cached weight_tensor (elliptic.restricted_systems).  The path is
-affine in y, so a trial's systems are the line's plus one contraction of
-complement_tensor with the midpoint moves, which with the rate moves are
-two fixed (K, K-1) maps of y (_interval_maps), and one batched inverse
-(elliptic.solve_restricted) gives the potentials and the A_k^{-1} that the
-Newton Hessian reuses.  No trial forms vec_h, grad(X_k) or a Gram matrix;
-X_k and m_k are rebuilt once, for the returned path.  Iteration 0 is the
-line, whose nodes and systems _Reduced stores.
+and potentials x_k = C^T vec_h(X_k), C = complement_vecs.  Every point, the
+line included, is assembled from one vec_h of its nodes: the midpoint
+coordinates contract with the operator set's cached weight_tensor
+(elliptic._systems) to the K systems A_k, the rate coordinates times C are
+their right-hand sides, and one batched inverse (elliptic.solve_restricted)
+gives the potentials and the A_k^{-1} that the Newton Hessian reuses.  No
+trial forms grad(X_k) or a Gram matrix; X_k and m_k are rebuilt once, for
+the returned path.  Iteration 0 is the line, whose nodes _Reduced stores.
 
 The reduced cost E(y) is convex: in restricted coordinates each interval
 term is a matrix-fractional function (1/dt) D^T A(mu)^{-1} D of the node
@@ -63,12 +61,12 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field, fields
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .elliptic import _kernel_excess, restricted_systems, solve_restricted
+from .elliptic import _kernel_excess, _systems, solve_restricted
 from .hermitian import (EPS_PD, DensityMatrix, _above_floor, _flat_basis, gram,
                         hermitian_part, unvec_h, vec_h)
 from .lindblad import LindbladSet, _square, div_blocks, grad_blocks
@@ -206,21 +204,6 @@ def _linear_nodes(r0: np.ndarray, r1: np.ndarray, big_k: int) -> np.ndarray:
     return np.concatenate([r0[None], (1 - t) * r0 + t * r1 + 0.0, r1[None]])
 
 
-@lru_cache(maxsize=32)
-def _interval_maps(big_k: int):
-    """(K, K-1) maps of interior-node rows to interval rows, built once per recent K.
-
-    With y_0 = y_K = 0, row k of the first is (y_k + y_{k+1})/2, of the second
-    (y_{k+1} - y_k)/dt; read-only, as solves share them.
-    """
-    eye = np.eye(big_k, big_k - 1)
-    shifted = np.eye(big_k, big_k - 1, -1)
-    maps = 0.5 * (eye + shifted), big_k * (eye - shifted)
-    for a in maps:
-        a.flags.writeable = False
-    return maps
-
-
 def _path_and_grams(l: LindbladSet, nodes: np.ndarray, xs: np.ndarray):
     """The path through nodes with X_k = unvec_h(C x_k) and m_k = grad(X_k) mid_k,
     its G_k = Gram(grad X_k), all from one grad_blocks call, and its mid_k."""
@@ -271,7 +254,7 @@ def initial_path(l: LindbladSet, rho0, rho1, big_k: int) -> DiscretePath:
 # ---------------------------------------------------------------------------
 
 class _Point(NamedTuple):
-    """What _Reduced.value_grad returns at one y, and the Newton loop carries."""
+    """What _Reduced.value_grad returns at one node stack, and the Newton loop carries."""
 
     cost: float
     grad: np.ndarray
@@ -285,18 +268,11 @@ class _Reduced:
 
     Interior node j sits at line_j + unvec(C y_j) with C an orthonormal
     basis of ker(grad)^perp, so unit trace and endpoint reachability are
-    automatic for every candidate.  The path is affine in y, and so is
-    every interval's restricted data: with ybar_k = (y_k + y_{k+1})/2
-    (y_0 = y_K = 0) and V = complement_tensor,
-    A_k = A_line,k + ybar_k . V and C^T vec_h(f_k) = C^T vec_h(f_line,k)
-    + (y_{k+1} - y_k)/dt.  So restricted_systems runs once, on the line,
-    whose weights and rates _endpoint_guard has already judged, and a trial
-    (value_grad) reads only y: no vec_h and no eigvalsh.  feasible takes the
-    stack nodes(y), which a trial builds once; its floor is >= EPS_PD,
-    like the line's midpoints.  Iteration 0 is the line itself: line is
-    nodes(0) and (tcs_line, fcs_line) is systems(0).  A trial's linear maps
-    (_interval_maps, node_map) are built on the first trial, so a solve that
-    stops at the line builds none.
+    automatic for every candidate.  A trial builds its stack nodes(y) once;
+    feasible judges it against the floor (>= EPS_PD, like the line's
+    midpoints) and value_grad assembles its K systems from it, as from the
+    line, whose nodes _endpoint_guard has judged.  line is nodes(0); node_map
+    is built on the first trial, so a solve stopping at the line builds none.
     """
 
     def __init__(self, l, r0, r1, big_k, floor):
@@ -306,10 +282,7 @@ class _Reduced:
         self.floor = floor
         self.c = l.complement_vecs
         self.d = self.c.shape[1]
-        self.line = line = _linear_nodes(r0.mat, r1.mat, big_k)
-        self.tcs_line, self.fcs_line = restricted_systems(
-            l, _midpoints(line), (line[1:] - line[:-1]) / self.dt)
-        self.v = l.complement_tensor.reshape(self.d, -1)
+        self.line = _linear_nodes(r0.mat, r1.mat, big_k)
         self.vt = l.complement_tensor.reshape(-1, self.d).T
 
     @cached_property
@@ -327,20 +300,9 @@ class _Reduced:
         """Every interior node and interval midpoint has eigenvalues > floor (_above_floor)."""
         return _above_floor(np.concatenate([nodes[1:-1], _midpoints(nodes)]), self.floor)
 
-    def systems(self, y: np.ndarray):
-        """(A_k, C^T vec_h(f_k)) of the K intervals of nodes(y)."""
-        mean, rate = _interval_maps(self.big_k)
-        ys = y.reshape(-1, self.d)
-        tcs = self.tcs_line + ((mean @ ys) @ self.v).reshape(self.tcs_line.shape)
-        return tcs, self.fcs_line + rate @ ys
-
-    def value_grad(self, y: np.ndarray) -> _Point:
-        """The point of nodes(y): point(*systems(y))."""
-        return self.point(*self.systems(y))
-
-    def point(self, tcs: np.ndarray, fcs: np.ndarray) -> _Point:
+    def value_grad(self, nodes: np.ndarray) -> _Point:
         """(E, grad E, potential coordinates x_k, couplings U_k, inverses A_k^{-1})
-        of the intervals with restricted systems (A_k, C^T vec_h(f_k)).
+        of the path through nodes, whose systems come from one vec_h of the nodes.
 
         With h_a = unvec_h(C e_a) and V[a, e, f] = <h_e; T(h_a) h_f>
         (l.complement_tensor), U_k = V x_k over f has U_k[a, e] =
@@ -349,7 +311,9 @@ class _Reduced:
         2(X_{j-1} - X_j) - (dt/2)(Gram(grad X_{j-1}) + Gram(grad X_j)) is
         g_j = 2(x_{j-1} - x_j) - (dt/2)(U_{j-1} x_{j-1} + U_j x_j).
         """
-        xs, ainv = solve_restricted(tcs, fcs)
+        v = vec_h(nodes)
+        fcs = ((v[1:] - v[:-1]) / self.dt) @ self.c
+        xs, ainv = solve_restricted(_systems(self.l, 0.5 * (v[:-1] + v[1:])), fcs)
         total = float((self.dt * (fcs * xs).sum(axis=-1)).sum())  # dt <f_k; X_k>
         us = (xs @ self.vt).reshape(len(xs), self.d, self.d)
         ux = (us @ xs[..., None])[..., 0]
@@ -468,8 +432,7 @@ def optimize_geodesic(l: LindbladSet, rho0, rho1,
 
     reduced = _Reduced(l, r0, r1, cfg.K, cfg.eps_pd)
     y = np.zeros((cfg.K - 1) * reduced.d)
-    # iteration 0 is the straight line, whose systems reduced already holds
-    nodes, point = reduced.line, reduced.point(reduced.tcs_line, reduced.fcs_line)
+    nodes, point = reduced.line, reduced.value_grad(reduced.line)
     trace_drift = _trace_drift(nodes)
     for iterations in range(cfg.max_iter + 1):
         gnorm = math.sqrt(point.grad @ point.grad)
@@ -489,7 +452,7 @@ def optimize_geodesic(l: LindbladSet, rho0, rho1,
             trial_y = y + step * d
             trial_nodes = reduced.nodes(trial_y)
             if reduced.feasible(trial_nodes):
-                trial = reduced.value_grad(trial_y)
+                trial = reduced.value_grad(trial_nodes)
                 if trial.cost <= point.cost + 1e-4 * step * slope:  # Armijo
                     break
             step *= 0.5

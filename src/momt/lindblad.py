@@ -15,7 +15,7 @@ In the library's real vectorization the gradient is a plain real matrix
 (``grad_matrix``) and the divergence is its transpose, which is how the
 kernel and all downstream superoperators are assembled.  The heat flow's
 generator is then the symmetric -(1/2) G^T G, so the flow is its exact
-exponential, taken from one eigendecomposition.
+exponential, read from the singular values that the kernel's SVD of G keeps.
 """
 
 from __future__ import annotations
@@ -53,6 +53,8 @@ class LindbladSet:
     kernel_vecs : real ndarray (n^2, kernel_dim), vec_h of the basis
     complement_vecs : real ndarray (n^2, n^2 - kernel_dim), orthonormal
         basis of ker(grad)^perp (the row space of grad_matrix)
+    grad_singular_values : real ndarray (n^2 - kernel_dim,), the singular values
+        s of grad_matrix above the rank cut: G^T G = C diag(s^2) C^T, C = complement_vecs
     weight_tensor : real ndarray (n^2, d, d), d = n^2 - kernel_dim, built on
         first use: W[c, a, e] = <h_a; T(B_c) h_e> for h_a = unvec_h(C e_a),
         C = complement_vecs, B_c the Hermitian basis and T the weighted
@@ -106,8 +108,9 @@ class LindbladSet:
         self.kernel_basis = [HermitianMatrix(unvec_h(vecs[:, i], n))
                              for i in range(self.kernel_dim)]
         self.complement_vecs = vh[:rank].T
-        self.kernel_vecs.setflags(write=False)
-        self.complement_vecs.setflags(write=False)
+        self.grad_singular_values = s[:rank]
+        for a in (self.kernel_vecs, self.complement_vecs, self.grad_singular_values):
+            a.setflags(write=False)
 
     @cached_property
     def weight_tensor(self) -> np.ndarray:
@@ -193,8 +196,9 @@ def project_kernel(l: LindbladSet, x) -> HermitianMatrix:
 def heat_flow(l: LindbladSet, rho0, t_final: float) -> HermitianMatrix:
     """exp(t_final gen) rho0, the exact flow of rho' = lap(rho)/2.
 
-    The generator gen = -(1/2) G^T G (G = grad_matrix) is symmetric, so one
-    eigendecomposition gives the flow at any time and stiffness.  rho0 passes
+    The generator gen = -(1/2) G^T G (G = grad_matrix) is -(1/2) C diag(s^2) C^T
+    (C = complement_vecs, s = grad_singular_values), so at any time and stiffness
+    the flow is x + C (expm1(-t s^2/2) * C^T x), x = vec_h(rho0).  rho0 passes
     _square's gate; t_final must be finite and >= 0, and at 0 the gated start
     comes back unchanged.  The result has no trace or spectrum gate: callers
     such as momt verify measure both themselves.
@@ -205,5 +209,5 @@ def heat_flow(l: LindbladSet, rho0, t_final: float) -> HermitianMatrix:
     rho = _square(l, start)
     if t_final == 0.0:
         return start
-    lam, vecs = np.linalg.eigh(-0.5 * (l.grad_matrix.T @ l.grad_matrix))
-    return HermitianMatrix(unvec_h(vecs @ (np.exp(t_final * lam) * (vecs.T @ vec_h(rho))), l.n))
+    x, c, s = vec_h(rho), l.complement_vecs, l.grad_singular_values
+    return HermitianMatrix(unvec_h(x + c @ (np.expm1(-0.5 * t_final * s * s) * (x @ c)), l.n))

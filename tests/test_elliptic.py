@@ -210,7 +210,7 @@ def test_weighted_operator_builds_its_matrices_on_first_read():
     w = WeightedOperator(l, rho)
     solve_potential(w, feasible_rhs(rng, l))
     assert "matrix_rep" not in vars(w) and "restricted_min_eig" not in vars(w)
-    a, c = momt.elliptic._systems(l, rho.mat[None])[0], l.complement_vecs
+    a, c = momt.elliptic._systems(l, vec_h(rho.mat)[None])[0], l.complement_vecs
     m = c @ a @ c.T
     np.testing.assert_array_equal(w.matrix_rep, 0.5 * (m + m.T))
     assert w.restricted_min_eig == float(np.linalg.eigvalsh(a)[0])

@@ -226,14 +226,14 @@ def test_initial_path_is_iteration_zero(three_level_pair, pauli, swap_endpoints,
 
 
 def test_iteration_zero_point_is_value_grad_at_zero(three_level_pair, pauli, swap_endpoints):
-    # the solver starts from the line and line systems _Reduced holds; they
-    # are the zero move's nodes and point, byte for byte (signed zeros too)
+    # the solver starts from the line _Reduced holds; it is the zero move's
+    # nodes and gives its point, byte for byte (signed zeros too)
     for l, r0, r1 in [three_level_pair, (pauli, *swap_endpoints), diagonal_kernel_set()]:
         for big_k in (1, 2, 8):
             red = _Reduced(l, r0, r1, big_k, 1e-8)
             zero = np.zeros(red.d * (big_k - 1))
             assert red.line.tobytes() == red.nodes(zero).tobytes()
-            start, ref = red.point(red.tcs_line, red.fcs_line), red.value_grad(zero)
+            start, ref = red.value_grad(red.line), red.value_grad(red.nodes(zero))
             for got, want in zip(start, ref):
                 assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
@@ -247,8 +247,8 @@ def test_analytic_gradient_matches_finite_differences(pauli, swap_endpoints,
         rng = np.random.default_rng(0)
         y = 0.02 * rng.standard_normal(red.d * (red.big_k - 1))
         assert red.feasible(red.nodes(y))
-        g = red.value_grad(y)[1]
-        fd = finite_difference(lambda z: red.value_grad(z)[0], y)
+        g = red.value_grad(red.nodes(y))[1]
+        fd = finite_difference(lambda z: red.value_grad(red.nodes(z))[0], y)
         np.testing.assert_allclose(g, fd, rtol=1e-6, atol=1e-8)
 
 
@@ -258,9 +258,9 @@ def test_analytic_hessian_matches_finite_differences(three_level_pair):
     rng = np.random.default_rng(0)
     y = 0.02 * rng.standard_normal(red.d * (red.big_k - 1))
     assert red.feasible(red.nodes(y))
-    _, _, _, us, ainv = red.value_grad(y)
+    _, _, _, us, ainv = red.value_grad(red.nodes(y))
     h = dense_block_tridiag(*red.hessian(us, ainv))
-    fd = finite_difference(lambda z: red.value_grad(z)[1], y)
+    fd = finite_difference(lambda z: red.value_grad(red.nodes(z))[1], y)
     np.testing.assert_allclose(h, fd, rtol=1e-6, atol=1e-8)
 
 
@@ -419,7 +419,7 @@ def test_batched_sweep_matches_interval_loop(three_level_pair, pauli, swap_endpo
         rng = np.random.default_rng(1)
         y = 0.02 * rng.standard_normal(red.d * (red.big_k - 1))
         assert red.feasible(red.nodes(y))
-        total, g, xcs, _, _ = red.value_grad(y)
+        total, g, xcs, _, _ = red.value_grad(red.nodes(y))
         ref_total, ref_g = loop_value_grad(red, y)
         ref_xs, _, ref_ms, _ = loop_intervals(l, red.nodes(y), red.dt)
         np.testing.assert_allclose(total, ref_total, rtol=1e-12)
@@ -442,8 +442,9 @@ def test_batched_sweep_matches_interval_loop(three_level_pair, pauli, swap_endpo
 
 
 def test_coordinate_trial_matches_solve_potentials_on_nodes(three_level_pair):
-    # the trial reads only y; the reference solves the interval systems of
-    # the stack nodes(y) and forms E and g from the matrices X_k
+    # the trial assembles its systems from the coordinates of nodes(y); the
+    # reference assembles them from the matrix midpoints and rates of that
+    # stack, solves them and forms E and g from the matrices X_k
     rng = np.random.default_rng(4)
     four = rand_lindblad(rng, 2, 4), rand_density(rng, 4, 0.1), rand_density(rng, 4, 0.1)
     for l, r0, r1 in [three_level_pair, four]:
@@ -458,12 +459,11 @@ def test_coordinate_trial_matches_solve_potentials_on_nodes(three_level_pair):
         gs = np.array([loop_gram(v) for v in grad_blocks(l, pots)])
         ref_g = vec_h(2.0 * (pots[:-1] - pots[1:]) - 0.5 * red.dt * (gs[:-1] + gs[1:])) @ red.c
         ref_total = red.dt * np.sum(vec_h(fs) * vec_h(pots))
-        total, g, xs, _, ainv = red.value_grad(y)
-        tcs = red.systems(y)[0]
-        for got, ref in [(xs, ref_xs), (tcs, ref_tcs), (g.reshape(ref_g.shape), ref_g)]:
+        total, g, xs, _, ainv = red.value_grad(nodes)
+        for got, ref in [(xs, ref_xs), (g.reshape(ref_g.shape), ref_g)]:
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
         np.testing.assert_allclose(total, ref_total, rtol=1e-12)
-        np.testing.assert_allclose(ainv @ ref_tcs, np.broadcast_to(np.eye(red.d), tcs.shape),
+        np.testing.assert_allclose(ainv @ ref_tcs, np.broadcast_to(np.eye(red.d), ref_tcs.shape),
                                    rtol=0, atol=1e-12)
 
 
@@ -525,7 +525,7 @@ def test_couplings_match_gram_and_move_formula(three_level_pair):
     for l, r0, r1 in [three_level_pair, six_level_set()]:
         red = _Reduced(l, r0, r1, 6, 1e-8)
         y = 0.02 * np.random.default_rng(2).standard_normal(red.d * (red.big_k - 1))
-        _, _, xcs, us, _ = red.value_grad(y)
+        _, _, xcs, us, _ = red.value_grad(red.nodes(y))
         xs = unvec_h(xcs @ red.c.T, l.n)
         ref = vec_h(np.array([loop_gram(v) for v in grad_blocks(l, xs)])) @ red.c
         np.testing.assert_allclose((us @ xcs[..., None])[..., 0], ref,
@@ -597,22 +597,23 @@ def test_zero_iteration_solve_makes_no_newton_solve(pauli, swap_endpoints, monke
 
 def test_zero_iteration_solve_starts_at_the_stored_line(pauli, swap_endpoints,
                                                        three_level_pair, monkeypatch):
-    # iteration 0 reads _Reduced's line and line systems, so a solve that
-    # stops there rebuilds neither from y; a Newton trial still does
+    # iteration 0 is one value_grad of _Reduced's line, so a solve that stops
+    # there builds no nodes from y; a Newton trial does
     calls = []
 
     def counted(name):
         method = getattr(_Reduced, name)
         return lambda self, y: calls.append(name) or method(self, y)
 
-    for name in ("nodes", "systems"):
+    for name in ("nodes", "value_grad"):
         monkeypatch.setattr(_Reduced, name, counted(name))
     for l, r0, r1, cfg in [(pauli, *swap_endpoints, SolverConfig(K=8)),
                            (*three_level_pair, SolverConfig(K=8, max_iter=0))]:
         assert optimize_geodesic(l, r0, r1, cfg).iterations == 0
-        assert not calls
+        assert calls == ["value_grad"]
+        calls.clear()
     assert optimize_geodesic(*three_level_pair, SolverConfig(K=8)).iterations > 0
-    assert {"nodes", "systems"} <= set(calls)
+    assert "nodes" in calls
 
 
 def test_weight_tensors_cached_and_read_only(three_level_pair):

@@ -17,6 +17,7 @@ from momt import (
     WeightedOperator,
     assemble_weighted,
     feasibility_gap,
+    fenchel_gap,
     gradient,
     heat_flow,
     initial_path,
@@ -229,13 +230,17 @@ QUTRIT = np.eye(3) / 3
     (lambda: laplacian(PAULI_SET, 1j * np.eye(2)), SymmetryError),
     (lambda: assemble_weighted(PAULI_SET, MIXED).apply([[0, 1], [0, 0]]), SymmetryError),
     (lambda: assemble_weighted(PAULI_SET, MIXED).apply(QUTRIT), DimensionMismatch),
+    (lambda: fenchel_gap(DensityMatrix(np.diag([0.7, 0.3])), np.zeros((3, 2, 2)),
+                         DualPoint(a=HermitianMatrix(-np.eye(3)),
+                                   b=OperatorStack(np.zeros((3, 3, 3))))),
+     DimensionMismatch),
 ], ids=["geodesic", "initial-path", "feasibility-gap", "poincare", "momentum-check-weight",
         "momentum-check-rhs", "potential-rhs", "potential-non-hermitian-rhs",
         "empty-hermitian", "empty-operator", "no-operator", "mixed-operators", "flat-stack",
         "quadratic-form", "legendre-dual-point", "heat-flow-non-hermitian-start",
         "heat-flow-start-size", "feasibility-gap-non-hermitian",
         "project-kernel-non-hermitian", "gradient-non-hermitian", "laplacian-non-hermitian",
-        "apply-non-hermitian", "apply-size"])
+        "apply-non-hermitian", "apply-size", "fenchel-dual-point-size"])
 def test_gates_reject_wrong_size_or_symmetry(call, error):
     # a 3 x 3 input against 2-level operators, a skew right-hand side or an
     # empty matrix stops at the input gate, before any product or solve

@@ -158,14 +158,31 @@ def test_heat_flow_limit_is_kernel_projection(pauli, sz_only):
         np.testing.assert_allclose(out.mat, target, atol=1e-8)
 
 
-def test_heat_flow_matches_matrix_exponential(pauli):
+def test_heat_flow_matches_matrix_exponential(pauli, sz_only):
     # independent oracle: exponentiate the matrix of rho -> -(1/2) grad^T grad rho
-    # assembled from the coordinate representation, not from the closed form
+    # assembled from the coordinate representation, not from the closed form;
+    # sz_only's kernel is 2-dimensional, so its rank cut drops two singular values
+    rng = np.random.default_rng(12)
+    cases = [(pauli, DensityMatrix(np.diag([0.9, 0.1]).astype(complex))),
+             (sz_only, rand_density(rng, 2)),
+             (rand_lindblad(rng, 2, 3), rand_density(rng, 3)),
+             (rand_lindblad(rng, 3, 4), rand_density(rng, 4))]
+    for l, rho in cases:
+        gen = -0.5 * l.grad_matrix.T @ l.grad_matrix
+        exact = np.linalg.multi_dot([expm(0.7 * gen), vec_h(rho.mat)])
+        approx = heat_flow(l, rho, 0.7)
+        np.testing.assert_allclose(vec_h(approx.mat), exact, atol=1e-6)
+
+
+def test_heat_flow_reuses_the_kernel_decomposition(pauli, monkeypatch):
+    # the kernel's SVD of grad_matrix already diagonalizes the generator, so a
+    # flow factors no matrix of its own
     rho = DensityMatrix(np.diag([0.9, 0.1]).astype(complex))
-    gen = -0.5 * pauli.grad_matrix.T @ pauli.grad_matrix
-    exact = np.linalg.multi_dot([expm(0.7 * gen), vec_h(rho.mat)])
-    approx = heat_flow(pauli, rho, 0.7)
-    np.testing.assert_allclose(vec_h(approx.mat), exact, atol=1e-6)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **kw: calls.append(1) or eigh(*a, **kw))
+    heat_flow(pauli, rho, 0.7)
+    assert not calls
 
 
 def test_generator_matrix_matches_laplacian_columns(pauli, sz_only):

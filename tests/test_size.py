@@ -63,17 +63,25 @@ def _referenced_names(node) -> list:
             if isinstance(n, (ast.Name, ast.Attribute))]
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
 def test_no_private_helper_only_tests_call():
     # code that nothing calls except its own test goes: every private module-level
-    # function or class is read somewhere in src/momt outside its own definition;
+    # function or class, every method of a private class and every private method
+    # of any class is read somewhere in src/momt outside its own definition;
     # reads from tests or perfbench do not count
     trees = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))]
     reads = Counter(name for tree in trees for name in _referenced_names(tree))
-    dead = [node.name for tree in trees for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and node.name.startswith("_") and not node.name.endswith("__")
-            and reads[node.name] == _referenced_names(node).count(node.name)]
-    assert not dead, f"private helpers nothing in src/momt reads: {dead}"
+    helpers = [node for tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _private(node.name)]
+    helpers += [node for tree in trees for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                for node in cls.body if isinstance(node, ast.FunctionDef)
+                and (_private(node.name) or _private(cls.name) and not node.name.endswith("__"))]
+    dead = [node.name for node in helpers
+            if reads[node.name] == _referenced_names(node).count(node.name)]
+    assert helpers and not dead, f"private helpers nothing in src/momt reads: {dead}"
 
 
 def _momt_lookups(node) -> set:
