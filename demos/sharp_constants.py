@@ -16,7 +16,7 @@ import numpy as np
 from momt import (
     DensityMatrix,
     LindbladSet,
-    assemble_weighted,
+    WeightedOperator,
     gradient,
     momentum_min_check,
     poincare_constant,
@@ -73,7 +73,7 @@ def main():
         # random directions rarely align with the minimizer, so also
         # evaluate the ratio at the bottom eigenvector of the restricted
         # operator: there the inequality is tight by construction.
-        w3 = assemble_weighted(l3, rho3)
+        w3 = WeightedOperator(l3, rho3)
         comp = l3.complement_vecs
         small = comp.T @ w3.matrix_rep @ comp
         evals, evecs = np.linalg.eigh(0.5 * (small + small.T))
@@ -86,7 +86,7 @@ def main():
     print()
     print("restricted solve: T_rho X = f with f orthogonal to the kernel")
     rho = DensityMatrix(np.diag([0.7, 0.3]).astype(complex))
-    w = assemble_weighted(pauli, rho)
+    w = WeightedOperator(pauli, rho)
     f_raw = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     f_raw = 0.5 * (f_raw + f_raw.conj().T)
     f_raw -= np.trace(f_raw).real / 2 * np.eye(2)  # traceless => in the range

@@ -37,9 +37,8 @@ _EXPORTS = {
                "kinetic", "legendre_feasible", "path_cost", "trace_lower_bound"),
     "cli": (),  # no public names; listed so that momt.cli resolves
     "elliptic": ("IllConditioned", "InfeasibleRHS", "MomentumCheck", "SingularWeight",
-                 "WeightedOperator", "WeightError", "assemble_weighted",
-                 "momentum_min_check", "poincare_constant", "quadratic_form",
-                 "solve_potential"),
+                 "WeightedOperator", "WeightError", "momentum_min_check",
+                 "poincare_constant", "quadratic_form", "solve_potential"),
     "geodesic": ("DiscretePath", "GeodesicResult", "HamiltonianProfile",
                  "InfeasibleEndpoints", "InvalidConfig", "SolverConfig",
                  "continuity_residual", "dual_certificate", "feasibility_gap",

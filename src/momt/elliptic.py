@@ -9,16 +9,15 @@ Q_rho(v) = tr(rho v^* v) >= lambda_min(rho) |v|^2.  So the restricted
 system A(rho) = C^T T_rho C (C = complement_vecs) has A(rho) >=
 lambda_min(rho) A(I) > 0, and a weight gated above EPS_PD gives a
 positive-definite A.  A is one contraction of the operator set's cached
-weight_tensor (built on first use, about 50 ms at n = 10), and
-WeightedOperator's matrix_rep is C A C^T.  This yields:
+weight_tensor (built on first use, about 50 ms at n = 10), and a
+WeightedOperator holds the one A of its weight.  This yields:
 
-* restricted_systems and solve_restricted — the one potential solve, for
-  K weights and right-hand sides at once.  restricted_systems only
-  assembles (A_k, C^T f_k), and geodesic trials assemble theirs through
-  _systems.  solve_restricted, called on every trial, runs one batched
-  inverse and one check, the residual gate: did it solve each system?
-  (The solver's floor test makes every A_k positive definite; its slope
-  test judges the Newton direction.)
+* _systems and solve_restricted — the one potential solve, for K weights
+  and right-hand sides at once.  _systems assembles the A_k as one GEMM;
+  solve_restricted, called on every trial, runs one batched inverse and
+  one check, the residual gate: did it solve each system?  (The solver's
+  floor test makes every A_k positive definite; its slope test judges the
+  Newton direction.)
 * solve_potential — the unique X in ker(grad)^perp with T_rho X = f, the
   K = 1 case of those two, and the gate of a caller's weight and f,
 * poincare_constant — the smallest restricted eigenvalue (the sharp
@@ -101,17 +100,6 @@ def _kernel_excess(kpart, fnorm):
     return (kpart > 1e-10 * fnorm) & (kpart > 1e-14)
 
 
-def restricted_systems(l: LindbladSet, rhos: np.ndarray, fs: np.ndarray):
-    """Restricted data of K weights and right-hand sides: (A_k, c_k).
-
-    rhos and fs are (K, n, n) Hermitian stacks.  A_k = C^T T(rho_k) C is one
-    GEMM (_systems), with no n^2 x n^2 matrix formed, and c_k = C^T vec_h(f_k)
-    (C = complement_vecs).  It only assembles: each entry point gates its own
-    inputs and f's kernel part (solve_potential, the solver's endpoints).
-    """
-    return _systems(l, vec_h(rhos)), vec_h(fs) @ l.complement_vecs
-
-
 def solve_restricted(tcs: np.ndarray, fcs: np.ndarray):
     """x_k = A_k^{-1} c_k for K restricted systems, and the inverses A_k^{-1}.
 
@@ -138,15 +126,15 @@ def solve_restricted(tcs: np.ndarray, fcs: np.ndarray):
 class WeightedOperator:
     """T_rho with its real symmetric matrix representation.
 
-    Attributes: lindblad, rho (raw Hermitian ndarray), matrix_rep
-    (n^2 x n^2 real symmetric PSD), restricted_min_eig (smallest
-    eigenvalue on ker(grad)^perp; 0 when the complement is empty).  rho's
-    own smallest eigenvalue, from _weight, is kept for solve_potential.
+    Attributes: lindblad, rho (raw Hermitian ndarray), restricted (A =
+    C^T T(rho) C, (d, d)), matrix_rep (n^2 x n^2 real symmetric PSD),
+    restricted_min_eig (smallest eigenvalue on ker(grad)^perp; 0 when the
+    complement is empty).  rho's own smallest eigenvalue, from _weight, is
+    kept for solve_potential, which reads only restricted.
 
-    Both come from A = C^T T(rho) C: T vanishes on ker(grad) and maps into
-    ker(grad)^perp, so matrix_rep = C A C^T exactly.  Each is built on first
-    read, as solve_potential reads neither.  The first A on a LindbladSet
-    builds its weight tensor (about 50 ms at n = 10).
+    Each is built on first read, and A only once: T vanishes on ker(grad) and
+    maps into ker(grad)^perp, so matrix_rep = C A C^T exactly.  The first A
+    on a LindbladSet builds its weight tensor (about 50 ms at n = 10).
     """
 
     def __init__(self, lindblad: LindbladSet, rho):
@@ -155,15 +143,21 @@ class WeightedOperator:
         _square(lindblad, h)  # DimensionMismatch unless n x n for the set
 
     @cached_property
+    def restricted(self) -> np.ndarray:
+        """A = C^T T(rho) C, read-only: the one assembly every reader shares."""
+        a = _systems(self.lindblad, vec_h(self.rho)[None])[0]
+        a.setflags(write=False)
+        return a
+
+    @cached_property
     def matrix_rep(self) -> np.ndarray:
         c = self.lindblad.complement_vecs
-        m = c @ _systems(self.lindblad, vec_h(self.rho)[None])[0] @ c.T
+        m = c @ self.restricted @ c.T
         return 0.5 * (m + m.T)
 
     @cached_property
     def restricted_min_eig(self) -> float:
-        a = _systems(self.lindblad, vec_h(self.rho)[None])[0]
-        return float(np.linalg.eigvalsh(a)[0]) if a.size else 0.0
+        return float(np.linalg.eigvalsh(self.restricted)[0]) if self.restricted.size else 0.0
 
     def apply(self, x) -> HermitianMatrix:
         """T_rho X; X passes _square's gate."""
@@ -173,9 +167,6 @@ class WeightedOperator:
     def __repr__(self):
         return (f"WeightedOperator(n={self.lindblad.n}, "
                 f"restricted_min_eig={self.restricted_min_eig:.6g})")
-
-
-assemble_weighted = WeightedOperator  # builds T_rho of (l, rho), as a function name
 
 
 def solve_potential(w: WeightedOperator, f) -> HermitianMatrix:
@@ -199,7 +190,7 @@ def solve_potential(w: WeightedOperator, f) -> HermitianMatrix:
             f"right-hand side has kernel component {kpart:.3e} (|f| = {fnorm:.3e}); "
             "solvability requires f orthogonal to ker(grad)"
         )
-    xc, _ = solve_restricted(*restricted_systems(l, w.rho[None], f[None]))
+    xc, _ = solve_restricted(w.restricted[None], (vec_h(f) @ l.complement_vecs)[None])
     return HermitianMatrix(unvec_h(xc @ l.complement_vecs.T, l.n)[0])
 
 

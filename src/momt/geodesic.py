@@ -277,7 +277,6 @@ class _Reduced:
 
     def __init__(self, l, r0, r1, big_k, floor):
         self.l = l
-        self.big_k = big_k
         self.dt = 1.0 / big_k
         self.floor = floor
         self.c = l.complement_vecs

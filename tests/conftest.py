@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from momt import DensityMatrix, LindbladSet, vec_h
+from momt.elliptic import _systems
 from momt.lindblad import div_blocks
 from momt.verify import rand_general_stack, rand_herm, rand_skew_stack  # noqa: F401
 
@@ -30,6 +31,12 @@ def rand_density(rng, n, min_eig=0.05):
 
 def rand_lindblad(rng, count, n):
     return LindbladSet([rand_herm(rng, n) for _ in range(count)])
+
+
+def restricted_data(l: LindbladSet, rhos, fs):
+    """(A_k, c_k) of (K, n, n) weights and right-hand sides: A_k = C^T T(rho_k) C
+    as the solver assembles it (elliptic._systems) and c_k = C^T vec_h(f_k)."""
+    return _systems(l, vec_h(rhos)), vec_h(fs) @ l.complement_vecs
 
 
 def unvec_stack(x: np.ndarray, count: int, n: int) -> np.ndarray:

@@ -20,7 +20,7 @@ from momt import (
     LindbladSet,
     OperatorStack,
     SolverConfig,
-    assemble_weighted,
+    WeightedOperator,
     divergence,
     fenchel_gap,
     gradient,
@@ -199,7 +199,7 @@ def test_c04_restricted_solver():
             continue
         rho = rand_density(rng, n)
         f = _feasible_rhs(rng, l)
-        w = assemble_weighted(l, rho)
+        w = WeightedOperator(l, rho)
         x = solve_potential(w, f)
         resid = np.linalg.norm(w.apply(x).mat - f.mat)
         fnorm = np.linalg.norm(f.mat)
@@ -208,7 +208,7 @@ def test_c04_restricted_solver():
 
         if i % 2 == 0:  # pseudo-inverse oracle at the maximally mixed weight
             mixed = DensityMatrix(np.eye(n) / n)
-            xm = solve_potential(assemble_weighted(l, mixed), f)
+            xm = solve_potential(WeightedOperator(l, mixed), f)
             oracle = np.linalg.pinv(l.grad_matrix.T @ l.grad_matrix / n,
                                     rcond=1e-12) @ vec_h(f.mat)
             oracle_worst = max(oracle_worst,

@@ -261,10 +261,23 @@ def test_verify_negative_seed_ends_in_error_line(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: $.config.seed: must be >= 0")
 
 
-def test_verify_infeasible_endpoints_skips_solve(capsys):
-    # suites on a problem whose endpoints cannot be joined still run; the
-    # end-to-end checks report themselves as skipped rather than failing
-    assert main(["verify", INFEASIBLE, "--suite", "duality"]) == 0
+def _boundary_endpoint(doc):
+    # rho0 on the cone boundary parses (admissible, not strict); the solver refuses it
+    doc.update(rho0=SINGULAR_RHO, rho1=matrix_to_literal(np.diag([0.3, 0.7])),
+               config={"K": 8, "seed": 7})
+
+
+@pytest.mark.parametrize("source, edit", [(INFEASIBLE, None), (PAULI, _boundary_endpoint)],
+                         ids=["infeasible", "boundary"])
+def test_verify_infeasible_endpoints_skips_solve(tmp_path, capsys, source, edit):
+    # suites on a problem whose solve is refused still run: the end-to-end
+    # checks report themselves as skipped rather than failing or ending the run
+    if edit is not None:
+        doc = json.loads(Path(source).read_text())
+        edit(doc)
+        source = tmp_path / "refused.json"
+        source.write_text(json.dumps(doc))
+    assert main(["verify", str(source), "--suite", "all"]) == 0
     assert "skipped" in capsys.readouterr().out
 
 

@@ -16,7 +16,6 @@ from momt import (
     SolverConfig,
     WeightedOperator,
     WeightError,
-    assemble_weighted,
     gradient,
     inner_product,
     kinetic,
@@ -29,7 +28,7 @@ from momt import (
     unvec_h,
     vec_h,
 )
-from momt.elliptic import restricted_systems, solve_restricted
+from momt.elliptic import solve_restricted
 from momt.hermitian import hermitian_part
 from conftest import (
     SZ,
@@ -39,6 +38,7 @@ from conftest import (
     rand_lindblad,
     rand_skew_stack,
     rand_unitary,
+    restricted_data,
     unvec_stack,
 )
 from oracles.weighted_oracle import apply_weighted
@@ -96,7 +96,7 @@ def test_weighted_operator_two_routes():
         l = rand_lindblad(rng, int(rng.integers(1, 4)), n)
         rho = rand_density(rng, n)
         x = rand_herm(rng, n)
-        via_matrix = assemble_weighted(l, rho).apply(x).mat
+        via_matrix = WeightedOperator(l, rho).apply(x).mat
         direct = apply_weighted(l, rho, x).mat
         np.testing.assert_allclose(via_matrix, direct,
                                    atol=1e-12 * max(1, np.linalg.norm(direct)))
@@ -104,7 +104,7 @@ def test_weighted_operator_two_routes():
 
 def test_weighted_matrix_symmetric_psd(pauli):
     rng = np.random.default_rng(4)
-    w = assemble_weighted(pauli, rand_density(rng, 2))
+    w = WeightedOperator(pauli, rand_density(rng, 2))
     m = w.matrix_rep
     np.testing.assert_allclose(m, m.T, atol=1e-13)
     assert np.linalg.eigvalsh(m)[0] >= -1e-12
@@ -113,7 +113,7 @@ def test_weighted_matrix_symmetric_psd(pauli):
 def test_weighted_kernel_matches_gradient_kernel(pauli, sz_only):
     rng = np.random.default_rng(5)
     for l in (pauli, sz_only):
-        w = assemble_weighted(l, rand_density(rng, 2))
+        w = WeightedOperator(l, rand_density(rng, 2))
         evals = np.linalg.eigvalsh(w.matrix_rep)
         # as many (near-)zero eigenvalues as the gradient kernel dimension
         assert np.sum(evals < 1e-10) == l.kernel_dim
@@ -125,7 +125,7 @@ def test_solve_potential_residual_and_bound(pauli):
     for _ in range(25):
         rho = rand_density(rng, 2)
         f = feasible_rhs(rng, pauli)
-        w = assemble_weighted(pauli, rho)
+        w = WeightedOperator(pauli, rho)
         x = solve_potential(w, f)
         resid = np.linalg.norm(w.apply(x).mat - f.mat)
         fnorm = np.linalg.norm(f.mat)
@@ -146,7 +146,7 @@ def test_solve_potential_pseudo_inverse_oracle():
             continue
         f = feasible_rhs(rng, l)
         mixed = DensityMatrix(np.eye(n) / n)
-        x = solve_potential(assemble_weighted(l, mixed), f)
+        x = solve_potential(WeightedOperator(l, mixed), f)
         oracle = np.linalg.pinv(l.grad_matrix.T @ l.grad_matrix / n,
                                 rcond=1e-12) @ vec_h(f.mat)
         np.testing.assert_allclose(vec_h(x.mat), oracle, atol=1e-9)
@@ -154,12 +154,12 @@ def test_solve_potential_pseudo_inverse_oracle():
 
 def test_solve_potential_rejects_kernel_component(pauli):
     with pytest.raises(InfeasibleRHS):
-        solve_potential(assemble_weighted(pauli, np.eye(2) / 2),
+        solve_potential(WeightedOperator(pauli, np.eye(2) / 2),
                         HermitianMatrix(np.eye(2)))
 
 
 def test_solve_potential_rejects_singular_weight(pauli):
-    w = assemble_weighted(pauli, np.diag([1.0, 0.0]))
+    w = WeightedOperator(pauli, np.diag([1.0, 0.0]))
     with pytest.raises(SingularWeight):
         solve_potential(w, HermitianMatrix(SZ))
 
@@ -214,6 +214,23 @@ def test_weighted_operator_builds_its_matrices_on_first_read():
     m = c @ a @ c.T
     np.testing.assert_array_equal(w.matrix_rep, 0.5 * (m + m.T))
     assert w.restricted_min_eig == float(np.linalg.eigvalsh(a)[0])
+
+
+def test_weighted_operator_assembles_its_system_once(monkeypatch):
+    # matrix_rep, restricted_min_eig, repr and every solve_potential read the one
+    # read-only A = C^T T(rho) C that the operator assembled
+    rng = np.random.default_rng(12)
+    l = rand_lindblad(rng, 3, 3)
+    rho, f = rand_density(rng, 3), feasible_rhs(rng, l)
+    calls, systems = [], momt.elliptic._systems
+    monkeypatch.setattr(momt.elliptic, "_systems",
+                        lambda *args: calls.append(args) or systems(*args))
+    w = WeightedOperator(l, rho)
+    assert w.matrix_rep.shape == (9, 9) and w.restricted_min_eig > 0
+    first, second = solve_potential(w, f), solve_potential(w, f)
+    repr(w)
+    assert len(calls) == 1 and not w.restricted.flags.writeable
+    assert np.array_equal(first.mat, second.mat)
 
 
 def test_poincare_inequality_sampled(pauli):
@@ -279,7 +296,7 @@ def test_inner_product_against_quadratic_route(pauli):
     rng = np.random.default_rng(15)
     rho = rand_density(rng, 2)
     x = rand_herm(rng, 2)
-    lhs = inner_product(assemble_weighted(pauli, rho).apply(x), HermitianMatrix(x))
+    lhs = inner_product(WeightedOperator(pauli, rho).apply(x), HermitianMatrix(x))
     rhs = quadratic_form(rho, gradient(pauli, x))
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
@@ -312,7 +329,7 @@ def test_solve_potential_is_one_interval_of_solve_potentials(n):
     l = rand_lindblad(rng, 2, n)
     rho, f = rand_density(rng, n), feasible_rhs(rng, l)
     got = solve_potential(WeightedOperator(l, rho), f)
-    xs, _ = solve_restricted(*restricted_systems(l, rho.mat[None], f.mat[None]))
+    xs, _ = solve_restricted(*restricted_data(l, rho.mat[None], f.mat[None]))
     expect = HermitianMatrix(unvec_h(xs @ l.complement_vecs.T, n)[0])
     assert np.array_equal(got.mat, expect.mat)
 
@@ -352,8 +369,8 @@ def test_restricted_system_is_bounded_below_by_its_weight(n):
             u = rand_unitary(rng, n)
             rhos.append(hermitian_part(u @ np.diag(lam) @ u.conj().T))
     rhos = np.array(rhos + [np.eye(n) / n])
-    tcs, _ = restricted_systems(l, rhos, np.zeros_like(rhos))
-    identity_low = np.linalg.eigvalsh(restricted_systems(l, np.eye(n)[None],
+    tcs, _ = restricted_data(l, rhos, np.zeros_like(rhos))
+    identity_low = np.linalg.eigvalsh(restricted_data(l, np.eye(n)[None],
                                                          np.zeros((1, n, n)))[0])[0, 0]
     lows = np.linalg.eigvalsh(tcs)[:, 0]
     bounds = np.linalg.eigvalsh(rhos)[:, 0] * identity_low
@@ -366,13 +383,13 @@ def test_solve_potentials_gates(pauli, three_level_pair, monkeypatch):
     rng = np.random.default_rng(13)
     rhos = np.array([rand_density(rng, 2).mat for _ in range(3)])
     fs = np.array([feasible_rhs(rng, pauli).mat for _ in range(3)])
-    tcs, fcs = restricted_systems(pauli, rhos, fs)
+    tcs, fcs = restricted_data(pauli, rhos, fs)
     xs, _ = solve_restricted(tcs, fcs)
     assert xs.shape == (3, 3) and tcs.shape == (3, 3, 3)
-    # restricted_systems only assembles: a singular weight and a kernel
+    # _systems only assembles: a singular weight and a kernel
     # component pass through it, and solve_potential is the gate that refuses them
     singular, identity = np.diag([1.0, 0.0]), fs[2] + 1e-3 * np.eye(2)
-    restricted_systems(pauli, np.array([singular, rhos[2]]), np.array([fs[1], identity]))
+    restricted_data(pauli, np.array([singular, rhos[2]]), np.array([fs[1], identity]))
     with pytest.raises(SingularWeight):
         solve_potential(WeightedOperator(pauli, singular), fs[1])
     with pytest.raises(InfeasibleRHS):
@@ -380,14 +397,14 @@ def test_solve_potentials_gates(pauli, three_level_pair, monkeypatch):
     # an operator set with empty ker(grad)^perp has only zero potentials
     flat = LindbladSet([np.eye(2)])
     assert flat.complement_vecs.shape[1] == 0
-    tcs, fcs = restricted_systems(flat, rhos, np.zeros_like(fs))
+    tcs, fcs = restricted_data(flat, rhos, np.zeros_like(fs))
     xs, _ = solve_restricted(tcs, fcs)
     assert xs.shape == (3, 0) and tcs.shape == (3, 0, 0)
     assert np.array_equal(unvec_h(xs @ flat.complement_vecs.T, 2), np.zeros((3, 2, 2)))
     # the residual gate still runs, in restricted form, on every system
     monkeypatch.setattr(momt.elliptic, "RESIDUAL_RTOL", -1.0)
     with pytest.raises(RuntimeError, match="residual"):
-        solve_restricted(*restricted_systems(pauli, rhos, fs))
+        solve_restricted(*restricted_data(pauli, rhos, fs))
     l, r0, r1 = three_level_pair
     with pytest.raises(RuntimeError, match="residual"):
         optimize_geodesic(l, r0, r1, SolverConfig(K=4))

@@ -32,11 +32,11 @@ from momt import (
 )
 from momt.action import kinetic_values
 from momt.cli import main
-from momt.elliptic import restricted_systems, solve_restricted
+from momt.elliptic import solve_restricted
 from momt.geodesic import _DENSE_MAX, _Reduced, _block_tridiag_solve, _path_and_grams
 from momt.io import load_problem
 from momt.lindblad import grad_blocks
-from conftest import FIXTURES, SZ, rand_density, rand_herm, rand_lindblad
+from conftest import FIXTURES, SZ, rand_density, rand_herm, rand_lindblad, restricted_data
 
 
 def finite_difference(fun, y, h=1e-6):
@@ -93,7 +93,7 @@ def loop_value_grad(red, y):
     xs, vs, _, actions = loop_intervals(red.l, red.nodes(y), red.dt)
     total = sum(red.dt * a for a in actions)
     g = np.zeros(y.size)
-    for j in range(1, red.big_k):
+    for j in range(1, len(red.line) - 1):
         gj = 2.0 * (xs[j - 1] - xs[j]) \
             - 0.5 * red.dt * (loop_gram(vs[j - 1]) + loop_gram(vs[j]))
         g[(j - 1) * red.d: j * red.d] = red.c.T @ vec_h(gj)
@@ -245,7 +245,7 @@ def test_analytic_gradient_matches_finite_differences(pauli, swap_endpoints,
     for l, r0, r1 in [(pauli, *swap_endpoints), three_level_pair]:
         red = _Reduced(l, r0, r1, 6, 1e-8)
         rng = np.random.default_rng(0)
-        y = 0.02 * rng.standard_normal(red.d * (red.big_k - 1))
+        y = 0.02 * rng.standard_normal(red.d * (len(red.line) - 2))
         assert red.feasible(red.nodes(y))
         g = red.value_grad(red.nodes(y))[1]
         fd = finite_difference(lambda z: red.value_grad(red.nodes(z))[0], y)
@@ -256,7 +256,7 @@ def test_analytic_hessian_matches_finite_differences(three_level_pair):
     l, r0, r1 = three_level_pair
     red = _Reduced(l, r0, r1, 6, 1e-8)
     rng = np.random.default_rng(0)
-    y = 0.02 * rng.standard_normal(red.d * (red.big_k - 1))
+    y = 0.02 * rng.standard_normal(red.d * (len(red.line) - 2))
     assert red.feasible(red.nodes(y))
     _, _, _, us, ainv = red.value_grad(red.nodes(y))
     h = dense_block_tridiag(*red.hessian(us, ainv))
@@ -417,7 +417,7 @@ def test_batched_sweep_matches_interval_loop(three_level_pair, pauli, swap_endpo
     for l, r0, r1 in [three_level_pair, six_level_set(), (pauli, *swap_endpoints)]:
         red = _Reduced(l, r0, r1, 6, 1e-8)
         rng = np.random.default_rng(1)
-        y = 0.02 * rng.standard_normal(red.d * (red.big_k - 1))
+        y = 0.02 * rng.standard_normal(red.d * (len(red.line) - 2))
         assert red.feasible(red.nodes(y))
         total, g, xcs, _, _ = red.value_grad(red.nodes(y))
         ref_total, ref_g = loop_value_grad(red, y)
@@ -449,11 +449,11 @@ def test_coordinate_trial_matches_solve_potentials_on_nodes(three_level_pair):
     four = rand_lindblad(rng, 2, 4), rand_density(rng, 4, 0.1), rand_density(rng, 4, 0.1)
     for l, r0, r1 in [three_level_pair, four]:
         red = _Reduced(l, r0, r1, 6, 1e-8)
-        y = 0.02 * np.random.default_rng(3).standard_normal(red.d * (red.big_k - 1))
+        y = 0.02 * np.random.default_rng(3).standard_normal(red.d * (len(red.line) - 2))
         nodes = red.nodes(y)
         assert red.feasible(nodes)
         fs = (nodes[1:] - nodes[:-1]) / red.dt
-        ref_tcs, ref_fcs = restricted_systems(l, 0.5 * (nodes[:-1] + nodes[1:]), fs)
+        ref_tcs, ref_fcs = restricted_data(l, 0.5 * (nodes[:-1] + nodes[1:]), fs)
         ref_xs, _ = solve_restricted(ref_tcs, ref_fcs)
         pots = unvec_h(ref_xs @ red.c.T, l.n)
         gs = np.array([loop_gram(v) for v in grad_blocks(l, pots)])
@@ -473,13 +473,13 @@ def test_cone_test_matches_eigenvalue_floor(three_level_pair):
     rng = np.random.default_rng(5)
     verdicts = []
     for scale in np.linspace(0.0, 0.2, 41):
-        nodes = red.nodes(scale * rng.standard_normal(red.d * (red.big_k - 1)))
+        nodes = red.nodes(scale * rng.standard_normal(red.d * (len(red.line) - 2)))
         stack = np.concatenate([nodes[1:-1], 0.5 * (nodes[:-1] + nodes[1:])])
         verdicts.append(bool(np.all(np.linalg.eigvalsh(stack)[:, 0] > red.floor)))
         assert red.feasible(nodes) == verdicts[-1]
     assert any(verdicts) and not all(verdicts)
     # Cholesky does not stop on NaN, so the factor is checked as well
-    nodes = red.nodes(np.zeros(red.d * (red.big_k - 1)))
+    nodes = red.nodes(np.zeros(red.d * (len(red.line) - 2)))
     assert red.feasible(nodes)
     for i, j in [(0, 0), (1, 0), (2, 2)]:
         broken = nodes.copy()
@@ -524,7 +524,7 @@ def move_coupling(l, xs, dt):
 def test_couplings_match_gram_and_move_formula(three_level_pair):
     for l, r0, r1 in [three_level_pair, six_level_set()]:
         red = _Reduced(l, r0, r1, 6, 1e-8)
-        y = 0.02 * np.random.default_rng(2).standard_normal(red.d * (red.big_k - 1))
+        y = 0.02 * np.random.default_rng(2).standard_normal(red.d * (len(red.line) - 2))
         _, _, xcs, us, _ = red.value_grad(red.nodes(y))
         xs = unvec_h(xcs @ red.c.T, l.n)
         ref = vec_h(np.array([loop_gram(v) for v in grad_blocks(l, xs)])) @ red.c

@@ -15,7 +15,6 @@ from momt import (
     ParseError,
     SymmetryError,
     WeightedOperator,
-    assemble_weighted,
     feasibility_gap,
     fenchel_gap,
     gradient,
@@ -38,11 +37,11 @@ from momt import (
     vec_h,
     vec_s,
 )
-from momt.elliptic import restricted_systems, solve_restricted
+from momt.elliptic import solve_restricted
 from momt.hermitian import gram
 from momt.lindblad import _square, grad_blocks
 from conftest import (SX, SY, SZ, rand_density, rand_general_stack, rand_herm, rand_skew_stack,
-                      unvec_stack)
+                      restricted_data, unvec_stack)
 
 
 def test_hermitian_symmetrizes_small_defects():
@@ -160,9 +159,9 @@ NAN_WEIGHT = np.diag([NAN, 0.5])
     (lambda: HermitianMatrix([[0, INF], [0, 0]]), SymmetryError),
     (lambda: OperatorStack(np.full((1, 2, 2), NAN)), ValueError),
     (lambda: OperatorStack(np.full((1, 2, 2), NAN), flavor="skew"), ValueError),
-    (lambda: solve_potential(assemble_weighted(LindbladSet([SX, SY, SZ]), MIXED),
+    (lambda: solve_potential(WeightedOperator(LindbladSet([SX, SY, SZ]), MIXED),
                              np.diag([NAN, 0])), SymmetryError),
-    (lambda: solve_restricted(*restricted_systems(
+    (lambda: solve_restricted(*restricted_data(
         LindbladSet([SX, SY, SZ]), MIXED[None], np.diag([NAN, 0])[None])), RuntimeError),
     (lambda: heat_flow(LindbladSet([SX, SY, SZ]), MIXED, NAN), ValueError),
     (lambda: heat_flow(LindbladSet([SX, SY, SZ]), MIXED, INF), ValueError),
@@ -228,8 +227,8 @@ QUTRIT = np.eye(3) / 3
     # a non-Hermitian X whose image is (skew-)Hermitian, even zero, stops at the input
     (lambda: gradient(LindbladSet([SZ]), np.diag([1j, 0])), SymmetryError),
     (lambda: laplacian(PAULI_SET, 1j * np.eye(2)), SymmetryError),
-    (lambda: assemble_weighted(PAULI_SET, MIXED).apply([[0, 1], [0, 0]]), SymmetryError),
-    (lambda: assemble_weighted(PAULI_SET, MIXED).apply(QUTRIT), DimensionMismatch),
+    (lambda: WeightedOperator(PAULI_SET, MIXED).apply([[0, 1], [0, 0]]), SymmetryError),
+    (lambda: WeightedOperator(PAULI_SET, MIXED).apply(QUTRIT), DimensionMismatch),
     (lambda: fenchel_gap(DensityMatrix(np.diag([0.7, 0.3])), np.zeros((3, 2, 2)),
                          DualPoint(a=HermitianMatrix(-np.eye(3)),
                                    b=OperatorStack(np.zeros((3, 3, 3))))),

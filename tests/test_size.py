@@ -196,3 +196,28 @@ def test_only_hermitian_reads_the_raw_accessor():
         if path.name != "hermitian.py" and "_entries" in names:
             readers.append(path.name)
     assert not readers, f"modules reading hermitian._entries: {readers}"
+
+
+def _self_stores(cls) -> set:
+    """Attributes the methods of cls assign on self, tuple targets included."""
+    targets = [t for node in ast.walk(cls) if isinstance(node, (ast.Assign, ast.AnnAssign))
+               for t in (node.targets if isinstance(node, ast.Assign) else [node.target])]
+    return {t.attr for target in targets for t in getattr(target, "elts", [target])
+            if isinstance(t, ast.Attribute) and getattr(t.value, "id", None) == "self"}
+
+
+def test_no_instance_attribute_nothing_reads():
+    # state that nothing reads goes too: every attribute a class in src/momt assigns
+    # on self is loaded, as an attribute, somewhere in src/momt, demos or perfbench;
+    # reads from tests do not count
+    root = SRC.parent.parent
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(
+        [*SRC.glob("*.py"), *(root / "demos").glob("*.py"), *(root / "perfbench").glob("*.py")])}
+    loaded = {n.attr for tree in trees.values() for n in ast.walk(tree)
+              if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    stored = {f"{cls.name}.{name}" for p, tree in trees.items() if p.parent == SRC
+              for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+              for name in _self_stores(cls)}
+    assert stored, "the scan found no attribute stores in src/momt"
+    unread = sorted(s for s in stored if s.split(".")[1] not in loaded)
+    assert not unread, f"attributes nothing in src/momt, demos or perfbench reads: {unread}"
