@@ -8,8 +8,8 @@ Subcommands:
 * ``verify <file> --suite NAME``           — seeded property suites
 
 Exit codes: 0 success/converged, 1 parse or I/O error or an ill-conditioned
-operator set, 2 infeasible endpoints, 3 solver did not converge (best iterate
-still reported).
+operator set (``verify``: also a failed check), 2 infeasible endpoints, 3 solver
+did not converge (best iterate still reported).
 ``--json`` prints the machine-readable document to stdout; ``--quiet``
 suppresses the human-readable lines.  The MOMT_THREADS environment
 variable caps BLAS parallelism; ``momt/__init__`` applies it before numpy loads.

@@ -43,17 +43,17 @@ A_k >= lambda_min(mid_k) A(I) > 0, as _endpoint_guard (the one input gate)
 ensures on the line; the residual gate (solve_restricted) if the inverse
 solved every system; the slope test if d.g is in (-inf, 0), else d = -g.
 
-Every returned path, a best-effort one or the constant path between
-coincident endpoints too, is accompanied by a dual certificate (_result):
-the exact discrete dual of the reduced cost (dual_certificate) at the
-path's own interval potentials X_k.  It bounds the squared distance from
-below for any X, and at the solver's X the gap is a sum of nonnegative
-per-node slacks that vanish at a stationary point.  The reported gap is
-therefore a true certificate of how far the descent stopped from optimal.
-The certificate and the Hamiltonian values share one epilogue pass: the
-grad(X_k) that builds the returned momenta also gives the Gram matrices
-G_k = Gram(grad X_k) that both read.  The path's times (DiscretePath.grid) and
-the relative gap (GeodesicResult.rel_gap) are computed when read, not stored.
+One builder, _result, gives the path of every exit, the constant path
+between coincident endpoints too, its dual certificate: the exact discrete
+dual of the reduced cost (dual_certificate) at the path's own interval
+potentials X_k.  It bounds the squared distance from below for any X, and
+at the solver's X the gap is a sum of nonnegative per-node slacks that
+vanish at a stationary point.  The reported gap is therefore a true
+certificate of how far the descent stopped from optimal.
+The grad(X_k) that builds the returned momenta also gives the Gram matrices
+G_k = Gram(grad X_k) that the certificate and the Hamiltonian values read.
+The path's times (DiscretePath.grid) and the relative gap
+(GeodesicResult.rel_gap) are computed when read, not stored.
 """
 
 from __future__ import annotations
@@ -111,9 +111,9 @@ _CONFIG_KINDS = {"int": numbers.Integral, "float": numbers.Real}
 _ZERO_COST = 1e-15
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
-    """Solver settings; each is type- and range-checked at construction (InvalidConfig).
+    """Frozen solver settings, each type- and range-checked at construction (InvalidConfig).
 
     The fields and their annotations are the config schema: a problem file's
     "config" object takes these keys and "seed", and reports echo them.
@@ -202,19 +202,6 @@ def _linear_nodes(r0: np.ndarray, r1: np.ndarray, big_k: int) -> np.ndarray:
     """
     t = (np.arange(1, big_k) * (1.0 / big_k))[:, None, None]
     return np.concatenate([r0[None], (1 - t) * r0 + t * r1 + 0.0, r1[None]])
-
-
-def _path_and_grams(l: LindbladSet, nodes: np.ndarray, xs: np.ndarray):
-    """The path through nodes with X_k = unvec_h(C x_k) and m_k = grad(X_k) mid_k,
-    its G_k = Gram(grad X_k), all from one grad_blocks call, and its mid_k."""
-    big_k, n = len(xs), l.n
-    pots = unvec_h(xs @ l.complement_vecs.T, n)
-    vs = grad_blocks(l, pots)
-    mids = _midpoints(nodes)
-    # one (K, N n, n) @ (K, n, n) product: row block j of entry k is grad_j(X_k) mid_k
-    ms = vs.reshape(big_k, -1, n) @ mids
-    return DiscretePath(K=big_k, densities=nodes, potentials=pots,
-                        momenta=ms.reshape(big_k, l.count, n, n)), gram(vs), mids
 
 
 def _endpoint_guard(l: LindbladSet, rho0, rho1):
@@ -420,14 +407,10 @@ def optimize_geodesic(l: LindbladSet, rho0, rho1,
     r0, r1, span = _endpoint_guard(l, rho0, rho1)
     warnings_list = ["kernel-dim"] if l.kernel_dim > 1 else []
 
-    if span <= 1e-14:
-        # coincident endpoints: the constant path, distance exactly zero
-        path = DiscretePath(K=cfg.K, densities=np.repeat(r0.mat[None], cfg.K + 1, axis=0),
-                            momenta=np.zeros((cfg.K, l.count, l.n, l.n), dtype=complex),
-                            potentials=np.zeros((cfg.K, l.n, l.n), dtype=complex))
-        return _result(l, path, path.potentials, _midpoints(path.densities), 0.0,
-                       iterations=0, converged=True, grad_norm=0.0, trace_drift=0.0,
-                       warnings=warnings_list)
+    if span <= 1e-14:  # coincident endpoints: the constant path, distance exactly zero
+        return _result(l, np.repeat(r0.mat[None], cfg.K + 1, axis=0),
+                       np.zeros((cfg.K, l.complement_vecs.shape[1])), 0.0, iterations=0,
+                       converged=True, grad_norm=0.0, trace_drift=0.0, warnings=warnings_list)
 
     reduced = _Reduced(l, r0, r1, cfg.K, cfg.eps_pd)
     y = np.zeros((cfg.K - 1) * reduced.d)
@@ -461,22 +444,33 @@ def optimize_geodesic(l: LindbladSet, rho0, rho1,
         y, point, nodes = trial_y, trial, trial_nodes
         trace_drift = max(trace_drift, _trace_drift(nodes))
 
-    return _result(l, *_path_and_grams(l, nodes, point.xs), point.cost, iterations=iterations,
+    return _result(l, nodes, point.xs, point.cost, iterations=iterations,
                    converged=converged, grad_norm=gnorm, trace_drift=trace_drift,
                    warnings=warnings_list)
 
 
-def _result(l: LindbladSet, path: DiscretePath, grams: np.ndarray, mids: np.ndarray,
-            cost: float, **counters) -> GeodesicResult:
-    """The GeodesicResult of path at cost, from its G_k = Gram(grad X_k) and mid_k.
+def _result(l: LindbladSet, nodes: np.ndarray, xs: np.ndarray, cost: float,
+            **counters) -> GeodesicResult:
+    """The certified GeodesicResult of the path through nodes with potential coordinates xs.
 
-    The dual is dual_certificate's at the path's own X_k.  As m_k =
-    grad(X_k) mid_k, Gram(m_k) = mid_k G_k mid_k and F(mid_k, m_k) =
-    (1/2) Re tr(mid_k G_k), with no inverse, for every mid_k > 0: each
-    returned midpoint lies above the floor eps_pd >= EPS_PD (the line, the
-    Newton iterates, a best-effort exit), and G_k = 0 on the constant path.
-    counters are the other fields, as the Newton loop or shortcut has them.
+    Each exit of optimize_geodesic builds its result here, the constant path
+    (xs = 0) too.  X_k = unvec_h(C x_k); one grad_blocks call gives m_k =
+    grad(X_k) mid_k and G_k = Gram(grad X_k); the dual is dual_certificate's.
+    As Gram(m_k) = mid_k G_k mid_k, F(mid_k, m_k) = (1/2) Re tr(mid_k G_k),
+    with no inverse, for every mid_k > 0: strict endpoints keep the line's
+    midpoints above EPS_PD, and accepted trials keep theirs above eps_pd.
+    counters are the other fields, as the exit has them.
     """
+    big_k, n = len(xs), l.n
+    pots = unvec_h(xs @ l.complement_vecs.T, n)
+    vs = grad_blocks(l, pots)
+    mids = _midpoints(nodes)
+    # one (K, N n, n) @ (K, n, n) product: row block j of entry k is grad_j(X_k) mid_k;
+    # + 0.0 makes a -0.0 entry +0.0, as a GEMM of zeros gives on the constant path
+    ms = vs.reshape(big_k, -1, n) @ mids + 0.0
+    path = DiscretePath(K=big_k, densities=nodes, potentials=pots,
+                        momenta=ms.reshape(big_k, l.count, n, n))
+    grams = gram(vs)
     _, dual_value = _dual_certificate(l, path, grams)
     return GeodesicResult(
         path=path, distance=float(np.sqrt(max(cost, 0.0))), primal_cost=cost,

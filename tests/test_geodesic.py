@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -33,7 +33,7 @@ from momt import (
 from momt.action import kinetic_values
 from momt.cli import main
 from momt.elliptic import solve_restricted
-from momt.geodesic import _DENSE_MAX, _Reduced, _block_tridiag_solve, _path_and_grams
+from momt.geodesic import _DENSE_MAX, _Reduced, _block_tridiag_solve, _result
 from momt.io import load_problem
 from momt.lindblad import grad_blocks
 from conftest import FIXTURES, SZ, rand_density, rand_herm, rand_lindblad, restricted_data
@@ -425,7 +425,8 @@ def test_batched_sweep_matches_interval_loop(three_level_pair, pauli, swap_endpo
         np.testing.assert_allclose(total, ref_total, rtol=1e-12)
         np.testing.assert_allclose(g, ref_g, rtol=1e-12, atol=1e-12 * np.abs(ref_g).max())
         # the returned path's X_k = unvec_h(C x_k) and momenta grad(X_k) mid_k
-        path = _path_and_grams(l, red.nodes(y), xcs)[0]
+        path = _result(l, red.nodes(y), xcs, total, iterations=0, converged=False,
+                       grad_norm=0.0, trace_drift=0.0).path
         for got, ref in [(path.potentials, ref_xs), (path.momenta, ref_ms)]:
             np.testing.assert_allclose(np.array(got), np.array(ref),
                                        atol=1e-12 * np.abs(np.array(ref)).max())
@@ -504,6 +505,17 @@ def test_solver_config_rejects_out_of_range(key, value):
     SolverConfig(K=1, max_iter=0, eps_pd=EPS_PD)  # the bounds themselves are admissible
     SolverConfig(K=2 ** 16)
     SolverConfig(grad_tol=2 ** 64, eps_pd=2 ** 64)  # finite as floats
+
+
+@pytest.mark.parametrize("key, value", [("K", 0), ("grad_tol", float("nan")), ("eps_pd", -1.0)])
+def test_solver_config_fields_are_frozen(key, value):
+    # a field assigned after the range gate ran would reach the solver unchecked
+    cfg = SolverConfig(K=8)
+    with pytest.raises(FrozenInstanceError):
+        setattr(cfg, key, value)
+    assert cfg == SolverConfig(K=8)
+    with pytest.raises(InvalidConfig, match=key):
+        replace(cfg, **{key: value})
 
 
 def move_coupling(l, xs, dt):
@@ -892,9 +904,12 @@ def test_result_is_raw_stacks(three_level_pair):
             assert isinstance(stack, np.ndarray) and stack.shape == shape
 
 
-def test_identical_endpoints_zero(pauli, three_level_pair):
+def test_identical_endpoints_zero(pauli, three_level_pair, sz_only):
+    # an empty complement (d = 0) and a kernel of dimension 2 take the same route
     rng = np.random.default_rng(2)
-    for l, rho in [(pauli, rand_density(rng, 2)), three_level_pair[:2]]:
+    for l, rho in [(pauli, rand_density(rng, 2)), three_level_pair[:2],
+                   (LindbladSet([np.eye(2)]), rand_density(rng, 2)),
+                   (sz_only, rand_density(rng, 2))]:
         res = optimize_geodesic(l, rho, rho, SolverConfig(K=4))
         assert res.distance == 0.0
         assert res.converged
