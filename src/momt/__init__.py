@@ -45,11 +45,11 @@ _EXPORTS = {
                  "hamiltonian_profile", "initial_path", "optimize_geodesic"),
     "hermitian": ("EPS_PD", "MAX_ENTRY", "SYM_TOL", "TRACE_TOL", "DensityMatrix",
                   "DimensionMismatch", "FlavorError", "HermitianMatrix", "NotPositive",
-                  "NotUnitTrace", "OperatorStack", "ParseError", "SymmetryError",
-                  "hermitian_basis", "inner_product", "matrix_from_literal",
-                  "matrix_to_literal", "unvec_h", "vec_h", "vec_s"),
-    "io": ("SCHEMA_VERSION", "ProblemSpec", "build_report", "dump_canonical",
-           "export_geodesic", "geodesic_trace", "load_problem", "parse_problem"),
+                  "NotUnitTrace", "OperatorStack", "SymmetryError", "hermitian_basis",
+                  "inner_product", "unvec_h", "vec_h", "vec_s"),
+    "io": ("SCHEMA_VERSION", "ParseError", "ProblemSpec", "build_report", "dump_canonical",
+           "export_geodesic", "geodesic_trace", "load_problem", "matrix_from_literal",
+           "matrix_to_literal", "parse_problem"),
     "lindblad": ("LindbladSet", "divergence", "gradient", "heat_flow", "laplacian",
                  "project_kernel"),
     "verify": ("Check", "run_suites"),

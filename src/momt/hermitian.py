@@ -1,5 +1,5 @@
 """Complex matrix foundation: Hermitian and density-matrix types, operator
-stacks, inner products, the real vectorization, and JSON matrix literals.
+stacks, inner products and the real vectorization.
 
 Conventions fixed here for the whole library:
 
@@ -315,75 +315,3 @@ def vec_s(s) -> np.ndarray:
     """
     # <i B_a; S> = -i tr(B_a S) = <B_a; -i S>, and -i S is Hermitian
     return vec_h(-1j * _entries(s))
-
-
-# ---------------------------------------------------------------------------
-# JSON matrix literals and number rules (shared with the I/O layer)
-# ---------------------------------------------------------------------------
-
-class ParseError(ValueError):
-    """JSON validation failure (a problem file, a matrix literal), annotated with a JSON path."""
-
-    def __init__(self, path: str, message: str):
-        self.path = path
-        super().__init__(f"{path}: {message}")
-
-
-_LITERAL_KEYS = ("n", "re", "im")
-
-
-def _known_keys(obj: dict, keys, path: str) -> None:
-    """ParseError naming the first key of obj outside keys, as path.key."""
-    for key in obj:
-        if key not in keys:
-            raise ParseError(f"{path}.{key}", "unknown key")
-
-
-def _int_at(val, path: str) -> int:
-    """An integral JSON number (8 or 8.0) in the float range; anything else is an error."""
-    if isinstance(val, bool) or not isinstance(val, (int, float)) \
-            or not _float_at(val, path).is_integer():
-        raise ParseError(path, f"expected an integer, got {val!r}")
-    return int(val)
-
-
-def _float_at(val, path: str) -> float:
-    """A JSON number in the float range; a boolean, a string or any other value is an error."""
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ParseError(path, "expected float")
-    try:
-        return float(val)
-    except OverflowError:  # a JSON integer has no size limit
-        raise ParseError(path, "number is outside the float range") from None
-
-
-def matrix_to_literal(a) -> dict:
-    """{"n": int, "re": [[...]], "im": [[...]]} encoding of a complex matrix."""
-    m = _entries(a)
-    return {"n": int(m.shape[0]), "re": m.real.tolist(), "im": m.imag.tolist()}
-
-
-def matrix_from_literal(d, path: str = "$") -> np.ndarray:
-    """The complex matrix of a literal, the format's one reader and gate.
-
-    Anything but {"n": n >= 1, "re": ..., "im": ...}, each part n lists of n
-    numbers under _float_at's rule, raises ParseError naming the part, as
-    "$.re[0][1]"; path only names the literal in that message.
-    """
-    if not isinstance(d, dict):
-        raise ParseError(path, "expected a matrix literal object")
-    _known_keys(d, _LITERAL_KEYS, path)
-    for key in _LITERAL_KEYS:
-        if key not in d:
-            raise ParseError(path, f"matrix literal is missing {key!r}")
-    n = _int_at(d["n"], f"{path}.n")
-    parts = []
-    for key in ("re", "im"):  # n >= 1 lists of n numbers, each under _float_at's rule
-        if not (n >= 1 and isinstance(d[key], list) and len(d[key]) == n and all(
-                isinstance(row, list) and len(row) == n for row in d[key])):
-            raise ParseError(f"{path}.{key}", f"expected {n} lists of {n} numbers (n >= 1)")
-        parts.append([[_float_at(val, f"{path}.{key}[{i}][{j}]") for j, val in enumerate(row)]
-                      for i, row in enumerate(d[key])])
-    out = np.empty((n, n), dtype=complex)  # no 1j * im: it would warn on an infinite entry
-    out.real, out.imag = parts
-    return out

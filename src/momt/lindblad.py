@@ -30,6 +30,7 @@ from .hermitian import (
     OperatorStack,
     _stack_blocks,
     hermitian_basis,
+    hermitian_part,
     unvec_h,
     vec_h,
     vec_s,
@@ -179,11 +180,12 @@ def div_blocks(l: LindbladSet, ys: np.ndarray) -> np.ndarray:
 
 
 def laplacian(l: LindbladSet, x) -> HermitianMatrix:
-    """lap(X) by the closed form sum_k (2 L_k X L_k - X L_k^2 - L_k^2 X); X passes _square."""
+    """lap(X) by the closed form sum_k (2 L_k X L_k - X L_k^2 - L_k^2 X); X passes _square.
+    Its rounding defect grows with |L_k|^2 |X|, so its Hermitian part is returned."""
     a = _square(l, x)
     lsq = np.einsum("kij,kjl->il", l.ops, l.ops)
-    return HermitianMatrix(2.0 * np.einsum("kij,jl,klm->im", l.ops, a, l.ops)
-                           - a @ lsq - lsq @ a)
+    return HermitianMatrix(hermitian_part(2.0 * np.einsum("kij,jl,klm->im", l.ops, a, l.ops)
+                                          - a @ lsq - lsq @ a))
 
 
 def project_kernel(l: LindbladSet, x) -> HermitianMatrix:

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import signal
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from momt.lindblad import div_blocks
 from momt.verify import rand_general_stack, rand_herm, rand_skew_stack  # noqa: F401
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+#: wall-clock seconds any one test may take, 30x the slowest tier-1 test
+WALL_BUDGET_S = 30.0
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -58,6 +61,20 @@ def momentum_divergence_matrix(l: LindbladSet) -> np.ndarray:
     m = np.concatenate([unit, 1j * unit])  # unvec_stack of every coordinate vector
     y = m - np.conj(np.swapaxes(m, -1, -2))
     return vec_h(0.5 * div_blocks(l, y)).T
+
+
+@pytest.fixture(autouse=True)
+def wall_budget():
+    """Fail a test that runs past WALL_BUDGET_S: a wrong gradient makes solves
+    crawl to max_iter, which the clock would otherwise be the first to notice."""
+    def expire(signum, frame):
+        pytest.fail(f"test ran past its wall budget of {WALL_BUDGET_S:g} s", pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, WALL_BUDGET_S)
+    yield
+    signal.setitimer(signal.ITIMER_REAL, 0.0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

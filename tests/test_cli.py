@@ -177,6 +177,15 @@ def test_distance_json_and_report_file(tmp_path, capsys):
     assert out.read_text() == printed
 
 
+@pytest.mark.parametrize("problem, pinned", [("pauli_problem", "pauli_report"),
+                                             ("three_level_pair", "three_level_report")])
+def test_distance_json_bytes_are_pinned(capsys, problem, pinned):
+    # every "byte-identical" claim rests on these bytes: a change to a report's
+    # layout or numbers on purpose edits the pinned file and says so
+    assert main(["distance", str(FIXTURES / f"{problem}.json"), "--json"]) == 0
+    assert capsys.readouterr().out.encode() == (FIXTURES / f"{pinned}.json").read_bytes()
+
+
 def test_report_determinism_across_runs(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["distance", PAULI, "--out", str(a), "--quiet"]) == 0
@@ -195,6 +204,7 @@ def test_geodesic_round_trip(tmp_path, capsys):
     trace = json.loads(out.read_text())
     assert len(trace["nodes"]) == trace["K"] + 1 == 33
     assert dump_canonical(trace) == out.read_text()
+    assert out.read_bytes() == (FIXTURES / "pauli_trace.json").read_bytes()  # pinned bytes
     capsys.readouterr()
 
 
@@ -259,6 +269,20 @@ def test_verify_negative_seed_ends_in_error_line(tmp_path, capsys):
     prob.write_text(json.dumps(doc))
     assert main(["verify", str(prob), "--suite", "calculus"]) == 1
     assert capsys.readouterr().err.startswith("error: $.config.seed: must be >= 0")
+
+
+@pytest.mark.parametrize("scale", [100, 300])
+def test_verify_stiff_operators_passes(tmp_path, capsys, scale):
+    # every operator of three_level_pair scaled up: the closed-form laplacian's
+    # rounding defect then exceeds the symmetry gate, and the run must still pass
+    doc = json.loads((FIXTURES / "three_level_pair.json").read_text())
+    for op in doc["lindblad"]["operators"]:
+        for part in ("re", "im"):
+            op[part] = [[scale * v for v in row] for row in op[part]]
+    prob = tmp_path / "stiff.json"
+    prob.write_text(json.dumps(doc))
+    assert main(["verify", str(prob), "--suite", "all"]) == 0
+    assert capsys.readouterr().out.endswith("24/24 checks passed (suite: all)\n")
 
 
 def _boundary_endpoint(doc):

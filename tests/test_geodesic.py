@@ -816,10 +816,32 @@ def diagonal_kernel_set():
     return LindbladSet([np.diag([1.0, 0.0, -1.0]).astype(complex)]), r0, r1
 
 
+def block_kernel_set():
+    """Two block-diagonal operators diag(A_i, c_i), blocks 2 + 1: the kernel is
+    spanned by I and diag(1, 1, -2), so it has dimension 2.
+
+    Unlike sz_only's, the kappa_j do not vanish: the endpoints differ off the
+    kernel (equal trace of the 2 x 2 block, equal (3, 3) entry) and the
+    certificate must project each C_j.
+    """
+    rng = np.random.default_rng(5)
+    ops = []
+    for _ in range(2):
+        op = np.zeros((3, 3), dtype=complex)
+        op[:2, :2], op[2, 2] = rand_herm(rng, 2), rng.standard_normal()
+        ops.append(op)
+    r0 = rand_density(rng, 3, 0.1)
+    delta = rand_herm(rng, 3)
+    delta[2, 2] = 0.0
+    delta[:2, :2] -= np.trace(delta[:2, :2]) / 2 * np.eye(2)
+    r1 = DensityMatrix(r0.mat + 0.05 * delta / np.linalg.norm(delta), strict=True)
+    return LindbladSet(ops), r0, r1
+
+
 def test_dual_certificate_with_larger_kernel(sz_only):
     r0 = DensityMatrix(np.array([[0.7, 0.2], [0.2, 0.3]], dtype=complex))
     r1 = DensityMatrix(r0.mat + np.array([[0.0, -0.1], [-0.1, 0.0]], dtype=complex))
-    for l, a, b in [(sz_only, r0, r1), diagonal_kernel_set()]:
+    for l, a, b in [(sz_only, r0, r1), block_kernel_set(), diagonal_kernel_set()]:
         assert l.kernel_dim > 1
         res = optimize_geodesic(l, a, b, SolverConfig(K=8))
         assert res.converged
@@ -834,7 +856,7 @@ def test_dual_certificate_matches_node_loop_for_each_kernel_dim(three_level_pair
     r0 = DensityMatrix(np.array([[0.7, 0.2], [0.2, 0.3]], dtype=complex))
     r1 = DensityMatrix(r0.mat + np.array([[0.0, -0.1], [-0.1, 0.0]], dtype=complex))
     for (l, a, b), kernel_dim in [(three_level_pair, 1), ((sz_only, r0, r1), 2),
-                                  (diagonal_kernel_set(), 3)]:
+                                  (block_kernel_set(), 2), (diagonal_kernel_set(), 3)]:
         assert l.kernel_dim == kernel_dim
         for path in (initial_path(l, a, b, 8), optimize_geodesic(l, a, b, SolverConfig(K=8)).path):
             slacks, value = dual_certificate(l, path)

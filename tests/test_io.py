@@ -48,6 +48,8 @@ def test_parse_config_overrides():
     spec = parse_problem(json.dumps(doc))
     assert spec.config.K == 8 and spec.seed == 9
     assert spec.config.grad_tol == 1e-6
+    # 0 is the smallest seed numpy's generators take; only a negative one is refused
+    assert parse_problem(json.dumps(minimal_problem(config={"seed": 0}))).seed == 0
 
 
 def test_config_round_trips_every_field():

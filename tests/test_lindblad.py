@@ -88,6 +88,16 @@ def test_laplacian_two_routes():
         np.testing.assert_allclose(closed, composed, atol=1e-12 * max(1, np.linalg.norm(closed)))
 
 
+def test_laplacian_of_stiff_operators_is_hermitian():
+    # at |L_k| ~ 100 the closed form's rounding defect (1.3e-12 here) exceeds
+    # the wrapper's symmetry gate, so laplacian must take the Hermitian part
+    rng = np.random.default_rng(0)
+    a, b = rand_herm(rng, 3), rand_herm(rng, 3)
+    lap = laplacian(LindbladSet([100 * a, 100 * b]), np.eye(3) / 3)
+    np.testing.assert_array_equal(lap.mat, lap.mat.conj().T)
+    np.testing.assert_allclose(lap.mat, 0, atol=1e-10)
+
+
 def test_grad_matrix_shape_and_action(pauli):
     assert pauli.grad_matrix.shape == (3 * 4, 4)
     rng = np.random.default_rng(5)

@@ -198,6 +198,29 @@ def test_only_hermitian_reads_the_raw_accessor():
     assert not readers, f"modules reading hermitian._entries: {readers}"
 
 
+_FORMAT_NAMES = {"ParseError", "_known_keys", "_int_at", "_float_at", "matrix_from_literal",
+                 "matrix_to_literal"}
+
+
+def test_only_io_reads_the_problem_file_format():
+    # the file format has one home: momt.io defines ParseError and the literal and
+    # number rules, and no other module defines them or raises ParseError
+    strays, defined = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {node.name for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))} & _FORMAT_NAMES
+        if any(isinstance(node, ast.Raise) and node.exc is not None
+               and "ParseError" in _loaded_names(node.exc) for node in ast.walk(tree)):
+            names.add("raise ParseError")
+        if path.name == "io.py":
+            defined = names
+        else:
+            strays += [f"{path.name}: {name}" for name in sorted(names)]
+    assert not strays, f"the file format outside momt.io: {strays}"
+    assert defined >= _FORMAT_NAMES, f"momt.io lacks {sorted(_FORMAT_NAMES - defined)}"
+
+
 def _self_stores(cls) -> set:
     """Attributes the methods of cls assign on self, tuple targets included."""
     targets = [t for node in ast.walk(cls) if isinstance(node, (ast.Assign, ast.AnnAssign))
