@@ -111,15 +111,26 @@ def kinetic_values(rhos: np.ndarray, ms: np.ndarray) -> list:
     return out
 
 
+def _cone_bound(half: np.ndarray) -> float:
+    """The tolerance on the top eigenvalue of a + half, half = (1/2) sum_k b_k^* b_k.
+
+    1e-10 max(1, |half|_F): at a boundary pair the eigenvalue is rounding of
+    the Gram term, of size |b|^2, and a part of a that never reaches the top
+    eigenvalue must not widen it.
+    """
+    return 1e-10 * max(1.0, float(np.linalg.norm(half)))
+
+
 def legendre_feasible(p: DualPoint) -> bool:
-    """True iff the largest eigenvalue of a + (1/2) sum_k b_k^* b_k is <= 1e-10.
+    """True iff the largest eigenvalue of a + (1/2) sum_k b_k^* b_k is at most
+    _cone_bound, 1e-10 max(1, (1/2) |sum_k b_k^* b_k|_F).
 
     The gate of a caller's dual point: a passes HermitianMatrix's and b
     _stack_blocks's, each shared if it is already a wrapper.
     """
     a = HermitianMatrix(p.a).mat
-    top = float(np.linalg.eigvalsh(a + 0.5 * gram(_stack_blocks(p.b, a.shape[0])))[-1])
-    return top <= 1e-10
+    half = 0.5 * gram(_stack_blocks(p.b, a.shape[0]))
+    return float(np.linalg.eigvalsh(a + half)[-1]) <= _cone_bound(half)
 
 
 def fenchel_gap(rho, m, p: DualPoint) -> float:

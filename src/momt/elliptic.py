@@ -124,17 +124,17 @@ def solve_restricted(tcs: np.ndarray, fcs: np.ndarray):
 
 
 class WeightedOperator:
-    """T_rho with its real symmetric matrix representation.
+    """T_rho through its one matrix, A = C^T T(rho) C (C = complement_vecs).
 
-    Attributes: lindblad, rho (raw Hermitian ndarray), restricted (A =
-    C^T T(rho) C, (d, d)), matrix_rep (n^2 x n^2 real symmetric PSD),
-    restricted_min_eig (smallest eigenvalue on ker(grad)^perp; 0 when the
-    complement is empty).  rho's own smallest eigenvalue, from _weight, is
-    kept for solve_potential, which reads only restricted.
+    Attributes: lindblad, rho (raw Hermitian ndarray), restricted (A, (d, d)
+    real symmetric), restricted_min_eig (smallest eigenvalue on
+    ker(grad)^perp; 0 when the complement is empty).  rho's own smallest
+    eigenvalue, from _weight, is kept for solve_potential, which reads only A.
 
-    Each is built on first read, and A only once: T vanishes on ker(grad) and
-    maps into ker(grad)^perp, so matrix_rep = C A C^T exactly.  The first A
-    on a LindbladSet builds its weight tensor (about 50 ms at n = 10).
+    T vanishes on ker(grad) and maps into ker(grad)^perp, so A carries all of
+    it: apply reads T X = unvec_h(C A C^T vec_h X).  A is built on first
+    read, once; the first A on a LindbladSet builds its weight tensor (about
+    50 ms at n = 10).
     """
 
     def __init__(self, lindblad: LindbladSet, rho):
@@ -150,19 +150,14 @@ class WeightedOperator:
         return a
 
     @cached_property
-    def matrix_rep(self) -> np.ndarray:
-        c = self.lindblad.complement_vecs
-        m = c @ self.restricted @ c.T
-        return 0.5 * (m + m.T)
-
-    @cached_property
     def restricted_min_eig(self) -> float:
         return float(np.linalg.eigvalsh(self.restricted)[0]) if self.restricted.size else 0.0
 
     def apply(self, x) -> HermitianMatrix:
-        """T_rho X; X passes _square's gate."""
-        return HermitianMatrix(unvec_h(self.matrix_rep @ vec_h(_square(self.lindblad, x)),
-                                       self.lindblad.n))
+        """T_rho X = unvec_h(C A C^T vec_h X); X passes _square's gate."""
+        c = self.lindblad.complement_vecs
+        xc = vec_h(_square(self.lindblad, x)) @ c
+        return HermitianMatrix(unvec_h(c @ (self.restricted @ xc), self.lindblad.n))
 
     def __repr__(self):
         return (f"WeightedOperator(n={self.lindblad.n}, "

@@ -338,6 +338,12 @@ class _Reduced:
 
 # Newton systems of at most this many unknowns, (K-1) d, are solved dense.
 _DENSE_MAX = 128
+# A floor-limited stall: _STALL_WINDOW accepted steps in a row, each after a trial
+# that the floor test refused and each lowering the cost by at most
+# _STALL_DECREASE * |E|, end the solve as a boundary hit.  The bound is relative
+# to the cost, so the rule does not depend on the operators' units.
+_STALL_WINDOW = 10
+_STALL_DECREASE = 1e-6
 
 
 def _block_tridiag_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -396,8 +402,9 @@ def optimize_geodesic(l: LindbladSet, rho0, rho1,
     direction's one gate: -g replaces a d with d.g not in (-inf, 0), as an H
     indefinite by rounding or a NaN d gives (so does an exactly singular
     Newton matrix).  The floor test shortens steps that would push any node
-    or interval midpoint below eps_pd, a persistent failure to move is reported
-    as a boundary hit with the best iterate returned, and each trial's
+    or interval midpoint below eps_pd.  A persistent failure to move, or a
+    floor-limited stall (_STALL_WINDOW), is reported as a boundary hit with
+    the best iterate returned, and each trial's
     residual gate raises on a failed potential solve.  The Hamiltonian values
     F(mid_k, m_k) of the returned path are (1/2) Re tr(mid_k G_k), read from
     the Gram matrices its dual certificate uses (see _result).  Iterate k of
@@ -415,11 +422,14 @@ def optimize_geodesic(l: LindbladSet, rho0, rho1,
     reduced = _Reduced(l, r0, r1, cfg.K, cfg.eps_pd)
     y = np.zeros((cfg.K - 1) * reduced.d)
     nodes, point = reduced.line, reduced.value_grad(reduced.line)
-    trace_drift = _trace_drift(nodes)
+    trace_drift, stalled = _trace_drift(nodes), 0
     for iterations in range(cfg.max_iter + 1):
         gnorm = math.sqrt(point.grad @ point.grad)
         converged = bool(gnorm <= cfg.grad_tol * (1.0 + abs(point.cost)))
         if converged or iterations == cfg.max_iter:
+            break
+        if stalled == _STALL_WINDOW:
+            warnings_list.append("boundary-hit")
             break
         try:
             d = -_block_tridiag_solve(*reduced.hessian(point.us, point.ainv),
@@ -429,7 +439,7 @@ def optimize_geodesic(l: LindbladSet, rho0, rho1,
         slope = float(d @ point.grad)
         if not -np.inf < slope < 0:  # also catches a NaN or infinite direction
             d, slope = -point.grad, -gnorm * gnorm
-        step = 1.0
+        step, refused = 1.0, False
         for _ in range(60):
             trial_y = y + step * d
             trial_nodes = reduced.nodes(trial_y)
@@ -437,10 +447,14 @@ def optimize_geodesic(l: LindbladSet, rho0, rho1,
                 trial = reduced.value_grad(trial_nodes)
                 if trial.cost <= point.cost + 1e-4 * step * slope:  # Armijo
                     break
+            else:
+                refused = True
             step *= 0.5
         else:
             warnings_list.append("boundary-hit")
             break
+        small = point.cost - trial.cost <= _STALL_DECREASE * abs(point.cost)
+        stalled = stalled + 1 if refused and small else 0
         y, point, nodes = trial_y, trial, trial_nodes
         trace_drift = max(trace_drift, _trace_drift(nodes))
 

@@ -3,7 +3,9 @@
 Each suite replays the library's structural guarantees against the
 operator set (and endpoints) of a user problem file: the calculus
 identities, the convex-duality relations, and the conservation laws.
-Failures name the violated property and carry the measured error.
+Failures name the violated property and carry the measured error; a check
+whose computation raises a library error (_LIBRARY_ERRORS) fails with the
+error's name and text, and the other checks still run.
 
 run_suites solves the problem once, and only when duality or conservation
 runs; both read that result.  The heat-flow checks read the exact flow from
@@ -14,13 +16,14 @@ closed-form laplacian.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache, partial
 
 import numpy as np
 
 from . import SUITES
-from .action import (DualPoint, fenchel_gap, kinetic, legendre_feasible, path_cost,
-                     trace_lower_bound)
-from .elliptic import momentum_min_check
+from .action import (DualPoint, _cone_bound, fenchel_gap, kinetic, legendre_feasible,
+                     path_cost, trace_lower_bound)
+from .elliptic import IllConditioned, momentum_min_check
 from .geodesic import (InfeasibleEndpoints, continuity_residual, hamiltonian_profile,
                        optimize_geodesic)
 from .hermitian import (DensityMatrix, HermitianMatrix, NotPositive, OperatorStack, _above_floor,
@@ -28,6 +31,8 @@ from .hermitian import (DensityMatrix, HermitianMatrix, NotPositive, OperatorSta
 from .lindblad import LindbladSet, divergence, gradient, heat_flow, laplacian, project_kernel
 
 _MIN_EIG = 0.05  # spectral floor of the sampled densities
+# what the library raises on inputs it cannot handle (np.linalg.LinAlgError is a ValueError)
+_LIBRARY_ERRORS = (ValueError, IllConditioned)
 
 
 @dataclass
@@ -74,12 +79,19 @@ def _check(name: str, err: float, tol: float, extra: str = "") -> Check:
     return Check(name=name, passed=bool(err <= tol), detail=detail)
 
 
+def _guard(name: str, compute) -> Check:
+    """compute()'s Check, or a FAIL row naming the library error that it raised."""
+    try:
+        return compute()
+    except _LIBRARY_ERRORS as exc:
+        return Check(name=name, passed=False, detail=f"raised {type(exc).__name__}: {exc}")
+
+
 def _worst(name: str, tol: float, draws: int, error, extra: str = "") -> Check:
     """The check that the largest of ``draws`` calls of error() is within tol."""
-    err = 0.0
-    for _ in range(draws):
-        err = max(err, error())
-    return _check(name, err, tol, extra)
+    # np.max keeps a NaN draw, which then fails the check
+    return _guard(name, lambda: _check(
+        name, float(np.max([error() for _ in range(draws)], initial=0.0)), tol, extra))
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +135,12 @@ def suite_calculus(l: LindbladSet, rng) -> list[Check]:
                    - np.linalg.norm(x) ** 2)
         return pyth / max(1.0, np.linalg.norm(x) ** 2)
 
-    checks = [
+    def overlap():
+        overlaps = np.array([[inner_product(a, b) for b in l.kernel_basis]
+                             for a in l.kernel_basis])
+        return float(np.linalg.norm(overlaps - np.eye(l.kernel_dim)))
+
+    return [
         _worst("gradient/divergence adjointness", 1e-12, _CASES, adjointness),
         _worst("gradient product rule", 1e-12, _CASES // 2, product_rule),
         _worst("laplacian closed form vs divergence of gradient", 1e-12, _CASES, closed_form),
@@ -131,18 +148,13 @@ def suite_calculus(l: LindbladSet, rng) -> list[Check]:
                lambda: abs(divergence(l, rand_skew_stack(rng, big_n, n)).trace())),
         _worst("gradient superoperator matches blockwise gradient", 1e-12, _CASES,
                superoperator),
+        _worst("kernel basis annihilated by the gradient", 1e-10, 1,
+               lambda: max((gradient(l, b).norm() for b in l.kernel_basis), default=0.0)),
+        _worst("kernel basis orthonormal", 1e-12, 1, overlap),
+        _worst("kernel projection Pythagoras identity", 1e-12, _CASES, pythagoras),
+        _worst("divergence range orthogonal to the kernel", 1e-10, _CASES, lambda: project_kernel(
+            l, divergence(l, rand_skew_stack(rng, big_n, n)).mat).norm()),
     ]
-    err = max((gradient(l, b).norm() for b in l.kernel_basis), default=0.0)
-    checks.append(_check("kernel basis annihilated by the gradient", err, 1e-10))
-    overlaps = np.array([[inner_product(a, b) for b in l.kernel_basis]
-                         for a in l.kernel_basis])
-    err = float(np.linalg.norm(overlaps - np.eye(l.kernel_dim)))
-    checks.append(_check("kernel basis orthonormal", err, 1e-12))
-    checks.append(_worst("kernel projection Pythagoras identity", 1e-12, _CASES, pythagoras))
-    checks.append(_worst(
-        "divergence range orthogonal to the kernel", 1e-10, _CASES,
-        lambda: project_kernel(l, divergence(l, rand_skew_stack(rng, big_n, n)).mat).norm()))
-    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -182,23 +194,32 @@ def suite_duality(spec, rng, solved) -> list[Check]:
         rho = _rand_density(rng, n)
         return 0.0 if trace_lower_bound(rho, rand_general_stack(rng, big_n, n)) else 1.0
 
+    def initial_excess():
+        start = optimize_geodesic(l, spec.rho0, spec.rho1, replace(spec.config, max_iter=0))
+        return max(0.0, start.dual_value - 2.0 * path_cost(start.path).value)
+
+    cone = "dual-cone membership: eigenvalue test vs factorization"
+
+    def membership():
+        agree, total = 0, 120
+        for i in range(total):
+            b = rand_general_stack(rng, big_n, n)
+            gr = gram(b.blocks)
+            shift = [-1e-3, 0.0, 1e-3][i % 3] * np.eye(n)
+            a = HermitianMatrix(-0.5 * gr + shift)
+            claimed = legendre_feasible(DualPoint(a=a, b=b))
+            # independent route: a Cholesky of the negated residual against the
+            # library's bound, shifted by 1e-13
+            bound = _cone_bound(0.5 * gr)
+            indep = _above_floor(1e-13 * np.eye(n) - (a.mat + 0.5 * gr - bound * np.eye(n)),
+                                 0.0)
+            agree += int(claimed == indep)
+        return Check(cone, agree == total, f"{agree}/{total} classifications agree")
+
     checks = [
         _worst("constrained momentum primal equals dual", 1e-9, 20, momentum_duality),
         _worst("kinetic functional midpoint convexity", 1e-10, 100, convexity),
-    ]
-    agree, total = 0, 120
-    for i in range(total):
-        b = rand_general_stack(rng, big_n, n)
-        gr = gram(b.blocks)
-        shift = [-1e-3, 0.0, 1e-3][i % 3] * np.eye(n)
-        a = HermitianMatrix(-0.5 * gr + shift)
-        claimed = legendre_feasible(DualPoint(a=a, b=b))
-        # independent route: a Cholesky of the negated residual, shifted by 1e-13
-        indep = _above_floor(1e-13 * np.eye(n) - (a.mat + 0.5 * gr - 1e-10 * np.eye(n)), 0.0)
-        agree += int(claimed == indep)
-    checks.append(Check("dual-cone membership: eigenvalue test vs factorization",
-                        agree == total, f"{agree}/{total} classifications agree"))
-    checks += [
+        _guard(cone, membership),
         _worst("Fenchel-Young inequality for the kinetic pair", 1e-10, 100, fenchel_young),
         _worst("subdifferential pair attains Fenchel equality", 1e-9, 20, fenchel_equality),
         _worst("kinetic value dominates momentum-norm lower bound", 0.0, 100, lower_bound,
@@ -208,13 +229,11 @@ def suite_duality(spec, rng, solved) -> list[Check]:
     if isinstance(solved, Exception):
         checks.append(Check("weak duality on the solved instance", True, f"skipped: {solved}"))
         return checks
-    checks.append(_check("weak duality on the solved instance",
-                         max(0.0, -solved.gap), 1e-9,
-                         extra=f"; certified rel_gap {solved.rel_gap:.3e}"))
-    start = optimize_geodesic(l, spec.rho0, spec.rho1, replace(spec.config, max_iter=0))
-    checks.append(_check("certificate never exceeds the action (initial path)",
-                         max(0.0, start.dual_value - 2.0 * path_cost(start.path).value), 1e-9))
-    return checks
+    return checks + [
+        _check("weak duality on the solved instance", max(0.0, -solved.gap), 1e-9,
+               extra=f"; certified rel_gap {solved.rel_gap:.3e}"),
+        _worst("certificate never exceeds the action (initial path)", 1e-9, 1, initial_excess),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -230,30 +249,34 @@ def suite_conservation(spec, solved) -> list[Check]:
         checks = [
             _check("unit trace along every solver iterate", solved.trace_drift, 1e-12,
                    extra=f"; {solved.iterations} iterations"),
-            _check("discrete continuity on the returned path",
-                   continuity_residual(l, solved.path), 1e-9),
-            _check("kinetic values constant along the geodesic",
-                   hamiltonian_profile(solved).rel_std, 1e-3),
+            _worst("discrete continuity on the returned path", 1e-9, 1,
+                   lambda: continuity_residual(l, solved.path)),
+            _worst("kinetic values constant along the geodesic", 1e-3, 1,
+                   lambda: hamiltonian_profile(solved).rel_std),
         ]
+    flow = cache(partial(heat_flow, l, rho0))  # a raise is not kept: each reader fails
+    contracts = "heat flow contracts toward the kernel projection"
 
-    states = [heat_flow(l, rho0, t) for t in (0.5, 1.0, 2.0, 4.0)]
-    flowed = states[2]  # t = 2
-    drift = abs(float(np.trace(flowed.mat).real) - 1.0)
-    checks.append(_check("heat flow preserves trace", drift, 1e-10))
-    checks.append(_check("heat flow preserves positivity", max(0.0, -flowed.min_eig()), 1e-8))
-    target = project_kernel(l, rho0).mat
-    errs = [float(np.linalg.norm(s.mat - target)) for s in states]
-    mono = max(0.0, max(errs[i + 1] - errs[i] for i in range(len(errs) - 1)))
-    checks.append(_check("heat flow contracts toward the kernel projection", mono, 1e-12,
-                         f"; errors {['%.2e' % e for e in errs]}"))
+    def contraction():
+        target = project_kernel(l, rho0).mat
+        errs = [float(np.linalg.norm(flow(t).mat - target)) for t in (0.5, 1.0, 2.0, 4.0)]
+        mono = max(0.0, max(errs[i + 1] - errs[i] for i in range(len(errs) - 1)))
+        return _check(contracts, mono, 1e-12, f"; errors {['%.2e' % e for e in errs]}")
 
-    # a central difference of the flow at t = 0.7 against the closed-form laplacian
-    t, h = 0.7, 1e-4
-    rate = (heat_flow(l, rho0, t + h).mat - heat_flow(l, rho0, t - h).mat) / (2.0 * h)
-    ref = 0.5 * laplacian(l, heat_flow(l, rho0, t)).mat
-    err = float(np.linalg.norm(rate - ref)) / max(1.0, float(np.linalg.norm(ref)))
-    checks.append(_check("heat flow solves rho' = laplacian(rho)/2", err, 1e-6))
-    return checks
+    def rate_error():
+        # a central difference of the flow at t = 0.7 against the closed-form laplacian
+        t, h = 0.7, 1e-4
+        rate = (flow(t + h).mat - flow(t - h).mat) / (2.0 * h)
+        ref = 0.5 * laplacian(l, flow(t)).mat
+        return float(np.linalg.norm(rate - ref)) / max(1.0, float(np.linalg.norm(ref)))
+
+    return checks + [
+        _worst("heat flow preserves trace", 1e-10, 1,
+               lambda: abs(float(np.trace(flow(2.0).mat).real) - 1.0)),
+        _worst("heat flow preserves positivity", 1e-8, 1, lambda: max(0.0, -flow(2.0).min_eig())),
+        _guard(contracts, contraction),
+        _worst("heat flow solves rho' = laplacian(rho)/2", 1e-6, 1, rate_error),
+    ]
 
 
 def run_suites(spec, suite: str) -> list[Check]:

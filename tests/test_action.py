@@ -115,6 +115,13 @@ def test_kinetic_boundary_rule():
     bad = np.zeros((1, 2, 2), dtype=complex)
     bad[0, 0, 1] = 1.0  # hits the kernel vector e_1
     assert not kinetic(rho, OperatorStack(bad, flavor="general")).finite
+    # the range test is relative to |m|: a kernel leak of 1e-10 |m| is rounding
+    # at every scale of m, and one of 1e-8 |m| is not
+    for scale in (1e-3, 1.0, 1e3):
+        for leak, finite in ((1e-10, True), (1e-8, False)):
+            m = good.copy()
+            m[0, 0, 1] = leak * np.linalg.norm(good)
+            assert kinetic(rho, OperatorStack(scale * m, flavor="general")).finite is finite
 
 
 def test_kinetic_epsilon_limit_consistency():
@@ -165,6 +172,19 @@ def test_legendre_feasibility_borderline():
     assert not legendre_feasible(above)
     below = DualPoint(a=HermitianMatrix(-0.5 * g - 1e-3 * np.eye(2)), b=b)
     assert legendre_feasible(below)
+
+
+def test_legendre_bound_follows_the_gram_term():
+    # the boundary pair of large operators is rounding of size |b|^2 above 0
+    rng = np.random.default_rng(5)
+    for scale in (1e3, 1e6):
+        b = OperatorStack(scale * rand_general_stack(rng, 2, 3).blocks, flavor="general")
+        assert legendre_feasible(DualPoint(a=HermitianMatrix(-0.5 * gram(b.blocks)), b=b))
+    # a large eigenvalue of a away from the top one does not widen the bound
+    wide = DualPoint(a=HermitianMatrix(np.diag([-1e10, 0.1])), b=np.zeros((1, 2, 2)))
+    assert not legendre_feasible(wide)
+    with pytest.raises(InfeasibleDualPoint):
+        fenchel_gap(np.diag([1e-12, 1.0 - 1e-12]), np.zeros((1, 2, 2)), wide)
 
 
 NAN_A = np.array([[np.nan, 0.0], [0.0, -1.0]])

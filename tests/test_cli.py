@@ -271,18 +271,56 @@ def test_verify_negative_seed_ends_in_error_line(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: $.config.seed: must be >= 0")
 
 
-@pytest.mark.parametrize("scale", [100, 300])
-def test_verify_stiff_operators_passes(tmp_path, capsys, scale):
-    # every operator of three_level_pair scaled up: the closed-form laplacian's
-    # rounding defect then exceeds the symmetry gate, and the run must still pass
+def scaled_three_level(tmp_path, scale) -> str:
+    """three_level_pair.json with every operator times scale, as a problem file."""
     doc = json.loads((FIXTURES / "three_level_pair.json").read_text())
     for op in doc["lindblad"]["operators"]:
         for part in ("re", "im"):
             op[part] = [[scale * v for v in row] for row in op[part]]
     prob = tmp_path / "stiff.json"
     prob.write_text(json.dumps(doc))
-    assert main(["verify", str(prob), "--suite", "all"]) == 0
+    return str(prob)
+
+
+@pytest.mark.parametrize("scale", [100, 300])
+def test_verify_stiff_operators_passes(tmp_path, capsys, scale):
+    # every operator of three_level_pair scaled up: the closed-form laplacian's
+    # rounding defect then exceeds the symmetry gate, and the run must still pass
+    assert main(["verify", scaled_three_level(tmp_path, scale), "--suite", "all"]) == 0
     assert capsys.readouterr().out.endswith("24/24 checks passed (suite: all)\n")
+
+
+@pytest.mark.parametrize("scale", [1e3, 1e4, 1e6])
+def test_verify_duality_follows_the_operator_scale(tmp_path, capsys, scale):
+    # at the subdifferential pair the dual-cone eigenvalue is rounding of size |b|^2,
+    # so an absolute bound refused the pair once the operators were large
+    main(["verify", scaled_three_level(tmp_path, scale), "--json"])
+    out = capsys.readouterr()
+    checks = json.loads(out.out)["checks"]
+    duality = {c.name for c in run_suites(load_problem(str(FIXTURES / "three_level_pair.json")),
+                                          "duality")}
+    assert out.err == "" and len(checks) == 24
+    assert [c["passed"] for c in checks if c["name"] in duality] == [True] * len(duality)
+
+
+def test_verify_check_that_raises_is_a_failed_row(tmp_path, capsys):
+    # an operator with entries near 1e85 parses, but the laplacian of a random
+    # matrix exceeds the output range gate (SymmetryError); that check fails, and
+    # the others still run.
+    # The scaled set makes the endpoints unconnectable, so the solver rows are skipped
+    doc = json.loads((FIXTURES / "flat_cost_qutrit21.json").read_text())
+    im = doc["lindblad"]["operators"][1]["im"]
+    for i in range(3):
+        for j in range(3):
+            im[i][j] *= 1.0 if i == j else 1e85
+    prob = tmp_path / "huge.json"
+    prob.write_text(json.dumps(doc))
+    assert main(["verify", str(prob), "--json"]) == 1
+    out = capsys.readouterr()
+    checks = json.loads(out.out)["checks"]
+    assert out.err == "" and len(checks) == 21
+    assert any(not c["passed"] and c["detail"].startswith("raised SymmetryError: ")
+               for c in checks)
 
 
 def _boundary_endpoint(doc):

@@ -17,6 +17,7 @@ from momt import (
     WeightedOperator,
     WeightError,
     gradient,
+    hermitian_basis,
     inner_product,
     kinetic,
     momentum_min_check,
@@ -102,10 +103,15 @@ def test_weighted_operator_two_routes():
                                    atol=1e-12 * max(1, np.linalg.norm(direct)))
 
 
+def applied_matrix(w):
+    """The n^2 x n^2 matrix of w.apply in the hermitian_basis coordinates."""
+    return np.array([vec_h(w.apply(b).mat) for b in hermitian_basis(w.lindblad.n)]).T
+
+
 def test_weighted_matrix_symmetric_psd(pauli):
     rng = np.random.default_rng(4)
     w = WeightedOperator(pauli, rand_density(rng, 2))
-    m = w.matrix_rep
+    m = applied_matrix(w)
     np.testing.assert_allclose(m, m.T, atol=1e-13)
     assert np.linalg.eigvalsh(m)[0] >= -1e-12
 
@@ -114,7 +120,7 @@ def test_weighted_kernel_matches_gradient_kernel(pauli, sz_only):
     rng = np.random.default_rng(5)
     for l in (pauli, sz_only):
         w = WeightedOperator(l, rand_density(rng, 2))
-        evals = np.linalg.eigvalsh(w.matrix_rep)
+        evals = np.linalg.eigvalsh(applied_matrix(w))
         # as many (near-)zero eigenvalues as the gradient kernel dimension
         assert np.sum(evals < 1e-10) == l.kernel_dim
         assert w.restricted_min_eig > 0.1
@@ -201,23 +207,20 @@ def test_poincare_constant_reuses_the_weight_spectrum(monkeypatch):
 
 
 def test_weighted_operator_builds_its_matrices_on_first_read():
-    # solve_potential reads neither matrix_rep nor restricted_min_eig, so a fresh
-    # operator forms no n^2 x n^2 product; read later, each equals what the
-    # constructor used to form eagerly from A = C^T T(rho) C
+    # solve_potential does not read restricted_min_eig, so a fresh operator
+    # forms no eigenvalues; read later, it is the one of A = C^T T(rho) C
     rng = np.random.default_rng(10)
     l = rand_lindblad(rng, 3, 4)
     rho = rand_density(rng, 4)
     w = WeightedOperator(l, rho)
     solve_potential(w, feasible_rhs(rng, l))
-    assert "matrix_rep" not in vars(w) and "restricted_min_eig" not in vars(w)
-    a, c = momt.elliptic._systems(l, vec_h(rho.mat)[None])[0], l.complement_vecs
-    m = c @ a @ c.T
-    np.testing.assert_array_equal(w.matrix_rep, 0.5 * (m + m.T))
+    assert "restricted_min_eig" not in vars(w)
+    a = momt.elliptic._systems(l, vec_h(rho.mat)[None])[0]
     assert w.restricted_min_eig == float(np.linalg.eigvalsh(a)[0])
 
 
 def test_weighted_operator_assembles_its_system_once(monkeypatch):
-    # matrix_rep, restricted_min_eig, repr and every solve_potential read the one
+    # apply, restricted_min_eig, repr and every solve_potential read the one
     # read-only A = C^T T(rho) C that the operator assembled
     rng = np.random.default_rng(12)
     l = rand_lindblad(rng, 3, 3)
@@ -226,7 +229,7 @@ def test_weighted_operator_assembles_its_system_once(monkeypatch):
     monkeypatch.setattr(momt.elliptic, "_systems",
                         lambda *args: calls.append(args) or systems(*args))
     w = WeightedOperator(l, rho)
-    assert w.matrix_rep.shape == (9, 9) and w.restricted_min_eig > 0
+    assert w.apply(f).mat.shape == (3, 3) and w.restricted_min_eig > 0
     first, second = solve_potential(w, f), solve_potential(w, f)
     repr(w)
     assert len(calls) == 1 and not w.restricted.flags.writeable

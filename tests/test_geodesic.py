@@ -397,6 +397,46 @@ def test_iteration_cap_stops_unconverged_without_warning(three_level_pair, tmp_p
     assert json.loads(capsys.readouterr().out)["converged"] is False
 
 
+def test_floor_limited_stall_stops_as_boundary_hit(tmp_path, capsys):
+    # family F4: the optimum lies on the cone's boundary, so the floor test cuts
+    # every step and the cost barely moves; the solve ran all 500 iterations,
+    # unlabelled, and now stops within 30 as a boundary hit
+    rng = np.random.default_rng(3)
+    l = LindbladSet([3 * rand_herm(rng, 3), rand_herm(rng, 3) / 3])
+    r0, r1 = np.diag([0.5, 0.3, 0.2]), np.diag([0.2, 0.3, 0.5])
+    res = optimize_geodesic(l, r0, r1, SolverConfig(K=8))
+    assert res.warnings == ["boundary-hit"] and not res.converged and res.iterations <= 30
+    # iterations names the iterate returned: the solve capped there returns it too
+    capped = optimize_geodesic(l, r0, r1, SolverConfig(K=8, max_iter=res.iterations))
+    np.testing.assert_array_equal(capped.path.densities, res.path.densities)
+    assert main(["distance", write_problem(tmp_path / "f4.json", l, r0, r1, K=8)]) == 3
+    assert "[boundary-hit]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_unconverged_boundary_solves_say_so(n):
+    # endpoints whose smallest eigenvalue is 1e-2 down to 1e-6, 30 draws each:
+    # a solve either converges with no warning or stops as a boundary hit, and
+    # the floor stall is cheap (100 iterations each before, about 20 now)
+    rng = np.random.default_rng(1000 + n)
+
+    def endpoint(floor):
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        lam = rng.dirichlet(np.ones(n))
+        lam[0] = floor
+        return DensityMatrix((q * (lam / lam.sum())) @ q.conj().T, strict=True)
+
+    outcomes = []
+    for floor in (1e-2, 1e-3, 1e-4, 1e-6):
+        for _ in range(30):
+            l = LindbladSet([rand_herm(rng, n) for _ in range(2)])
+            res = optimize_geodesic(l, endpoint(floor), endpoint(floor),
+                                    SolverConfig(K=8, max_iter=100))
+            outcomes.append((res.converged, res.warnings))
+    assert set(map(str, outcomes)) <= {"(True, [])", "(False, ['boundary-hit'])"}
+    assert (False, ["boundary-hit"]) in outcomes
+
+
 def test_continuity_residual_matches_interval_loop(three_level_pair, pauli, swap_endpoints):
     l, r0, r1 = three_level_pair
     paths = [(l, optimize_geodesic(l, r0, r1, SolverConfig(K=8)).path),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import momt.verify
-from momt import LindbladSet
+from momt import IllConditioned, LindbladSet
 from momt.io import load_problem
 from momt.verify import run_suites
 from conftest import FIXTURES
@@ -59,3 +59,21 @@ def test_conservation_steps_follow_the_spectral_radius():
         np.testing.assert_allclose(-np.linalg.eigvalsh(gen)[0], 4.0 * scale ** 2)
         checks = run_suites(replace(spec, lindblad=stiff), "conservation")
         assert checks and all(c.passed for c in checks)
+
+
+def _raise(exc):
+    raise exc
+
+
+def test_check_runner_reports_library_errors_and_nan_draws():
+    # a library error raised inside a check becomes that check's FAIL row, a NaN
+    # draw fails its check, and any other exception is a bug that propagates
+    row = momt.verify._worst("ill", 1.0, 2, lambda: _raise(IllConditioned("residual 1e-3")))
+    assert not row.passed and row.detail == "raised IllConditioned: residual 1e-3"
+    row = momt.verify._worst("singular", 1.0, 1,
+                             lambda: _raise(np.linalg.LinAlgError("Singular matrix")))
+    assert not row.passed and row.detail == "raised LinAlgError: Singular matrix"
+    draws = iter([0.1, float("nan"), 0.2])
+    assert not momt.verify._worst("nan draw", 1.0, 3, lambda: next(draws)).passed
+    with pytest.raises(TypeError):
+        momt.verify._worst("bug", 1.0, 1, lambda: _raise(TypeError("not a library error")))
