@@ -121,7 +121,7 @@ class SolverConfig:
 
     K: int = 32
     max_iter: int = 500
-    grad_tol: float = 1e-7  # scaled by (1 + |cost|) inside the solver
+    grad_tol: float = 1e-7  # scaled by (unit + |cost|) inside the solver
     eps_pd: float = 1e-8    # eigenvalue floor maintained by the line search
 
     def __post_init__(self):
@@ -419,13 +419,16 @@ def optimize_geodesic(l: LindbladSet, rho0, rho1,
                        np.zeros((cfg.K, l.complement_vecs.shape[1])), 0.0, iterations=0,
                        converged=True, grad_norm=0.0, trace_drift=0.0, warnings=warnings_list)
 
+    # the problem's cost unit: a power of two, 1/s_0^2 rounded, so that the stop test
+    # scales exactly with the cost under a power-of-two scale of the operators
+    unit = 4.0 ** -round(math.log2(l.grad_singular_values[0]))
     reduced = _Reduced(l, r0, r1, cfg.K, cfg.eps_pd)
     y = np.zeros((cfg.K - 1) * reduced.d)
     nodes, point = reduced.line, reduced.value_grad(reduced.line)
     trace_drift, stalled = _trace_drift(nodes), 0
     for iterations in range(cfg.max_iter + 1):
         gnorm = math.sqrt(point.grad @ point.grad)
-        converged = bool(gnorm <= cfg.grad_tol * (1.0 + abs(point.cost)))
+        converged = bool(gnorm <= cfg.grad_tol * (unit + abs(point.cost)))
         if converged or iterations == cfg.max_iter:
             break
         if stalled == _STALL_WINDOW:

@@ -15,7 +15,7 @@ In the library's real vectorization the gradient is a plain real matrix
 (``grad_matrix``) and the divergence is its transpose, which is how the
 kernel and all downstream superoperators are assembled.  The heat flow's
 generator is then the symmetric -(1/2) G^T G, so the flow is its exact
-exponential, read from the singular values that the kernel's SVD of G keeps.
+exponential, read from the singular values that the kernel's SVD keeps.
 """
 
 from __future__ import annotations
@@ -43,13 +43,20 @@ KERNEL_RTOL = 1e-10
 class LindbladSet:
     """N Hermitian operators with cached gradient superoperator and kernel.
 
+    The identity is in every kernel, so it is split off before anything is
+    factored: one SVD of grad_matrix on an orthonormal basis P of I's
+    complement gives the rest of the kernel and the complement, as P times
+    right singular vectors.  Both are orthogonal to I/sqrt(n) by construction,
+    at every operator scale, and that SVD makes the one rank decision
+    (KERNEL_RTOL).
+
     Attributes
     ----------
     ops : ndarray (N, n, n), the operators (symmetrized, read-only)
     grad_matrix : real ndarray (N*n^2, n^2); applied to vec_h(X) it gives
         the stacked skew coordinates of grad(X)
     kernel_basis : list of HermitianMatrix, orthonormal, spanning ker(grad);
-        the first element is always I/sqrt(n)
+        the first element is always I/sqrt(n), exactly
     kernel_dim : int, >= 1
     kernel_vecs : real ndarray (n^2, kernel_dim), vec_h of the basis
     complement_vecs : real ndarray (n^2, n^2 - kernel_dim), orthonormal
@@ -91,24 +98,17 @@ class LindbladSet:
 
     def _build_kernel(self):
         n = self.n
-        _, s, vh = np.linalg.svd(self.grad_matrix, full_matrices=False)
-        rank = int(np.sum(s > KERNEL_RTOL * s[0]))  # 0 when s[0] == 0
-        null = vh[rank:].T  # (n^2, kdim), orthonormal
-        # Rotate the null basis so I/sqrt(n) is literally the first element.
+        # perp's columns are an orthonormal basis of I's complement
         ident = vec_h(np.eye(n)) / np.sqrt(n)
-        coeffs = null.T @ ident
-        cols = [ident]
-        rest = null @ (np.eye(null.shape[1]) - np.outer(coeffs, coeffs))
-        if null.shape[1] > 1:
-            q, r = np.linalg.qr(rest)
-            keep = np.abs(np.diag(r)) > 1e-8
-            cols.extend(q[:, i] for i in range(q.shape[1]) if keep[i])
-        vecs = np.column_stack(cols)
+        perp = np.linalg.qr(ident[:, None], mode="complete")[0][:, 1:]
+        _, s, vh = np.linalg.svd(self.grad_matrix @ perp, full_matrices=False)
+        rank = int(np.sum(s > KERNEL_RTOL * s.max(initial=0.0)))
+        vecs = np.column_stack([ident, perp @ vh[rank:].T])
         self.kernel_vecs = vecs
         self.kernel_dim = vecs.shape[1]
         self.kernel_basis = [HermitianMatrix(unvec_h(vecs[:, i], n))
                              for i in range(self.kernel_dim)]
-        self.complement_vecs = vh[:rank].T
+        self.complement_vecs = perp @ vh[:rank].T
         self.grad_singular_values = s[:rank]
         for a in (self.kernel_vecs, self.complement_vecs, self.grad_singular_values):
             a.setflags(write=False)

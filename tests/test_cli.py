@@ -200,12 +200,12 @@ def test_quiet_suppresses_output(capsys):
 
 def test_geodesic_round_trip(tmp_path, capsys):
     out = tmp_path / "trace.json"
-    assert main(["geodesic", PAULI, "--out", str(out)]) == 0
+    assert main(["geodesic", PAULI, "--out", str(out), "--json"]) == 0
     trace = json.loads(out.read_text())
     assert len(trace["nodes"]) == trace["K"] + 1 == 33
     assert dump_canonical(trace) == out.read_text()
     assert out.read_bytes() == (FIXTURES / "pauli_trace.json").read_bytes()  # pinned bytes
-    capsys.readouterr()
+    assert json.loads(capsys.readouterr().out)["nodes"] == 33
 
 
 def test_operator_info_pauli(capsys):
@@ -290,17 +290,37 @@ def test_verify_stiff_operators_passes(tmp_path, capsys, scale):
     assert capsys.readouterr().out.endswith("24/24 checks passed (suite: all)\n")
 
 
+SCALED_CALCULUS_ROWS = ("gradient superoperator matches blockwise gradient",
+                        "divergence output is traceless",
+                        "divergence range orthogonal to the kernel")
+
+
 @pytest.mark.parametrize("scale", [1e3, 1e4, 1e6])
 def test_verify_duality_follows_the_operator_scale(tmp_path, capsys, scale):
     # at the subdifferential pair the dual-cone eigenvalue is rounding of size |b|^2,
-    # so an absolute bound refused the pair once the operators were large
+    # so an absolute bound refused the pair once the operators were large; likewise
+    # the gradient's and divergence's rounding grows with their output, so those
+    # three calculus rows measure their error relative to it
     main(["verify", scaled_three_level(tmp_path, scale), "--json"])
     out = capsys.readouterr()
     checks = json.loads(out.out)["checks"]
-    duality = {c.name for c in run_suites(load_problem(str(FIXTURES / "three_level_pair.json")),
-                                          "duality")}
+    names = set(SCALED_CALCULUS_ROWS) | {
+        c.name for c in run_suites(load_problem(str(FIXTURES / "three_level_pair.json")),
+                                   "duality")}
     assert out.err == "" and len(checks) == 24
-    assert [c["passed"] for c in checks if c["name"] in duality] == [True] * len(duality)
+    assert [c["passed"] for c in checks if c["name"] in names] == [True] * len(names)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e4, 1e6])
+def test_verify_superoperator_row_fails_on_a_perturbed_gradient(tmp_path, scale):
+    # the relative superoperator row still sees a grad_matrix off by 1e-9 of its norm
+    l = load_problem(scaled_three_level(tmp_path, scale)).lindblad
+    rng = np.random.default_rng(0)
+    delta = rng.standard_normal(l.grad_matrix.shape)
+    l.grad_matrix = l.grad_matrix + 1e-9 * np.linalg.norm(l.grad_matrix) * delta \
+        / np.linalg.norm(delta)
+    rows = {c.name: c.passed for c in suite_calculus(l, np.random.default_rng(1))}
+    assert rows[SCALED_CALCULUS_ROWS[0]] is False
 
 
 def test_verify_check_that_raises_is_a_failed_row(tmp_path, capsys):

@@ -397,6 +397,25 @@ def test_iteration_cap_stops_unconverged_without_warning(three_level_pair, tmp_p
     assert json.loads(capsys.readouterr().out)["converged"] is False
 
 
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 10.0, 1e3, 1e6, 1e8])
+def test_stop_test_reads_the_problem_unit(scale):
+    # scaling every operator by c scales the cost and the gradient by 1/c^2, so the
+    # stop test's unit must scale too: with an absolute 1, c >= 10 stopped early and
+    # c >= 1e3 returned the straight line as converged
+    spec = load_problem(str(FIXTURES / "three_level_pair.json"))
+    config = replace(spec.config, K=8)
+
+    def solve(c):
+        return optimize_geodesic(LindbladSet([c * op for op in spec.lindblad.ops]),
+                                 spec.rho0, spec.rho1, config)
+
+    ref, res = solve(1.0), solve(scale)
+    assert res.converged and res.iterations == ref.iterations
+    # gap / cost directly: rel_gap reads 0 below its cost threshold at c = 1e8
+    ratio = (res.gap / res.primal_cost) / (ref.gap / ref.primal_cost)
+    assert 0.5 <= ratio <= 2.0
+
+
 def test_floor_limited_stall_stops_as_boundary_hit(tmp_path, capsys):
     # family F4: the optimum lies on the cone's boundary, so the floor test cuts
     # every step and the cost barely moves; the solve ran all 500 iterations,

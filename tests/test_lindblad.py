@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -16,10 +18,14 @@ from momt import (
     heat_flow,
     inner_product,
     laplacian,
+    optimize_geodesic,
     project_kernel,
     vec_h,
 )
-from conftest import SX, SY, SZ, rand_density, rand_herm, rand_lindblad, rand_skew_stack
+from momt.cli import main
+from momt.io import load_problem
+from conftest import (FIXTURES, SX, SY, SZ, rand_density, rand_herm, rand_lindblad,
+                      rand_skew_stack)
 
 
 def test_gradient_blockwise_definition(pauli):
@@ -147,6 +153,65 @@ def test_complement_orthogonal_to_kernel(pauli, sz_only):
     for l in (pauli, sz_only):
         cross = l.kernel_vecs.T @ l.complement_vecs
         assert np.linalg.norm(cross) < 1e-12
+
+
+def f2_problem(tmp_path, scale) -> str:
+    """flat_cost_qutrit21.json (K = 8) with operators[0]'s (2, 2) entry times scale."""
+    doc = json.loads((FIXTURES / "flat_cost_qutrit21.json").read_text())
+    doc["lindblad"]["operators"][0]["re"][2][2] *= scale
+    path = tmp_path / f"f2_{scale:g}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _near_cut_set(eps):
+    # a diagonal operator's kernel is every diagonal matrix; eps * H cuts it down
+    # with singular values of size eps, next to the KERNEL_RTOL rank cut
+    rng = np.random.default_rng(4)
+    return [np.diag(rng.standard_normal(4)), eps * rand_herm(rng, 4)]
+
+
+def _block_set():
+    # two operators diag(A_i, b_i, c_i), blocks 2 + 1 + 1: the kernel is spanned
+    # by the three block projectors
+    rng = np.random.default_rng(6)
+    ops = []
+    for _ in range(2):
+        op = np.zeros((4, 4), dtype=complex)
+        op[:2, :2], op[2, 2], op[3, 3] = rand_herm(rng, 2), *rng.standard_normal(2)
+        ops.append(op)
+    return ops
+
+
+@pytest.mark.parametrize("make, kernel_dim", [
+    (lambda tmp: load_problem(f2_problem(tmp, 1.0)).lindblad, 1),
+    (lambda tmp: load_problem(f2_problem(tmp, 1e6)).lindblad, 1),
+    (lambda tmp: load_problem(f2_problem(tmp, 1e9)).lindblad, 1),
+    (lambda tmp: LindbladSet(_near_cut_set(1e-10)), 2),
+    (lambda tmp: LindbladSet(_near_cut_set(1e-9)), 1),
+    (lambda tmp: LindbladSet([SZ]), 2),
+    (lambda tmp: LindbladSet(_block_set()), 3),
+], ids=["f2-1", "f2-1e6", "f2-1e9", "near-cut-1e-10", "near-cut-1e-9", "sz-only", "blocks-2-1-1"])
+def test_kernel_holds_identity_and_an_orthogonal_complement(tmp_path, make, kernel_dim):
+    # I/sqrt(n) is split off before the rank decision, so [kernel | complement] is
+    # orthonormal at every operator scale and next to the rank cut, where an SVD
+    # complement is orthogonal to the literal I only up to its subspace error
+    l = make(tmp_path)
+    q = np.column_stack([l.kernel_vecs, l.complement_vecs])
+    assert np.abs(q.T @ q - np.eye(l.n * l.n)).max() <= 1e-13
+    assert np.array_equal(l.kernel_vecs[:, 0], vec_h(np.eye(l.n)) / np.sqrt(l.n))
+    assert l.kernel_dim == kernel_dim
+    assert l.kernel_dim + l.complement_vecs.shape[1] == l.n * l.n
+
+
+def test_mixed_scale_solve_keeps_unit_trace(tmp_path, capsys):
+    # F2 at s = 1e9: with the complement orthogonal to I, no iterate leaves trace 1
+    problem = f2_problem(tmp_path, 1e9)
+    spec = load_problem(problem)
+    assert optimize_geodesic(spec.lindblad, spec.rho0, spec.rho1, spec.config).trace_drift <= 1e-14
+    main(["verify", problem, "--suite", "conservation", "--json"])
+    checks = {c["name"]: c["passed"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["unit trace along every solver iterate"]
 
 
 def test_heat_flow_trace_and_positivity(pauli):
