@@ -24,7 +24,6 @@ from .hermitian import (
     OperatorStack,
     _stack_blocks,
     gram,
-    hermitian_part,
     inner_product,
 )
 
@@ -71,7 +70,7 @@ class DualPoint:
 
 
 def kinetic(rho, m) -> ExtendedValue:
-    """F(rho, m), extended-real valued: kinetic_values on a stack of one.
+    """F(rho, m), extended-real valued, from one eigh of rho: the one evaluator of F.
 
     * rho positive definite (all eigenvalues > EPS_PD): (1/2) tr(m^* m rho^{-1}).
     * rho with an eigenvalue below -EPS_PD: infinite.
@@ -79,36 +78,22 @@ def kinetic(rho, m) -> ExtendedValue:
       finite iff every block of m kills ker(rho) within 1e-9 |m|, with
       value (1/2) tr(m^* m rho^+).
 
-    The gate of a caller's inputs: rho passes HermitianMatrix's and m
-    _stack_blocks's, each shared if it is already a wrapper.
+    w = V diag(1/lambda) V^* (1/lambda read as 0 on eigenvalues <= EPS_PD:
+    rho^+).  The gate of a caller's inputs: rho passes HermitianMatrix's and
+    m _stack_blocks's, each shared if it is already a wrapper.
     """
     r = HermitianMatrix(rho).mat
-    value = kinetic_values(r[None], _stack_blocks(m, r.shape[0])[None])[0]
-    return ExtendedValue.infinity() if value is None else ExtendedValue.of(value)
-
-
-def kinetic_values(rhos: np.ndarray, ms: np.ndarray) -> list:
-    """F(rho_k, m_k) by kinetic's rules for (K, n, n) and (K, N, n, n) stacks.
-
-    K floats, None where infinite.  One batched eigh, w_k = V diag(1/lambda) V^*
-    (1/lambda read as 0 on eigenvalues <= EPS_PD: rho^+) and (1/2) tr(Gram(m_k) w_k)
-    keep the arithmetic of one matrix at a time; only the rho_k that are not
-    positive definite are then tested, one by one, for infinity.
-    """
-    r = hermitian_part(rhos)
+    ms = _stack_blocks(m, r.shape[0])
     evals, vecs = np.linalg.eigh(r)
     zero = evals <= EPS_PD
+    if zero[0]:
+        ker = vecs[:, zero]
+        leak = float(np.linalg.norm(ms @ (ker @ ker.conj().T)))
+        if evals[0] < -EPS_PD or leak > 1e-9 * float(np.linalg.norm(ms)):
+            return ExtendedValue.infinity()
     inv = np.divide(1.0, evals, out=np.zeros_like(evals), where=~zero)
-    w = (vecs * inv[:, None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))
-    # summing a contiguous copy of the diagonal keeps np.trace's order
-    traces = np.ascontiguousarray(np.diagonal(gram(ms) @ w, axis1=-2, axis2=-1)).sum(-1)
-    out = (0.5 * traces.real).tolist()
-    for k in np.flatnonzero(zero[:, 0]):
-        ker = vecs[k][:, zero[k]]
-        leak = float(np.linalg.norm(np.einsum("kij,jl->kil", ms[k], ker @ ker.conj().T)))
-        if evals[k, 0] < -EPS_PD or leak > 1e-9 * float(np.linalg.norm(ms[k])):
-            out[k] = None
-    return out
+    w = (vecs * inv) @ np.conj(vecs.T)
+    return ExtendedValue.of(0.5 * float(np.trace(gram(ms) @ w).real))
 
 
 def _cone_bound(half: np.ndarray) -> float:
@@ -166,16 +151,15 @@ def trace_lower_bound(rho, m) -> bool:
 
 
 def path_cost(path) -> ExtendedValue:
-    """sum_k dt * F(midpoint_k, m_k) along a discrete path.
+    """sum_k dt * F(midpoint_k, m_k) along a discrete path, one kinetic call per interval.
 
-    Reads the path's (K+1, n, n) density and (K, N, n, n) momentum stacks,
-    all intervals in one kinetic_values call.  Tagged infinite as soon as
-    one interval is infinite.  Callers that know the path is feasible read
-    ``.value``.
+    Each midpoint of the (K+1, n, n) densities and each of the (K, N, n, n) momenta
+    passes kinetic's gate.  Tagged infinite as soon as one interval is
+    infinite.  Callers that know the path is feasible read ``.value``.
     """
     dt = 1.0 / path.K
     mids = 0.5 * (path.densities[:-1] + path.densities[1:])
-    values = kinetic_values(mids, path.momenta)
-    if None in values:
+    values = [kinetic(mid, m) for mid, m in zip(mids, path.momenta)]
+    if not all(v.finite for v in values):
         return ExtendedValue.infinity()
-    return ExtendedValue.of(sum(dt * v for v in values))
+    return ExtendedValue.of(sum(dt * v.value for v in values))

@@ -153,7 +153,7 @@ def run_operator_info(args, spec: ProblemSpec):
         "dimension": l.n,
         "operator_count": l.count,
         "kernel_dim": l.kernel_dim,
-        "kernel_basis_norms": [b.norm() for b in l.kernel_basis],
+        "kernel_basis_norms": np.linalg.norm(l.kernel_vecs, axis=0).tolist(),
         "poincare_maximally_mixed": p_mixed,
         "restricted_min_eig_rho0": p_rho0,
         "warnings": _warning_entries(["kernel-dim"] if l.kernel_dim > 1 else [])

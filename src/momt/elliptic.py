@@ -41,12 +41,11 @@ from .hermitian import (
     OperatorStack,
     _stack_blocks,
     gram,
-    hermitian_part,
     inner_product,
     unvec_h,
     vec_h,
 )
-from .lindblad import LindbladSet, _square, gradient
+from .lindblad import LindbladSet, _square, grad_blocks
 
 
 # residual bound of every potential solve: |A x - c| <= RESIDUAL_RTOL * max(|c|, 1)
@@ -219,17 +218,18 @@ class MomentumCheck:
 def momentum_min_check(l: LindbladSet, rho, f) -> MomentumCheck:
     """Primal/dual values of the constrained momentum problem.
 
-    primal_min = (1/2) <m; m rho^{-1}> at the reconstructed optimum
-    m = grad(X) rho, dual_max = <f; X> - (1/2) Q_rho(grad X) at Y = X;
-    the two agree (strong duality of a linearly-constrained quadratic).
+    primal_min = kinetic(rho, m) at the reconstructed optimum m = grad(X) rho,
+    dual_max = <f; X> - (1/2) Q_rho(grad X) at Y = X; the two agree (strong
+    duality of a linearly-constrained quadratic).  rho is admitted once and
+    shared by WeightedOperator and kinetic; grad X is the raw commutator
+    stack of the admitted X.
     """
-    w = WeightedOperator(l, rho)
-    f = HermitianMatrix(f)
+    from .action import kinetic  # imported on use: momt distance never loads action
+    h, f = HermitianMatrix(rho), HermitianMatrix(f)
+    w = WeightedOperator(l, h)
     x, r = solve_potential(w, f), w.rho
-    v = gradient(l, x)
-    m = OperatorStack(np.einsum("kij,jl->kil", v.blocks, r), flavor="general")
-    rinv = hermitian_part(np.linalg.inv(r))
-    primal = 0.5 * float(np.trace(gram(m.blocks) @ rinv).real)
-    dual = float(inner_product(f, x)) \
-        - 0.5 * float(np.trace(r @ gram(v.blocks)).real)
-    return MomentumCheck(primal_min=primal, dual_max=dual, optimal_m=m, potential=x)
+    v = grad_blocks(l, x.mat)
+    m = OperatorStack(np.einsum("kij,jl->kil", v, r), flavor="general")
+    dual = float(inner_product(f, x)) - 0.5 * float(np.trace(r @ gram(v)).real)
+    return MomentumCheck(primal_min=kinetic(h, m).value, dual_max=dual, optimal_m=m,
+                         potential=x)

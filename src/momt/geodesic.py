@@ -107,7 +107,7 @@ _CONFIG_RANGES = {
 }
 # the number kind each field's annotation admits; a bool is refused as either
 _CONFIG_KINDS = {"int": numbers.Integral, "float": numbers.Real}
-# a cost or mean kinetic value at most this counts as zero; no ratio is taken to it
+# a cost or mean kinetic value at most this many units counts as zero; no ratio to it
 _ZERO_COST = 1e-15
 
 
@@ -159,12 +159,13 @@ class GeodesicResult:
     converged: bool
     grad_norm: float
     trace_drift: float
+    unit: float  # the operator set's cost unit, LindbladSet.unit
     warnings: list = field(default_factory=list)
 
     @property
     def rel_gap(self) -> float:
-        """gap / primal_cost, or 0 for a cost at most _ZERO_COST."""
-        return self.gap / self.primal_cost if self.primal_cost > _ZERO_COST else 0.0
+        """gap / primal_cost, or 0 for a cost at most _ZERO_COST units."""
+        return self.gap / self.primal_cost if self.primal_cost > _ZERO_COST * self.unit else 0.0
 
 
 @dataclass
@@ -419,16 +420,13 @@ def optimize_geodesic(l: LindbladSet, rho0, rho1,
                        np.zeros((cfg.K, l.complement_vecs.shape[1])), 0.0, iterations=0,
                        converged=True, grad_norm=0.0, trace_drift=0.0, warnings=warnings_list)
 
-    # the problem's cost unit: a power of two, 1/s_0^2 rounded, so that the stop test
-    # scales exactly with the cost under a power-of-two scale of the operators
-    unit = 4.0 ** -round(math.log2(l.grad_singular_values[0]))
     reduced = _Reduced(l, r0, r1, cfg.K, cfg.eps_pd)
     y = np.zeros((cfg.K - 1) * reduced.d)
     nodes, point = reduced.line, reduced.value_grad(reduced.line)
     trace_drift, stalled = _trace_drift(nodes), 0
     for iterations in range(cfg.max_iter + 1):
         gnorm = math.sqrt(point.grad @ point.grad)
-        converged = bool(gnorm <= cfg.grad_tol * (unit + abs(point.cost)))
+        converged = bool(gnorm <= cfg.grad_tol * (l.unit + abs(point.cost)))
         if converged or iterations == cfg.max_iter:
             break
         if stalled == _STALL_WINDOW:
@@ -493,7 +491,7 @@ def _result(l: LindbladSet, nodes: np.ndarray, xs: np.ndarray, cost: float,
         path=path, distance=float(np.sqrt(max(cost, 0.0))), primal_cost=cost,
         dual_value=dual_value, gap=cost - dual_value,
         hamiltonian=(0.5 * (np.conj(grams) * mids).sum(axis=(-2, -1)).real).tolist(),
-        **counters)
+        unit=l.unit, **counters)
 
 
 def dual_certificate(l: LindbladSet, path: DiscretePath):
@@ -553,10 +551,11 @@ def hamiltonian_profile(result: GeodesicResult) -> HamiltonianProfile:
     """
     vals = np.asarray(result.hamiltonian)
     mean = float(np.mean(vals))
-    rel_std = float(np.std(vals) / mean) if mean > _ZERO_COST else 0.0
+    zero = _ZERO_COST * result.unit
+    rel_std = float(np.std(vals) / mean) if mean > zero else 0.0
     total = result.primal_cost
     speed_ok = True
-    if total > _ZERO_COST:
+    if total > zero:
         err = np.abs(2.0 * vals - total) / total
         speed_ok = not np.any(err > max(10.0 * rel_std, 1e-9))
     return HamiltonianProfile(mean=mean, rel_std=rel_std, speed_ok=speed_ok)

@@ -20,6 +20,7 @@ exponential, read from the singular values that the kernel's SVD keeps.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -55,14 +56,16 @@ class LindbladSet:
     ops : ndarray (N, n, n), the operators (symmetrized, read-only)
     grad_matrix : real ndarray (N*n^2, n^2); applied to vec_h(X) it gives
         the stacked skew coordinates of grad(X)
-    kernel_basis : list of HermitianMatrix, orthonormal, spanning ker(grad);
-        the first element is always I/sqrt(n), exactly
     kernel_dim : int, >= 1
-    kernel_vecs : real ndarray (n^2, kernel_dim), vec_h of the basis
+    kernel_vecs : real ndarray (n^2, kernel_dim), the one copy of the kernel:
+        orthonormal columns spanning vec_h(ker(grad)), the first of them
+        vec_h(I/sqrt(n)), exactly
     complement_vecs : real ndarray (n^2, n^2 - kernel_dim), orthonormal
         basis of ker(grad)^perp (the row space of grad_matrix)
     grad_singular_values : real ndarray (n^2 - kernel_dim,), the singular values
         s of grad_matrix above the rank cut: G^T G = C diag(s^2) C^T, C = complement_vecs
+    unit : float, the cost (and heat-flow time) unit 4^(-round(log2 s_0)) ~ 1/s_0^2, s_0 the
+        largest of s (1.0 if there is none): the stop test and zero-cost rule read it
     weight_tensor : real ndarray (n^2, d, d), d = n^2 - kernel_dim, built on
         first use: W[c, a, e] = <h_a; T(B_c) h_e> for h_a = unvec_h(C e_a),
         C = complement_vecs, B_c the Hermitian basis and T the weighted
@@ -106,10 +109,9 @@ class LindbladSet:
         vecs = np.column_stack([ident, perp @ vh[rank:].T])
         self.kernel_vecs = vecs
         self.kernel_dim = vecs.shape[1]
-        self.kernel_basis = [HermitianMatrix(unvec_h(vecs[:, i], n))
-                             for i in range(self.kernel_dim)]
         self.complement_vecs = perp @ vh[:rank].T
         self.grad_singular_values = s[:rank]
+        self.unit = 4.0 ** -round(math.log2(s[0])) if rank else 1.0
         for a in (self.kernel_vecs, self.complement_vecs, self.grad_singular_values):
             a.setflags(write=False)
 
@@ -164,8 +166,10 @@ def grad_blocks(l: LindbladSet, xs: np.ndarray) -> np.ndarray:
 
 
 def gradient(l: LindbladSet, x) -> OperatorStack:
-    """grad(X): block k is the commutator L_k X - X L_k (skew-Hermitian); X passes _square."""
-    return OperatorStack(grad_blocks(l, _square(l, x)), flavor="skew")
+    """grad(X): block k is the commutator L_k X - X L_k; X passes _square.
+    Its rounding defect grows with |L_k| |X|, so its skew-Hermitian part is returned."""
+    g = grad_blocks(l, _square(l, x))
+    return OperatorStack(0.5 * (g - np.conj(np.swapaxes(g, -1, -2))), flavor="skew")
 
 
 def divergence(l: LindbladSet, y) -> HermitianMatrix:

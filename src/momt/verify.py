@@ -102,7 +102,7 @@ _CASES = 50  # draws of each sampled calculus identity
 
 
 def suite_calculus(l: LindbladSet, rng) -> list[Check]:
-    n, big_n = l.n, l.count
+    n, big_n, kernel = l.n, l.count, unvec_h(l.kernel_vecs.T, l.n)  # kernel as matrices
 
     def adjointness():
         x, y = rand_herm(rng, n), rand_skew_stack(rng, big_n, n)
@@ -142,8 +142,7 @@ def suite_calculus(l: LindbladSet, rng) -> list[Check]:
         return pyth / max(1.0, np.linalg.norm(x) ** 2)
 
     def overlap():
-        overlaps = np.array([[inner_product(a, b) for b in l.kernel_basis]
-                             for a in l.kernel_basis])
+        overlaps = np.array([[inner_product(a, b).real for b in kernel] for a in kernel])
         return float(np.linalg.norm(overlaps - np.eye(l.kernel_dim)))
 
     return [
@@ -155,7 +154,7 @@ def suite_calculus(l: LindbladSet, rng) -> list[Check]:
         _worst("gradient superoperator matches blockwise gradient", 1e-12, _CASES,
                superoperator),
         _worst("kernel basis annihilated by the gradient", 1e-10, 1,
-               lambda: max((gradient(l, b).norm() for b in l.kernel_basis), default=0.0)),
+               lambda: max((gradient(l, b).norm() for b in kernel), default=0.0)),
         _worst("kernel basis orthonormal", 1e-12, 1, overlap),
         _worst("kernel projection Pythagoras identity", 1e-12, _CASES, pythagoras),
         _worst("divergence range orthogonal to the kernel", 1e-10, _CASES,
@@ -270,8 +269,9 @@ def suite_conservation(spec, solved) -> list[Check]:
         return _check(contracts, mono, 1e-12, f"; errors {['%.2e' % e for e in errs]}")
 
     def rate_error():
-        # a central difference of the flow at t = 0.7 against the closed-form laplacian
-        t, h = 0.7, 1e-4
+        # a central difference of the flow at t = 0.7 against the closed-form laplacian,
+        # both times in the set's time unit (its cost unit): the flow's rates are ~ 1/unit
+        t, h = 0.7 * l.unit, 1e-4 * l.unit
         rate = (flow(t + h).mat - flow(t - h).mat) / (2.0 * h)
         ref = 0.5 * laplacian(l, flow(t)).mat
         return float(np.linalg.norm(rate - ref)) / max(1.0, float(np.linalg.norm(ref)))

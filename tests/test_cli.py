@@ -282,10 +282,11 @@ def scaled_three_level(tmp_path, scale) -> str:
     return str(prob)
 
 
-@pytest.mark.parametrize("scale", [100, 300])
+@pytest.mark.parametrize("scale", [100, 300, 1e6, 1e8])
 def test_verify_stiff_operators_passes(tmp_path, capsys, scale):
     # every operator of three_level_pair scaled up: the closed-form laplacian's
-    # rounding defect then exceeds the symmetry gate, and the run must still pass
+    # rounding defect then exceeds the symmetry gate, and the run must still pass;
+    # at 1e6 and 1e8 the heat flow's central difference must step in the set's unit
     assert main(["verify", scaled_three_level(tmp_path, scale), "--suite", "all"]) == 0
     assert capsys.readouterr().out.endswith("24/24 checks passed (suite: all)\n")
 

@@ -30,7 +30,6 @@ from momt import (
     unvec_h,
     vec_h,
 )
-from momt.action import kinetic_values
 from momt.cli import main
 from momt.elliptic import solve_restricted
 from momt.geodesic import _DENSE_MAX, _Reduced, _block_tridiag_solve, _result
@@ -411,9 +410,10 @@ def test_stop_test_reads_the_problem_unit(scale):
 
     ref, res = solve(1.0), solve(scale)
     assert res.converged and res.iterations == ref.iterations
-    # gap / cost directly: rel_gap reads 0 below its cost threshold at c = 1e8
     ratio = (res.gap / res.primal_cost) / (ref.gap / ref.primal_cost)
     assert 0.5 <= ratio <= 2.0
+    # the zero-cost threshold is in the set's unit too: at c = 1e8 the cost is 5e-19
+    assert res.rel_gap == res.gap / res.primal_cost != 0.0
 
 
 def test_floor_limited_stall_stops_as_boundary_hit(tmp_path, capsys):
@@ -850,13 +850,14 @@ def boundary_qutrit():
 def test_hamiltonian_values_near_the_boundary():
     # The values are (1/2) Re tr(mid_k G_k), with no inverse.  Here the
     # midpoints' smallest eigenvalue falls to 2.9e-4, so the inverse-based
-    # kinetic_values reference carries a rounding error of about
+    # kinetic reference carries a rounding error of about
     # cond(mid_k) eps = 3.3e3 * 2.2e-16 = 7e-13 relative; 1e-12 bounds it.
     l, r0, r1 = boundary_qutrit()
     res = optimize_geodesic(l, r0, r1, SolverConfig(K=16, max_iter=100))
     mids = 0.5 * (res.path.densities[:-1] + res.path.densities[1:])
     assert np.linalg.eigvalsh(mids)[:, 0].min() < 1e-3
-    np.testing.assert_allclose(res.hamiltonian, kinetic_values(mids, res.path.momenta),
+    np.testing.assert_allclose(res.hamiltonian,
+                               [kinetic(mid, m).value for mid, m in zip(mids, res.path.momenta)],
                                rtol=1e-12)
 
 
@@ -1003,10 +1004,12 @@ def test_identical_endpoints_zero(pauli, three_level_pair, sz_only):
 
 
 def test_rel_gap_is_the_gap_over_the_cost(pauli, swap_endpoints, three_level_pair):
-    # reports and momt verify read this one rule: gap / primal_cost, 0 at a cost <= 1e-15
+    # reports and momt verify read this one rule: gap / primal_cost, 0 at a cost
+    # <= 1e-15 in the operator set's unit
     res = optimize_geodesic(*three_level_pair, SolverConfig(K=8))
+    assert res.unit == three_level_pair[0].unit
     assert res.primal_cost > 1e-15 and res.rel_gap == res.gap / res.primal_cost
-    assert replace(res, primal_cost=1e-15).rel_gap == 0.0
+    assert replace(res, primal_cost=1e-15 * res.unit).rel_gap == 0.0
     same = optimize_geodesic(pauli, swap_endpoints[0], swap_endpoints[0], SolverConfig(K=4))
     assert same.rel_gap == 0.0
 
