@@ -7,7 +7,9 @@ Library layers (bottom up):
 * elliptic   — weighted operator, potential solves, sharp constants
 * action     — the kinetic functional and its Legendre machinery
 * geodesic   — discrete geodesic solver with dual certificates
-* io / cli   — problem files, reports, the ``momt`` command
+* io         — problem files and reports
+* verify     — the self-check suites of ``momt verify``
+* cli        — the ``momt`` command
 """
 
 # BLAS sizes its thread pools when numpy is first imported, so an integer
@@ -33,12 +35,12 @@ SUITES = ("calculus", "duality", "conservation")
 # submodule (nor numpy): __getattr__ imports one on first access to one of its
 # names and binds the name here, so later lookups are plain attribute reads.
 _EXPORTS = {
-    "action": ("DualPoint", "ExtendedValue", "InfeasibleDualPoint", "fenchel_gap",
-               "kinetic", "legendre_feasible", "path_cost", "trace_lower_bound"),
+    "action": ("DualPoint", "ExtendedValue", "InfeasibleDualPoint", "MomentumCheck",
+               "fenchel_gap", "kinetic", "legendre_feasible", "momentum_min_check",
+               "path_cost", "trace_lower_bound"),
     "cli": (),  # no public names; listed so that momt.cli resolves
-    "elliptic": ("IllConditioned", "InfeasibleRHS", "MomentumCheck", "SingularWeight",
-                 "WeightedOperator", "WeightError", "momentum_min_check",
-                 "poincare_constant", "quadratic_form", "solve_potential"),
+    "elliptic": ("IllConditioned", "InfeasibleRHS", "SingularWeight", "WeightedOperator",
+                 "WeightError", "poincare_constant", "quadratic_form", "solve_potential"),
     "geodesic": ("DiscretePath", "GeodesicResult", "HamiltonianProfile",
                  "InfeasibleEndpoints", "InvalidConfig", "SolverConfig",
                  "continuity_residual", "dual_certificate", "feasibility_gap",

@@ -10,6 +10,10 @@ indicator of the cone
     { (a, b) :  a + (1/2) sum_k b_k^* b_k  <=  0 },
 
 which is what legendre_feasible tests and fenchel_gap builds on.
+
+momentum_min_check applies that duality to the constrained momentum problem:
+on one potential solve of the layer below (elliptic.solve_potential) it
+pairs kinetic's value at m = grad(X) rho with the dual value at Y = X.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .elliptic import WeightedOperator, solve_potential
 from .hermitian import (
     EPS_PD,
     HermitianMatrix,
@@ -26,6 +31,7 @@ from .hermitian import (
     gram,
     inner_product,
 )
+from .lindblad import LindbladSet, grad_blocks
 
 
 class InfeasibleDualPoint(ValueError):
@@ -138,7 +144,8 @@ def fenchel_gap(rho, m, p: DualPoint) -> float:
 
 
 def trace_lower_bound(rho, m) -> bool:
-    """Check F(rho, m) >= |m|^2 / (2 tr rho) (vacuous when F is infinite)."""
+    """Check F(rho, m) >= |m|^2 / (2 tr rho) (vacuous when F is infinite), with a
+    slack of 1e-10 max(1, bound): F's rounding grows with |m|^2, as the bound does."""
     rho, m = HermitianMatrix(rho), OperatorStack(m)
     tr = rho.trace()
     if tr <= 0:
@@ -147,7 +154,7 @@ def trace_lower_bound(rho, m) -> bool:
     if not kin.finite:
         return True
     bound = m.norm() ** 2 / (2.0 * tr)
-    return kin.value >= bound - 1e-10
+    return kin.value >= bound - 1e-10 * max(1.0, bound)
 
 
 def path_cost(path) -> ExtendedValue:
@@ -163,3 +170,30 @@ def path_cost(path) -> ExtendedValue:
     if not all(v.finite for v in values):
         return ExtendedValue.infinity()
     return ExtendedValue.of(sum(dt * v.value for v in values))
+
+
+@dataclass
+class MomentumCheck:
+    primal_min: float
+    dual_max: float
+    optimal_m: OperatorStack
+    potential: HermitianMatrix
+
+
+def momentum_min_check(l: LindbladSet, rho, f) -> MomentumCheck:
+    """Primal/dual values of the constrained momentum problem.
+
+    primal_min = kinetic(rho, m) at the reconstructed optimum m = grad(X) rho,
+    dual_max = <f; X> - (1/2) Q_rho(grad X) at Y = X; the two agree (strong
+    duality of a linearly-constrained quadratic).  rho is admitted once and
+    shared by WeightedOperator and kinetic; grad X is the raw commutator
+    stack of the admitted X.
+    """
+    h, f = HermitianMatrix(rho), HermitianMatrix(f)
+    w = WeightedOperator(l, h)
+    x, r = solve_potential(w, f), w.rho
+    v = grad_blocks(l, x.mat)
+    m = OperatorStack(np.einsum("kij,jl->kil", v, r), flavor="general")
+    dual = float(inner_product(f, x)) - 0.5 * float(np.trace(r @ gram(v)).real)
+    return MomentumCheck(primal_min=kinetic(h, m).value, dual_max=dual, optimal_m=m,
+                         potential=x)

@@ -21,31 +21,18 @@ WeightedOperator holds the one A of its weight.  This yields:
 * solve_potential — the unique X in ker(grad)^perp with T_rho X = f, the
   K = 1 case of those two, and the gate of a caller's weight and f,
 * poincare_constant — the smallest restricted eigenvalue (the sharp
-  constant c in Q_rho(grad(X - proj X)) >= c |X - proj X|^2),
-* momentum_min_check — the primal/dual pair certifying that m = grad(X) rho
-  minimizes the kinetic cost among all momenta with a prescribed
-  divergence picture.
+  constant c in Q_rho(grad(X - proj X)) >= c |X - proj X|^2).
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .hermitian import (
-    EPS_PD,
-    HermitianMatrix,
-    OperatorStack,
-    _stack_blocks,
-    gram,
-    inner_product,
-    unvec_h,
-    vec_h,
-)
-from .lindblad import LindbladSet, _square, grad_blocks
+from .hermitian import EPS_PD, HermitianMatrix, _stack_blocks, gram, unvec_h, vec_h
+from .lindblad import LindbladSet, _square
 
 
 # residual bound of every potential solve: |A x - c| <= RESIDUAL_RTOL * max(|c|, 1)
@@ -205,31 +192,3 @@ def poincare_constant(l: LindbladSet, rho) -> float:
         )
         return 0.0
     return w.restricted_min_eig
-
-
-@dataclass
-class MomentumCheck:
-    primal_min: float
-    dual_max: float
-    optimal_m: OperatorStack
-    potential: HermitianMatrix
-
-
-def momentum_min_check(l: LindbladSet, rho, f) -> MomentumCheck:
-    """Primal/dual values of the constrained momentum problem.
-
-    primal_min = kinetic(rho, m) at the reconstructed optimum m = grad(X) rho,
-    dual_max = <f; X> - (1/2) Q_rho(grad X) at Y = X; the two agree (strong
-    duality of a linearly-constrained quadratic).  rho is admitted once and
-    shared by WeightedOperator and kinetic; grad X is the raw commutator
-    stack of the admitted X.
-    """
-    from .action import kinetic  # imported on use: momt distance never loads action
-    h, f = HermitianMatrix(rho), HermitianMatrix(f)
-    w = WeightedOperator(l, h)
-    x, r = solve_potential(w, f), w.rho
-    v = grad_blocks(l, x.mat)
-    m = OperatorStack(np.einsum("kij,jl->kil", v, r), flavor="general")
-    dual = float(inner_product(f, x)) - 0.5 * float(np.trace(r @ gram(v)).real)
-    return MomentumCheck(primal_min=kinetic(h, m).value, dual_max=dual, optimal_m=m,
-                         potential=x)

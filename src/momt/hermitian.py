@@ -175,8 +175,7 @@ class OperatorStack:
         if isinstance(blocks, OperatorStack):
             if flavor not in (blocks.flavor, "general"):
                 raise FlavorError(f"a {blocks.flavor} stack cannot be declared {flavor!r}")
-            self.blocks, self.flavor, self.count, self.dim = (
-                blocks.blocks, flavor, blocks.count, blocks.dim)
+            self.blocks, self.flavor = blocks.blocks, flavor
             return
         b = np.array(_entries(blocks), dtype=complex)
         if b.ndim != 3 or b.shape[1] != b.shape[2]:
@@ -185,14 +184,13 @@ class OperatorStack:
             raise FlavorError(f"unknown flavor {flavor!r}; expected one of {_FLAVORS}")
         self.blocks = _admitted(b, flavor)
         self.flavor = flavor
-        self.count = b.shape[0]
-        self.dim = b.shape[1]
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.blocks))
 
     def __repr__(self):
-        return f"OperatorStack(N={self.count}, n={self.dim}, flavor={self.flavor!r})"
+        return (f"OperatorStack(N={self.blocks.shape[0]}, n={self.blocks.shape[1]}, "
+                f"flavor={self.flavor!r})")
 
 
 def _stack_blocks(m, n: int, count=None, flavor: str = "general") -> np.ndarray:

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import SUITES
 from .action import (DualPoint, _cone_bound, fenchel_gap, kinetic, legendre_feasible,
-                     path_cost, trace_lower_bound)
-from .elliptic import IllConditioned, momentum_min_check
+                     momentum_min_check, path_cost, trace_lower_bound)
+from .elliptic import IllConditioned
 from .geodesic import (InfeasibleEndpoints, continuity_residual, hamiltonian_profile,
                        optimize_geodesic)
 from .hermitian import (DensityMatrix, HermitianMatrix, NotPositive, OperatorStack, _above_floor,

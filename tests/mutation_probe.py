@@ -8,13 +8,16 @@ line count of the file stays as it is.  Mutants are drawn with a seeded
 generator, an equal share from each module, and each one runs tier-1 with
 ``-x`` on a temporary copy of the tree, never on the checkout.  The
 conftest wall budget (30 s a test) stops a mutant that makes solves crawl;
-a whole run past RUN_TIMEOUT_S counts as a timeout.
+a whole run past RUN_TIMEOUT_S counts as a timeout.  That budget is
+wall-clock, so a loaded host can fail a test too: a mutant whose run fails
+is run once more, and counts as killed only if both runs fail, else as
+flaky.
 
     python tests/mutation_probe.py --seed 7 --mutants 40 \\
         --modules elliptic action verify geodesic --out /tmp/probe.txt
 
 prints and writes one row per mutant (module, line, kind, change, outcome:
-killed, survived or timeout) and the kill rate per module.  Standard
+killed, flaky, survived or timeout) and the kill rate per module.  Standard
 library only; pytest does not collect this file.
 """
 
@@ -146,6 +149,8 @@ def main(argv=None) -> int:
             path.write_bytes(original[:lo] + new + original[hi:])
             try:
                 outcome = run_tier1(copy)
+                if outcome == "killed" and run_tier1(copy) != "killed":
+                    outcome = "flaky"
             finally:
                 path.write_bytes(original)
             change = f"{original[lo:hi].decode()} -> {new.decode()}"
@@ -157,7 +162,7 @@ def main(argv=None) -> int:
     for module in args.modules:
         outcomes = [r.split()[-1] for r in rows if r.split()[0] == module]
         lines.append(f"  {module:<10} {outcomes.count('killed')}/{len(outcomes)} killed, "
-                     f"{outcomes.count('timeout')} timeout")
+                     f"{outcomes.count('flaky')} flaky, {outcomes.count('timeout')} timeout")
     print("\n".join(lines[len(rows) + 2:]))
     args.out.write_text("\n".join(lines) + "\n")
     return 0

@@ -233,15 +233,19 @@ def test_trace_lower_bound_sampled():
         assert trace_lower_bound(rho, m)
 
 
-def test_trace_lower_bound_tight_for_aligned_rank_one():
-    # equality holds when rho is rank one and m is supported on its range
-    rho = np.diag([1.0, 0.0]).astype(complex)
-    blocks = np.zeros((1, 2, 2), dtype=complex)
-    blocks[0, 0, 0] = 3.0
-    m = OperatorStack(blocks, flavor="general")
+@pytest.mark.parametrize("s", [1.0, 1e4, 1e6, 1e8], ids=["1", "1e4", "1e6", "1e8"])
+def test_trace_lower_bound_tight_for_aligned_rank_one(s):
+    # equality holds when rho = q q^* is rank one and every block s g_j q^* lies on
+    # its range; F's rounding grows with |m|^2, so an absolute slack refused s >= 1e4
+    rng = np.random.default_rng(11)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    rho = q[:, :1] @ q[:, :1].conj().T
+    g = rng.standard_normal((2, 3, 1)) + 1j * rng.standard_normal((2, 3, 1))
+    m = OperatorStack(s * g @ q[:, :1].conj().T, flavor="general")
     val = kinetic(rho, m).value
     np.testing.assert_allclose(val, np.linalg.norm(m.blocks) ** 2 / 2, rtol=1e-12)
     assert trace_lower_bound(rho, m)
+    assert trace_lower_bound(3.0 * rho, m)  # F and the bound both scale as 1 / tr rho
 
 
 def test_trace_lower_bound_gate_and_infinite_kinetic():

