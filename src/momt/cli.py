@@ -109,8 +109,7 @@ def _summary_lines(report: dict) -> list[str]:
         f"gap          {report['gap']:.3e}  (relative {report['rel_gap']:.3e})",
         f"iterations   {report['iterations']}  "
         f"converged: {'yes' if report['converged'] else 'NO'}",
-        f"hamiltonian  mean {ham['mean']:.6g}  rel_std {ham['rel_std']:.3e}  "
-        f"constant speed: {'yes' if ham['speed_ok'] else 'NO'}",
+        f"hamiltonian  mean {ham['mean']:.6g}  rel_std {ham['rel_std']:.3e}",
     ]
     warns = [f"warning      [{w['code']}] {w['message']}" for w in report["warnings"]]
     return lines + (warns or ["warnings     none"])

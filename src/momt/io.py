@@ -6,14 +6,13 @@ Problem file layout (UTF-8 JSON):
       "lindblad": {"n": 2, "operators": [matrix-literal, ...]},
       "rho0": matrix-literal,
       "rho1": matrix-literal,
-      "config": {"K": 32, "max_iter": 500, "grad_tol": 1e-7,
-                 "eps_pd": 1e-8, "seed": 1234}  # optional: SolverConfig fields + seed
+      "config": {"K": 32, "max_iter": 500, "seed": 1234}  # optional: SolverConfig fields + seed
     }
 
 with matrix-literal = {"n": int, "re": [[...]], "im": [[...]]}, re and im
 n rows of n numbers, read and gated by matrix_from_literal alone.  Every
-number is a JSON number in the float range (no boolean or string); n, K,
-max_iter and seed are also integral (8 or 8.0).
+number is a JSON number in the float range (no boolean or string); n and
+every config value are also integral (8 or 8.0).
 
 Parse failures carry the JSON path of the offending field ("$.rho0",
 "$.lindblad.operators[1]", ...), and a key outside this layout is refused
@@ -41,7 +40,7 @@ from .hermitian import (
 )
 from .lindblad import LindbladSet
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 _WARNING_TEXT = {
     "kernel-dim": ("the gradient kernel has dimension > 1: the distance is only "
@@ -134,9 +133,8 @@ class ProblemSpec:
 
 
 _TOP_KEYS = {"lindblad", "rho0", "rho1", "config"}
-# the SolverConfig fields, read as their annotations say, and the seed
-_CONFIG_KEYS = {**{f.name: {"int": _int_at, "float": _float_at}[f.type]
-                   for f in fields(SolverConfig)}, "seed": _int_at}
+# the SolverConfig fields and the seed, each an integer
+_CONFIG_KEYS = (*(f.name for f in fields(SolverConfig)), "seed")
 
 
 def parse_problem(text: str) -> ProblemSpec:
@@ -190,7 +188,7 @@ def parse_problem(text: str) -> ProblemSpec:
     if not isinstance(cfg_doc, dict):
         raise ParseError("$.config", "expected an object")
     _known_keys(cfg_doc, _CONFIG_KEYS, "$.config")
-    kwargs = {key: _CONFIG_KEYS[key](val, f"$.config.{key}") for key, val in cfg_doc.items()}
+    kwargs = {key: _int_at(val, f"$.config.{key}") for key, val in cfg_doc.items()}
     seed = kwargs.pop("seed", 1234)
     if seed < 0:  # numpy's generators take no negative seed
         raise ParseError("$.config.seed", f"must be >= 0, got {seed}")
@@ -243,7 +241,6 @@ def build_report(result: GeodesicResult, spec: ProblemSpec) -> dict:
             "values": [float(v) for v in result.hamiltonian],
             "mean": prof.mean,
             "rel_std": prof.rel_std,
-            "speed_ok": prof.speed_ok,
         },
         "warnings": _warning_entries(result.warnings),
         "trace": {"nodes": trace_nodes},

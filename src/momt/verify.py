@@ -234,10 +234,12 @@ def suite_duality(spec, rng, solved) -> list[Check]:
     if isinstance(solved, Exception):
         checks.append(Check("weak duality on the solved instance", True, f"skipped: {solved}"))
         return checks
+    # both are costs, and W^2 scales as the set's cost unit does: c^-2 for operators c L
     return checks + [
-        _check("weak duality on the solved instance", max(0.0, -solved.gap), 1e-9,
+        _check("weak duality on the solved instance", max(0.0, -solved.gap), 1e-9 * l.unit,
                extra=f"; certified rel_gap {solved.rel_gap:.3e}"),
-        _worst("certificate never exceeds the action (initial path)", 1e-9, 1, initial_excess),
+        _worst("certificate never exceeds the action (initial path)", 1e-9 * l.unit, 1,
+               initial_excess),
     ]
 
 

@@ -15,9 +15,10 @@ checkout's:
 Each output gets one verdict (see compare): identical; within 1e-12 relative
 or 1e-14 absolute, with the maxima; or different.  Every run also says
 whether its exit code and stderr are the same, and each changed place is
-listed with its old and new value.  The rounding-floor fields (FLOOR) are
-listed with their old and new values, never judged, and each pool solve
-prints its iteration counts.  The exit status is 1 when any output is
+listed with its old and new value; a key on one side only is listed as
+<absent> on the other, and the keys both sides share are still judged.  The
+rounding-floor fields (FLOOR) are listed with their old and new values, never
+judged, and each pool solve prints its iteration counts.  The exit status is 1 when any output is
 different or any exit code or stderr moved.  Standard library only; pytest
 does not collect this file, and nothing is written under the checkout.
 """
@@ -68,11 +69,22 @@ for family, (_, _, _, size, _) in instances.FAMILIES.items():
 """
 
 
+class _Absent:
+    """The side of a key that only the other document has."""
+
+    def __repr__(self):
+        return "<absent>"
+
+
+ABSENT = _Absent()
+
+
 class Verdict(NamedTuple):
     kind: str        # "identical", "within" or "different"
     max_rel: float   # largest relative change of a judged number of size >= REL_SIZE
     max_abs: float   # largest absolute change of a smaller judged number
-    changes: list    # (place, old, new) of every judged value that moved
+    changes: list    # (place, old, new) of every key on one side only (ABSENT on the
+                     # other), then of every judged value that moved
     floor: list      # (place, old, new) of every FLOOR field
 
 
@@ -93,16 +105,20 @@ def _text_pairs(place: str, old: str, new: str, out: list) -> bool:
     return True
 
 
-def _walk(place: str, old, new, pairs: list, floor: list) -> bool:
-    """Collect the number pairs of two JSON values into pairs, and those under a FLOOR
-    key into floor; False if their structure or a non-number differs."""
+def _walk(place: str, old, new, pairs: list, floor: list, keys: list) -> bool:
+    """Collect the number pairs of two JSON values into pairs, those under a FLOOR key
+    into floor, and each key on one side only into keys; False if their structure or a
+    non-number differs.  The shared keys and items are walked whatever the others hold."""
     if isinstance(old, dict) and isinstance(new, dict):
-        return old.keys() == new.keys() and all(
-            _walk(f"{place}.{k}", old[k], new[k], floor if k in FLOOR else pairs, floor)
-            for k in old)
+        keys += [(f"{place}.{k}", old.get(k, ABSENT), new.get(k, ABSENT))
+                 for k in sorted(old.keys() ^ new.keys())]
+        same = [_walk(f"{place}.{k}", old[k], new[k], floor if k in FLOOR else pairs, floor,
+                      keys) for k in old if k in new]
+        return old.keys() == new.keys() and all(same)
     if isinstance(old, list) and isinstance(new, list):
-        return len(old) == len(new) and all(
-            _walk(f"{place}[{i}]", a, b, pairs, floor) for i, (a, b) in enumerate(zip(old, new)))
+        same = [_walk(f"{place}[{i}]", a, b, pairs, floor, keys)
+                for i, (a, b) in enumerate(zip(old, new))]
+        return len(old) == len(new) and all(same)
     if isinstance(old, str) and isinstance(new, str):
         return _text_pairs(place, old, new, pairs)
     numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (old, new))
@@ -114,9 +130,9 @@ def _walk(place: str, old, new, pairs: list, floor: list) -> bool:
 
 def compare(old: str, new: str) -> Verdict:
     """The verdict on two outputs: JSON documents field by field, other text line by line."""
-    pairs, floor = [], []
+    pairs, floor, keys = [], [], []
     try:
-        same_shape = _walk("", json.loads(old), json.loads(new), pairs, floor)
+        same_shape = _walk("", json.loads(old), json.loads(new), pairs, floor, keys)
     except ValueError:
         a, b = old.splitlines(), new.splitlines()
         same_shape = len(a) == len(b) and all(
@@ -128,7 +144,7 @@ def compare(old: str, new: str) -> Verdict:
     max_abs = max((abs(a - b) for (_, a, b), big in zip(moved, large) if not big), default=0.0)
     ok = same_shape and all(_close(a, b) for _, a, b in moved)
     kind = "identical" if old == new else "within" if ok else "different"
-    return Verdict(kind, max_rel, max_abs, moved, floor)
+    return Verdict(kind, max_rel, max_abs, keys + moved, floor)
 
 
 def _run(tree: Path, args: list, cwd: Path) -> subprocess.CompletedProcess:

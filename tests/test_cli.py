@@ -76,23 +76,26 @@ MALFORMED = [
     (lambda d: d["lindblad"].update(opertors=[]), "error: $.lindblad.opertors: unknown key"),
     (lambda d: d["rho0"].update(scale=2.0), "error: $.rho0.scale: unknown key"),
     (lambda d: d.update(config={"K": 2.7}), "error: $.config.K:"),
-    (lambda d: d.update(config={"grad_tol": float("nan")}), "error: $.config.grad_tol:"),
-    (lambda d: d.update(config={"grad_tol": -1.0}), "error: $.config.grad_tol:"),
+    # the stop tolerance and the line search's floor are constants, not settings:
+    # whatever value a file gives them, the key itself is refused
+    (lambda d: d.update(config={"grad_tol": float("nan")}),
+     "error: $.config.grad_tol: unknown key"),
+    (lambda d: d.update(config={"grad_tol": 1e-7}), "error: $.config.grad_tol: unknown key"),
     (lambda d: d.update(config={"max_iter": -1}), "error: $.config.max_iter:"),
-    (lambda d: d.update(config={"eps_pd": -1.0}), "error: $.config.eps_pd:"),
-    (lambda d: d.update(config={"eps_pd": float("inf")}), "error: $.config.eps_pd:"),
-    (lambda d: d.update(config={"eps_pd": 1e-12}), "error: $.config.eps_pd:"),
-    (lambda d: d.update(config={"grad_tol": True}), "error: $.config.grad_tol:"),
-    (lambda d: d.update(config={"grad_tol": "1e-3"}), "error: $.config.grad_tol:"),
+    (lambda d: d.update(config={"eps_pd": 1e-8}), "error: $.config.eps_pd: unknown key"),
+    (lambda d: d.update(config={"eps_pd": float("inf")}), "error: $.config.eps_pd: unknown key"),
+    (lambda d: d.update(config={"eps_pd": 1e-12}), "error: $.config.eps_pd: unknown key"),
+    (lambda d: d.update(config={"grad_tol": True}), "error: $.config.grad_tol: unknown key"),
+    (lambda d: d.update(config={"grad_tol": "1e-3"}), "error: $.config.grad_tol: unknown key"),
     # a JSON integer has no size limit; one beyond the float range is refused
     (lambda d: d.update(config={"K": 10 ** 400}), "error: $.config.K:"),
-    (lambda d: d.update(config={"grad_tol": 10 ** 400}), "error: $.config.grad_tol:"),
+    (lambda d: d.update(config={"grad_tol": 10 ** 400}), "error: $.config.grad_tol: unknown key"),
     (lambda d: d.update(config={"seed": -10 ** 400}), "error: $.config.seed:"),
     # an integer, but numpy's generators take no negative seed
     (lambda d: d.update(config={"seed": -1}), "error: $.config.seed: must be >= 0"),
     # parses (boundary states are admissible), but a solve needs rho0 > 0
     (lambda d: d.update(rho0=SINGULAR_RHO), "error: strict density requires"),
-    # a literal's entries follow the config's number rule, each at its own path
+    # a literal's entries are numbers in the float range, each refused at its own path
     (lambda d: d["rho0"]["re"][0].__setitem__(0, 10 ** 400), "error: $.rho0.re[0][0]:"),
     (lambda d: d["rho0"]["re"][0].__setitem__(0, "0.9"), "error: $.rho0.re[0][0]:"),
     (lambda d: d["lindblad"]["operators"][0]["re"][0].__setitem__(1, True),
@@ -172,7 +175,7 @@ def test_distance_json_and_report_file(tmp_path, capsys):
     assert main(["distance", PAULI, "--out", str(out), "--json"]) == 0
     printed = capsys.readouterr().out
     report = json.loads(printed)
-    assert report["schema_version"] == 2
+    assert report["schema_version"] == 3
     assert report["converged"] is True
     assert out.read_text() == printed
 

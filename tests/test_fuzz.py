@@ -7,9 +7,10 @@ raise ParseError, with warnings as errors, so an overflow inside a gate
 fails the test.  A parsed document must give a result from a capped solve,
 or one of the refusals the CLI documents (InfeasibleEndpoints, or
 NotPositive for a boundary endpoint).  A sample also runs through cli.main,
-which must exit with a documented code and print nothing on stderr but an
-"error:" line.  A failing document is printed as JSON, ready to become a
-row of tests/test_cli.py::MALFORMED.
+as momt distance and as momt verify --suite all, each of which must exit
+with a documented code and print nothing on stderr but an "error:" line.
+A failing document is printed as JSON, ready to become a row of
+tests/test_cli.py::MALFORMED.
 """
 
 import json
@@ -26,7 +27,7 @@ from conftest import FIXTURES
 
 SEED = 15
 DOCUMENTS = 2000
-CLI_EVERY = 50  # every 50th document also runs through momt distance
+CLI_EVERY = 50  # every 50th document also runs through momt distance and momt verify
 SOURCES = [(FIXTURES / f"{name}.json").read_text()
            for name in ("three_level_pair", "pauli_problem", "flat_cost_qutrit21")]
 # the float range's edges, non-finite numbers, an integer beyond 2^53, and
@@ -103,10 +104,12 @@ def test_mutated_problem_files_parse_or_are_refused(tmp_path, capsys):
                 if i % CLI_EVERY == 0:
                     path = tmp_path / f"doc{i}.json"
                     path.write_text(json.dumps(doc))
-                    code = main(["distance", str(path), "--quiet"])
-                    err = capsys.readouterr().err
-                    assert code in (0, 1, 2, 3), code
-                    assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), err
+                    for args in (["distance"], ["verify", "--suite", "all"]):
+                        code = main([args[0], str(path), *args[1:], "--quiet"])
+                        err = capsys.readouterr().err
+                        assert code in (0, 1, 2, 3), (args, code)
+                        assert err == "" or (err.startswith("error: ")
+                                             and err.count("\n") == 1), (args, err)
         except Exception as exc:
             pytest.fail(f"document {i} raised {type(exc).__name__}: {exc}\n{json.dumps(doc)}")
         outcomes[outcome] = outcomes.get(outcome, 0) + 1

@@ -1,10 +1,12 @@
 import json
+import math
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 
 import momt.elliptic
+import momt.geodesic
 from momt import (
     EPS_PD,
     DensityMatrix,
@@ -538,6 +540,8 @@ def test_cone_test_matches_eigenvalue_floor(three_level_pair):
         verdicts.append(bool(np.all(np.linalg.eigvalsh(stack)[:, 0] > red.floor)))
         assert red.feasible(nodes) == verdicts[-1]
     assert any(verdicts) and not all(verdicts)
+    # the solver's floor stays above EPS_PD, the one its strict endpoints clear
+    assert momt.geodesic._LINE_FLOOR > EPS_PD
     # Cholesky does not stop on NaN, so the factor is checked as well
     nodes = red.nodes(np.zeros(red.d * (len(red.line) - 2)))
     assert red.feasible(nodes)
@@ -548,12 +552,8 @@ def test_cone_test_matches_eigenvalue_floor(three_level_pair):
 
 
 @pytest.mark.parametrize("key, value", [
-    ("K", 0), ("K", -3), ("max_iter", -1), ("grad_tol", 0.0), ("grad_tol", float("nan")),
-    ("eps_pd", EPS_PD / 2), ("eps_pd", float("inf")), ("eps_pd", float("nan")),
-    ("K", 2.5), ("K", "8"), ("K", True), ("max_iter", 10.0), ("max_iter", False),
-    ("grad_tol", "1e-7"), ("grad_tol", True), ("eps_pd", None), ("K", 2 ** 16 + 1),
-    pytest.param("grad_tol", 10 ** 400, id="grad_tol-10**400"),
-    pytest.param("eps_pd", 10 ** 400, id="eps_pd-10**400"),
+    ("K", 0), ("K", -3), ("max_iter", -1), ("K", 2.5), ("K", "8"), ("K", True),
+    ("max_iter", 10.0), ("max_iter", False), ("K", 2 ** 16 + 1),
 ])
 def test_solver_config_rejects_out_of_range(key, value):
     with pytest.raises(InvalidConfig, match=key) as info:
@@ -561,12 +561,11 @@ def test_solver_config_rejects_out_of_range(key, value):
     assert info.value.field == key and isinstance(info.value, ValueError)
     with pytest.raises(InvalidConfig):
         replace(SolverConfig(), **{key: value})
-    SolverConfig(K=1, max_iter=0, eps_pd=EPS_PD)  # the bounds themselves are admissible
+    SolverConfig(K=1, max_iter=0)  # the bounds themselves are admissible
     SolverConfig(K=2 ** 16)
-    SolverConfig(grad_tol=2 ** 64, eps_pd=2 ** 64)  # finite as floats
 
 
-@pytest.mark.parametrize("key, value", [("K", 0), ("grad_tol", float("nan")), ("eps_pd", -1.0)])
+@pytest.mark.parametrize("key, value", [("K", 0), ("max_iter", -1)])
 def test_solver_config_fields_are_frozen(key, value):
     # a field assigned after the range gate ran would reach the solver unchecked
     cfg = SolverConfig(K=8)
@@ -723,14 +722,15 @@ def test_newton_iterations_do_not_grow_with_k(three_level_pair, big_k):
 
 
 @pytest.mark.parametrize("big_k", [8, 32])
-def test_certificate_does_not_depend_on_grad_tol(three_level_pair, big_k):
+def test_certificate_does_not_depend_on_grad_tol(monkeypatch, three_level_pair, big_k):
     # the gap measures where the descent stopped; Newton converges
-    # quadratically, so both tolerances stop at the same 2-step iterate and
+    # quadratically, so both stop tolerances stop at the same 2-step iterate and
     # certify the same gap
     l, r0, r1 = three_level_pair
     gaps = []
     for tol in (1e-7, 1e-10):
-        res = optimize_geodesic(l, r0, r1, SolverConfig(K=big_k, grad_tol=tol))
+        monkeypatch.setattr(momt.geodesic, "_GRAD_TOL", tol)
+        res = optimize_geodesic(l, r0, r1, SolverConfig(K=big_k))
         assert res.converged
         gaps.append(res.gap / res.primal_cost)
     np.testing.assert_allclose(gaps[0], gaps[1], rtol=1e-9)
@@ -930,7 +930,6 @@ def test_hamiltonian_profile_constant_speed(pauli, swap_endpoints):
     res = optimize_geodesic(pauli, r0, r1, SolverConfig(K=16))
     prof = hamiltonian_profile(res)
     assert prof.rel_std <= 1e-6
-    assert prof.speed_ok
     # profile values are the interval kinetic terms
     for k, val in enumerate(res.hamiltonian):
         mid = 0.5 * (res.path.densities[k] + res.path.densities[k + 1])
@@ -941,36 +940,36 @@ def test_hamiltonian_profile_constant_speed(pauli, swap_endpoints):
                                2.0 * np.mean(res.hamiltonian), rtol=1e-12)
 
 
-def window_speed_ok(result):
-    """Reference speed_ok: every sub-window [t_i, t_j]'s reparametrized action
-    (t_j - t_i) * sum(dt 2 F_k) against ((t_j - t_i) distance)^2, in O(K^2)."""
+def window_deviation(result):
+    """The largest relative deviation, over every sub-window [t_i, t_j], of the
+    reparametrized action (t_j - t_i) * sum(dt 2 F_k) from ((t_j - t_i) d)^2,
+    with d^2 = sum(dt 2 F_k) the whole path's action, in O(K^2)."""
     vals, dt = np.asarray(result.hamiltonian), 1.0 / result.path.K
-    rel_std = np.std(vals) / np.mean(vals)
     cum = np.concatenate([[0.0], np.cumsum(2.0 * dt * vals)])
     i, j = np.triu_indices(result.path.K + 1, 1)
     width = (j - i) * dt
-    target = width ** 2 * result.primal_cost
-    err = np.abs(width * (cum[j] - cum[i]) - target) / target
-    return not np.any(err > max(10.0 * rel_std, 1e-9))
+    target = width ** 2 * cum[-1]
+    return float(np.max(np.abs(width * (cum[j] - cum[i]) - target) / target))
 
 
 def test_hamiltonian_profile_matches_window_formula(pauli, swap_endpoints, three_level_pair):
     results = [optimize_geodesic(*three_level_pair, SolverConfig(K=big_k, max_iter=it))
                for big_k in (4, 16) for it in (0, 1, 500)]
     results.append(optimize_geodesic(*boundary_qutrit(), SolverConfig(K=16, max_iter=100)))
-    swap = optimize_geodesic(pauli, *swap_endpoints, SolverConfig(K=16))
-    # constant values against a squared distance off by s, either side of the 1e-9 floor
-    results += [replace(swap, primal_cost=swap.primal_cost * (1.0 + s))
-                for s in (5e-10, -5e-10, 2e-9, -2e-9, 1e-6)]
-    # one interval 2 % fast: beyond 10 rel_std only once K > 100
+    # one interval 2 % fast
     for big_k in (16, 128):
         res = optimize_geodesic(pauli, *swap_endpoints, SolverConfig(K=big_k))
         spike = np.array(res.hamiltonian)
         spike[big_k // 3] *= 1.02
         results.append(replace(res, hamiltonian=spike.tolist()))
-    verdicts = [hamiltonian_profile(res).speed_ok for res in results]
-    assert verdicts == [window_speed_ok(res) for res in results]
-    assert True in verdicts and False in verdicts
+    for res in results:
+        vals, prof = np.asarray(res.hamiltonian), hamiltonian_profile(res)
+        assert prof.mean == np.mean(vals) and prof.rel_std == np.std(vals) / np.mean(vals)
+        # a window's mean lies between the extreme values, and by Samuelson's
+        # inequality no value is more than sqrt(K - 1) standard deviations from the
+        # mean: rel_std bounds every window's deviation, so no verdict on K values
+        # can fail that a bound on rel_std passes
+        assert window_deviation(res) <= math.sqrt(res.path.K - 1) * prof.rel_std + 1e-12
 
 
 def test_result_is_raw_stacks(three_level_pair):

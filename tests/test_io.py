@@ -44,17 +44,17 @@ def test_parse_minimal_problem():
 
 
 def test_parse_config_overrides():
-    doc = minimal_problem(config={"K": 8, "seed": 9, "grad_tol": 1e-6})
+    doc = minimal_problem(config={"K": 8, "seed": 9, "max_iter": 20})
     spec = parse_problem(json.dumps(doc))
     assert spec.config.K == 8 and spec.seed == 9
-    assert spec.config.grad_tol == 1e-6
+    assert spec.config.max_iter == 20
     # 0 is the smallest seed numpy's generators take; only a negative one is refused
     assert parse_problem(json.dumps(minimal_problem(config={"seed": 0}))).seed == 0
 
 
 def test_config_round_trips_every_field():
     # every SolverConfig field and the seed, each off its default, is read and echoed
-    values = {"K": 4, "max_iter": 7, "grad_tol": 1e-6, "eps_pd": 1e-9, "seed": 99}
+    values = {"K": 4, "max_iter": 7, "seed": 99}
     assert set(values) == {f.name for f in fields(SolverConfig)} | {"seed"}
     assert all(values[f.name] != f.default for f in fields(SolverConfig))
     spec = parse_problem(json.dumps(minimal_problem(config=values)))
@@ -63,6 +63,10 @@ def test_config_round_trips_every_field():
         assert getattr(spec.config, f.name) == values[f.name]
     result = optimize_geodesic(spec.lindblad, spec.rho0, spec.rho1, spec.config)
     assert build_report(result, spec)["config"] == values
+    # the stop tolerance and the line search's floor are constants, not settings
+    for key in ("grad_tol", "eps_pd"):
+        with pytest.raises(ParseError, match=rf"^\$\.config\.{key}: unknown key$"):
+            parse_problem(json.dumps(minimal_problem(config={**values, key: 1e-6})))
 
 
 def test_parse_malformed_json():

@@ -21,3 +21,12 @@ def test_same_answers_comparison_rule(new, kind, max_rel, max_abs):
     assert verdict.max_rel == pytest.approx(max_rel, rel=1e-3)
     assert verdict.max_abs == pytest.approx(max_abs, rel=1e-3)
     assert [place for place, _, _ in verdict.floor] == [".gap"]  # listed, never judged
+
+
+def test_same_answers_lists_a_removed_key_and_judges_the_rest():
+    # a key on one side only is listed, and the numbers beside it are still judged
+    verdict = compare('{"config": {"K": 8, "eps_pd": 1e-8}, "distance": 1.0}',
+                      '{"config": {"K": 8}, "distance": 1.5}')
+    assert verdict.kind == "different"
+    assert [(place, repr(a), repr(b)) for place, a, b in verdict.changes] == [
+        (".config.eps_pd", "1e-08", "<absent>"), (".distance", "1.0", "1.5")]

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 import momt.verify
-from momt import IllConditioned, LindbladSet
+from momt import ExtendedValue, IllConditioned, LindbladSet, dual_certificate, optimize_geodesic
 from momt.io import load_problem
-from momt.verify import run_suites
+from momt.verify import run_suites, suite_duality
 from conftest import FIXTURES
 
 PAULI = str(FIXTURES / "pauli_problem.json")
@@ -59,6 +59,33 @@ def test_conservation_steps_follow_the_spectral_radius():
         np.testing.assert_allclose(-np.linalg.eigvalsh(gen)[0], 4.0 * scale ** 2)
         checks = run_suites(replace(spec, lindblad=stiff), "conservation")
         assert checks and all(c.passed for c in checks)
+
+
+COST_ROWS = ("weak duality on the solved instance",
+             "certificate never exceeds the action (initial path)")
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e6, 1e8])
+def test_cost_rows_fail_twice_their_tolerance_at_every_scale(monkeypatch, scale):
+    # both rows bound a cost, and W^2 scales as the set's unit u does, as c^-2 for
+    # operators c L: an excess of 2e-9 u fails each row at every c, where an absolute
+    # 1e-9 let it pass from c = 1e3 on
+    spec = load_problem(str(FIXTURES / "three_level_pair.json"))
+    l = LindbladSet(scale * spec.lindblad.ops)
+    spec = replace(spec, lindblad=l)
+    solved = optimize_geodesic(l, spec.rho0, spec.rho1, spec.config)
+    excess = 2e-9 * l.unit
+
+    def rows(result):
+        checks = suite_duality(spec, np.random.default_rng(spec.seed), result)
+        return [c.passed for c in checks if c.name in COST_ROWS]
+
+    assert rows(solved) == [True, True]
+    assert rows(replace(solved, gap=-excess)) == [False, True]
+    # the initial path's action, lowered so that its certificate exceeds it by excess
+    monkeypatch.setattr(momt.verify, "path_cost", lambda path: ExtendedValue.of(
+        0.5 * (dual_certificate(l, path)[1] - excess)))
+    assert rows(solved) == [True, False]
 
 
 def _raise(exc):
