@@ -17,7 +17,6 @@ from momt import (
     build_report,
     dump_canonical,
     dual_certificate,
-    hamiltonian_profile,
     load_problem,
     matrix_to_literal,
     optimize_geodesic,
@@ -44,8 +43,8 @@ print()
 print(f"distance  = {res.distance:.12f}")
 print(f"converged = {res.converged} after {res.iterations} iterations")
 
-prof = hamiltonian_profile(res)
-print(f"speed profile: mean {prof.mean:.10f}, relative std {prof.rel_std:.2e}")
+print(f"speed profile: mean {np.mean(res.hamiltonian):.10f},"
+      f" relative std {res.hamiltonian_rel_std:.2e}")
 
 slacks, _ = dual_certificate(pauli, res.path)
 print(f"certificate slacks: max {slacks.max():.3e} over {slacks.size} nodes"

@@ -41,10 +41,9 @@ _EXPORTS = {
     "cli": (),  # no public names; listed so that momt.cli resolves
     "elliptic": ("IllConditioned", "InfeasibleRHS", "SingularWeight", "WeightedOperator",
                  "WeightError", "poincare_constant", "quadratic_form", "solve_potential"),
-    "geodesic": ("DiscretePath", "GeodesicResult", "HamiltonianProfile",
-                 "InfeasibleEndpoints", "InvalidConfig", "SolverConfig",
-                 "continuity_residual", "dual_certificate", "feasibility_gap",
-                 "hamiltonian_profile", "initial_path", "optimize_geodesic"),
+    "geodesic": ("DiscretePath", "GeodesicResult", "InfeasibleEndpoints", "InvalidConfig",
+                 "SolverConfig", "continuity_residual", "dual_certificate", "feasibility_gap",
+                 "initial_path", "optimize_geodesic"),
     "hermitian": ("EPS_PD", "MAX_ENTRY", "SYM_TOL", "TRACE_TOL", "DensityMatrix",
                   "DimensionMismatch", "FlavorError", "HermitianMatrix", "NotPositive",
                   "NotUnitTrace", "OperatorStack", "SymmetryError", "hermitian_basis",

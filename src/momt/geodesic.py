@@ -33,7 +33,7 @@ difference D and the midpoint mu, with A(mu) = C^T T(mu) C linear in mu.
 Each term couples two adjacent nodes, so the Hessian H is block
 tridiagonal with d x d blocks (d = dim ker(grad)^perp), and positive
 definite where every A_k is.  Newton directions d = -H^{-1} g come from
-_Reduced.hessian and _block_tridiag_solve, damped by Armijo backtracking.
+_Reduced.hessian and _block_tridiag_solve, damped by Armijo backtracking (_line_search).
 At small sizes numpy's per-call overhead sets that solve's cost, so a
 system of at most _DENSE_MAX = 128 unknowns (K-1) d is one dense LAPACK
 solve (56 for a qutrit at K = 8), and a larger one an O(K d^3) block
@@ -152,11 +152,13 @@ class GeodesicResult:
         """gap / primal_cost, or 0 for a cost at most _ZERO_COST units."""
         return self.gap / self.primal_cost if self.primal_cost > _ZERO_COST * self.unit else 0.0
 
-
-@dataclass
-class HamiltonianProfile:
-    mean: float
-    rel_std: float
+    @property
+    def hamiltonian_rel_std(self) -> float:
+        """std / mean of the kinetic values, which the continuous geodesic keeps
+        constant, or 0 for a mean at most _ZERO_COST units; momt verify bounds it."""
+        vals = np.asarray(self.hamiltonian)
+        mean = np.mean(vals)
+        return float(np.std(vals) / mean) if mean > _ZERO_COST * self.unit else 0.0
 
 
 def feasibility_gap(l: LindbladSet, rho0, rho1) -> float:
@@ -383,17 +385,34 @@ def _trace_drift(nodes: np.ndarray) -> float:
     return float(abs(nodes.trace(axis1=-2, axis2=-1).real - 1.0).max())
 
 
+def _line_search(reduced: _Reduced, y: np.ndarray, point: _Point, d: np.ndarray, slope: float):
+    """(y, nodes, point, refused) of the first Armijo step along d, halving from 1, or None
+    after 60 halvings; refused tells if the floor test turned a trial away unvalued."""
+    step, refused = 1.0, False
+    for _ in range(60):
+        trial_y = y + step * d
+        trial_nodes = reduced.nodes(trial_y)
+        if reduced.feasible(trial_nodes):
+            trial = reduced.value_grad(trial_nodes)
+            if trial.cost <= point.cost + 1e-4 * step * slope:
+                return trial_y, trial_nodes, trial, refused
+        else:
+            refused = True
+        step *= 0.5
+    return None
+
+
 def optimize_geodesic(l: LindbladSet, rho0, rho1,
                       config: SolverConfig | None = None) -> GeodesicResult:
     """Minimize the discrete action over interior nodes; return path + certificate.
 
     Damped Newton descent: each iteration solves H d = -g with the block
-    tridiagonal reduced Hessian (see _Reduced.hessian) and backtracks from
-    the full step until the Armijo test passes.  The slope test is the
-    direction's one gate: -g replaces a d with d.g not in (-inf, 0), as an H
-    indefinite by rounding or a NaN d gives (so does an exactly singular
-    Newton matrix).  The floor test shortens steps that would push any node
-    or interval midpoint below _LINE_FLOOR.  A persistent failure to move, or a
+    tridiagonal reduced Hessian (see _Reduced.hessian) and takes the step that
+    _line_search accepts.  The slope test is the direction's one gate: -g
+    replaces a d with d.g not in (-inf, 0), as an H indefinite by rounding or a
+    NaN d gives (so does an exactly singular Newton matrix).  The floor test
+    shortens steps that would push any node or interval midpoint below
+    _LINE_FLOOR.  A persistent failure to move, or a
     floor-limited stall (_STALL_WINDOW), is reported as a boundary hit with
     the best iterate returned, and each trial's
     residual gate raises on a failed potential solve.  The Hamiltonian values
@@ -430,24 +449,14 @@ def optimize_geodesic(l: LindbladSet, rho0, rho1,
         slope = float(d @ point.grad)
         if not -np.inf < slope < 0:  # also catches a NaN or infinite direction
             d, slope = -point.grad, -gnorm * gnorm
-        step, refused = 1.0, False
-        for _ in range(60):
-            trial_y = y + step * d
-            trial_nodes = reduced.nodes(trial_y)
-            if reduced.feasible(trial_nodes):
-                trial = reduced.value_grad(trial_nodes)
-                if trial.cost <= point.cost + 1e-4 * step * slope:  # Armijo
-                    break
-            else:
-                refused = True
-            step *= 0.5
-        else:
+        accepted = _line_search(reduced, y, point, d, slope)
+        if accepted is None:
             warnings_list.append("boundary-hit")
             break
+        y, nodes, trial, refused = accepted
         small = point.cost - trial.cost <= _STALL_DECREASE * abs(point.cost)
         stalled = stalled + 1 if refused and small else 0
-        y, point, nodes = trial_y, trial, trial_nodes
-        trace_drift = max(trace_drift, _trace_drift(nodes))
+        point, trace_drift = trial, max(trace_drift, _trace_drift(nodes))
 
     return _result(l, nodes, point.xs, point.cost, iterations=iterations,
                    converged=converged, grad_norm=gnorm, trace_drift=trace_drift,
@@ -526,15 +535,3 @@ def _dual_certificate(l: LindbladSet, path: DiscretePath, grams: np.ndarray):
     slacks = pairs[1:-1] - lows
     return slacks, float(pairs[0] + pairs[-1] + lows.sum() + shift)
 
-
-def hamiltonian_profile(result: GeodesicResult) -> HamiltonianProfile:
-    """Mean and relative spread std / mean of the per-interval kinetic values.
-
-    The Hamiltonian is constant along the continuous geodesic; rel_std measures
-    how far the K discrete values are from constant (0 for a mean at most
-    _ZERO_COST units), and momt verify's constancy row bounds it.
-    """
-    vals = np.asarray(result.hamiltonian)
-    mean = float(np.mean(vals))
-    rel_std = float(np.std(vals) / mean) if mean > _ZERO_COST * result.unit else 0.0
-    return HamiltonianProfile(mean=mean, rel_std=rel_std)

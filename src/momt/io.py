@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import __version__
-from .geodesic import GeodesicResult, InvalidConfig, SolverConfig, hamiltonian_profile
+from .geodesic import GeodesicResult, InvalidConfig, SolverConfig
 from .hermitian import (
     DensityMatrix,
     DimensionMismatch,
@@ -219,7 +219,6 @@ def _warning_entries(codes) -> list:
 
 def build_report(result: GeodesicResult, spec: ProblemSpec) -> dict:
     """Full run report; every number is recomputable from the embedded trace."""
-    prof = hamiltonian_profile(result)
     path = result.path
     trace_nodes = [{"t": float(t), "eigenvalues": evals.tolist(),
                     "matrix": matrix_to_literal(rho)}
@@ -239,8 +238,8 @@ def build_report(result: GeodesicResult, spec: ProblemSpec) -> dict:
         "trace_drift": result.trace_drift,
         "hamiltonian": {
             "values": [float(v) for v in result.hamiltonian],
-            "mean": prof.mean,
-            "rel_std": prof.rel_std,
+            "mean": float(np.mean(result.hamiltonian)),
+            "rel_std": result.hamiltonian_rel_std,
         },
         "warnings": _warning_entries(result.warnings),
         "trace": {"nodes": trace_nodes},

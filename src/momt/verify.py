@@ -24,8 +24,7 @@ from . import SUITES
 from .action import (DualPoint, _cone_bound, fenchel_gap, kinetic, legendre_feasible,
                      momentum_min_check, path_cost, trace_lower_bound)
 from .elliptic import IllConditioned
-from .geodesic import (InfeasibleEndpoints, continuity_residual, hamiltonian_profile,
-                       optimize_geodesic)
+from .geodesic import InfeasibleEndpoints, continuity_residual, optimize_geodesic
 from .hermitian import (DensityMatrix, HermitianMatrix, NotPositive, OperatorStack, _above_floor,
                         gram, hermitian_part, inner_product, unvec_h, vec_h, vec_s)
 from .lindblad import LindbladSet, divergence, gradient, heat_flow, laplacian, project_kernel
@@ -75,8 +74,8 @@ def _rand_complement(rng, l: LindbladSet) -> HermitianMatrix:
 
 
 def _check(name: str, err: float, tol: float, extra: str = "") -> Check:
-    detail = f"max error {err:.3e} (tolerance {tol:.0e}){extra}"
-    return Check(name=name, passed=bool(err <= tol), detail=detail)
+    gate = np.format_float_scientific(tol, trim="-", exp_digits=2)  # 2.5e-10, not 3e-10
+    return Check(name, bool(err <= tol), f"max error {err:.3e} (tolerance {gate}){extra}")
 
 
 def _guard(name: str, compute) -> Check:
@@ -259,7 +258,7 @@ def suite_conservation(spec, solved) -> list[Check]:
             _worst("discrete continuity on the returned path", 1e-9, 1,
                    lambda: continuity_residual(l, solved.path)),
             _worst("kinetic values constant along the geodesic", 1e-3, 1,
-                   lambda: hamiltonian_profile(solved).rel_std),
+                   lambda: solved.hamiltonian_rel_std),
         ]
     flow = cache(partial(heat_flow, l, rho0))  # a raise is not kept: each reader fails
     contracts = "heat flow contracts toward the kernel projection"

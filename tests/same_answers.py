@@ -8,6 +8,9 @@ checkout's:
 
 - ``momt distance --json``, ``geodesic --out``, ``operator-info --json`` and
   ``verify --suite all --json`` on the five problem fixtures;
+- ``momt distance --json`` on three problems that one JSON edit of a fixture
+  makes (EDITED), written into the run directory: each leaves the descent by
+  an exit that no fixture reaches;
 - the four demos;
 - ``optimize_geodesic`` on the 40 pool entries of ``perfbench/instances.py``
   (imported read-only, writing no bytecode).
@@ -42,6 +45,23 @@ ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "tests" / "fixtures"
 PROBLEMS = ("pauli_problem", "flat_cost_qutrit21", "flat_cost_qutrit139", "three_level_pair",
             "infeasible_problem")
+
+
+def _scale_entry(doc: dict, factor: float) -> None:
+    doc["lindblad"]["operators"][0]["re"][2][2] *= factor
+
+
+#: (name, fixture, edit) of each edited problem: operators[0].re[2][2] times 1e3 stops
+#: at the cone boundary after 19 iterations (exit 3), times 1e10 fails the potential
+#: solve's residual gate (exit 1), and max_iter = 1 stops on the iteration cap (exit 3)
+EDITED = (
+    ("flat_cost_qutrit21_entry_x1e3", "flat_cost_qutrit21", lambda doc: _scale_entry(doc, 1e3)),
+    ("flat_cost_qutrit21_entry_x1e10", "flat_cost_qutrit21",
+     lambda doc: _scale_entry(doc, 1e10)),
+    ("three_level_pair_max_iter_1", "three_level_pair",
+     lambda doc: doc.update(config={"max_iter": 1})),
+)
+
 DEMOS = ("geodesic_run.py", "kinetic_boundary.py", "operator_tour.py", "sharp_constants.py")
 REL_TOL, ABS_TOL = 1e-12, 1e-14
 REL_SIZE = ABS_TOL / REL_TOL  # from this size on the relative bound is the looser one
@@ -168,6 +188,12 @@ def _outputs(tree: Path, work: Path) -> dict:
         out[f"geodesic {name}"] = (done.returncode, done.stderr, done.stdout)
         out[f"geodesic {name} --out"] = (done.returncode, done.stderr,
                                          trace.read_text() if trace.exists() else "")
+    for name, fixture, edit in EDITED:
+        doc = json.loads((FIXTURES / f"{fixture}.json").read_text())
+        edit(doc)
+        (work / f"{name}.json").write_text(json.dumps(doc))
+        done = _run(tree, ["-m", "momt.cli", "distance", f"{name}.json", "--json"], work)
+        out[f"distance {name}"] = (done.returncode, done.stderr, done.stdout)
     for demo in DEMOS:
         done = _run(tree, [str(tree / "demos" / demo)], work)
         out[f"demo {demo}"] = (done.returncode, done.stderr, done.stdout)

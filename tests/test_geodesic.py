@@ -1,5 +1,7 @@
+import cProfile
 import json
 import math
+import pstats
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -22,7 +24,6 @@ from momt import (
     dual_certificate,
     feasibility_gap,
     gradient,
-    hamiltonian_profile,
     initial_path,
     kinetic,
     matrix_to_literal,
@@ -397,6 +398,19 @@ def test_iteration_cap_stops_unconverged_without_warning(three_level_pair, tmp_p
     assert main(["distance", problem, "--json"]) == 3
     assert json.loads(capsys.readouterr().out)["converged"] is False
 
+
+def test_line_search_is_a_profiled_layer(three_level_pair):
+    # the backtracking search has a function of its own, so a profiler times it as
+    # one layer: one call per accepted step, and the profiled solve's answers are
+    # the unprofiled ones bit for bit
+    plain = optimize_geodesic(*three_level_pair, SolverConfig(K=8))
+    profiler = cProfile.Profile()
+    res = profiler.runcall(optimize_geodesic, *three_level_pair, SolverConfig(K=8))
+    code = momt.geodesic._line_search.__code__
+    calls = pstats.Stats(profiler).stats[(code.co_filename, code.co_firstlineno, code.co_name)][1]
+    assert res.iterations > 0 and calls == res.iterations
+    assert (res.distance, res.primal_cost, res.dual_value) == (
+        plain.distance, plain.primal_cost, plain.dual_value)
 
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 10.0, 1e3, 1e6, 1e8])
 def test_stop_test_reads_the_problem_unit(scale):
@@ -928,8 +942,7 @@ def test_dual_certificate_matches_node_loop_for_each_kernel_dim(three_level_pair
 def test_hamiltonian_profile_constant_speed(pauli, swap_endpoints):
     r0, r1 = swap_endpoints
     res = optimize_geodesic(pauli, r0, r1, SolverConfig(K=16))
-    prof = hamiltonian_profile(res)
-    assert prof.rel_std <= 1e-6
+    assert res.hamiltonian_rel_std <= 1e-6
     # profile values are the interval kinetic terms
     for k, val in enumerate(res.hamiltonian):
         mid = 0.5 * (res.path.densities[k] + res.path.densities[k + 1])
@@ -963,13 +976,13 @@ def test_hamiltonian_profile_matches_window_formula(pauli, swap_endpoints, three
         spike[big_k // 3] *= 1.02
         results.append(replace(res, hamiltonian=spike.tolist()))
     for res in results:
-        vals, prof = np.asarray(res.hamiltonian), hamiltonian_profile(res)
-        assert prof.mean == np.mean(vals) and prof.rel_std == np.std(vals) / np.mean(vals)
+        vals = np.asarray(res.hamiltonian)
+        assert res.hamiltonian_rel_std == np.std(vals) / np.mean(vals)
         # a window's mean lies between the extreme values, and by Samuelson's
         # inequality no value is more than sqrt(K - 1) standard deviations from the
         # mean: rel_std bounds every window's deviation, so no verdict on K values
         # can fail that a bound on rel_std passes
-        assert window_deviation(res) <= math.sqrt(res.path.K - 1) * prof.rel_std + 1e-12
+        assert window_deviation(res) <= math.sqrt(res.path.K - 1) * res.hamiltonian_rel_std + 1e-12
 
 
 def test_result_is_raw_stacks(three_level_pair):
@@ -1011,6 +1024,19 @@ def test_rel_gap_is_the_gap_over_the_cost(pauli, swap_endpoints, three_level_pai
     assert replace(res, primal_cost=1e-15 * res.unit).rel_gap == 0.0
     same = optimize_geodesic(pauli, swap_endpoints[0], swap_endpoints[0], SolverConfig(K=4))
     assert same.rel_gap == 0.0
+    # the Hamiltonian spread std / mean reads the same rule on the mean kinetic value
+    vals = np.asarray(res.hamiltonian)
+    assert res.hamiltonian_rel_std == np.std(vals) / np.mean(vals) > 0.0
+    assert replace(res, hamiltonian=[1e-15 * res.unit] * 8).hamiltonian_rel_std == 0.0
+    # at 2^10 times the operators the unit is 4^-10 times the pair's 1/16: a mean of
+    # 1e-16 is far above 1e-15 units, so its spread is a ratio, where an absolute
+    # 1e-15 would give 0
+    l, r0, r1 = three_level_pair
+    scaled = optimize_geodesic(LindbladSet(2.0 ** 10 * l.ops), r0, r1, SolverConfig(K=8))
+    assert scaled.unit == 4.0 ** -10 * l.unit
+    spread = [0.5e-16, 1.5e-16] * 4
+    assert replace(scaled, hamiltonian=spread).hamiltonian_rel_std == 0.5 \
+        == np.std(spread) / np.mean(spread)
 
 
 def test_symmetry_of_distance(pauli):

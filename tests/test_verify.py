@@ -88,6 +88,13 @@ def test_cost_rows_fail_twice_their_tolerance_at_every_scale(monkeypatch, scale)
     assert rows(solved) == [True, False]
 
 
+def test_cost_row_prints_its_gate_exactly():
+    # the Pauli set's unit is 1/4, so the weak-duality gate is 1e-9 u = 2.5e-10; the
+    # detail names that gate, where one significant digit printed 3e-10
+    checks = run_suites(load_problem(PAULI), "duality")
+    row = next(c for c in checks if c.name == COST_ROWS[0])
+    assert "(tolerance 2.5e-10); certified rel_gap" in row.detail
+
 def _raise(exc):
     raise exc
 
